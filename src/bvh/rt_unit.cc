@@ -45,24 +45,31 @@ namespace rayflex::bvh
 using namespace rayflex::core;
 using fp::fromBits;
 
+void
+validate(const RtUnitConfig &cfg)
+{
+    if (cfg.ray_buffer_entries == 0)
+        throw std::invalid_argument(
+            "RtUnitConfig::ray_buffer_entries must be at least 1 (no "
+            "slot could ever hold a ray)");
+    if (cfg.mem_requests_per_cycle == 0)
+        throw std::invalid_argument(
+            "RtUnitConfig::mem_requests_per_cycle must be at least 1 (no "
+            "node fetch could ever issue)");
+}
+
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-               const RtUnitConfig &cfg, MemoryModel *shared_mem)
+               const RtUnitConfig &cfg)
     : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp), cfg_(cfg),
+      mem_(makeMemoryModel(cfg.mem_backend, cfg.mem_latency, cfg.cache)),
       mshrs_(cfg.mshrs),
       tri_base_(uint64_t(bvh.nodes.size()) * kNodeStrideBytes)
 {
+    validate(cfg_);
     cfg_.packet.width =
         std::clamp(cfg_.packet.width, 1u, kMaxPacketWidth);
     cfg_.issue_width =
         std::clamp(cfg_.issue_width, 1u, kMaxIssueWidth);
-    if (shared_mem) {
-        mem_ = shared_mem;
-        mem_is_shared_ = true;
-    } else {
-        owned_mem_ = makeMemoryModel(cfg_.mem_backend, cfg_.mem_latency,
-                                     cfg_.cache);
-        mem_ = owned_mem_.get();
-    }
     // Lane 0 is the caller's datapath; lanes 1..N-1 are private
     // replicas of the same configuration, one handshake each.
     lanes_.push_back(&dp_);
@@ -94,8 +101,8 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
 }
 
 RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
-               const RtUnitConfig &cfg, MemoryModel *shared_mem)
-    : RtUnit(index.bvh, dp, cfg, shared_mem)
+               const RtUnitConfig &cfg)
+    : RtUnit(index.bvh, dp, cfg)
 {
     if (!dp.config().extended)
         throw std::invalid_argument(
@@ -1159,18 +1166,13 @@ RtUnit::beginRun()
         q.clear();
     for (KnnLaneJob &j : knn_lane_)
         j = KnnLaneJob{};
-    if (mem_is_shared_)
-        mem_before_ = mem_->stats(); // warm: keep contents, report delta
-    else {
-        mem_before_ = {};
-        mem_->reset(); // cold cache per run: runs are reproducible
-    }
+    mem_->reset(); // cold cache per run: runs are reproducible
 }
 
 RtUnitStats
 RtUnit::endRun()
 {
-    stats_.mem = mem_->stats().deltaSince(mem_before_);
+    stats_.mem = mem_->stats();
     if (outstanding_ > 0)
         throw std::runtime_error("RtUnit::run: rays did not complete");
     return stats_;

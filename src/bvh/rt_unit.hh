@@ -94,6 +94,13 @@ struct RtUnitConfig
     PacketConfig packet;
 };
 
+/** Reject a configuration under which no ray can ever retire:
+ *  ray_buffer_entries == 0 (no slot to hold one) or
+ *  mem_requests_per_cycle == 0 (no fetch ever issues). Every other
+ *  out-of-range knob is clamped (see ARCHITECTURE.md).
+ *  @throws std::invalid_argument naming the offending knob. */
+void validate(const RtUnitConfig &cfg);
+
 /** Per-run statistics. */
 struct RtUnitStats
 {
@@ -210,14 +217,10 @@ struct RtUnitStats
 class RtUnit : public pipeline::Component
 {
   public:
-    /** @param shared_mem Optional non-owning MemoryModel override: the
-     *  unit uses it instead of constructing its own and does NOT reset
-     *  it at run() start, so a caller can carry cache contents across
-     *  units (the engine's warm-cache batch mode). CacheStats are
-     *  reported as the delta accumulated during the run. */
+    /** @throws std::invalid_argument when validate(cfg) rejects the
+     *  configuration. */
     RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-           const RtUnitConfig &cfg = {},
-           MemoryModel *shared_mem = nullptr);
+           const RtUnitConfig &cfg = {});
 
     /**
      * k-NN mode: the unit walks `index` for submitKnn() queries
@@ -234,8 +237,7 @@ class RtUnit : public pipeline::Component
      *         missing otherwise).
      */
     RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
-           const RtUnitConfig &cfg = {},
-           MemoryModel *shared_mem = nullptr);
+           const RtUnitConfig &cfg = {});
 
     /** Queue a k-NN query (k-NN mode only); the result appears at
      *  knnResults()[query_id]. */
@@ -459,9 +461,7 @@ class RtUnit : public pipeline::Component
     const Bvh4 &bvh_;
     core::RayFlexDatapath &dp_;
     RtUnitConfig cfg_;
-    std::unique_ptr<MemoryModel> owned_mem_;
-    MemoryModel *mem_ = nullptr; ///< owned_mem_ or the shared override
-    bool mem_is_shared_ = false; ///< skip reset, report delta stats
+    std::unique_ptr<MemoryModel> mem_;
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
 
@@ -495,8 +495,6 @@ class RtUnit : public pipeline::Component
     /** Set by issueFetch when a full MSHR file refused a fetch this
      *  cycle; read (and reset) by the schedulers' idle classification. */
     bool mshr_refused_ = false;
-    /** L1 snapshot at beginRun (shared/warm models report deltas). */
-    CacheStats mem_before_;
 
     /** Per-lane issue bookkeeping, reset each publish(). A lane with
      *  no offer this cycle holds entry == kNoOffer. */

@@ -124,8 +124,10 @@ WorkloadGen::rayTriangleOp(uint64_t tag)
         in.ray = ray();
     } else {
         // Aim at a random interior point of the triangle.
+        // v spans [0.05, 0.9 - u). Scaling a unit draw keeps uniform()'s
+        // bounds ordered when u > 0.85 (the span is then negative).
         float u = uniform(0.05f, 0.9f);
-        float v = uniform(0.05f, 0.9f - u);
+        float v = uniform(0.0f, 1.0f) * ((0.9f - u) - 0.05f) + 0.05f;
         float w = 1.0f - u - v;
         float target[3], o[3], d[3];
         for (int i = 0; i < 3; ++i) {

@@ -24,6 +24,7 @@
  */
 #include "sim/engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -108,6 +109,7 @@ class Engine::Pool
 
 Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 {
+    bvh::validate(cfg_.rt);
     resolved_threads_ = cfg.threads;
     if (resolved_threads_ == 0) {
         resolved_threads_ = std::thread::hardware_concurrency();
@@ -118,43 +120,12 @@ Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 
 Engine::~Engine() = default;
 
-ExecutorConfig
-Engine::executorConfig() const
-{
-    ExecutorConfig ec;
-    ec.model = cfg_.model;
-    ec.rt = cfg_.rt;
-    ec.dp = cfg_.dp;
-    ec.chip = cfg_.chip;
-    ec.max_cycles_per_batch = cfg_.max_cycles_per_batch;
-    ec.trace = cfg_.trace;
-    return ec;
-}
-
-void
-Engine::resetWarmCaches() const
-{
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    for (const std::unique_ptr<bvh::MemoryModel> &m : warm_mems_)
-        if (m)
-            m->reset();
-}
-
 void
 Engine::dispatchWorkers(unsigned n,
-                        const std::function<void(unsigned)> &job,
-                        bool serialize_inline) const
+                        const std::function<void(unsigned)> &job) const
 {
     if (n <= 1) {
-        if (serialize_inline) {
-            // Single-worker runs that share cross-run state (warm
-            // caches) must still serialize with any concurrent run()
-            // of this engine.
-            std::lock_guard<std::mutex> lk(pool_mutex_);
-            job(0);
-        } else {
-            job(0);
-        }
+        job(0);
         return;
     }
     // Concurrent run() calls from different threads serialize here;
@@ -164,6 +135,102 @@ Engine::dispatchWorkers(unsigned n,
     if (!pool_)
         pool_ = std::make_unique<Pool>(resolved_threads_);
     pool_->dispatch(n, job);
+}
+
+/**
+ * Slice `items` into batches, let up to resolved_threads_ workers claim
+ * them off one atomic counter and run execute(range) on each, and merge
+ * the per-worker tallies in worker order into the returned result.
+ * Fills report.batches, threads_used and elapsed_seconds; rethrows the
+ * first worker exception after the join. With `tracing`, the returned
+ * trace is the batches' traces concatenated in batch order onto one
+ * sequential simulated timeline (batch k starts where batch k-1 ended),
+ * each bracketed by BatchStart/BatchEnd.
+ */
+template <typename Report, typename Execute>
+BatchResult
+Engine::shard(size_t items, bool tracing, Report &report,
+              const Execute &execute) const
+{
+    BatchResult total;
+    const std::vector<core::BatchRange> batches =
+        core::sliceBatches(items, cfg_.batch_size);
+    report.batches = batches.size();
+    if (batches.empty()) {
+        report.threads_used = 0;
+        return total;
+    }
+
+    const unsigned threads =
+        unsigned(std::min<size_t>(resolved_threads_, batches.size()));
+    report.threads_used = threads;
+
+    std::atomic<size_t> next_batch{0};
+    std::vector<BatchResult> tallies(threads);
+    std::vector<std::exception_ptr> errors(threads);
+
+    // Tracing keeps per-batch results in batch-index slots (disjoint
+    // writes, no synchronization) so the post-join concatenation can
+    // rebuild the sequential simulated timeline in batch order no
+    // matter which worker ran which batch.
+    std::vector<std::vector<obs::TraceRecord>> batch_traces(
+        tracing ? batches.size() : 0);
+    std::vector<uint64_t> batch_cycles(tracing ? batches.size() : 0);
+
+    auto worker = [&](unsigned wid) {
+        try {
+            for (size_t bi = next_batch.fetch_add(1);
+                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
+                BatchResult br = execute(batches[bi]);
+                tallies[wid].unit.merge(br.unit);
+                tallies[wid].traversal.merge(br.traversal);
+                tallies[wid].knn.merge(br.knn);
+                if (tracing) {
+                    batch_traces[bi] = std::move(br.trace);
+                    batch_cycles[bi] = br.sim_cycles;
+                }
+            }
+        } catch (...) {
+            errors[wid] = std::current_exception();
+        }
+    };
+
+    const auto t0 = std::chrono::steady_clock::now();
+    dispatchWorkers(threads, worker);
+    const auto t1 = std::chrono::steady_clock::now();
+    report.elapsed_seconds =
+        std::chrono::duration<double>(t1 - t0).count();
+
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
+    // Merge worker tallies in worker-id order. Any order would give the
+    // same counters (sums and maxima commute); a fixed order just makes
+    // that property obvious.
+    for (const BatchResult &t : tallies) {
+        total.unit.merge(t.unit);
+        total.traversal.merge(t.traversal);
+        total.knn.merge(t.knn);
+    }
+
+    // The decomposition into batches and each batch's evolution are
+    // both worker-independent, so the assembled trace is bit-identical
+    // at every worker count.
+    uint64_t offset = 0;
+    for (size_t bi = 0; bi < batch_traces.size(); ++bi) {
+        const uint64_t rays = batches[bi].size();
+        total.trace.push_back(
+            {offset, 0, obs::TraceEvent::BatchStart, uint64_t(bi), rays});
+        for (obs::TraceRecord rec : batch_traces[bi]) {
+            rec.cycle += offset;
+            total.trace.push_back(rec);
+        }
+        offset += batch_cycles[bi];
+        total.trace.push_back(
+            {offset, 0, obs::TraceEvent::BatchEnd, uint64_t(bi), rays});
+    }
+    return total;
 }
 
 EngineReport
@@ -178,125 +245,24 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
             bool any_hit) const
 {
     const BatchExecutor exec(bvh, executorConfig());
-    if (exec.chipActive() && cfg_.warm_cache)
-        throw std::invalid_argument(
-            "Engine: warm_cache and chip mode are mutually exclusive "
-            "(chip batches run cold by construction)");
-
     EngineReport report;
     report.hits.resize(rays.size());
-
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(rays.size(), cfg_.batch_size);
-    report.batches = batches.size();
-    if (batches.empty()) {
-        report.threads_used = 0;
-        return report;
-    }
-
-    unsigned threads = resolved_threads_;
-    if (size_t(threads) > batches.size())
-        threads = unsigned(batches.size());
-    report.threads_used = threads;
-
-    // Warm-cache mode: make sure every pool worker owns a persistent
-    // memory model before any worker needs it. See EngineConfig::
-    // warm_cache for the determinism tradeoff this opts into.
-    const bool warm =
-        cfg_.warm_cache && cfg_.model == ExecutionModel::CycleAccurate;
-    if (warm) {
-        std::lock_guard<std::mutex> lk(pool_mutex_);
-        if (warm_mems_.empty()) {
-            warm_mems_.resize(resolved_threads_);
-            for (auto &m : warm_mems_)
-                m = bvh::makeMemoryModel(cfg_.rt.mem_backend,
-                                         cfg_.rt.mem_latency,
-                                         cfg_.rt.cache);
-        }
-    }
-
-    std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
-    std::vector<std::exception_ptr> errors(threads);
-
-    // Tracing keeps per-batch results in batch-index slots (disjoint
-    // writes, no synchronization) so the post-join concatenation can
-    // rebuild the sequential simulated timeline in batch order no
-    // matter which worker ran which batch.
     const bool tracing =
         cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
-    std::vector<std::vector<obs::TraceRecord>> batch_traces(
-        tracing ? batches.size() : 0);
-    std::vector<uint64_t> batch_cycles(tracing ? batches.size() : 0);
 
-    auto worker = [&](unsigned wid) {
-        try {
-            // Gather each claimed contiguous range into executor refs
-            // (reusing one buffer per worker): the executor then sees
-            // the same rays with the same local ids in the same order
-            // as the pre-refactor inline loops, so schedules are
-            // bit-for-bit unchanged.
-            std::vector<BatchRayRef> refs;
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                const core::BatchRange r = batches[bi];
-                refs.resize(r.size());
-                for (size_t i = r.begin; i < r.end; ++i)
-                    refs[i - r.begin] = {&rays[i], &report.hits[i], 0};
-                BatchResult br = exec.executeBatch(
-                    refs.data(), refs.size(), any_hit,
-                    warm ? warm_mems_[wid].get() : nullptr);
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].traversal.merge(br.traversal);
-                if (tracing) {
-                    batch_traces[bi] = std::move(br.trace);
-                    batch_cycles[bi] = br.sim_cycles;
-                }
-            }
-        } catch (...) {
-            errors[wid] = std::current_exception();
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    dispatchWorkers(threads, worker, warm);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    // Merge worker tallies in worker-id order. Any order would give the
-    // same counters (sums and maxima commute); a fixed order just makes
-    // that property obvious.
-    for (const BatchResult &t : tallies) {
-        report.unit.merge(t.unit);
-        report.traversal.merge(t.traversal);
-    }
-
-    // Concatenate per-batch traces in batch order onto one sequential
-    // simulated timeline: batch k starts where batch k-1 ended. The
-    // decomposition into batches and each batch's evolution are both
-    // worker-independent, so the assembled trace is bit-identical at
-    // every worker count.
-    if (tracing) {
-        uint64_t offset = 0;
-        for (size_t bi = 0; bi < batches.size(); ++bi) {
-            report.trace.push_back({offset, 0, obs::TraceEvent::BatchStart,
-                                    uint64_t(bi),
-                                    uint64_t(batches[bi].size())});
-            for (obs::TraceRecord rec : batch_traces[bi]) {
-                rec.cycle += offset;
-                report.trace.push_back(rec);
-            }
-            offset += batch_cycles[bi];
-            report.trace.push_back({offset, 0, obs::TraceEvent::BatchEnd,
-                                    uint64_t(bi),
-                                    uint64_t(batches[bi].size())});
-        }
-    }
+    BatchResult total = shard(
+        rays.size(), tracing, report, [&](const core::BatchRange &r) {
+            // Gather the contiguous range into executor refs: the
+            // executor then sees the same rays with the same local ids
+            // in the same order as a direct single-unit run.
+            std::vector<BatchRayRef> refs(r.size());
+            for (size_t i = r.begin; i < r.end; ++i)
+                refs[i - r.begin] = {&rays[i], &report.hits[i], 0};
+            return exec.executeBatch(refs.data(), refs.size(), any_hit);
+        });
+    report.unit = std::move(total.unit);
+    report.traversal = total.traversal;
+    report.trace = std::move(total.trace);
     return report;
 }
 
@@ -309,71 +275,27 @@ Engine::runKnn(const bvh::KnnIndex &index,
         throw std::invalid_argument(
             "Engine::runKnn: EngineConfig::dp must be an extended "
             "datapath config (e.g. core::kExtendedUnified)");
-    // KnnReport carries no trace (see EngineConfig::trace): drop the
-    // flag here rather than collect per-batch events only to discard
-    // them after the join.
+    // KnnReport carries no trace (see EngineConfig): drop the flag here
+    // rather than collect per-batch events only to discard them.
     ExecutorConfig ec = executorConfig();
     ec.trace = false;
     const BatchExecutor exec(index, ec);
-
     KnnReport report;
     report.results.resize(queries.size());
 
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(queries.size(), cfg_.batch_size);
-    report.batches = batches.size();
-    if (batches.empty()) {
-        report.threads_used = 0;
-        return report;
-    }
-
-    unsigned threads = resolved_threads_;
-    if (size_t(threads) > batches.size())
-        threads = unsigned(batches.size());
-    report.threads_used = threads;
-
-    std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
-    std::vector<std::exception_ptr> errors(threads);
-
-    auto worker = [&](unsigned wid) {
-        try {
-            std::vector<KnnBatchRef> refs;
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                const core::BatchRange r = batches[bi];
-                refs.resize(r.size());
-                for (size_t i = r.begin; i < r.end; ++i)
-                    refs[i - r.begin] = {&queries[i],
-                                         &report.results[i]};
-                BatchResult br =
-                    exec.executeKnnBatch(refs.data(), refs.size());
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].knn.merge(br.knn);
-            }
-        } catch (...) {
-            errors[wid] = std::current_exception();
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    dispatchWorkers(threads, worker, false);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    for (const BatchResult &t : tallies) {
-        report.unit.merge(t.unit);
-        report.knn.merge(t.knn);
-    }
+    BatchResult total = shard(
+        queries.size(), false, report, [&](const core::BatchRange &r) {
+            std::vector<KnnBatchRef> refs(r.size());
+            for (size_t i = r.begin; i < r.end; ++i)
+                refs[i - r.begin] = {&queries[i], &report.results[i]};
+            return exec.executeKnnBatch(refs.data(), refs.size());
+        });
+    report.unit = std::move(total.unit);
     // One traversal-counter field whatever the model: the cycle
     // model's counters live inside the unit stats.
-    if (cfg_.model == ExecutionModel::CycleAccurate)
-        report.knn = report.unit.knn;
+    report.knn = cfg_.model == ExecutionModel::CycleAccurate
+                     ? report.unit.knn
+                     : total.knn;
     return report;
 }
 

@@ -51,8 +51,13 @@
 namespace rayflex::sim
 {
 
-/** Engine configuration. */
-struct EngineConfig
+/** Engine configuration: the executor's per-batch knobs (model, rt,
+ *  dp, chip, max_cycles_per_batch, trace) plus how the engine shards
+ *  a workload over them. With `trace` on, run() rebases each batch's
+ *  events onto the engine's sequential simulated timeline (batch k
+ *  starts where batch k-1 ended) in EngineReport::trace, bracketed by
+ *  BatchStart/BatchEnd; runKnn() reports no trace. */
+struct EngineConfig : ExecutorConfig
 {
     /** Worker threads; 0 picks std::thread::hardware_concurrency(). */
     unsigned threads = 0;
@@ -62,82 +67,14 @@ struct EngineConfig
      *  any result. 0 means one batch for the whole workload. */
     size_t batch_size = 1024;
 
-    ExecutionModel model = ExecutionModel::CycleAccurate;
-
     /** Any-hit (shadow/occlusion) queries: stop at the first
      *  intersection inside the ray extent [t_beg, t_end] instead of
      *  resolving the closest one. Supported by both execution models:
      *  the Functional model uses Traverser::anyHit, the CycleAccurate
      *  model runs its RT units in bvh::TraversalMode::Any so occlusion
-     *  batches can be timed. See EngineReport::hits for the reduced
-     *  hit-record contract. */
+     *  batches can be timed. Overrides rt.mode. See EngineReport::hits
+     *  for the reduced hit-record contract. */
     bool any_hit = false;
-
-    /** Per-worker RT-unit parameters (CycleAccurate model), including
-     *  the memory backend: rt.mem_backend selects the flat-latency
-     *  fetch or the set-associative node cache (rt.cache), and every
-     *  worker's unit owns a private model instance, so the cached
-     *  backend keeps the determinism contract (each batch warms a cold
-     *  cache of its own). rt.issue_width widens the datapath (beats
-     *  per cycle), rt.mshrs bounds the MSHR file over the unit's
-     *  shared L1, and rt.packet configures the wavefront scheduler
-     *  (width, compaction threshold); all three default to the
-     *  single-issue, unbounded, compaction-off schedule bit-for-bit
-     *  and never change hit records. The traversal mode is overridden
-     *  from `any_hit`. */
-    bvh::RtUnitConfig rt;
-
-    /** Warm-cache batch mode (CycleAccurate model): each worker keeps
-     *  ONE persistent MemoryModel that serves every batch it claims,
-     *  across run() calls — so in a multi-pass scenario
-     *  (sim::renderPasses) the node cache warmed by the primary pass
-     *  serves the shadow/AO/bounce passes instead of every batch
-     *  starting cold.
-     *
-     *  Determinism implications (the reason this is opt-in): per-ray
-     *  HIT RECORDS remain bit-identical — memory timing never changes
-     *  intersection results. But the timing and cache counters now
-     *  depend on which worker ran which batch in what order, so they
-     *  are reproducible only at threads == 1 (a single worker claims
-     *  batches in submission order); at higher thread counts they
-     *  legitimately vary run to run. Cold mode (the default) keeps the
-     *  full bit-identical-at-every-worker-count contract.
-     *
-     *  No-op under the Functional model and stateless (FixedLatency)
-     *  backends. Warm state lives for the engine's lifetime; see
-     *  Engine::resetWarmCaches(). */
-    bool warm_cache = false;
-
-    /** Multi-unit chip mode (CycleAccurate model). Inactive by default
-     *  (units == 1, L2 off): the engine then runs the single-unit path
-     *  bit-for-bit. When active, each batch is simulated by a chip of
-     *  `chip.units` lock-stepped RT units over the configured L2 tier;
-     *  hit records stay bit-identical to the scalar engine in every
-     *  chip configuration (memory timing never changes intersection
-     *  results). Mutually exclusive with warm_cache (chip batches run
-     *  cold by construction — run() throws std::invalid_argument on
-     *  the combination). Ignored by the Functional model, which has no
-     *  memory system to share. */
-    ChipConfig chip;
-
-    /** Per-worker datapath configuration (CycleAccurate model). */
-    core::DatapathConfig dp = core::kBaselineUnified;
-
-    /** Simulation-cycle budget per batch before the run is declared
-     *  hung (CycleAccurate model). */
-    uint64_t max_cycles_per_batch = 100000000ull;
-
-    /** Collect a deterministic event trace (obs/trace.hh) into
-     *  EngineReport::trace: per-batch unit/L2 events rebased onto the
-     *  engine's sequential simulated timeline (batch k starts where
-     *  batch k-1 ended) and bracketed by BatchStart/BatchEnd. Off (the
-     *  default) costs nothing; on, every counter and hit record stays
-     *  bit-identical, and the trace itself is bit-identical at every
-     *  worker count (batch decomposition and per-batch evolution are
-     *  worker-independent; concatenation is in batch order).
-     *  CycleAccurate ray runs only — the Functional model has no clock
-     *  and runKnn() reports no trace. */
-    bool trace = false;
 };
 
 /** Aggregate result of an engine run. */
@@ -220,10 +157,9 @@ struct KnnReport
  * state in or out: every batch goes through a sim::BatchExecutor that
  * constructs its simulation units fresh, so one engine can serve many
  * scenes and workloads back to back and no run's results depend on a
- * previous run. Two pieces of host-side state DO persist across runs —
- * the worker pool (a pure performance cache) and, only when
- * EngineConfig::warm_cache opts in, the per-worker memory models — and
- * they are why the engine is not copyable. run() stays safe to call
+ * previous run. One piece of host-side state DOES persist across runs
+ * — the worker pool, a pure performance cache — and it is why the
+ * engine is not copyable. run() stays safe to call
  * from different threads, with concurrent runs serializing on the
  * shared pool (each caller still gets the report of exactly the rays
  * it passed).
@@ -231,6 +167,8 @@ struct KnnReport
 class Engine
 {
   public:
+    /** @throws std::invalid_argument when bvh::validate rejects
+     *  cfg.rt (a configuration that could never retire a ray). */
     explicit Engine(const EngineConfig &cfg = {});
     ~Engine();
 
@@ -258,9 +196,8 @@ class Engine
      * independent of the worker count, a fresh unit (or chip) per
      * batch, commutative-associative stats merge, so results AND
      * merged counters are bit-identical at every thread count.
-     * EngineConfig::warm_cache is ignored (k-NN batches always run
-     * cold); `any_hit` does not apply; chip mode round-robins queries
-     * over the units.
+     * `any_hit` does not apply; chip mode round-robins queries over
+     * the units.
      * @throws std::invalid_argument under the CycleAccurate model when
      *         EngineConfig::dp is not an extended config (the distance
      *         opcodes are missing otherwise).
@@ -270,28 +207,25 @@ class Engine
 
     const EngineConfig &config() const { return cfg_; }
 
-    /** Drop all warm-cache contents and counters (EngineConfig::
-     *  warm_cache), returning every worker to a cold start. Safe to
-     *  call between runs; no-op when warm mode never ran. */
-    void resetWarmCaches() const;
-
     /** The executor-tier view of this engine's configuration (what a
      *  sim::BatchExecutor over the same knobs runs). */
-    ExecutorConfig executorConfig() const;
+    ExecutorConfig executorConfig() const { return cfg_; }
 
   private:
     friend class StreamingService; ///< shares the pool (sim/stream.hh)
 
     class Pool;
 
+    /** The one shard loop behind run() and runKnn() (see engine.cc). */
+    template <typename Report, typename Execute>
+    BatchResult shard(size_t items, bool tracing, Report &report,
+                      const Execute &execute) const;
+
     /** Run job(0)..job(n-1) on the shared worker pool (inline on the
      *  calling thread when n == 1), serializing with other runs on
-     *  pool_mutex_; blocks until every worker returned. The inline
-     *  n == 1 path takes the mutex only when `serialize_inline` asks
-     *  for it (warm-cache runs share per-worker state). */
+     *  pool_mutex_; blocks until every worker returned. */
     void dispatchWorkers(unsigned n,
-                         const std::function<void(unsigned)> &job,
-                         bool serialize_inline) const;
+                         const std::function<void(unsigned)> &job) const;
 
     EngineConfig cfg_;
     unsigned resolved_threads_ = 1; ///< cfg.threads with 0 resolved
@@ -300,11 +234,6 @@ class Engine
      *  worker, then reused by every later run(). */
     mutable std::unique_ptr<Pool> pool_;
     mutable std::mutex pool_mutex_; ///< guards creation and dispatch
-
-    /** Warm-cache mode: one persistent MemoryModel per pool worker
-     *  (index = worker id), lazily created on the first warm run and
-     *  carried across batches, runs and passes. */
-    mutable std::vector<std::unique_ptr<bvh::MemoryModel>> warm_mems_;
 };
 
 } // namespace rayflex::sim

@@ -1,16 +1,16 @@
 /**
  * @file
- * Executor-tier implementation: one batch through one fresh unit,
- * chip, or traverser.
+ * Executor-tier implementation: one batch through one fresh chip of
+ * lock-stepped units, or through the functional traverser.
  *
- * The submission order is the contract here. The single-unit path
- * submits ref k with local ray id k; the chip path sends ref k to
- * unit k % units with local id k / units (round-robin, so adjacent —
+ * Every cycle-accurate batch — ray or k-NN, one unit or many — runs
+ * through runUnits(). Chip mode off is the 1-unit, L2-off chip, not a
+ * second code path. The submission order is the contract: ref k goes
+ * to unit k % units with local id k / units (round-robin, so adjacent —
  * typically coherent — rays land on different units and give a shared
- * L2 cross-unit merges to find). Callers that gather a contiguous
- * ray range into refs therefore reproduce the pre-refactor engine
- * schedules bit-for-bit: the unit sees the same rays with the same
- * ids in the same order.
+ * L2 cross-unit merges to find). With one unit that is ref k with
+ * local id k, so callers that gather a contiguous ray range into refs
+ * reproduce the pre-refactor engine schedules bit-for-bit.
  */
 #include "sim/executor.hh"
 
@@ -26,6 +26,54 @@
 namespace rayflex::sim
 {
 
+namespace
+{
+
+/** The ray query family: what runUnits needs to build ray units, feed
+ *  them and read their hit records back. */
+struct RayFamily
+{
+    using Ref = BatchRayRef;
+
+    const bvh::Bvh4 &target;
+    bvh::TraversalMode mode;
+
+    static void
+    submit(bvh::RtUnit &u, const Ref &r, uint32_t id)
+    {
+        u.submit(*r.ray, id, r.job);
+    }
+
+    static void
+    scatter(const bvh::RtUnit &u, const Ref &r, uint32_t id)
+    {
+        *r.out = u.results()[id];
+    }
+};
+
+/** The k-NN query family (the traversal mode does not apply). */
+struct KnnFamily
+{
+    using Ref = KnnBatchRef;
+
+    const bvh::KnnIndex &target;
+    bvh::TraversalMode mode;
+
+    static void
+    submit(bvh::RtUnit &u, const Ref &r, uint32_t id)
+    {
+        u.submitKnn(*r.query, id);
+    }
+
+    static void
+    scatter(const bvh::RtUnit &u, const Ref &r, uint32_t id)
+    {
+        *r.out = u.knnResults()[id];
+    }
+};
+
+} // namespace
+
 BatchExecutor::BatchExecutor(const bvh::Bvh4 &bvh,
                              const ExecutorConfig &cfg)
     : bvh_(bvh), cfg_(cfg)
@@ -38,19 +86,16 @@ BatchExecutor::BatchExecutor(const bvh::KnnIndex &index,
 {
 }
 
-bool
-BatchExecutor::chipActive() const
-{
-    return cfg_.model == ExecutionModel::CycleAccurate &&
-           cfg_.chip.active();
-}
-
+template <typename Family>
 BatchResult
-BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
-                            const bvh::RtUnitConfig &rt_cfg) const
+BatchExecutor::runUnits(const Family &family,
+                        const typename Family::Ref *refs, size_t n) const
 {
     const unsigned units =
-        std::clamp(cfg_.chip.units, 1u, kMaxChipUnits);
+        cfg_.chip.active() ? std::clamp(cfg_.chip.units, 1u, kMaxChipUnits)
+                           : 1u;
+    bvh::RtUnitConfig rt = cfg_.rt;
+    rt.mode = family.mode;
 
     std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
@@ -60,7 +105,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
         dps.push_back(
             std::make_unique<core::RayFlexDatapath>(cfg_.dp));
         us.push_back(
-            std::make_unique<bvh::RtUnit>(bvh_, *dps[u], rt_cfg));
+            std::make_unique<bvh::RtUnit>(family.target, *dps[u], rt));
     }
 
     std::unique_ptr<bvh::SharedL2> shared;
@@ -91,8 +136,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     }
 
     for (size_t k = 0; k < n; ++k)
-        us[k % units]->submit(*refs[k].ray, uint32_t(k / units),
-                              refs[k].job);
+        Family::submit(*us[k % units], refs[k], uint32_t(k / units));
 
     pipeline::Simulator sim;
     for (auto &u : us)
@@ -113,12 +157,13 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     }
     if (!all_done())
         throw std::runtime_error(
-            "Engine: chip batch exceeded max_cycles_per_batch");
+            "BatchExecutor: batch exceeded max_cycles_per_batch");
 
     BatchResult res;
     for (auto &u : us)
         res.unit.merge(u->endRun());
-    res.unit.chip_cycles = ticks;
+    if (cfg_.chip.active())
+        res.unit.chip_cycles = ticks;
     res.sim_cycles = ticks;
     if (shared) {
         res.unit.l2_banks = shared->bankStats();
@@ -133,96 +178,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     }
 
     for (size_t k = 0; k < n; ++k)
-        *refs[k].out = us[k % units]->results()[k / units];
-    res.trace = sink.take();
-    return res;
-}
-
-BatchResult
-BatchExecutor::runChipKnnBatch(const KnnBatchRef *refs, size_t n) const
-{
-    const unsigned units =
-        std::clamp(cfg_.chip.units, 1u, kMaxChipUnits);
-
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
-    std::vector<std::unique_ptr<bvh::RtUnit>> us;
-    dps.reserve(units);
-    us.reserve(units);
-    for (unsigned u = 0; u < units; ++u) {
-        dps.push_back(
-            std::make_unique<core::RayFlexDatapath>(cfg_.dp));
-        us.push_back(std::make_unique<bvh::RtUnit>(*knn_index_,
-                                                   *dps[u], cfg_.rt));
-    }
-
-    std::unique_ptr<bvh::SharedL2> shared;
-    std::vector<std::unique_ptr<bvh::SharedL2>> priv;
-    if (cfg_.chip.l2 == L2Mode::Shared) {
-        shared = std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg);
-        for (unsigned u = 0; u < units; ++u)
-            us[u]->attachSharedL2(shared.get(), u);
-    } else if (cfg_.chip.l2 == L2Mode::Private) {
-        priv.reserve(units);
-        for (unsigned u = 0; u < units; ++u) {
-            priv.push_back(
-                std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg));
-            us[u]->attachSharedL2(priv[u].get(), 0);
-        }
-    }
-
-    obs::VectorTraceSink sink;
-    if (cfg_.trace) {
-        for (unsigned u = 0; u < units; ++u)
-            us[u]->attachTrace(&sink, u);
-        if (shared)
-            shared->setTraceSink(&sink);
-    }
-
-    // Same round-robin as the ray path: query k goes to unit
-    // k % units with local id k / units.
-    for (size_t k = 0; k < n; ++k)
-        us[k % units]->submitKnn(*refs[k].query, uint32_t(k / units));
-
-    pipeline::Simulator sim;
-    for (auto &u : us)
-        u->registerWith(sim);
-    for (auto &u : us)
-        u->beginRun();
-
-    const auto all_done = [&us] {
-        for (const auto &u : us)
-            if (!u->done())
-                return false;
-        return true;
-    };
-    uint64_t ticks = 0;
-    while (!all_done() && ticks < cfg_.max_cycles_per_batch) {
-        sim.tick();
-        ++ticks;
-    }
-    if (!all_done())
-        throw std::runtime_error(
-            "Engine: chip k-NN batch exceeded max_cycles_per_batch");
-
-    BatchResult res;
-    for (auto &u : us)
-        res.unit.merge(u->endRun());
-    res.unit.chip_cycles = ticks;
-    res.sim_cycles = ticks;
-    if (shared) {
-        res.unit.l2_banks = shared->bankStats();
-    } else {
-        for (const auto &p : priv) {
-            const std::vector<bvh::L2Stats> &bs = p->bankStats();
-            if (res.unit.l2_banks.size() < bs.size())
-                res.unit.l2_banks.resize(bs.size());
-            for (size_t b = 0; b < bs.size(); ++b)
-                res.unit.l2_banks[b].merge(bs[b]);
-        }
-    }
-
-    for (size_t k = 0; k < n; ++k)
-        *refs[k].out = us[k % units]->knnResults()[k / units];
+        Family::scatter(*us[k % units], refs[k], uint32_t(k / units));
     res.trace = sink.take();
     return res;
 }
@@ -235,78 +191,44 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
             "BatchExecutor::executeKnnBatch: executor was not "
             "constructed over a KnnIndex");
 
-    if (chipActive())
-        return runChipKnnBatch(refs, n);
+    if (cfg_.model == ExecutionModel::CycleAccurate)
+        return runUnits(KnnFamily{*knn_index_, cfg_.rt.mode}, refs, n);
 
     BatchResult res;
-    if (cfg_.model == ExecutionModel::CycleAccurate) {
-        core::RayFlexDatapath dp(cfg_.dp);
-        bvh::RtUnit unit(*knn_index_, dp, cfg_.rt);
-        obs::VectorTraceSink sink;
-        if (cfg_.trace)
-            unit.attachTrace(&sink, 0);
-        for (size_t k = 0; k < n; ++k)
-            unit.submitKnn(*refs[k].query, uint32_t(k));
-        res.unit = unit.run(cfg_.max_cycles_per_batch);
-        res.sim_cycles = res.unit.cycles;
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = unit.knnResults()[k];
-        res.trace = sink.take();
-    } else {
-        bvh::KnnTraversal trav(*knn_index_);
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = trav.search(*refs[k].query);
-        res.knn = trav.stats();
-        // No clock in the Functional model; charge the idealized
-        // one-distance-beat-per-cycle datapath occupancy.
-        res.sim_cycles = res.knn.distance_beats;
-    }
+    bvh::KnnTraversal trav(*knn_index_);
+    for (size_t k = 0; k < n; ++k)
+        *refs[k].out = trav.search(*refs[k].query);
+    res.knn = trav.stats();
+    // No clock in the Functional model; charge the idealized
+    // one-distance-beat-per-cycle datapath occupancy.
+    res.sim_cycles = res.knn.distance_beats;
     return res;
 }
 
 BatchResult
 BatchExecutor::executeBatch(const BatchRayRef *refs, size_t n,
-                            bool any_hit,
-                            bvh::MemoryModel *warm) const
+                            bool any_hit) const
 {
-    bvh::RtUnitConfig rt_cfg = cfg_.rt;
-    rt_cfg.mode = any_hit ? bvh::TraversalMode::Any
-                          : bvh::TraversalMode::Closest;
-
-    if (chipActive())
-        return runChipBatch(refs, n, rt_cfg);
+    if (cfg_.model == ExecutionModel::CycleAccurate)
+        return runUnits(RayFamily{bvh_, any_hit
+                                            ? bvh::TraversalMode::Any
+                                            : bvh::TraversalMode::Closest},
+                        refs, n);
 
     BatchResult res;
-    if (cfg_.model == ExecutionModel::CycleAccurate) {
-        core::RayFlexDatapath dp(cfg_.dp);
-        bvh::RtUnit unit(bvh_, dp, rt_cfg, warm);
-        obs::VectorTraceSink sink;
-        if (cfg_.trace)
-            unit.attachTrace(&sink, 0);
+    bvh::Traverser trav(bvh_);
+    if (any_hit) {
         for (size_t k = 0; k < n; ++k)
-            unit.submit(*refs[k].ray, uint32_t(k), refs[k].job);
-        res.unit = unit.run(cfg_.max_cycles_per_batch);
-        res.sim_cycles = res.unit.cycles;
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = unit.results()[k];
-        res.trace = sink.take();
+            *refs[k].out = bvh::HitRecord{trav.anyHit(*refs[k].ray)};
     } else {
-        bvh::Traverser trav(bvh_);
-        if (any_hit) {
-            for (size_t k = 0; k < n; ++k)
-                *refs[k].out =
-                    bvh::HitRecord{trav.anyHit(*refs[k].ray)};
-        } else {
-            for (size_t k = 0; k < n; ++k)
-                *refs[k].out = trav.closestHit(*refs[k].ray);
-        }
-        res.traversal = trav.stats();
-        // The Functional model has no clock; charge the streaming
-        // timeline its idealized datapath occupancy of one
-        // intersection op per cycle.
-        res.sim_cycles =
-            res.traversal.box_ops + res.traversal.tri_ops;
+        for (size_t k = 0; k < n; ++k)
+            *refs[k].out = trav.closestHit(*refs[k].ray);
     }
+    res.traversal = trav.stats();
+    // The Functional model has no clock; charge the streaming
+    // timeline its idealized datapath occupancy of one intersection op
+    // per cycle.
+    res.sim_cycles = res.traversal.box_ops + res.traversal.tri_ops;
     return res;
 }
 

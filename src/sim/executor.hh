@@ -10,14 +10,14 @@
  *
  * The executor is the narrow seam everything above shares: it knows
  * how to simulate ONE batch — a flat array of ray references — on a
- * freshly constructed unit (or chip of lock-stepped units, or the
- * functional traverser) and report the batch's stats plus its
- * simulated-cycle cost. It holds no queues, no threads and no
- * cross-batch state, which is what makes every layer above it free to
- * regroup rays (sharded Engine batches, cross-job packed streaming
- * batches) without touching simulation semantics: hit records depend
- * only on (ray, BVH, traversal mode), and each batch's evolution
- * depends only on its own contents.
+ * freshly constructed chip of lock-stepped units (one unit when chip
+ * mode is off), or on the functional traverser, and report the
+ * batch's stats plus its simulated-cycle cost. It holds no queues, no
+ * threads and no cross-batch state, which is what makes every layer
+ * above it free to regroup rays (sharded Engine batches, cross-job
+ * packed streaming batches) without touching simulation semantics:
+ * hit records depend only on (ray, BVH, traversal mode), and each
+ * batch's evolution depends only on its own contents.
  */
 #ifndef RAYFLEX_SIM_EXECUTOR_HH
 #define RAYFLEX_SIM_EXECUTOR_HH
@@ -123,9 +123,9 @@ struct BatchResult
      *  elsewhere — CycleAccurate k-NN counters live in unit.knn). */
     bvh::KnnStats knn;
     /** Simulated cycles this batch occupied the executor: lock-step
-     *  chip ticks in chip mode, unit cycles single-unit, and the
-     *  idealized one-op-per-cycle datapath ops (box + triangle) under
-     *  the Functional model. The scheduler tier's simulated timeline
+     *  ticks of its units under CycleAccurate, and the idealized
+     *  one-op-per-cycle datapath ops (box + triangle) under the
+     *  Functional model. The scheduler tier's simulated timeline
      *  charges each batch exactly this. */
     uint64_t sim_cycles = 0;
 
@@ -138,20 +138,28 @@ struct BatchResult
 };
 
 /** Executor configuration: everything the simulation of one batch
- *  depends on. Mirrors the simulation-relevant subset of
- *  sim::EngineConfig (which embeds one). */
+ *  depends on. sim::EngineConfig extends it with the sharding knobs. */
 struct ExecutorConfig
 {
     ExecutionModel model = ExecutionModel::CycleAccurate;
 
-    /** Per-batch RT-unit parameters (CycleAccurate); `rt.mode` is
-     *  overridden per batch from executeBatch()'s any_hit. */
+    /** Per-batch RT-unit parameters (CycleAccurate), including the
+     *  memory backend: every unit owns a private model instance that
+     *  starts each batch cold, so the cached backend keeps the
+     *  determinism contract. issue_width, mshrs and packet default to
+     *  the single-issue, unbounded, compaction-off schedule bit-for-bit
+     *  and never change hit records. `rt.mode` is overridden per batch
+     *  from executeBatch()'s any_hit. */
     bvh::RtUnitConfig rt;
 
     /** Per-batch datapath configuration (CycleAccurate). */
     core::DatapathConfig dp = core::kBaselineUnified;
 
-    /** Multi-unit chip mode; inactive by default. */
+    /** Multi-unit chip mode (CycleAccurate); inactive by default, which
+     *  is the one-unit, L2-off case of the same loop. Hit records are
+     *  bit-identical in every chip configuration (memory timing never
+     *  changes intersection results). Ignored by the Functional model,
+     *  which has no memory system to share. */
     ChipConfig chip;
 
     /** Simulation-cycle budget per batch before the run is declared
@@ -183,31 +191,20 @@ class BatchExecutor
      *  kind of batch only. The index must outlive the executor. */
     BatchExecutor(const bvh::KnnIndex &index, const ExecutorConfig &cfg);
 
-    /** True when the config routes batches through the lock-step chip
-     *  path (CycleAccurate with an active ChipConfig). */
-    bool chipActive() const;
-
     /**
      * Simulate `n` rays as one batch. Hit records are scattered
      * through the refs' `out` pointers; any-hit batches fill only the
      * `hit` flag (the usual reduced-record contract).
-     *
-     * @param warm Optional persistent MemoryModel for the warm-cache
-     *        batch mode (single-unit CycleAccurate only): the unit
-     *        serves fetches from it instead of a cold private model.
      * @throws std::runtime_error when the batch exceeds
      *         max_cycles_per_batch (CycleAccurate model).
      */
     BatchResult executeBatch(const BatchRayRef *refs, size_t n,
-                             bool any_hit,
-                             bvh::MemoryModel *warm = nullptr) const;
+                             bool any_hit) const;
 
     /**
      * Simulate `n` k-NN queries as one batch (k-NN executors only).
-     * Results scatter through the refs' `out` pointers. Batches always
-     * run cold — there is no warm-cache path for k-NN. Chip mode
-     * round-robins queries over the units exactly as the ray path
-     * round-robins rays.
+     * Results scatter through the refs' `out` pointers. Queries
+     * round-robin over the units exactly as rays do.
      * @throws std::logic_error when this executor was not constructed
      *         over a KnnIndex.
      * @throws std::runtime_error when the batch exceeds
@@ -219,10 +216,12 @@ class BatchExecutor
     const ExecutorConfig &config() const { return cfg_; }
 
   private:
-    BatchResult runChipBatch(const BatchRayRef *refs, size_t n,
-                             const bvh::RtUnitConfig &rt_cfg) const;
-    BatchResult runChipKnnBatch(const KnnBatchRef *refs,
-                                size_t n) const;
+    /** The one cycle-accurate batch loop, generic over the query
+     *  family (ray or k-NN; see executor.cc). */
+    template <typename Family>
+    BatchResult runUnits(const Family &family,
+                         const typename Family::Ref *refs,
+                         size_t n) const;
 
     const bvh::Bvh4 &bvh_;
     const bvh::KnnIndex *knn_index_ = nullptr;

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "bvh/scene.hh"
@@ -330,6 +332,51 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     // The persistent worker pool survives a failed run and serves the
     // next one.
     EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
+}
+
+TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
+{
+    // Zero ray-buffer entries or zero memory requests per cycle can
+    // never retire a ray: both are rejected when the engine or the unit
+    // is built, naming the knob, instead of spinning to the cycle
+    // budget. The small budget keeps a regression from hanging.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 8);
+
+    const auto expectRejected = [&](const sim::EngineConfig &cfg,
+                                    const char *knob) {
+        try {
+            sim::Engine engine(cfg);
+            engine.run(bvh, rays);
+            ADD_FAILURE() << knob << " = 0 was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+                << e.what();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << knob << " = 0 threw the wrong error: "
+                          << e.what();
+        }
+        core::RayFlexDatapath dp(cfg.dp);
+        try {
+            RtUnit unit(bvh, dp, cfg.rt);
+            ADD_FAILURE() << "RtUnit accepted " << knob << " = 0";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+                << e.what();
+        }
+    };
+
+    sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.max_cycles_per_batch = 5000;
+
+    sim::EngineConfig no_entries = cfg;
+    no_entries.rt.ray_buffer_entries = 0;
+    expectRejected(no_entries, "ray_buffer_entries");
+
+    sim::EngineConfig no_requests = cfg;
+    no_requests.rt.mem_requests_per_cycle = 0;
+    expectRejected(no_requests, "mem_requests_per_cycle");
 }
 
 TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)

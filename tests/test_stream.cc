@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -354,13 +355,6 @@ TEST(StreamingService, ApiMisuseThrows)
         EXPECT_THROW(svc.submit({1, 0, false, {}}), std::logic_error);
         EXPECT_THROW(svc.finish(bvh), std::logic_error);
     }
-    { // warm caches would break the worker-count contract
-        sim::EngineConfig warm = packetEngineConfig(2);
-        warm.warm_cache = true;
-        sim::Engine we(warm);
-        EXPECT_THROW(sim::StreamingService svc(we),
-                     std::invalid_argument);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -642,4 +636,171 @@ TEST(BatchApiPin, RenderPassesReproducesPr6BitForBit)
     EXPECT_NEAR(dsum, 19.862127, 1e-4);
     EXPECT_EQ(asum, 255.0);
     EXPECT_EQ(nlit, 235u);
+}
+
+// ---------------------------------------------------------------------
+// k-NN and trace pins: the full unit counters of two fixed runKnn
+// workloads and the digests of two traced ray runs, captured before
+// the executor's batch paths were folded into one unit loop.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A k-NN run on one unit (chip_units == 1) or a shared-L2 chip. */
+sim::KnnReport
+pinKnnRun(unsigned chip_units, KnnMetric metric)
+{
+    const unsigned dims = 16;
+    const KnnIndex index = buildKnnIndex(makePointCloud(240, dims, 6, 41));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(80, dims, 6, 42))
+        queries.push_back({std::move(p.coords), 4, metric});
+
+    sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.batch_size = 32;
+    cfg.dp = kExtendedUnified;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.mshrs = 4;
+    cfg.rt.issue_width = 2;
+    if (chip_units > 1) {
+        cfg.chip.units = chip_units;
+        cfg.chip.l2 = sim::L2Mode::Shared;
+        cfg.chip.l2cfg = kProbeL2_128KiB;
+    }
+    return sim::Engine(cfg).runKnn(index, queries);
+}
+
+using Fields3 = std::array<uint64_t, 3>;
+using Fields6 = std::array<uint64_t, 6>;
+using Fields7 = std::array<uint64_t, 7>;
+
+Fields7
+knnFields(const KnnStats &s)
+{
+    return {s.queries,        s.candidates, s.distance_beats,
+            s.nodes_visited,  s.leaves_visited, s.pruned,
+            s.frontier_peak};
+}
+
+std::vector<Fields6>
+bankFields(const std::vector<L2Stats> &banks)
+{
+    std::vector<Fields6> out;
+    for (const L2Stats &b : banks)
+        out.push_back({b.hits, b.misses, b.merges, b.cross_unit_merges,
+                       b.queue_stalls, b.hops});
+    return out;
+}
+
+/** FNV-1a over every field of every record, in order. */
+uint64_t
+traceDigest(const std::vector<obs::TraceRecord> &trace)
+{
+    uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xFFu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const obs::TraceRecord &r : trace) {
+        mix(r.cycle);
+        mix(r.unit);
+        mix(uint64_t(r.event));
+        mix(r.a);
+        mix(r.b);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(BatchApiPin, KnnSingleUnitCounters)
+{
+    const sim::KnnReport rep = pinKnnRun(1, KnnMetric::Euclidean);
+    const RtUnitStats &u = rep.unit;
+
+    EXPECT_EQ(rep.batches, 3u);
+    EXPECT_EQ(u.cycles, 72656u);
+    EXPECT_EQ(u.chip_cycles, 0u);
+    EXPECT_EQ(u.rays_completed, 0u);
+    EXPECT_EQ(u.datapath_beats, 18874u);
+    EXPECT_EQ(u.datapath_idle, 126438u);
+    EXPECT_EQ(u.mem_requests, 7834u);
+    EXPECT_EQ(u.stall_on_memory, 126334u);
+    EXPECT_EQ(u.beats_by_op,
+              (std::array<uint64_t, kNumOpcodes>{0, 0, 18874, 0}));
+    EXPECT_EQ(Fields3({u.mem.hits, u.mem.misses, u.mem.evictions}),
+              Fields3({5493, 14645, 14453}));
+    EXPECT_EQ(Fields3({u.mshr.allocations, u.mshr.merges,
+                       u.mshr.stalls_full}),
+              Fields3({7834, 1998, 866556}));
+    EXPECT_EQ(knnFields(u.knn),
+              Fields7({80, 18874, 18874, 3245, 6587, 87, 27}));
+    EXPECT_EQ(u.slots.buckets,
+              (std::array<uint64_t, obs::kSlotBuckets>{
+                  18874, 11985, 114349, 0, 0, 0, 98, 6}));
+    EXPECT_EQ(bankFields(u.l2_banks), std::vector<Fields6>{});
+    EXPECT_EQ(u.packet, PacketStats{});
+}
+
+TEST(BatchApiPin, KnnSharedL2ChipCounters)
+{
+    const sim::KnnReport rep = pinKnnRun(2, KnnMetric::Cosine);
+    const RtUnitStats &u = rep.unit;
+
+    EXPECT_EQ(rep.batches, 3u);
+    EXPECT_EQ(u.cycles, 63727u);
+    EXPECT_EQ(u.chip_cycles, 31865u);
+    EXPECT_EQ(u.rays_completed, 0u);
+    EXPECT_EQ(u.datapath_beats, 38400u);
+    EXPECT_EQ(u.datapath_idle, 89054u);
+    EXPECT_EQ(u.mem_requests, 862u);
+    EXPECT_EQ(u.stall_on_memory, 88910u);
+    EXPECT_EQ(u.beats_by_op,
+              (std::array<uint64_t, kNumOpcodes>{0, 0, 0, 38400}));
+    EXPECT_EQ(Fields3({u.mem.hits, u.mem.misses, u.mem.evictions}),
+              Fields3({456, 1632, 1248}));
+    EXPECT_EQ(Fields3({u.mshr.allocations, u.mshr.merges,
+                       u.mshr.stalls_full}),
+              Fields3({862, 9138, 0}));
+    EXPECT_EQ(knnFields(u.knn),
+              Fields7({80, 19200, 38400, 3280, 6720, 0, 59}));
+    EXPECT_EQ(u.slots.buckets,
+              (std::array<uint64_t, obs::kSlotBuckets>{
+                  38400, 546, 0, 1344, 0, 87020, 132, 12}));
+    EXPECT_EQ(bankFields(u.l2_banks),
+              (std::vector<Fields6>{{6, 198, 198, 198, 3, 402},
+                                    {6, 198, 198, 198, 0, 402},
+                                    {36, 195, 195, 195, 15, 1278},
+                                    {12, 195, 195, 195, 6, 1206}}));
+    EXPECT_EQ(u.packet, PacketStats{});
+}
+
+TEST(BatchApiPin, TracedRunDigests)
+{
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = pinRays(bvh);
+
+    sim::EngineConfig single = packetEngineConfig(1);
+    single.batch_size = 64;
+    single.rt.issue_width = 2;
+    single.rt.mshrs = 8;
+    single.trace = true;
+    const sim::EngineReport s = sim::Engine(single).run(bvh, rays);
+    EXPECT_EQ(s.trace.size(), 4694u);
+    EXPECT_EQ(traceDigest(s.trace), 198981726844267168ull);
+
+    sim::EngineConfig chip = packetEngineConfig(1);
+    chip.batch_size = 64;
+    chip.chip.units = 4;
+    chip.chip.l2 = sim::L2Mode::Shared;
+    chip.chip.l2cfg = kProbeL2_128KiB;
+    chip.trace = true;
+    const sim::EngineReport c = sim::Engine(chip).run(bvh, rays);
+    EXPECT_EQ(c.trace.size(), 7950u);
+    EXPECT_EQ(traceDigest(c.trace), 8161187862585844099ull);
 }

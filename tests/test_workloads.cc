@@ -117,6 +117,34 @@ TEST(Workloads, MasksAreSometimesPartial)
     EXPECT_LT(partial, 1900);
 }
 
+TEST(Workloads, RayTriangleOpStreamIsPinned)
+{
+    // FNV-1a over the triangle and ray bits of the first 10k ops at
+    // seed 1, captured before the aimed-ray draw was rewritten to keep
+    // uniform()'s bounds ordered. The rewrite must not move one bit.
+    WorkloadGen gen(1);
+    uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](uint32_t x) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (x >> (8 * i)) & 0xFFu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (uint64_t i = 0; i < 10000; ++i) {
+        const DatapathInput in = gen.rayTriangleOp(i);
+        for (const auto &v : in.tri.v)
+            for (F32 c : v)
+                mix(c);
+        for (F32 c : in.ray.origin)
+            mix(c);
+        for (F32 c : in.ray.dir)
+            mix(c);
+        mix(in.ray.t_beg);
+        mix(in.ray.t_end);
+    }
+    EXPECT_EQ(h, 5385267732608147563ull);
+}
+
 TEST(Workloads, BatchTagsAreSequential)
 {
     WorkloadGen gen(12);
