@@ -308,7 +308,7 @@ BM_NodeCacheSceneSweep(benchmark::State &state)
         1024.0;
     state.counters["cache_hit_rate"] = rep.unit.mem.hitRate();
     state.counters["stalls_per_ray"] =
-        double(rep.unit.stall_on_memory) / double(rays.size());
+        double(rep.unit.slots.memoryStallSlots()) / double(rays.size());
     state.counters["cycles_per_ray"] =
         double(rep.unit.cycles) / double(rays.size());
     state.SetItemsProcessed(int64_t(state.iterations()) *

@@ -277,7 +277,7 @@ main(int argc, char **argv)
         printf("  %s: %.2f cycles/ray, %.2f mem-stall slots/ray, "
                "%.2f requests/ray",
                label.c_str(), double(u.cycles) / n,
-               double(u.stall_on_memory) / n,
+               double(u.slots.memoryStallSlots()) / n,
                double(u.mem_requests) / n);
     };
 

@@ -5,7 +5,7 @@
  * The paper models only the intersection-test datapath and defers
  * memory scheduling to the enclosing RT unit; bvh::RtUnit stands in for
  * that unit and originally charged one flat latency for every BVH
- * fetch, which made its stall_on_memory counter insensitive to the
+ * fetch, which made its memory-stall time insensitive to the
  * working-set size. This module is the seam that fixes that: the unit
  * asks a MemoryModel for the latency of each fetch, and two backends
  * are provided —

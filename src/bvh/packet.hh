@@ -199,13 +199,6 @@ class PacketTraversal
     // ---- memory service ------------------------------------------------
     /** True when the packet's current work item awaits its fetch. */
     bool needsFetch() const { return state_ == State::NeedFetch; }
-    /** True while the packet is stalled on memory (either waiting to
-     *  issue a fetch or waiting for one to return). */
-    bool
-    waitingOnMemory() const
-    {
-        return state_ == State::NeedFetch || state_ == State::Fetching;
-    }
     /** Current work item the fetch targets (valid in NeedFetch). */
     bool fetchIsLeaf() const { return cur_.is_leaf; }
     uint32_t fetchIndex() const { return cur_.index; }

@@ -11,15 +11,19 @@
  * handshake — one handshake per lane — so the unit observes real
  * pipeline back-pressure.
  *
- * The same four-step loop drives both schedulers: the scalar mode
- * iterates per-ray Entry slots, the packet mode (packet.width > 1,
- * bvh/packet.hh) iterates PacketTraversal slots — a packet in NeedFetch
- * issues ONE fetch for its whole active mask, and a packet with fetched
- * data issues one beat per active lane, up to issue_width of them in
- * the same cycle. With packet.compact_below > 0 a step between (b) and
- * (c) repacks divergence-thinned packets at their fetch boundaries.
- * The scalar path at issue_width == 1 is bit-for-bit the pre-packet
- * unit; no packet code runs at width 1.
+ * advance() is the one cycle loop for all three schedulers. It does
+ * the slot accounting, MSHR retirement, completion-ordered fill and
+ * fetch issue itself, and reaches the scheduler only through per-slot
+ * hooks: slotState, acceptLane, drainLane, fetchItem, fetchIssued,
+ * fetchArrived and refill. The scalar mode's slots are per-ray Entry
+ * records; the packet mode's (packet.width > 1, bvh/packet.hh) are
+ * PacketTraversal slots — a packet in NeedFetch issues ONE fetch for
+ * its whole active mask, and a packet with fetched data issues one
+ * beat per active lane, up to issue_width of them in the same cycle;
+ * the k-NN mode's are KnnEntry queries. With packet.compact_below > 0
+ * a step between (b) and (c) repacks divergence-thinned packets at
+ * their fetch boundaries. Only publish() keeps one offer policy per
+ * scheduler.
  *
  * Fetch latency comes from the configured MemoryModel — the unit's
  * shared L1: one instance serves every slot. The address map is
@@ -80,7 +84,8 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
     }
     offers_.resize(lanes_.size());
     lane_inflight_.resize(lanes_.size());
-    if (packetized()) {
+    if (cfg_.packet.width > 1) {
+        sched_ = Scheduler::Packet;
         // The ray buffer holds the same number of rays either way; a
         // packet slot stands in for `width` scalar entries.
         const unsigned slots = std::max(
@@ -108,33 +113,21 @@ RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
         throw std::invalid_argument(
             "RtUnit k-NN mode: datapath lacks the extended distance "
             "opcodes (build it with an extended DatapathConfig)");
+    // PacketConfig does not apply to k-NN queries: drop whichever ray
+    // scheduler the delegated constructor built.
+    sched_ = Scheduler::Knn;
+    entries_.clear();
+    packets_.clear();
+    compact_hold_.clear();
     knn_index_ = &index;
     knn_entries_.resize(cfg_.ray_buffer_entries);
     knn_lane_.resize(lanes_.size());
 }
 
-/** Synthetic address map shared by both schedulers (so scalar and
- *  packet mode can never diverge on addresses): the whole leaf for
- *  leaf work, one wide node otherwise. The address doubles as the
- *  MSHR merge key — each node and leaf has a unique base address. */
-void
-RtUnit::fetchTarget(bool is_leaf, uint32_t index, uint32_t count,
-                    uint64_t *addr, uint32_t *bytes) const
-{
-    if (is_leaf) {
-        *addr = tri_base_ + uint64_t(index) * kTriStrideBytes;
-        *bytes = count * kTriStrideBytes;
-    } else {
-        *addr = uint64_t(index) * kNodeStrideBytes;
-        *bytes = kNodeStrideBytes;
-    }
-}
-
-/** Step-(c) preamble shared by all three schedulers: release
- *  completed MSHR entries (sampling the residency counter when it
- *  changed and tracing is on) and re-arm the MSHR-refusal flag for
- *  this cycle's issue loop (classifyIdle reads last cycle's value in
- *  step (a), which runs before this). */
+/** Step-(c) preamble: release completed MSHR entries (sampling the
+ *  residency counter when it changed and tracing is on) and re-arm the
+ *  MSHR-refusal flag for this cycle's issue loop (classifyIdle reads
+ *  last cycle's value in step (a), which runs before this). */
 void
 RtUnit::retireMshrs()
 {
@@ -152,18 +145,16 @@ RtUnit::retireMshrs()
 }
 
 /** Exclusive cause of this cycle's idle issue slots. The priority and
- *  the phase-boundary walk are documented in obs/slot_accounting.hh;
- *  the scheduler-specific inputs (`have_work`: any work submitted and
- *  not yet retired; `need_fetch`: a slot sits in NeedFetch;
- *  `in_datapath`: work is ready for or riding the lanes) are computed
- *  by the caller from state that is constant across step (a), so the
- *  answer is the same whichever lane triggers the lazy evaluation. */
+ * the phase-boundary walk are documented in obs/slot_accounting.hh.
+ * Step (a) calls this before accepting any lane, and advance() runs
+ * only while work is outstanding, so the answer is the same whichever
+ * lane triggers the lazy evaluation and "no work at all" reduces to
+ * the last fallback. Ready* counts as in-datapath work next to
+ * InFlight, as do beats still riding a lane (packet and k-NN lanes
+ * hold them outside the slots). */
 obs::Slot
-RtUnit::classifyIdle(bool have_work, bool need_fetch,
-                     bool in_datapath) const
+RtUnit::classifyIdle() const
 {
-    if (!have_work)
-        return obs::Slot::IdleNoWork;
     if (mshr_refused_)
         return obs::Slot::StallMshrFull;
     if (!mem_queue_.empty()) {
@@ -188,11 +179,20 @@ RtUnit::classifyIdle(bool have_work, bool need_fetch,
             return obs::Slot::StallL2BankQueue;
         return obs::Slot::StallL2Fill;
     }
-    if (need_fetch)
-        return obs::Slot::StallL1Miss; // waiting on issue bandwidth
-    if (in_datapath)
-        return obs::Slot::StallDrain;
-    return obs::Slot::IdleNoWork;
+    bool in_datapath = false;
+    for (size_t i = 0; i < slotCount(); ++i) {
+        const EntryState st = slotState(i);
+        if (st == EntryState::NeedFetch)
+            return obs::Slot::StallL1Miss; // waiting on issue bandwidth
+        in_datapath = in_datapath || st == EntryState::ReadyBox ||
+                      st == EntryState::ReadyTri ||
+                      st == EntryState::InFlight;
+    }
+    for (const auto &q : lane_inflight_)
+        in_datapath = in_datapath || !q.empty();
+    for (const KnnLaneJob &j : knn_lane_)
+        in_datapath = in_datapath || j.active;
+    return in_datapath ? obs::Slot::StallDrain : obs::Slot::IdleNoWork;
 }
 
 /** Route one slot's fetch to memory: straight to the L1 when the MSHR
@@ -206,29 +206,20 @@ RtUnit::classifyIdle(bool have_work, bool need_fetch,
  *  becomes absolute boundaries on the queued request — what
  *  classifyIdle() attributes stalled slots against. */
 bool
-RtUnit::issueFetch(size_t slot, bool is_leaf, uint32_t index,
-                   uint32_t count, unsigned &issued)
+RtUnit::issueFetch(size_t slot, const WorkItem &w, unsigned &issued)
 {
-    uint64_t addr;
-    uint32_t bytes;
-    fetchTarget(is_leaf, index, count, &addr, &bytes);
-    if (!mshrs_.enabled()) {
-        AccessBreakdown bd;
-        const unsigned lat = mem_->access(addr, bytes, now_, &bd);
-        MemRequest req{slot, now_ + lat, addr};
-        req.l1_until = now_ + bd.l1;
-        req.ring_until = req.l1_until + bd.ring;
-        req.queue_until = req.ring_until + bd.queue;
-        mem_queue_.push_back(req);
-        ++stats_.mem_requests;
-        ++issued;
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::FetchIssue, addr,
-                            uint64_t(slot)});
-        return true;
-    }
-    if (const MshrFile::Entry *inflight = mshrs_.lookup(addr)) {
+    // The synthetic address map, shared by every scheduler so the modes
+    // never diverge on addresses: the whole leaf for leaf work, one
+    // wide node otherwise. The address doubles as the MSHR merge key —
+    // each node and leaf has a unique base address.
+    const uint64_t addr =
+        w.is_leaf ? tri_base_ + uint64_t(w.index) * kTriStrideBytes
+                  : uint64_t(w.index) * kNodeStrideBytes;
+    const uint32_t bytes =
+        w.is_leaf ? w.count * kTriStrideBytes : kNodeStrideBytes;
+    const bool mshr = mshrs_.enabled();
+    if (const MshrFile::Entry *inflight =
+            mshr ? mshrs_.lookup(addr) : nullptr) {
         // Duplicate of an in-flight fill: complete when it does, and
         // wait through the same phases it does.
         MemRequest req{slot, inflight->done_cycle, addr};
@@ -243,7 +234,7 @@ RtUnit::issueFetch(size_t slot, bool is_leaf, uint32_t index,
                             uint64_t(slot)});
         return true;
     }
-    if (mshrs_.full()) {
+    if (mshr && mshrs_.full()) {
         ++stats_.mshr.stalls_full;
         mshr_refused_ = true;
         if (trace_)
@@ -252,24 +243,26 @@ RtUnit::issueFetch(size_t slot, bool is_leaf, uint32_t index,
                             uint64_t(slot)});
         return false; // back-pressure: slot retries next cycle
     }
-    if (issued >= cfg_.mem_requests_per_cycle)
+    if (mshr && issued >= cfg_.mem_requests_per_cycle)
         return false;
     AccessBreakdown bd;
     const unsigned lat = mem_->access(addr, bytes, now_, &bd);
-    const uint64_t done = now_ + lat;
-    MemRequest req{slot, done, addr};
+    MemRequest req{slot, now_ + lat, addr};
     req.l1_until = now_ + bd.l1;
     req.ring_until = req.l1_until + bd.ring;
     req.queue_until = req.ring_until + bd.queue;
-    mshrs_.allocate(addr, done, req.l1_until, req.ring_until,
-                    req.queue_until);
     mem_queue_.push_back(req);
-    ++stats_.mshr.allocations;
     ++stats_.mem_requests;
     ++issued;
-    if (trace_) {
+    if (trace_)
         trace_->record({now_, trace_unit_, obs::TraceEvent::FetchIssue,
                         addr, uint64_t(slot)});
+    if (!mshr)
+        return true;
+    mshrs_.allocate(addr, req.done_cycle, req.l1_until, req.ring_until,
+                    req.queue_until);
+    ++stats_.mshr.allocations;
+    if (trace_) {
         trace_->record({now_, trace_unit_, obs::TraceEvent::MshrAlloc,
                         addr, mshrs_.inflightCount()});
         trace_->record({now_, trace_unit_,
@@ -381,9 +374,7 @@ RtUnit::popKnnFrontier(KnnEntry &e)
             e.frontier.clear();
             break;
         }
-        e.fetch_is_leaf = item.is_leaf;
-        e.fetch_index = item.index;
-        e.fetch_count = item.count;
+        e.fetch = {item.is_leaf, item.index, item.count};
         e.state = EntryState::NeedFetch;
         return;
     }
@@ -399,7 +390,7 @@ RtUnit::expandKnnNode(KnnEntry &e)
 {
     ++stats_.knn.nodes_visited;
     const bool prune = e.metric == KnnMetric::Euclidean;
-    const WideNode &node = bvh_.nodes[e.fetch_index];
+    const WideNode &node = bvh_.nodes[e.fetch.index];
     for (const WideNode::Child &c : node.child) {
         if (c.kind == WideNode::Kind::Empty)
             continue;
@@ -444,158 +435,37 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
     maybeFinishKnn(e);
 }
 
-/** k-NN advance: the same (a)-(d) steps over query entries. Node
- *  expansion (the double-precision box lower bound) happens host-side
- *  at fetch arrival; only candidate distances consume datapath
- *  beats. */
+/** k-NN accept: a locked lane advances its candidate; a free lane
+ *  takes its offered candidate off the entry and locks on until the
+ *  job's last beat is accepted. Lanes are accepted in descending order,
+ *  so a shared entry's pending positions (claimed ascending in
+ *  publishKnn) stay valid; once an entry's leaf work has fully issued
+ *  it moves on to the next frontier item (the next fetch overlaps the
+ *  in-flight scores). */
 void
-RtUnit::advanceKnn()
+RtUnit::acceptKnnBeat(size_t l)
 {
-    // (a) Input handshake outcome, per lane. Accepted starts are
-    // claimed in descending lane order so a shared entry's pending
-    // positions (claimed ascending in publishKnn) stay valid.
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
-    std::array<bool, kMaxIssueWidth> fired{};
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
-            ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
-            ++stats_.knn.distance_beats;
-            ++stats_.slots[obs::Slot::Issued];
-        } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const KnnEntry &e : knn_entries_) {
-                    if (e.state == EntryState::Fetching ||
-                        e.state == EntryState::NeedFetch) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                bool need_fetch = false, in_dp = false;
-                for (const KnnEntry &e : knn_entries_) {
-                    if (e.state == EntryState::NeedFetch)
-                        need_fetch = true;
-                    else if (e.state == EntryState::ReadyTri ||
-                             e.state == EntryState::InFlight)
-                        in_dp = true;
-                }
-                for (const KnnLaneJob &j : knn_lane_)
-                    in_dp = in_dp || j.active;
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_knn_.empty(),
-                    need_fetch, in_dp);
-            }
-            ++stats_.slots[idle_cause];
-        }
+    ++stats_.knn.distance_beats;
+    KnnLaneJob &job = knn_lane_[l];
+    if (job.active) {
+        ++job.next_beat;
+        if (job.next_beat == job.beats.size())
+            job = KnnLaneJob{}; // last beat accepted: lane free
+        return;
     }
-    for (size_t l = lanes_.size(); l-- > 0;) {
-        if (!fired[l])
-            continue;
-        KnnLaneJob &job = knn_lane_[l];
-        if (job.active) {
-            ++job.next_beat;
-            if (job.next_beat == job.beats.size())
-                job = KnnLaneJob{}; // last beat accepted: lane free
-            continue;
-        }
-        // First beat of a new candidate: take it off the entry and
-        // lock the lane until the job's last beat is accepted.
-        KnnEntry &e = knn_entries_[offers_[l].entry];
-        const size_t pos = offers_[l].beat;
-        const uint32_t tri = e.pending_cands[pos];
-        e.pending_cands.erase(e.pending_cands.begin() +
-                              ptrdiff_t(pos));
-        ++e.inflight_cands;
-        ++stats_.knn.candidates;
-        job.beats = knnCandidateBeats(offers_[l].entry, tri);
-        job.next_beat = 1;
-        job.active = job.next_beat < job.beats.size();
-        if (!job.active)
-            job = KnnLaneJob{};
-    }
-    // Entries whose leaf work fully issued move on to the next
-    // frontier item (the next fetch overlaps the in-flight scores).
-    for (KnnEntry &e : knn_entries_) {
-        if (e.state == EntryState::ReadyTri &&
-            e.pending_cands.empty())
-            popKnnFrontier(e);
-    }
-
-    // (b) Output handshake outcome, per lane.
-    for (core::RayFlexDatapath *lane : lanes_) {
-        if (lane->out().valid && lane->out().ready)
-            handleKnnResult(lane->out().bits);
-    }
-
-    // (c) Memory: completion-ordered retirement, then issue — same
-    // shared L1 / MSHR path as the ray schedulers.
-    retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            KnnEntry &e = knn_entries_[it->entry];
-            if (e.fetch_is_leaf) {
-                ++stats_.knn.leaves_visited;
-                for (uint32_t t = 0; t < e.fetch_count; ++t)
-                    e.pending_cands.push_back(e.fetch_index + t);
-                e.state = EntryState::ReadyTri;
-            } else {
-                expandKnnNode(e);
-                popKnnFrontier(e);
-            }
-            it = mem_queue_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    unsigned issued = 0;
-    for (size_t i = 0; i < knn_entries_.size(); ++i) {
-        KnnEntry &e = knn_entries_[i];
-        if (e.state != EntryState::NeedFetch)
-            continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
-            break;
-        if (issueFetch(i, e.fetch_is_leaf, e.fetch_index,
-                       e.fetch_count, issued))
-            e.state = EntryState::Fetching;
-    }
-
-    // (d) Refill free slots with queued queries.
-    for (size_t i = 0;
-         i < knn_entries_.size() && !pending_knn_.empty(); ++i) {
-        KnnEntry &e = knn_entries_[i];
-        if (e.state != EntryState::Idle)
-            continue;
-        PendingKnn pk = std::move(pending_knn_.front());
-        pending_knn_.pop_front();
-        e = KnnEntry{};
-        e.query_id = pk.query_id;
-        e.k = pk.query.k;
-        e.metric = pk.query.metric;
-        e.point = std::move(pk.query.point);
-        e.topk.reset(e.k);
-        if (knn_index_->points.empty() || e.k == 0) {
-            finishKnnQuery(e); // degenerate queries finish at admission
-            continue;
-        }
-        e.frontier.push_back({0.0, false, 0, 0, e.seq++});
-        if (e.frontier.size() > stats_.knn.frontier_peak)
-            stats_.knn.frontier_peak = e.frontier.size();
+    KnnEntry &e = knn_entries_[offers_[l].entry];
+    const size_t pos = offers_[l].beat;
+    const uint32_t tri = e.pending_cands[pos];
+    e.pending_cands.erase(e.pending_cands.begin() + ptrdiff_t(pos));
+    ++e.inflight_cands;
+    ++stats_.knn.candidates;
+    job.beats = knnCandidateBeats(offers_[l].entry, tri);
+    job.next_beat = 1;
+    job.active = job.next_beat < job.beats.size();
+    if (!job.active)
+        job = KnnLaneJob{};
+    if (e.pending_cands.empty())
         popKnnFrontier(e);
-    }
 }
 
 void
@@ -607,15 +477,9 @@ RtUnit::popWork(Entry &e)
         e.stack.pop_back();
         if (e.best.hit && w.entry_t > e.best.t)
             continue;
-        if (w.is_leaf) {
-            e.leaf_first = w.index;
-            e.leaf_next = w.index;
-        } else {
-            e.node = w.index;
-        }
-        // Both node and leaf data come from memory; leaf_count doubles
-        // as the fetched-data kind (> 0 leaf, 0 node).
-        e.leaf_count = w.is_leaf ? w.count : 0;
+        // Both node and leaf data come from memory.
+        e.fetch = w;
+        e.leaf_next = w.index;
         e.state = EntryState::NeedFetch;
         return;
     }
@@ -660,7 +524,7 @@ RtUnit::drainCompleted(PacketTraversal &p)
  *  the engine's determinism contract holds. Two thinned packets
  *  rarely reach a fetch boundary on the same cycle, so a
  *  below-threshold packet DEFERS its next fetch for up to
- *  kCompactWaitCycles (see the issue loop in advancePacket) — the
+ *  kCompactWaitCycles (see holdForCompaction) — the
  *  repacking window in which a partner can appear. */
 void
 RtUnit::compactPackets()
@@ -754,7 +618,7 @@ RtUnit::publish(uint64_t)
                 in.op = Opcode::RayBox;
                 in.ray = e.ray;
                 in.tag = i;
-                const WideNode &node = bvh_.nodes[e.node];
+                const WideNode &node = bvh_.nodes[e.fetch.index];
                 for (int c = 0; c < 4; ++c) {
                     in.boxes[c] =
                         node.child[c].kind == WideNode::Kind::Empty
@@ -789,7 +653,7 @@ RtUnit::handleResult(const core::DatapathOutput &out)
 {
     Entry &e = entries_[out.tag];
     if (out.op == Opcode::RayBox) {
-        const WideNode &node = bvh_.nodes[e.node];
+        const WideNode &node = bvh_.nodes[e.fetch.index];
         // Push hit children farthest-first so the nearest pops first.
         for (int i = 3; i >= 0; --i) {
             uint8_t slot = out.box.order[i];
@@ -841,7 +705,7 @@ RtUnit::handleResult(const core::DatapathOutput &out)
                 }
             }
         }
-        if (e.leaf_next < e.leaf_first + e.leaf_count) {
+        if (e.leaf_next < e.fetch.index + e.fetch.count) {
             e.state = EntryState::ReadyTri; // more triangles in leaf
         } else {
             popWork(e);
@@ -849,154 +713,200 @@ RtUnit::handleResult(const core::DatapathOutput &out)
     }
 }
 
-/** Packet-mode advance: the same (a)-(d) steps over packet slots. */
-void
-RtUnit::advancePacket()
+size_t
+RtUnit::slotCount() const
 {
-    // (a) Input handshake outcome, per lane. Accepted beats are popped
-    // in descending lane order so a packet's remaining pending-beat
-    // indices stay valid (its offers were taken in ascending order).
-    // waiting-on-memory is computed lazily on the first idle lane and
-    // cached for the cycle (no packet changes NeedFetch/Fetching state
-    // during this step, so the first answer holds for every lane).
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
-    std::array<bool, kMaxIssueWidth> fired{};
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
-            ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
-            ++stats_.slots[obs::Slot::Issued];
-        } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const PacketTraversal &p : packets_) {
-                    if (p.waitingOnMemory()) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                bool need_fetch = false, in_dp = false;
-                for (const PacketTraversal &p : packets_) {
-                    if (p.needsFetch())
-                        need_fetch = true;
-                    else if (p.issueReady())
-                        in_dp = true;
-                }
-                for (const auto &q : lane_inflight_)
-                    in_dp = in_dp || !q.empty();
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_rays_.empty(),
-                    need_fetch, in_dp);
-            }
-            ++stats_.slots[idle_cause];
-        }
-    }
-    for (size_t l = lanes_.size(); l-- > 0;) {
-        if (!fired[l])
-            continue;
-        const LaneOffer o = offers_[l];
+    if (knnMode())
+        return knn_entries_.size();
+    return packetized() ? packets_.size() : entries_.size();
+}
+
+RtUnit::EntryState
+RtUnit::slotState(size_t i) const
+{
+    if (knnMode())
+        return knn_entries_[i].state;
+    if (!packetized())
+        return entries_[i].state;
+    const PacketTraversal &p = packets_[i];
+    if (p.idle())
+        return EntryState::Idle;
+    if (p.needsFetch())
+        return EntryState::NeedFetch;
+    return p.issueReady() ? EntryState::InFlight : EntryState::Fetching;
+}
+
+void
+RtUnit::acceptLane(size_t l)
+{
+    const LaneOffer o = offers_[l];
+    if (knnMode()) {
+        acceptKnnBeat(l);
+    } else if (packetized()) {
         lane_inflight_[l].push_back(
             {o.entry, packets_[o.entry].takeBeatAt(o.beat)});
+    } else {
+        // An entry has one beat in flight; a triangle beat latches the
+        // triangle its result will name.
+        Entry &e = entries_[o.entry];
+        if (e.state == EntryState::ReadyTri)
+            e.inflight_tri = e.leaf_next++;
+        e.state = EntryState::InFlight;
     }
+}
 
-    // (b) Output handshake outcome, per lane. Each lane is in order,
-    // so its front in-flight beat identifies the result's packet,
-    // member lane and triangle. A result can complete the packet's
-    // current item, push children and retire lanes whose work ran out.
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &out = lanes_[l]->out();
-        if (out.valid && out.ready) {
-            const InflightBeat ib = lane_inflight_[l].front();
-            lane_inflight_[l].pop_front();
-            PacketTraversal &p = packets_[ib.slot];
-            p.handleResult(out.bits, ib.beat);
-            drainCompleted(p);
-        }
+void
+RtUnit::drainLane(size_t l, const core::DatapathOutput &out)
+{
+    if (knnMode()) {
+        handleKnnResult(out);
+    } else if (packetized()) {
+        // Each lane is in order, so its front in-flight beat names the
+        // result's packet, member lane and triangle. A result can
+        // complete the packet's current item, push children and retire
+        // lanes whose work ran out.
+        const InflightBeat ib = lane_inflight_[l].front();
+        lane_inflight_[l].pop_front();
+        PacketTraversal &p = packets_[ib.slot];
+        p.handleResult(out, ib.beat);
+        drainCompleted(p);
+    } else {
+        handleResult(out);
     }
+}
 
-    // Occupancy-driven repacking at fetch boundaries, before new
-    // fetches are issued for the packets involved.
-    compactPackets();
+RtUnit::WorkItem
+RtUnit::fetchItem(size_t i) const
+{
+    if (knnMode())
+        return knn_entries_[i].fetch;
+    if (!packetized())
+        return entries_[i].fetch;
+    const PacketTraversal &p = packets_[i];
+    return {p.fetchIsLeaf(), p.fetchIndex(), p.fetchCount()};
+}
 
-    // (c) Memory: completion-ordered retirement, then issue — one
-    // fetch serves a packet's whole active mask, and the MSHR file
-    // (when enabled) merges duplicate in-flight targets across
-    // packets.
-    retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            packets_[it->entry].fetchArrived();
-            it = mem_queue_.erase(it);
-        } else {
-            ++it;
-        }
+void
+RtUnit::fetchIssued(size_t i)
+{
+    if (knnMode()) {
+        knn_entries_[i].state = EntryState::Fetching;
+    } else if (packetized()) {
+        packets_[i].fetchIssued();
+        compact_hold_[i] = 0;
+    } else {
+        entries_[i].state = EntryState::Fetching;
     }
-    unsigned issued = 0;
-    for (size_t i = 0; i < packets_.size(); ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.needsFetch())
-            continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
-            break;
-        // A below-threshold packet defers its fetch inside the
-        // repacking window, waiting for a partner to reach a fetch
-        // boundary (compactPackets pairs them). The window is bounded,
-        // so an unlucky packet resumes alone after it expires.
-        if (cfg_.packet.compact_below > 0 &&
-            compact_hold_[i] < kCompactWaitCycles) {
-            const unsigned live = p.liveLanes();
-            if (live > 0 && live < cfg_.packet.compact_below) {
-                ++compact_hold_[i];
+}
+
+void
+RtUnit::fetchArrived(size_t i)
+{
+    if (packetized()) {
+        packets_[i].fetchArrived();
+        return;
+    }
+    if (!knnMode()) {
+        Entry &e = entries_[i];
+        e.state = e.fetch.is_leaf ? EntryState::ReadyTri
+                                  : EntryState::ReadyBox;
+        return;
+    }
+    KnnEntry &e = knn_entries_[i];
+    if (e.fetch.is_leaf) {
+        ++stats_.knn.leaves_visited;
+        for (uint32_t t = 0; t < e.fetch.count; ++t)
+            e.pending_cands.push_back(e.fetch.index + t);
+        e.state = EntryState::ReadyTri;
+    } else {
+        // Node expansion (the double-precision box lower bound) is
+        // host-side at fetch arrival; only candidate distances consume
+        // datapath beats.
+        expandKnnNode(e);
+        popKnnFrontier(e);
+    }
+}
+
+/** A below-threshold packet defers its fetch inside the repacking
+ *  window, waiting for a partner to reach a fetch boundary
+ *  (compactPackets pairs them). The window is bounded, so an unlucky
+ *  packet resumes alone after it expires. */
+bool
+RtUnit::holdForCompaction(size_t i)
+{
+    if (!packetized() || cfg_.packet.compact_below == 0 ||
+        compact_hold_[i] >= kCompactWaitCycles)
+        return false;
+    const unsigned live = packets_[i].liveLanes();
+    if (live == 0 || live >= cfg_.packet.compact_below)
+        return false;
+    ++compact_hold_[i];
+    return true;
+}
+
+void
+RtUnit::refill()
+{
+    if (knnMode()) {
+        for (size_t i = 0;
+             i < knn_entries_.size() && !pending_knn_.empty(); ++i) {
+            KnnEntry &e = knn_entries_[i];
+            if (e.state != EntryState::Idle)
+                continue;
+            PendingKnn pk = std::move(pending_knn_.front());
+            pending_knn_.pop_front();
+            e = KnnEntry{};
+            e.query_id = pk.query_id;
+            e.k = pk.query.k;
+            e.metric = pk.query.metric;
+            e.point = std::move(pk.query.point);
+            e.topk.reset(e.k);
+            if (knn_index_->points.empty() || e.k == 0) {
+                finishKnnQuery(e); // degenerate queries finish at admission
                 continue;
             }
+            e.frontier.push_back({0.0, false, 0, 0, e.seq++});
+            if (e.frontier.size() > stats_.knn.frontier_peak)
+                stats_.knn.frontier_peak = e.frontier.size();
+            popKnnFrontier(e);
         }
-        if (issueFetch(i, p.fetchIsLeaf(), p.fetchIndex(),
-                       p.fetchCount(), issued)) {
-            p.fetchIssued();
-            compact_hold_[i] = 0;
-        }
+        return;
     }
-
-    // (d) Refill idle packet slots with queued rays. Consecutive rays
-    // form one packet, so coherent submissions (camera batches) become
-    // coherent packets.
-    for (size_t i = 0; i < packets_.size() && !pending_rays_.empty();
+    if (packetized()) {
+        // Consecutive rays form one packet, so coherent submissions
+        // (camera batches) become coherent packets.
+        for (size_t i = 0;
+             i < packets_.size() && !pending_rays_.empty(); ++i) {
+            PacketTraversal &p = packets_[i];
+            if (!p.idle())
+                continue;
+            p.admit(pending_rays_);
+            if (trace_)
+                trace_->record({now_, trace_unit_,
+                                obs::TraceEvent::PacketForm, uint64_t(i),
+                                p.liveLanes()});
+            drainCompleted(p); // empty-scene rays complete at admission
+        }
+        return;
+    }
+    for (size_t i = 0; i < entries_.size() && !pending_rays_.empty();
          ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.idle())
+        Entry &e = entries_[i];
+        if (e.state != EntryState::Idle)
             continue;
-        p.admit(pending_rays_);
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::PacketForm, uint64_t(i),
-                            p.liveLanes()});
-        drainCompleted(p); // empty-scene rays complete at admission
-    }
-
-    // Occupancy counter sample: live lanes across all packet slots,
-    // emitted on change only (tracing off costs one pointer test).
-    if (trace_) {
-        uint64_t occ = 0;
-        for (const PacketTraversal &p : packets_)
-            occ += p.liveLanes();
-        if (occ != trace_occupancy_last_) {
-            trace_occupancy_last_ = occ;
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::PacketOccupancy, occ, 0});
+        const PendingRay pr = pending_rays_.front();
+        pending_rays_.pop_front();
+        e = Entry{};
+        e.ray = pr.ray;
+        e.ray_id = pr.ray_id;
+        e.t_beg = fromBits(pr.ray.t_beg);
+        e.t_max = fromBits(pr.ray.t_end);
+        if (bvh_.tris.empty()) {
+            finishRay(e, HitRecord{});
+            continue;
         }
+        e.stack.push_back({false, 0, 0, 0.0f});
+        popWork(e);
     }
 }
 
@@ -1015,136 +925,102 @@ RtUnit::advance(uint64_t cycle)
     now_ = cycle;
     ++stats_.cycles;
 
-    if (knnMode()) {
-        advanceKnn();
-        return;
-    }
-    if (packetized()) {
-        advancePacket();
-        return;
-    }
-
-    // (a) Input handshake outcome, per lane. waiting-on-memory is
-    // computed lazily on the first idle lane and cached for the cycle
-    // (accepted beats only move Ready* entries to InFlight, never in
-    // or out of NeedFetch/Fetching, so the first answer holds).
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
+    // (a) Input handshake outcome, per lane: every issue slot lands in
+    // exactly one obs::Slot bucket. Idle slots share one cause,
+    // classified lazily before any lane is accepted. Accepted beats
+    // are then taken in descending lane order, so a slot's remaining
+    // pending positions (offered ascending by publish) stay valid.
+    obs::Slot idle_cause = obs::Slot::kCount;
+    std::array<bool, kMaxIssueWidth> fired{};
     for (size_t l = 0; l < lanes_.size(); ++l) {
         const auto &in = lanes_[l]->in();
         if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            Entry &e = entries_[offers_[l].entry];
+            fired[l] = true;
             ++stats_.datapath_beats;
             ++stats_.beats_by_op[size_t(in.bits.op)];
             ++stats_.slots[obs::Slot::Issued];
-            if (e.state == EntryState::ReadyBox) {
-                e.state = EntryState::InFlight;
-            } else {
-                e.inflight_tri = e.leaf_next;
-                ++e.leaf_next;
-                e.state = EntryState::InFlight;
-            }
         } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const Entry &e : entries_) {
-                    if (e.state == EntryState::Fetching ||
-                        e.state == EntryState::NeedFetch) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                // Ready* counts as in-datapath work: accepted offers
-                // move Ready -> InFlight during this very loop, so
-                // folding both states keeps the answer constant
-                // whichever lane classifies first.
-                bool need_fetch = false, in_dp = false;
-                for (const Entry &e : entries_) {
-                    if (e.state == EntryState::NeedFetch)
-                        need_fetch = true;
-                    else if (e.state == EntryState::ReadyBox ||
-                             e.state == EntryState::ReadyTri ||
-                             e.state == EntryState::InFlight)
-                        in_dp = true;
-                }
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_rays_.empty(),
-                    need_fetch, in_dp);
-            }
+            if (idle_cause == obs::Slot::kCount)
+                idle_cause = classifyIdle();
             ++stats_.slots[idle_cause];
         }
     }
+    for (size_t l = lanes_.size(); l-- > 0;)
+        if (fired[l])
+            acceptLane(l);
 
-    // (b) Output handshake outcome, per lane.
-    for (core::RayFlexDatapath *lane : lanes_) {
-        if (lane->out().valid && lane->out().ready)
-            handleResult(lane->out().bits);
+    // (b) Output handshake outcome, per lane; then occupancy-driven
+    // repacking at fetch boundaries, before new fetches are issued for
+    // the packets involved.
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const auto &out = lanes_[l]->out();
+        if (out.valid && out.ready)
+            drainLane(l, out.bits);
     }
+    compactPackets();
 
     // (c) Memory: retire due responses, issue new fetches. Retirement
     // is completion-ordered, not FIFO: with the cache backend a cheap
     // hit issued behind an expensive miss completes first and must not
     // be held at the queue head, or the hit latency the cache model
     // exists to expose would be masked. (Under a uniform-latency
-    // backend completion order equals issue order, so this retires
-    // exactly what the original FIFO pop did, cycle for cycle.)
+    // backend completion order equals issue order.) One fetch serves a
+    // packet's whole active mask, and the MSHR file (when enabled)
+    // merges duplicate in-flight targets across slots.
     retireMshrs();
     for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            Entry &e = entries_[it->entry];
-            e.state = e.leaf_count > 0 ? EntryState::ReadyTri
-                                       : EntryState::ReadyBox;
-            it = mem_queue_.erase(it);
-        } else {
+        if (it->done_cycle > now_) {
             ++it;
+            continue;
         }
+        if (trace_)
+            trace_->record({now_, trace_unit_, obs::TraceEvent::FetchFill,
+                            it->addr, uint64_t(it->entry)});
+        fetchArrived(it->entry);
+        it = mem_queue_.erase(it);
     }
     unsigned issued = 0;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        if (e.state != EntryState::NeedFetch)
+    for (size_t i = 0; i < slotCount(); ++i) {
+        if (slotState(i) != EntryState::NeedFetch)
             continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
+        if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
             break;
-        if (issueFetch(i, e.leaf_count > 0, e.leaf_count > 0
-                                                ? e.leaf_first
-                                                : e.node,
-                       e.leaf_count, issued))
-            e.state = EntryState::Fetching;
+        if (holdForCompaction(i))
+            continue;
+        if (issueFetch(i, fetchItem(i), issued))
+            fetchIssued(i);
     }
 
-    // (d) Refill free slots with queued rays.
-    for (size_t i = 0; i < entries_.size() && !pending_rays_.empty();
-         ++i) {
-        Entry &e = entries_[i];
-        if (e.state != EntryState::Idle)
-            continue;
-        const PendingRay pr = pending_rays_.front();
-        pending_rays_.pop_front();
-        e = Entry{};
-        e.ray = pr.ray;
-        e.ray_id = pr.ray_id;
-        e.t_beg = fromBits(pr.ray.t_beg);
-        e.t_max = fromBits(pr.ray.t_end);
-        if (bvh_.tris.empty()) {
-            results_[e.ray_id] = HitRecord{};
-            --outstanding_;
-            ++stats_.rays_completed;
-            continue;
+    // (d) Refill free slots from the submission queue, then sample the
+    // packet occupancy counter: live lanes across all packet slots,
+    // emitted on change only (tracing off costs one pointer test).
+    refill();
+    if (trace_ && packetized()) {
+        uint64_t occ = 0;
+        for (const PacketTraversal &p : packets_)
+            occ += p.liveLanes();
+        if (occ != trace_occupancy_last_) {
+            trace_occupancy_last_ = occ;
+            trace_->record({now_, trace_unit_,
+                            obs::TraceEvent::PacketOccupancy, occ, 0});
         }
-        e.stack.push_back({false, 0, 0, 0.0f});
-        popWork(e);
     }
+}
+
+std::string
+RtUnit::stallReport() const
+{
+    static const char *const kStateNames[] = {
+        "Idle", "NeedFetch", "Fetching", "ReadyBox", "ReadyTri", "InFlight"};
+    std::string msg = std::to_string(outstanding_) +
+                      (knnMode() ? " queries" : " rays") + " outstanding";
+    for (size_t i = 0; i < slotCount(); ++i) {
+        const EntryState st = slotState(i);
+        if (st != EntryState::Idle)
+            return msg + ", slot " + std::to_string(i) + " " +
+                   kStateNames[size_t(st)];
+    }
+    return msg + ", every slot idle";
 }
 
 void
@@ -1174,7 +1050,8 @@ RtUnit::endRun()
 {
     stats_.mem = mem_->stats();
     if (outstanding_ > 0)
-        throw std::runtime_error("RtUnit::run: rays did not complete");
+        throw std::runtime_error("RtUnit::run: did not complete: " +
+                                 stallReport());
     return stats_;
 }
 

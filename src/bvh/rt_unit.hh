@@ -13,14 +13,15 @@
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. Two scheduling modes exist: the
- * scalar mode traces one independent ray per ray-buffer entry, and
- * the packet/wavefront mode (RtUnitConfig::packet, bvh/packet.hh)
- * groups coherent rays into packets that share a traversal stack and
- * one BVH fetch per visited node, optionally repacking
- * divergence-thinned packets (PacketConfig::compact_below). This is
- * the model used to measure datapath utilization, memory sensitivity
- * and rays/cycle on real scenes.
+ * to one beat per lane per cycle. Three schedulers fill the ray
+ * buffer under one cycle loop: the scalar mode traces one independent
+ * ray per entry, the packet/wavefront mode (RtUnitConfig::packet,
+ * bvh/packet.hh) groups coherent rays into packets that share a
+ * traversal stack and one BVH fetch per visited node, optionally
+ * repacking divergence-thinned packets (PacketConfig::compact_below),
+ * and the k-NN mode walks a KnnIndex per query. This is the model used
+ * to measure datapath utilization, memory sensitivity and rays/cycle
+ * on real scenes.
  */
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
@@ -28,6 +29,7 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bvh/knn.hh"
@@ -114,12 +116,7 @@ struct RtUnitStats
      *  sum(beats_by_op) == datapath_beats == slots[Issued] on every
      *  run and across merge(). */
     std::array<uint64_t, core::kNumOpcodes> beats_by_op{};
-    /** Issue slots (lanes x cycles) with no beat issued. At
-     *  issue_width == 1 this is exactly the legacy cycles-with-no-beat
-     *  counter; wider units can lose several slots per cycle. */
-    uint64_t datapath_idle = 0;
     uint64_t mem_requests = 0;     ///< fetches that reached the L1
-    uint64_t stall_on_memory = 0;  ///< issue slots lost waiting on fetch
 
     /** Node-cache counters; all-zero under MemBackend::FixedLatency.
      *  Merges with the same commutative sums as the rest of the
@@ -143,8 +140,9 @@ struct RtUnitStats
      *  slot of every cycle lands in exactly one bucket, so
      *  slots.total() == cycles * issue_width for a single run and the
      *  identity survives merge() (both sides are sums). The Issued
-     *  bucket equals datapath_beats and the others partition
-     *  datapath_idle by cause. */
+     *  bucket equals datapath_beats; the idle slots are
+     *  slots.total() - slots[Issued], and the slots lost waiting on
+     *  memory are slots.memoryStallSlots(). */
     obs::SlotAccounting slots;
 
     /** Chip wall-clock cycles (sim::Engine chip mode): lock-step ticks
@@ -190,9 +188,7 @@ struct RtUnitStats
         datapath_beats += o.datapath_beats;
         for (size_t op = 0; op < beats_by_op.size(); ++op)
             beats_by_op[op] += o.beats_by_op[op];
-        datapath_idle += o.datapath_idle;
         mem_requests += o.mem_requests;
-        stall_on_memory += o.stall_on_memory;
         mem.merge(o.mem);
         packet.merge(o.packet);
         mshr.merge(o.mshr);
@@ -297,6 +293,12 @@ class RtUnit : public pipeline::Component
     bool done() const { return outstanding_ == 0; }
     RtUnitStats endRun();
 
+    /** Why the unit has not finished: the rays (or k-NN queries) still
+     *  outstanding and the index and state of the first non-idle slot,
+     *  e.g. "12 rays outstanding, slot 3 Fetching". What the
+     *  max-cycles watchdogs (endRun, the batch executor) report. */
+    std::string stallReport() const;
+
     /** Results in ray-id order (parallel to submissions). In
      *  TraversalMode::Any only the `hit` flag is meaningful. */
     const std::vector<HitRecord> &results() const { return results_; }
@@ -305,6 +307,9 @@ class RtUnit : public pipeline::Component
     void advance(uint64_t cycle) override;
 
   private:
+    /** Lifecycle of a ray-buffer slot, shared by the three schedulers
+     *  (a packet reports its issue phase as InFlight; a k-NN query
+     *  never uses ReadyBox). */
     enum class EntryState : uint8_t {
         Idle,        ///< slot free
         NeedFetch,   ///< next node known, fetch not yet issued
@@ -329,8 +334,8 @@ class RtUnit : public pipeline::Component
         core::Ray ray;
         uint32_t ray_id = 0;
         std::vector<WorkItem> stack; ///< pending work, nearest on top
-        uint32_t node = 0;           ///< node being processed
-        uint32_t leaf_first = 0, leaf_count = 0, leaf_next = 0;
+        WorkItem fetch;              ///< node or leaf being processed
+        uint32_t leaf_next = 0;      ///< next triangle to test (leaf)
         uint32_t inflight_tri = 0;   ///< triangle of the in-flight beat
         HitRecord best;
         float t_beg = 0;
@@ -352,30 +357,48 @@ class RtUnit : public pipeline::Component
         uint64_t queue_until = 0;
     };
 
+    /** Which scheduler fills the ray buffer; fixed at construction. */
+    enum class Scheduler : uint8_t {
+        Scalar, ///< one ray per Entry (packet.width == 1)
+        Packet, ///< PacketTraversal slots (packet.width > 1)
+        Knn,    ///< KnnEntry queries (constructed over a KnnIndex)
+    };
+
+    // ----- the one cycle loop (advance) and its scheduler hooks -----
+
+    /** Ray-buffer slots of the active scheduler. */
+    size_t slotCount() const;
+    /** Lifecycle state of slot `i`. */
+    EntryState slotState(size_t i) const;
+    /** Step (a): lane `l` accepted the beat publish() offered it. */
+    void acceptLane(size_t l);
+    /** Step (b): lane `l` produced `out`. */
+    void drainLane(size_t l, const core::DatapathOutput &out);
+    /** Step (c): the work item slot `i` fetches (valid in NeedFetch). */
+    WorkItem fetchItem(size_t i) const;
+    /** Step (c): slot `i`'s fetch left for memory. */
+    void fetchIssued(size_t i);
+    /** Step (c): slot `i`'s fetch returned. */
+    void fetchArrived(size_t i);
+    /** Step (d): admit queued rays or queries into free slots. */
+    void refill();
+
     void popWork(Entry &e);
     void finishRay(Entry &e, const HitRecord &rec);
     void handleResult(const core::DatapathOutput &out);
-    /** Synthetic address and size of a fetch target (the MSHR merge
-     *  key and what the shared L1 is charged for). */
-    void fetchTarget(bool is_leaf, uint32_t index, uint32_t count,
-                     uint64_t *addr, uint32_t *bytes) const;
-    /** Exclusive cause of an idle issue slot this cycle (the
+    /** Exclusive cause of this cycle's idle issue slots (the
      *  non-Issued buckets of obs::Slot). All idle slots of one cycle
-     *  share one cause, so callers classify lazily once per cycle.
-     *  `have_work`: work was submitted and not yet retired;
-     *  `need_fetch`: a slot sits in NeedFetch; `in_datapath`: work is
-     *  ready for or riding the issue lanes. */
-    obs::Slot classifyIdle(bool have_work, bool need_fetch,
-                           bool in_datapath) const;
-    /** Step-(c) MSHR retirement shared by the schedulers (residency
-     *  trace sample + refusal-flag re-arm). */
+     *  share one cause, so step (a) classifies lazily once per
+     *  cycle. */
+    obs::Slot classifyIdle() const;
+    /** Step-(c) MSHR retirement (residency trace sample + refusal-flag
+     *  re-arm). */
     void retireMshrs();
     /** Route one fetch through the MSHR file (when enabled) or
      *  straight to the L1. @return true when the fetch left the slot
      *  (allocated or merged); false on MSHR-full or exhausted
      *  mem-issue bandwidth, leaving the slot in NeedFetch. */
-    bool issueFetch(size_t slot, bool is_leaf, uint32_t index,
-                    uint32_t count, unsigned &issued);
+    bool issueFetch(size_t slot, const WorkItem &w, unsigned &issued);
 
     // ----- k-NN mode (constructed over a KnnIndex) -----
 
@@ -392,8 +415,7 @@ class RtUnit : public pipeline::Component
         /** Min-heap (KnnFrontierAfter) of unvisited subtrees. */
         std::vector<KnnFrontierItem> frontier;
         uint64_t seq = 0; ///< frontier tie-break sequence
-        bool fetch_is_leaf = false;
-        uint32_t fetch_index = 0, fetch_count = 0;
+        WorkItem fetch;   ///< fetch target (entry_t unused)
         /** Fetched-leaf candidates (tri indices) not yet started. */
         std::deque<uint32_t> pending_cands;
         /** Candidates started on a lane, score not yet drained. */
@@ -422,9 +444,10 @@ class RtUnit : public pipeline::Component
         uint32_t query_id = 0;
     };
 
-    bool knnMode() const { return knn_index_ != nullptr; }
+    bool knnMode() const { return sched_ == Scheduler::Knn; }
     void publishKnn();
-    void advanceKnn();
+    /** Step (a) for k-NN: start or continue a candidate on lane `l`. */
+    void acceptKnnBeat(size_t l);
     /** Pop the next non-prunable frontier item into the fetch target
      *  (state NeedFetch), or mark the entry draining. */
     void popKnnFrontier(KnnEntry &e);
@@ -451,16 +474,21 @@ class RtUnit : public pipeline::Component
     std::deque<PendingKnn> pending_knn_;
     std::vector<KnnResult> knn_results_;
 
+    // ----- packet mode (packet.width > 1) -----
+
     /** True when the packet/wavefront scheduler is active. */
-    bool packetized() const { return cfg_.packet.width > 1; }
+    bool packetized() const { return sched_ == Scheduler::Packet; }
     void drainCompleted(PacketTraversal &p);
     void compactPackets();
+    /** Step (c): true when packet `i` defers its fetch inside the
+     *  repacking window (counting the cycle). */
+    bool holdForCompaction(size_t i);
     void publishPacket();
-    void advancePacket();
 
     const Bvh4 &bvh_;
     core::RayFlexDatapath &dp_;
     RtUnitConfig cfg_;
+    Scheduler sched_ = Scheduler::Scalar;
     std::unique_ptr<MemoryModel> mem_;
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
@@ -493,7 +521,7 @@ class RtUnit : public pipeline::Component
      *  counter track only records changes. */
     uint64_t trace_occupancy_last_ = ~uint64_t(0);
     /** Set by issueFetch when a full MSHR file refused a fetch this
-     *  cycle; read (and reset) by the schedulers' idle classification. */
+     *  cycle; read by the next cycle's idle classification. */
     bool mshr_refused_ = false;
 
     /** Per-lane issue bookkeeping, reset each publish(). A lane with
@@ -501,8 +529,8 @@ class RtUnit : public pipeline::Component
     static constexpr size_t kNoOffer = ~size_t(0);
     struct LaneOffer
     {
-        size_t entry = kNoOffer; ///< entry (scalar) or packet slot
-        size_t beat = 0;         ///< pending-beat index (packet mode)
+        size_t entry = kNoOffer; ///< slot the offered beat belongs to
+        size_t beat = 0;         ///< pending-beat or -candidate index
     };
     std::vector<LaneOffer> offers_;
     /** Per-lane in-flight beats (packet mode): each accepted beat,

@@ -2,26 +2,25 @@
  * @file
  * Top-down issue-slot attribution for the RT unit.
  *
- * The unit already accounts every issue slot of every cycle: step (a)
- * of the cycle loop increments exactly one of datapath_beats or
- * datapath_idle per lane per cycle. Those two buckets answer "how busy
- * was the datapath" but not "what was the idle time spent waiting ON"
- * — an L1 miss in flight, a full MSHR file, a contended L2 bank queue,
- * ring hops, results still draining, or genuinely no work. This module
- * refines the same per-slot accounting into an EXCLUSIVE taxonomy:
- * each issue slot lands in exactly one bucket, so the buckets obey a
- * hard conservation invariant,
+ * Step (a) of the unit's cycle loop accounts every issue slot of every
+ * cycle: a lane either issues a beat or idles. Issued-vs-idle answers
+ * "how busy was the datapath" but not "what was the idle time spent
+ * waiting ON" — an L1 miss in flight, a full MSHR file, a contended L2
+ * bank queue, ring hops, results still draining, or genuinely no work.
+ * This module refines the per-slot accounting into an EXCLUSIVE
+ * taxonomy: each issue slot lands in exactly one bucket, so the
+ * buckets obey a hard conservation invariant,
  *
  *     SlotAccounting::total() == cycles * issue_width
  *
  * in every configuration (scalar, packet and k-NN schedulers; flat,
  * cached and chip-mode memory), pinned by tests/test_obs.cc. The
- * `Issued` bucket always equals datapath_beats, so the legacy counters
- * stay untouched and bit-identical.
+ * `Issued` bucket always equals datapath_beats; the idle slots are
+ * total() - Issued and the memory-stall slots memoryStallSlots().
  *
  * Attribution of an idle slot follows a fixed priority, computed once
- * per cycle (all idle slots of a cycle share the cause — the same lazy
- * evaluation the existing waiting-on-memory counter uses):
+ * per cycle (all idle slots of a cycle share the cause, so the unit
+ * classifies lazily on the first idle lane):
  *
  *   1. no slot holds work at all            -> IdleNoWork
  *   2. a fetch is refused by a full MSHR    -> StallMshrFull

@@ -9,9 +9,9 @@
  * refs (ray pointer + hit-record pointer) and hands them to the shared
  * sim::BatchExecutor, which scatters hit records into disjoint slices
  * of the shared output vector — so no synchronization is needed on
- * results. Statistics are accumulated per worker and merged after the
- * join, which is safe because the merge operation is commutative and
- * associative.
+ * results. Each batch's statistics land in the batch's own result
+ * slot and are merged after the join, in batch order (the merge is
+ * commutative and associative, so the order is only for clarity).
  *
  * Workers live in a persistent pool (Engine::Pool): threads are spawned
  * once, then parked on a condition variable between runs. A run hands
@@ -19,8 +19,8 @@
  * job(worker_id) and reports back, and the dispatching thread blocks
  * until all drafted workers have returned. Single-worker runs bypass
  * the pool entirely and execute inline on the calling thread. The
- * streaming service (sim/stream.hh) dispatches onto the same pool
- * through Engine::dispatchWorkers.
+ * streaming service (sim/stream.hh) runs its planned batches through
+ * the same loop, Engine::shard.
  */
 #include "sim/engine.hh"
 
@@ -138,58 +138,32 @@ Engine::dispatchWorkers(unsigned n,
 }
 
 /**
- * Slice `items` into batches, let up to resolved_threads_ workers claim
- * them off one atomic counter and run execute(range) on each, and merge
- * the per-worker tallies in worker order into the returned result.
- * Fills report.batches, threads_used and elapsed_seconds; rethrows the
- * first worker exception after the join. With `tracing`, the returned
- * trace is the batches' traces concatenated in batch order onto one
- * sequential simulated timeline (batch k starts where batch k-1 ended),
- * each bracketed by BatchStart/BatchEnd.
+ * The one batch loop: up to resolved_threads_ workers claim batch
+ * indices off one atomic counter and run execute(bi) on each; every
+ * result lands in its batch-index slot (disjoint writes, no
+ * synchronization), so callers merge and lay out timelines in batch
+ * order no matter which worker ran which batch. Fills threads_used and
+ * elapsed_seconds; rethrows the first worker exception after the join.
  */
-template <typename Report, typename Execute>
-BatchResult
-Engine::shard(size_t items, bool tracing, Report &report,
-              const Execute &execute) const
+std::vector<BatchResult>
+Engine::shard(size_t batches,
+              const std::function<BatchResult(size_t)> &execute,
+              unsigned &threads_used, double &elapsed_seconds) const
 {
-    BatchResult total;
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(items, cfg_.batch_size);
-    report.batches = batches.size();
-    if (batches.empty()) {
-        report.threads_used = 0;
-        return total;
-    }
-
+    std::vector<BatchResult> results(batches);
     const unsigned threads =
-        unsigned(std::min<size_t>(resolved_threads_, batches.size()));
-    report.threads_used = threads;
+        unsigned(std::min<size_t>(resolved_threads_, batches));
+    threads_used = threads;
+    if (batches == 0)
+        return results;
 
     std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
     std::vector<std::exception_ptr> errors(threads);
-
-    // Tracing keeps per-batch results in batch-index slots (disjoint
-    // writes, no synchronization) so the post-join concatenation can
-    // rebuild the sequential simulated timeline in batch order no
-    // matter which worker ran which batch.
-    std::vector<std::vector<obs::TraceRecord>> batch_traces(
-        tracing ? batches.size() : 0);
-    std::vector<uint64_t> batch_cycles(tracing ? batches.size() : 0);
-
     auto worker = [&](unsigned wid) {
         try {
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                BatchResult br = execute(batches[bi]);
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].traversal.merge(br.traversal);
-                tallies[wid].knn.merge(br.knn);
-                if (tracing) {
-                    batch_traces[bi] = std::move(br.trace);
-                    batch_cycles[bi] = br.sim_cycles;
-                }
-            }
+            for (size_t bi = next_batch.fetch_add(1); bi < batches;
+                 bi = next_batch.fetch_add(1))
+                results[bi] = execute(bi);
         } catch (...) {
             errors[wid] = std::current_exception();
         }
@@ -198,39 +172,12 @@ Engine::shard(size_t items, bool tracing, Report &report,
     const auto t0 = std::chrono::steady_clock::now();
     dispatchWorkers(threads, worker);
     const auto t1 = std::chrono::steady_clock::now();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
+    elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
 
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);
-
-    // Merge worker tallies in worker-id order. Any order would give the
-    // same counters (sums and maxima commute); a fixed order just makes
-    // that property obvious.
-    for (const BatchResult &t : tallies) {
-        total.unit.merge(t.unit);
-        total.traversal.merge(t.traversal);
-        total.knn.merge(t.knn);
-    }
-
-    // The decomposition into batches and each batch's evolution are
-    // both worker-independent, so the assembled trace is bit-identical
-    // at every worker count.
-    uint64_t offset = 0;
-    for (size_t bi = 0; bi < batch_traces.size(); ++bi) {
-        const uint64_t rays = batches[bi].size();
-        total.trace.push_back(
-            {offset, 0, obs::TraceEvent::BatchStart, uint64_t(bi), rays});
-        for (obs::TraceRecord rec : batch_traces[bi]) {
-            rec.cycle += offset;
-            total.trace.push_back(rec);
-        }
-        offset += batch_cycles[bi];
-        total.trace.push_back(
-            {offset, 0, obs::TraceEvent::BatchEnd, uint64_t(bi), rays});
-    }
-    return total;
+    return results;
 }
 
 EngineReport
@@ -247,22 +194,51 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
     const BatchExecutor exec(bvh, executorConfig());
     EngineReport report;
     report.hits.resize(rays.size());
-    const bool tracing =
-        cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
+    const std::vector<core::BatchRange> batches =
+        core::sliceBatches(rays.size(), cfg_.batch_size);
+    report.batches = batches.size();
 
-    BatchResult total = shard(
-        rays.size(), tracing, report, [&](const core::BatchRange &r) {
+    std::vector<BatchResult> results = shard(
+        batches.size(),
+        [&](size_t bi) {
             // Gather the contiguous range into executor refs: the
             // executor then sees the same rays with the same local ids
             // in the same order as a direct single-unit run.
+            const core::BatchRange &r = batches[bi];
             std::vector<BatchRayRef> refs(r.size());
             for (size_t i = r.begin; i < r.end; ++i)
                 refs[i - r.begin] = {&rays[i], &report.hits[i], 0};
             return exec.executeBatch(refs.data(), refs.size(), any_hit);
-        });
-    report.unit = std::move(total.unit);
-    report.traversal = total.traversal;
-    report.trace = std::move(total.trace);
+        },
+        report.threads_used, report.elapsed_seconds);
+
+    // Merge in batch order (sums and maxima commute, so any order
+    // would give the same counters). With tracing, the batches' traces
+    // are concatenated onto one sequential simulated timeline (batch k
+    // starts where batch k-1 ended), each bracketed by
+    // BatchStart/BatchEnd; the decomposition into batches and each
+    // batch's evolution are both worker-independent, so the assembled
+    // trace is bit-identical at every worker count.
+    const bool tracing =
+        cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
+    uint64_t offset = 0;
+    for (size_t bi = 0; bi < results.size(); ++bi) {
+        const BatchResult &br = results[bi];
+        report.unit.merge(br.unit);
+        report.traversal.merge(br.traversal);
+        if (!tracing)
+            continue;
+        const uint64_t n = batches[bi].size();
+        report.trace.push_back(
+            {offset, 0, obs::TraceEvent::BatchStart, uint64_t(bi), n});
+        for (obs::TraceRecord rec : br.trace) {
+            rec.cycle += offset;
+            report.trace.push_back(rec);
+        }
+        offset += br.sim_cycles;
+        report.trace.push_back(
+            {offset, 0, obs::TraceEvent::BatchEnd, uint64_t(bi), n});
+    }
     return report;
 }
 
@@ -282,20 +258,30 @@ Engine::runKnn(const bvh::KnnIndex &index,
     const BatchExecutor exec(index, ec);
     KnnReport report;
     report.results.resize(queries.size());
+    const std::vector<core::BatchRange> batches =
+        core::sliceBatches(queries.size(), cfg_.batch_size);
+    report.batches = batches.size();
 
-    BatchResult total = shard(
-        queries.size(), false, report, [&](const core::BatchRange &r) {
-            std::vector<KnnBatchRef> refs(r.size());
-            for (size_t i = r.begin; i < r.end; ++i)
-                refs[i - r.begin] = {&queries[i], &report.results[i]};
-            return exec.executeKnnBatch(refs.data(), refs.size());
-        });
-    report.unit = std::move(total.unit);
+    bvh::KnnStats functional;
+    for (const BatchResult &br : shard(
+             batches.size(),
+             [&](size_t bi) {
+                 const core::BatchRange &r = batches[bi];
+                 std::vector<KnnBatchRef> refs(r.size());
+                 for (size_t i = r.begin; i < r.end; ++i)
+                     refs[i - r.begin] = {&queries[i],
+                                          &report.results[i]};
+                 return exec.executeKnnBatch(refs.data(), refs.size());
+             },
+             report.threads_used, report.elapsed_seconds)) {
+        report.unit.merge(br.unit);
+        functional.merge(br.knn);
+    }
     // One traversal-counter field whatever the model: the cycle
     // model's counters live inside the unit stats.
     report.knn = cfg_.model == ExecutionModel::CycleAccurate
                      ? report.unit.knn
-                     : total.knn;
+                     : functional;
     return report;
 }
 

@@ -212,18 +212,23 @@ class Engine
     ExecutorConfig executorConfig() const { return cfg_; }
 
   private:
-    friend class StreamingService; ///< shares the pool (sim/stream.hh)
+    friend class StreamingService; ///< shares shard() (sim/stream.hh)
 
     class Pool;
 
-    /** The one shard loop behind run() and runKnn() (see engine.cc). */
-    template <typename Report, typename Execute>
-    BatchResult shard(size_t items, bool tracing, Report &report,
-                      const Execute &execute) const;
+    /** The one batch loop behind run(), runKnn() and
+     *  StreamingService::finish: execute(0) .. execute(batches - 1) on
+     *  the worker pool, each result in its batch-index slot (see
+     *  engine.cc). */
+    std::vector<BatchResult>
+    shard(size_t batches,
+          const std::function<BatchResult(size_t)> &execute,
+          unsigned &threads_used, double &elapsed_seconds) const;
 
     /** Run job(0)..job(n-1) on the shared worker pool (inline on the
      *  calling thread when n == 1), serializing with other runs on
-     *  pool_mutex_; blocks until every worker returned. */
+     *  pool_mutex_; blocks until every worker returned. shard() is the
+     *  only caller. */
     void dispatchWorkers(unsigned n,
                          const std::function<void(unsigned)> &job) const;
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bvh/traversal.hh"
@@ -155,9 +156,12 @@ BatchExecutor::runUnits(const Family &family,
         sim.tick();
         ++ticks;
     }
-    if (!all_done())
-        throw std::runtime_error(
-            "BatchExecutor: batch exceeded max_cycles_per_batch");
+    for (unsigned u = 0; u < units; ++u)
+        if (!us[u]->done())
+            throw std::runtime_error(
+                "BatchExecutor: batch exceeded max_cycles_per_batch (" +
+                std::to_string(cfg_.max_cycles_per_batch) + "): unit " +
+                std::to_string(u) + ": " + us[u]->stallReport());
 
     BatchResult res;
     for (auto &u : us)

@@ -1,16 +1,13 @@
 /**
  * @file
- * Streaming service implementation: plan, double-buffered execute,
- * simulated timeline.
+ * Streaming service implementation: plan, execute, simulated timeline.
  *
  * finish() is three deterministic phases. PLAN: the sorted job list
- * goes through BatchScheduler::plan, a pure function. EXECUTE: every
- * planned batch is gathered into executor refs and run on a freshly
- * constructed unit (sim::BatchExecutor); with multiple workers a
- * filler thread builds gather arrays ahead of the executing workers
- * through a bounded channel (double-buffered fill), and per-batch
- * results land in a slot indexed by plan order — so neither the
- * channel timing nor the worker count can influence any result.
+ * goes through BatchScheduler::plan, a pure function. EXECUTE: the
+ * engine's batch loop (Engine::shard) runs planned batch bi on a
+ * worker, which gathers it into executor refs and runs it on a freshly
+ * constructed unit (sim::BatchExecutor); each result lands in the slot
+ * of its plan index, so the worker count cannot influence any result.
  * TIMELINE: batches are charged sequentially in plan order
  * (start = max(previous end, ready tick), end = start + the batch's
  * simulated cycles) and per-job latencies read off that timeline.
@@ -18,9 +15,6 @@
 #include "sim/stream.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -122,30 +116,17 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
     return plans;
 }
 
-namespace
-{
-
-/** One gathered batch in flight from the filler to a worker. */
-struct FilledBatch
-{
-    size_t index = 0;
-    bool any_hit = false;
-    std::vector<BatchRayRef> refs;
-};
-
-} // namespace
-
 StreamingService::StreamingService(const Engine &engine,
                                    const StreamConfig &cfg)
-    : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity)
+    : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity),
+      // The collector drains the bounded queue into the job table as
+      // submissions arrive, so back-pressure engages only when
+      // submitters outrun the drain by queue_capacity jobs.
+      collector_([this] {
+          while (std::optional<RenderJob> job = queue_.pop())
+              jobs_.push_back(std::move(*job));
+      })
 {
-    // The collector drains the bounded queue into the job table as
-    // submissions arrive, so back-pressure engages only when
-    // submitters outrun the drain by queue_capacity jobs.
-    collector_ = std::thread([this] {
-        while (std::optional<RenderJob> job = queue_.pop())
-            jobs_.push_back(std::move(*job));
-    });
 }
 
 StreamingService::~StreamingService()
@@ -208,83 +189,18 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
     }
 
     const BatchExecutor exec(bvh, engine_.executorConfig());
-    std::vector<BatchResult> results(plans.size());
-
-    unsigned threads = engine_.resolved_threads_;
-    if (size_t(threads) > plans.size())
-        threads = unsigned(plans.size());
-    rep.threads_used = threads;
-
-    const auto gather = [&](size_t bi, std::vector<BatchRayRef> &refs) {
-        const PlannedBatch &b = plans[bi];
-        refs.resize(b.rays.size());
-        for (size_t k = 0; k < b.rays.size(); ++k) {
-            const auto [j, ri] = b.rays[k];
-            refs[k] = {&jobs_[j].rays[ri], &rep.jobs[j].hits[ri], j};
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    if (threads <= 1) {
-        std::vector<BatchRayRef> refs;
-        for (size_t bi = 0; bi < plans.size(); ++bi) {
-            gather(bi, refs);
-            results[bi] = exec.executeBatch(refs.data(), refs.size(),
-                                            plans[bi].any_hit);
-        }
-    } else {
-        // Double-buffered fill: the filler builds gather arrays ahead
-        // of the executing workers, bounded so it never runs away.
-        // Results land in plan-order slots, so channel and worker
-        // timing cannot reach any reported number.
-        BoundedQueue<FilledBatch> channel(size_t(threads) * 2);
-        std::exception_ptr fill_error;
-        std::thread filler([&] {
-            try {
-                for (size_t bi = 0; bi < plans.size(); ++bi) {
-                    FilledBatch f;
-                    f.index = bi;
-                    f.any_hit = plans[bi].any_hit;
-                    gather(bi, f.refs);
-                    if (!channel.push(std::move(f)))
-                        break; // closed early: a worker failed
-                }
-            } catch (...) {
-                fill_error = std::current_exception();
+    const std::vector<BatchResult> results = engine_.shard(
+        plans.size(),
+        [&](size_t bi) {
+            const PlannedBatch &b = plans[bi];
+            std::vector<BatchRayRef> refs(b.rays.size());
+            for (size_t k = 0; k < b.rays.size(); ++k) {
+                const auto [j, ri] = b.rays[k];
+                refs[k] = {&jobs_[j].rays[ri], &rep.jobs[j].hits[ri], j};
             }
-            channel.close();
-        });
-
-        std::vector<std::exception_ptr> errors(threads);
-        std::atomic<bool> abort{false};
-        engine_.dispatchWorkers(
-            threads,
-            [&](unsigned wid) {
-                while (std::optional<FilledBatch> f = channel.pop()) {
-                    if (abort.load(std::memory_order_relaxed))
-                        continue; // drain so the filler never blocks
-                    try {
-                        results[f->index] = exec.executeBatch(
-                            f->refs.data(), f->refs.size(),
-                            f->any_hit);
-                    } catch (...) {
-                        errors[wid] = std::current_exception();
-                        abort.store(true,
-                                    std::memory_order_relaxed);
-                    }
-                }
-            });
-        channel.close();
-        filler.join();
-        if (fill_error)
-            std::rethrow_exception(fill_error);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    rep.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
+            return exec.executeBatch(refs.data(), refs.size(), b.any_hit);
+        },
+        rep.threads_used, rep.elapsed_seconds);
 
     // Merge batch statistics in plan order (any order would give the
     // same sums; a fixed order makes that obvious).

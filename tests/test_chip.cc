@@ -111,9 +111,9 @@ TEST(Chip, InactiveChipReproducesPr5ScheduleBitForBit)
     sim::EngineReport s = sim::Engine(scalar).run(bvh, rays);
     EXPECT_EQ(s.unit.cycles, 6211u);
     EXPECT_EQ(s.unit.datapath_beats, 4791u);
-    EXPECT_EQ(s.unit.datapath_idle, 1420u);
+    EXPECT_EQ(s.unit.slots.total() - s.unit.slots[obs::Slot::Issued], 1420u);
     EXPECT_EQ(s.unit.mem_requests, 3212u);
-    EXPECT_EQ(s.unit.stall_on_memory, 1129u);
+    EXPECT_EQ(s.unit.slots.memoryStallSlots(), 1129u);
     EXPECT_EQ(s.unit.rays_completed, rays.size());
     EXPECT_EQ(s.unit.chip_cycles, 0u);
     EXPECT_TRUE(s.unit.l2_banks.empty());
@@ -123,9 +123,9 @@ TEST(Chip, InactiveChipReproducesPr5ScheduleBitForBit)
     sim::EngineReport p = sim::Engine(packet8).run(bvh, rays);
     EXPECT_EQ(p.unit.cycles, 10154u);
     EXPECT_EQ(p.unit.datapath_beats, 4793u);
-    EXPECT_EQ(p.unit.datapath_idle, 5361u);
+    EXPECT_EQ(p.unit.slots.total() - p.unit.slots[obs::Slot::Issued], 5361u);
     EXPECT_EQ(p.unit.mem_requests, 968u);
-    EXPECT_EQ(p.unit.stall_on_memory, 5027u);
+    EXPECT_EQ(p.unit.slots.memoryStallSlots(), 5027u);
     EXPECT_EQ(p.unit.chip_cycles, 0u);
     EXPECT_TRUE(p.unit.l2_banks.empty());
 }

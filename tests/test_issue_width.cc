@@ -113,9 +113,9 @@ TEST(MultiIssue, DefaultsReproducePr4TimingBitForBit)
     sim::EngineReport s = sim::Engine(scalar).run(bvh, rays);
     EXPECT_EQ(s.unit.cycles, 6211u);
     EXPECT_EQ(s.unit.datapath_beats, 4791u);
-    EXPECT_EQ(s.unit.datapath_idle, 1420u);
+    EXPECT_EQ(s.unit.slots.total() - s.unit.slots[obs::Slot::Issued], 1420u);
     EXPECT_EQ(s.unit.mem_requests, 3212u);
-    EXPECT_EQ(s.unit.stall_on_memory, 1129u);
+    EXPECT_EQ(s.unit.slots.memoryStallSlots(), 1129u);
     EXPECT_EQ(s.unit.rays_completed, rays.size());
     EXPECT_EQ(s.unit.mshr, MshrStats{});
 
@@ -124,9 +124,9 @@ TEST(MultiIssue, DefaultsReproducePr4TimingBitForBit)
     sim::EngineReport p = sim::Engine(packet8).run(bvh, rays);
     EXPECT_EQ(p.unit.cycles, 10154u);
     EXPECT_EQ(p.unit.datapath_beats, 4793u);
-    EXPECT_EQ(p.unit.datapath_idle, 5361u);
+    EXPECT_EQ(p.unit.slots.total() - p.unit.slots[obs::Slot::Issued], 5361u);
     EXPECT_EQ(p.unit.mem_requests, 968u);
-    EXPECT_EQ(p.unit.stall_on_memory, 5027u);
+    EXPECT_EQ(p.unit.slots.memoryStallSlots(), 5027u);
     EXPECT_EQ(p.unit.packet.compactions, 0u);
     EXPECT_EQ(p.unit.mshr, MshrStats{});
 }
@@ -358,8 +358,10 @@ TEST(MultiIssue, SchedulerStatParityWithOneOccupancyPackets)
         sim::EngineReport p = sim::Engine(packet).run(bvh, one);
 
         ASSERT_TRUE(bitIdentical(p.hits[0], s.hits[0]));
-        EXPECT_EQ(p.unit.stall_on_memory, s.unit.stall_on_memory);
-        EXPECT_EQ(p.unit.datapath_idle, s.unit.datapath_idle);
+        EXPECT_EQ(p.unit.slots.memoryStallSlots(),
+                  s.unit.slots.memoryStallSlots());
+        EXPECT_EQ(p.unit.slots.total() - p.unit.slots[obs::Slot::Issued],
+                  s.unit.slots.total() - s.unit.slots[obs::Slot::Issued]);
         EXPECT_EQ(p.unit.cycles, s.unit.cycles);
         EXPECT_EQ(p.unit.datapath_beats, s.unit.datapath_beats);
         EXPECT_EQ(p.unit.mem_requests, s.unit.mem_requests);

@@ -390,8 +390,8 @@ TEST(KnnEngine, WorkerCountInvarianceAcrossMemoryKnobs)
             EXPECT_EQ(rep.unit.datapath_beats,
                       ref.unit.datapath_beats);
             EXPECT_EQ(rep.unit.mem_requests, ref.unit.mem_requests);
-            EXPECT_EQ(rep.unit.stall_on_memory,
-                      ref.unit.stall_on_memory);
+            EXPECT_EQ(rep.unit.slots.memoryStallSlots(),
+                      ref.unit.slots.memoryStallSlots());
             EXPECT_EQ(rep.unit.mem.hits, ref.unit.mem.hits);
             EXPECT_EQ(rep.unit.mem.misses, ref.unit.mem.misses);
             EXPECT_EQ(rep.unit.mshr.merges, ref.unit.mshr.merges);

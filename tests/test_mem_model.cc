@@ -388,7 +388,7 @@ TEST(NodeCache, HitRateFallsAsSceneOutgrowsCache)
     // growing triangle count. Once the node working set exceeds the
     // cache, the hit rate must fall monotonically with scene size —
     // this is exactly the signal the flat-latency model could not
-    // produce (its stall_on_memory was scene-size-blind per fetch).
+    // produce (its memory-stall time was scene-size-blind per fetch).
     // Scene, camera and engine setup mirror BM_NodeCacheSceneSweep in
     // bench/bench_sim_engine.cc so this test pins the same workload
     // that benchmark reports; retune them together.

@@ -240,9 +240,7 @@ expectStatsEqual(const RtUnitStats &a, const RtUnitStats &b)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.rays_completed, b.rays_completed);
     EXPECT_EQ(a.datapath_beats, b.datapath_beats);
-    EXPECT_EQ(a.datapath_idle, b.datapath_idle);
     EXPECT_EQ(a.mem_requests, b.mem_requests);
-    EXPECT_EQ(a.stall_on_memory, b.stall_on_memory);
     EXPECT_EQ(a.mem.hits, b.mem.hits);
     EXPECT_EQ(a.mem.misses, b.mem.misses);
     EXPECT_EQ(a.mshr.merges, b.mshr.merges);

@@ -334,6 +334,35 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
 }
 
+TEST(SimEngine, MaxCyclesMessageNamesTheStuckUnitAndSlot)
+{
+    // The watchdog says which unit hung, how much work it still held
+    // and where its first busy slot sits.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 32);
+
+    sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.max_cycles_per_batch = 5;
+    try {
+        sim::Engine(cfg).run(bvh, rays);
+        FAIL() << "a 5-cycle budget cannot trace the batch";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("max_cycles_per_batch (5)"), std::string::npos)
+            << msg;
+        const std::string where = "unit 0: " +
+                                  std::to_string(rays.size()) +
+                                  " rays outstanding, slot 0 ";
+        EXPECT_NE(msg.find(where), std::string::npos) << msg;
+        bool names_state = false;
+        for (const char *state : {"NeedFetch", "Fetching", "ReadyBox",
+                                  "ReadyTri", "InFlight"})
+            names_state = names_state || msg.find(state) != msg.npos;
+        EXPECT_TRUE(names_state) << msg;
+    }
+}
+
 TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
 {
     // Zero ray-buffer entries or zero memory requests per cycle can

@@ -357,6 +357,44 @@ TEST(StreamingService, ApiMisuseThrows)
     }
 }
 
+TEST(StreamingService, ZeroKnobsCompleteIdenticallyAtEveryWorkerCount)
+{
+    // No StreamConfig knob can livelock: batch_size 0 means unbounded
+    // batches, queue_capacity 0 is clamped to 1 by BoundedQueue and
+    // plan_cycles_per_ray 0 means instant planning.
+    Bvh4 bvh = testScene();
+    sim::StreamConfig zero;
+    zero.batch_size = 0;
+    zero.queue_capacity = 0;
+    zero.plan_cycles_per_ray = 0;
+    for (int knob = 0; knob < 3; ++knob) {
+        sim::StreamConfig scfg;
+        scfg.batch_size = knob == 0 ? 0 : 64;
+        scfg.queue_capacity = knob == 1 ? 0 : scfg.queue_capacity;
+        scfg.plan_cycles_per_ray =
+            knob == 2 ? 0 : scfg.plan_cycles_per_ray;
+        for (const sim::StreamConfig &cfg : {scfg, zero}) {
+            sim::StreamReport ref = sim::StreamingService::run(
+                sim::Engine(packetEngineConfig(1)), bvh,
+                mixedSchedule(bvh), cfg);
+            sim::StreamReport rep = sim::StreamingService::run(
+                sim::Engine(packetEngineConfig(3)), bvh,
+                mixedSchedule(bvh), cfg);
+            EXPECT_EQ(ref.total_rays, 192u + 150u + 64u);
+            EXPECT_EQ(rep.unit, ref.unit) << "knob " << knob;
+            EXPECT_EQ(rep.batches, ref.batches);
+            EXPECT_EQ(rep.makespan_ticks, ref.makespan_ticks);
+            EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
+            EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
+            ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
+            for (size_t j = 0; j < ref.jobs.size(); ++j)
+                EXPECT_TRUE(
+                    jobReportsIdentical(rep.jobs[j], ref.jobs[j]))
+                    << "knob " << knob;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cross-job packet formation and head-of-line blocking.
 // ---------------------------------------------------------------------
@@ -515,9 +553,10 @@ TEST(BatchApiPin, LoadedSingleUnitReproducesPr6BitForBit)
     EXPECT_EQ(rep.unit.cycles, 13143u);
     EXPECT_EQ(rep.unit.rays_completed, 304u);
     EXPECT_EQ(rep.unit.datapath_beats, 4793u);
-    EXPECT_EQ(rep.unit.datapath_idle, 21493u);
+    EXPECT_EQ(rep.unit.slots.total() - rep.unit.slots[obs::Slot::Issued],
+              21493u);
     EXPECT_EQ(rep.unit.mem_requests, 793u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 20499u);
+    EXPECT_EQ(rep.unit.slots.memoryStallSlots(), 20499u);
     EXPECT_EQ(rep.unit.mem.hits, 609u);
     EXPECT_EQ(rep.unit.mem.misses, 1263u);
     EXPECT_EQ(rep.unit.mem.evictions, 943u);
@@ -556,9 +595,10 @@ TEST(BatchApiPin, SharedL2ChipReproducesPr6BitForBit)
     EXPECT_EQ(rep.unit.cycles, 44940u);
     EXPECT_EQ(rep.unit.rays_completed, 304u);
     EXPECT_EQ(rep.unit.datapath_beats, 4792u);
-    EXPECT_EQ(rep.unit.datapath_idle, 40148u);
+    EXPECT_EQ(rep.unit.slots.total() - rep.unit.slots[obs::Slot::Issued],
+              40148u);
     EXPECT_EQ(rep.unit.mem_requests, 1352u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 36666u);
+    EXPECT_EQ(rep.unit.slots.memoryStallSlots(), 36666u);
     EXPECT_EQ(rep.unit.mem.hits, 949u);
     EXPECT_EQ(rep.unit.mem.misses, 2247u);
     EXPECT_EQ(rep.unit.mem.evictions, 1000u);
@@ -605,9 +645,10 @@ TEST(BatchApiPin, RenderPassesReproducesPr6BitForBit)
     EXPECT_EQ(rep.total_rays, 488u);
     EXPECT_EQ(rep.unit.cycles, 22771u);
     EXPECT_EQ(rep.unit.datapath_beats, 7637u);
-    EXPECT_EQ(rep.unit.datapath_idle, 15134u);
+    EXPECT_EQ(rep.unit.slots.total() - rep.unit.slots[obs::Slot::Issued],
+              15134u);
     EXPECT_EQ(rep.unit.mem_requests, 1719u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 14501u);
+    EXPECT_EQ(rep.unit.slots.memoryStallSlots(), 14501u);
     EXPECT_EQ(rep.unit.mem.hits, 1718u);
     EXPECT_EQ(rep.unit.mem.misses, 2381u);
     EXPECT_EQ(rep.unit.mem.evictions, 1869u);
@@ -728,9 +769,9 @@ TEST(BatchApiPin, KnnSingleUnitCounters)
     EXPECT_EQ(u.chip_cycles, 0u);
     EXPECT_EQ(u.rays_completed, 0u);
     EXPECT_EQ(u.datapath_beats, 18874u);
-    EXPECT_EQ(u.datapath_idle, 126438u);
+    EXPECT_EQ(u.slots.total() - u.slots[obs::Slot::Issued], 126438u);
     EXPECT_EQ(u.mem_requests, 7834u);
-    EXPECT_EQ(u.stall_on_memory, 126334u);
+    EXPECT_EQ(u.slots.memoryStallSlots(), 126334u);
     EXPECT_EQ(u.beats_by_op,
               (std::array<uint64_t, kNumOpcodes>{0, 0, 18874, 0}));
     EXPECT_EQ(Fields3({u.mem.hits, u.mem.misses, u.mem.evictions}),
@@ -757,9 +798,9 @@ TEST(BatchApiPin, KnnSharedL2ChipCounters)
     EXPECT_EQ(u.chip_cycles, 31865u);
     EXPECT_EQ(u.rays_completed, 0u);
     EXPECT_EQ(u.datapath_beats, 38400u);
-    EXPECT_EQ(u.datapath_idle, 89054u);
+    EXPECT_EQ(u.slots.total() - u.slots[obs::Slot::Issued], 89054u);
     EXPECT_EQ(u.mem_requests, 862u);
-    EXPECT_EQ(u.stall_on_memory, 88910u);
+    EXPECT_EQ(u.slots.memoryStallSlots(), 88910u);
     EXPECT_EQ(u.beats_by_op,
               (std::array<uint64_t, kNumOpcodes>{0, 0, 0, 38400}));
     EXPECT_EQ(Fields3({u.mem.hits, u.mem.misses, u.mem.evictions}),
@@ -803,4 +844,205 @@ TEST(BatchApiPin, TracedRunDigests)
     const sim::EngineReport c = sim::Engine(chip).run(bvh, rays);
     EXPECT_EQ(c.trace.size(), 7950u);
     EXPECT_EQ(traceDigest(c.trace), 8161187862585844099ull);
+}
+
+// ---------------------------------------------------------------------
+// Scheduler-coverage pins: the full unit counters of the configurations
+// the pins above leave out (the scalar scheduler at issue_width > 1
+// with MSHRs and a cache, any-hit on both ray schedulers, k-NN at
+// issue_width 4) and the report of a mixed stream schedule, captured
+// before the RT unit's three cycle loops were folded into one.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+using Fields10 = std::array<uint64_t, 10>;
+
+/** Every RtUnitStats field, grouped so a mismatch names its group. The
+ *  idle and memory-stall slot counts are read off the slot buckets. */
+struct UnitPin
+{
+    /** cycles, chip_cycles, rays_completed, datapath_beats,
+     *  mem_requests, idle slots, memory-stall slots. */
+    Fields7 scalars;
+    std::array<uint64_t, kNumOpcodes> beats_by_op;
+    Fields3 mem;  ///< hits, misses, evictions
+    Fields3 mshr; ///< allocations, merges, stalls_full
+    Fields10 packet;
+    Fields7 knn;
+    std::array<uint64_t, obs::kSlotBuckets> slots;
+    std::vector<Fields6> l2_banks;
+};
+
+UnitPin
+pinOf(const RtUnitStats &u)
+{
+    const PacketStats &p = u.packet;
+    return {{u.cycles, u.chip_cycles, u.rays_completed, u.datapath_beats,
+             u.mem_requests, u.slots.total() - u.slots[obs::Slot::Issued],
+             u.slots.memoryStallSlots()},
+            u.beats_by_op,
+            {u.mem.hits, u.mem.misses, u.mem.evictions},
+            {u.mshr.allocations, u.mshr.merges, u.mshr.stalls_full},
+            {p.packets_formed, p.node_visits, p.active_ray_visits,
+             p.fetches_shared, p.cross_job_fetches_shared,
+             p.divergence_splits, p.rays_retired, p.occupancy_at_retire,
+             p.compactions, p.lanes_repacked},
+            knnFields(u.knn),
+            u.slots.buckets,
+            bankFields(u.l2_banks)};
+}
+
+void
+expectUnitPin(const RtUnitStats &u, const UnitPin &want)
+{
+    const UnitPin got = pinOf(u);
+    EXPECT_EQ(got.scalars, want.scalars);
+    EXPECT_EQ(got.beats_by_op, want.beats_by_op);
+    EXPECT_EQ(got.mem, want.mem);
+    EXPECT_EQ(got.mshr, want.mshr);
+    EXPECT_EQ(got.packet, want.packet);
+    EXPECT_EQ(got.knn, want.knn);
+    EXPECT_EQ(got.slots, want.slots);
+    EXPECT_EQ(got.l2_banks, want.l2_banks);
+}
+
+size_t
+hitCount(const std::vector<HitRecord> &hits)
+{
+    size_t n = 0;
+    for (const HitRecord &h : hits)
+        n += h.hit;
+    return n;
+}
+
+/** The scalar scheduler (packet width 1) over the probe cache. */
+sim::EngineConfig
+scalarEngineConfig(unsigned issue_width, unsigned mshrs)
+{
+    sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.batch_size = 64;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.issue_width = issue_width;
+    cfg.rt.mshrs = mshrs;
+    return cfg;
+}
+
+} // namespace
+
+
+TEST(BatchApiPin, ScalarIssue4MshrCacheClosestHit)
+{
+    Bvh4 bvh = testScene();
+    const sim::EngineReport rep =
+        sim::Engine(scalarEngineConfig(4, 8)).run(bvh, pinRays(bvh));
+    EXPECT_EQ(rep.batches, 5u);
+    EXPECT_EQ(hitCount(rep.hits), 58u);
+    expectUnitPin(rep.unit,
+                  {{6535, 0, 304, 4791, 1497, 21349, 19343},
+                   {2435, 2356, 0, 0},
+                   {1752, 1643, 1323},
+                   {1497, 1715, 12090},
+                   {},
+                   {},
+                   {4791, 12364, 6979, 0, 0, 0, 1986, 20},
+                   {}});
+}
+
+TEST(BatchApiPin, ScalarAnyHit)
+{
+    Bvh4 bvh = testScene();
+    sim::EngineConfig cfg = scalarEngineConfig(2, 0);
+    cfg.any_hit = true;
+    const sim::EngineReport rep = sim::Engine(cfg).run(bvh, pinRays(bvh));
+    EXPECT_EQ(rep.batches, 5u);
+    EXPECT_EQ(hitCount(rep.hits), 58u);
+    expectUnitPin(rep.unit,
+                  {{5122, 0, 304, 4658, 3159, 5586, 4934},
+                   {2388, 2270, 0, 0},
+                   {5215, 1891, 1571},
+                   {},
+                   {},
+                   {},
+                   {4658, 4934, 0, 0, 0, 0, 642, 10},
+                   {}});
+}
+
+TEST(BatchApiPin, PacketCompactingAnyHit)
+{
+    Bvh4 bvh = testScene();
+    sim::EngineConfig cfg = packetEngineConfig(1);
+    cfg.batch_size = 64;
+    cfg.any_hit = true;
+    const sim::EngineReport rep = sim::Engine(cfg).run(bvh, pinRays(bvh));
+    EXPECT_EQ(rep.batches, 5u);
+    EXPECT_EQ(hitCount(rep.hits), 58u);
+    expectUnitPin(rep.unit,
+                  {{12221, 0, 304, 4722, 947, 7499, 7164},
+                   {2391, 2331, 0, 0},
+                   {979, 1257, 937},
+                   {},
+                   {38, 947, 3161, 2214, 0, 357, 304, 1416, 10, 19},
+                   {},
+                   {4722, 7164, 0, 0, 0, 0, 330, 5},
+                   {}});
+}
+
+TEST(BatchApiPin, KnnIssue4Mshr8Counters)
+{
+    // The knn_search shape: one unit, probe L1, issue 4, 8 MSHRs, every
+    // fourth query cosine.
+    const unsigned dims = 16;
+    const KnnIndex index = buildKnnIndex(makePointCloud(240, dims, 6, 41));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(80, dims, 6, 43))
+        queries.push_back({std::move(p.coords), 4,
+                           queries.size() % 4 == 3 ? KnnMetric::Cosine
+                                                   : KnnMetric::Euclidean});
+    sim::EngineConfig cfg = scalarEngineConfig(4, 8);
+    cfg.batch_size = 32;
+    cfg.dp = kExtendedUnified;
+    const sim::KnnReport rep = sim::Engine(cfg).runKnn(index, queries);
+    EXPECT_EQ(rep.batches, 3u);
+    expectUnitPin(rep.unit,
+                  {{34779, 0, 0, 24000, 6902, 115116, 114934},
+                   {0, 0, 14400, 9600},
+                   {5084, 12561, 12369},
+                   {6902, 3098, 250511},
+                   {},
+                   {80, 19200, 24000, 3280, 6720, 0, 59},
+                   {24000, 38953, 75981, 0, 0, 0, 170, 12},
+                   {}});
+}
+
+TEST(BatchApiPin, MixedStreamReport)
+{
+    Bvh4 bvh = testScene();
+    sim::StreamConfig scfg;
+    scfg.batch_size = 64;
+    const sim::StreamReport rep = sim::StreamingService::run(
+        sim::Engine(packetEngineConfig(1)), bvh, mixedSchedule(bvh), scfg);
+    sim::EngineConfig traced = packetEngineConfig(1);
+    traced.trace = true;
+    const sim::StreamReport tr = sim::StreamingService::run(
+        sim::Engine(traced), bvh, mixedSchedule(bvh), scfg);
+    EXPECT_EQ(rep.batches, 7u);
+    EXPECT_EQ(rep.makespan_ticks, 23003u);
+    EXPECT_EQ(rep.p50_job_latency, 14976u);
+    EXPECT_EQ(rep.p99_job_latency, 22528u);
+    EXPECT_EQ(rep.unit.cycles, 23003u);
+    ASSERT_EQ(rep.jobs.size(), 3u);
+    EXPECT_EQ(Fields3({rep.jobs[0].batches, rep.jobs[1].batches,
+                       rep.jobs[2].batches}),
+              Fields3({3, 4, 2}));
+    EXPECT_EQ(Fields3({rep.jobs[0].shared_batches,
+                       rep.jobs[1].shared_batches,
+                       rep.jobs[2].shared_batches}),
+              Fields3({0, 2, 2}));
+    EXPECT_EQ(tr.unit, rep.unit);
+    EXPECT_EQ(tr.trace.size(), 3563u);
+    EXPECT_EQ(traceDigest(tr.trace), 15567548716477660303ull);
 }
