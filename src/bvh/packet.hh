@@ -224,12 +224,12 @@ class PacketTraversal
      *  datapath output so the unit can route the result back here. */
     core::DatapathInput makeBeatAt(size_t j, uint64_t tag) const;
     /** Pending beat `j` was accepted by a datapath lane: remove it
-     *  from the queue and count it outstanding. @return the beat, for
-     *  the unit's per-lane in-flight queue. */
+     *  from the queue and count it outstanding. @return the beat,
+     *  which rides the lane's delay line beside its result. */
     PacketBeat takeBeatAt(size_t j);
     /** Fold one datapath result back into the packet. `beat` is the
      *  value takeBeatAt() returned when this result's input was
-     *  accepted — the unit's per-lane queues preserve it, so routing
+     *  accepted — the lane's delay line carries it, so routing
      *  is explicit rather than inferred from arrival order. */
     void handleResult(const core::DatapathOutput &out,
                       const PacketBeat &beat);
@@ -314,7 +314,7 @@ class PacketTraversal
 
     std::deque<PacketBeat> pending_; ///< beats not yet issued
     unsigned outstanding_ = 0; ///< accepted beats not yet resolved
-                               ///< (held in the unit's per-lane queues)
+                               ///< (held in the unit's delay lines)
     std::array<core::BoxResult, kMaxPacketWidth> box_res_;
 
     std::vector<std::pair<uint32_t, HitRecord>> completed_;

@@ -6,10 +6,11 @@
  * datapath lanes from ready rays, (b) drains one datapath result per
  * lane, (c) retires memory responses and issues new node fetches
  * through the shared L1 (optionally via the bounded MSHR file), and
- * (d) refills free ray-buffer slots from the submission queue. All
- * interactions with the datapath go through the ordinary valid-ready
- * handshake — one handshake per lane — so the unit observes real
- * pipeline back-pressure.
+ * (d) refills free ray-buffer slots from the submission queue. A lane
+ * is a delay line, not a skid chain: the unit always accepts results,
+ * so the chain could never back-pressure, and a beat's result is
+ * computed once when its lane accepts it and drains
+ * core::kPipelineLatency cycles later (RtUnit::Lane).
  *
  * advance() is the one cycle loop for all three schedulers. It does
  * the slot accounting, MSHR retirement, completion-ordered fill and
@@ -64,7 +65,8 @@ validate(const RtUnitConfig &cfg)
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg)
-    : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp), cfg_(cfg),
+    : pipeline::Component("rt-unit"), bvh_(bvh),
+      box_width_(dp.config().box_width), cfg_(cfg),
       mem_(makeMemoryModel(cfg.mem_backend, cfg.mem_latency, cfg.cache)),
       mshrs_(cfg.mshrs),
       tri_base_(uint64_t(bvh.nodes.size()) * kNodeStrideBytes)
@@ -74,16 +76,9 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
         std::clamp(cfg_.packet.width, 1u, kMaxPacketWidth);
     cfg_.issue_width =
         std::clamp(cfg_.issue_width, 1u, kMaxIssueWidth);
-    // Lane 0 is the caller's datapath; lanes 1..N-1 are private
-    // replicas of the same configuration, one handshake each.
-    lanes_.push_back(&dp_);
-    for (unsigned l = 1; l < cfg_.issue_width; ++l) {
-        extra_lanes_.push_back(
-            std::make_unique<core::RayFlexDatapath>(dp_.config()));
-        lanes_.push_back(extra_lanes_.back().get());
-    }
-    offers_.resize(lanes_.size());
-    lane_inflight_.resize(lanes_.size());
+    // The lanes implement dp's configuration; dp itself is never
+    // ticked (see Lane).
+    lanes_.resize(cfg_.issue_width);
     if (cfg_.packet.width > 1) {
         sched_ = Scheduler::Packet;
         // The ray buffer holds the same number of rays either way; a
@@ -121,7 +116,6 @@ RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
     compact_hold_.clear();
     knn_index_ = &index;
     knn_entries_.resize(cfg_.ray_buffer_entries);
-    knn_lane_.resize(lanes_.size());
 }
 
 /** Step-(c) preamble: release completed MSHR entries (sampling the
@@ -188,10 +182,8 @@ RtUnit::classifyIdle() const
                       st == EntryState::ReadyTri ||
                       st == EntryState::InFlight;
     }
-    for (const auto &q : lane_inflight_)
-        in_datapath = in_datapath || !q.empty();
-    for (const KnnLaneJob &j : knn_lane_)
-        in_datapath = in_datapath || j.active;
+    for (const Lane &l : lanes_)
+        in_datapath = in_datapath || l.size || l.knn.streaming();
     return in_datapath ? obs::Slot::StallDrain : obs::Slot::IdleNoWork;
 }
 
@@ -314,36 +306,32 @@ RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
  *  streaming (all beats of one job stay on one lane, in order, so the
  *  lane's accumulator only ever holds that job's partial sums); free
  *  lanes claim the first pending candidates in entry order, distinct
- *  candidates per lane. */
+ *  candidates per lane. A claim builds the candidate's beats once,
+ *  into the lane's job: the lane always accepts what it is offered. */
 void
 RtUnit::publishKnn()
 {
-    std::vector<uint32_t> claimed(knn_entries_.size(), 0);
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        KnnLaneJob &job = knn_lane_[l];
-        if (job.active) {
-            lanes_[l]->in().valid = true;
-            lanes_[l]->in().bits = job.beats[job.next_beat];
-            offers_[l].entry =
-                size_t(job.beats[job.next_beat].tag >> 32);
+    // Claims advance one cursor over (entry, pending position): every
+    // entry before it is ineligible or fully claimed this cycle.
+    size_t i = 0;
+    size_t pos = 0;
+    for (Lane &lane : lanes_) {
+        KnnLaneJob &job = lane.knn;
+        if (!job.free()) {
+            lane.offer.entry = size_t(job.beats[job.next_beat].tag >> 32);
             continue;
         }
-        bool found = false;
-        for (size_t i = 0; i < knn_entries_.size(); ++i) {
+        for (; i < knn_entries_.size(); ++i, pos = 0) {
             const KnnEntry &e = knn_entries_[i];
-            if (e.state != EntryState::ReadyTri ||
-                claimed[i] >= e.pending_cands.size())
-                continue;
-            const uint32_t tri = e.pending_cands[claimed[i]];
-            lanes_[l]->in().valid = true;
-            lanes_[l]->in().bits = knnCandidateBeats(i, tri).front();
-            offers_[l] = {i, claimed[i]};
-            ++claimed[i];
-            found = true;
-            break;
+            if (e.state == EntryState::ReadyTri &&
+                pos < e.pending_cands.size())
+                break;
         }
-        if (!found)
-            lanes_[l]->in().valid = false;
+        if (i == knn_entries_.size())
+            continue;
+        job.beats = knnCandidateBeats(i, knn_entries_[i].pending_cands[pos]);
+        job.next_beat = 0;
+        lane.offer = {i, pos++};
     }
 }
 
@@ -436,34 +424,24 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
 }
 
 /** k-NN accept: a locked lane advances its candidate; a free lane
- *  takes its offered candidate off the entry and locks on until the
- *  job's last beat is accepted. Lanes are accepted in descending order,
- *  so a shared entry's pending positions (claimed ascending in
- *  publishKnn) stay valid; once an entry's leaf work has fully issued
- *  it moves on to the next frontier item (the next fetch overlaps the
- *  in-flight scores). */
+ *  starts the candidate it claimed, taking it off the entry, and locks
+ *  on until the job's last beat is accepted. Lanes are accepted in
+ *  descending order, so a shared entry's pending positions (claimed
+ *  ascending in publishKnn) stay valid; once an entry's leaf work has
+ *  fully issued it moves on to the next frontier item (the next fetch
+ *  overlaps the in-flight scores). */
 void
 RtUnit::acceptKnnBeat(size_t l)
 {
     ++stats_.knn.distance_beats;
-    KnnLaneJob &job = knn_lane_[l];
-    if (job.active) {
-        ++job.next_beat;
-        if (job.next_beat == job.beats.size())
-            job = KnnLaneJob{}; // last beat accepted: lane free
+    KnnLaneJob &job = lanes_[l].knn;
+    if (job.next_beat++ > 0)
         return;
-    }
-    KnnEntry &e = knn_entries_[offers_[l].entry];
-    const size_t pos = offers_[l].beat;
-    const uint32_t tri = e.pending_cands[pos];
-    e.pending_cands.erase(e.pending_cands.begin() + ptrdiff_t(pos));
+    KnnEntry &e = knn_entries_[lanes_[l].offer.entry];
+    e.pending_cands.erase(e.pending_cands.begin() +
+                          ptrdiff_t(lanes_[l].offer.beat));
     ++e.inflight_cands;
     ++stats_.knn.candidates;
-    job.beats = knnCandidateBeats(offers_[l].entry, tri);
-    job.next_beat = 1;
-    job.active = job.next_beat < job.beats.size();
-    if (!job.active)
-        job = KnnLaneJob{};
     if (e.pending_cands.empty())
         popKnnFrontier(e);
 }
@@ -577,23 +555,17 @@ RtUnit::publishPacket()
         const size_t nb = p.pendingCount();
         for (size_t j = 0; j < nb && lane < lanes_.size();
              ++j, ++lane) {
-            lanes_[lane]->in().valid = true;
-            lanes_[lane]->in().bits = p.makeBeatAt(j, i);
-            offers_[lane] = {i, j};
+            lanes_[lane].in = p.makeBeatAt(j, i);
+            lanes_[lane].offer = {i, j};
         }
     }
-    for (; lane < lanes_.size(); ++lane)
-        lanes_[lane]->in().valid = false;
 }
 
 void
 RtUnit::publish(uint64_t)
 {
-    // Always willing to drain results, every lane.
-    for (core::RayFlexDatapath *l : lanes_)
-        l->out().ready = true;
-    for (LaneOffer &o : offers_)
-        o = LaneOffer{};
+    for (Lane &l : lanes_)
+        l.offer = LaneOffer{};
 
     if (knnMode()) {
         publishKnn();
@@ -609,8 +581,7 @@ RtUnit::publish(uint64_t)
     // utilization studies). An entry has at most one beat in flight,
     // so the scan hands each lane a distinct entry.
     size_t next = 0;
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        bool found = false;
+    for (Lane &lane : lanes_) {
         for (size_t i = next; i < entries_.size(); ++i) {
             Entry &e = entries_[i];
             if (e.state == EntryState::ReadyBox) {
@@ -625,26 +596,21 @@ RtUnit::publish(uint64_t)
                             ? emptySlotBox()
                             : node.child[c].bounds.toIoBox();
                 }
-                lanes_[l]->in().valid = true;
-                lanes_[l]->in().bits = in;
+                lane.in = in;
             } else if (e.state == EntryState::ReadyTri) {
                 DatapathInput in;
                 in.op = Opcode::RayTriangle;
                 in.ray = e.ray;
                 in.tag = i;
                 in.tri = bvh_.tris[e.leaf_next].toIoTriangle();
-                lanes_[l]->in().valid = true;
-                lanes_[l]->in().bits = in;
+                lane.in = in;
             } else {
                 continue;
             }
-            offers_[l].entry = i;
+            lane.offer.entry = i;
             next = i + 1;
-            found = true;
             break;
         }
-        if (!found)
-            lanes_[l]->in().valid = false;
     }
 }
 
@@ -736,15 +702,14 @@ RtUnit::slotState(size_t i) const
     return p.issueReady() ? EntryState::InFlight : EntryState::Fetching;
 }
 
-void
+RtUnit::InflightBeat
 RtUnit::acceptLane(size_t l)
 {
-    const LaneOffer o = offers_[l];
+    const LaneOffer o = lanes_[l].offer;
     if (knnMode()) {
         acceptKnnBeat(l);
     } else if (packetized()) {
-        lane_inflight_[l].push_back(
-            {o.entry, packets_[o.entry].takeBeatAt(o.beat)});
+        return {o.entry, packets_[o.entry].takeBeatAt(o.beat)};
     } else {
         // An entry has one beat in flight; a triangle beat latches the
         // triangle its result will name.
@@ -753,22 +718,22 @@ RtUnit::acceptLane(size_t l)
             e.inflight_tri = e.leaf_next++;
         e.state = EntryState::InFlight;
     }
+    return {};
 }
 
 void
-RtUnit::drainLane(size_t l, const core::DatapathOutput &out)
+RtUnit::drainLane(const core::DatapathOutput &out,
+                  const InflightBeat &packet)
 {
     if (knnMode()) {
         handleKnnResult(out);
     } else if (packetized()) {
-        // Each lane is in order, so its front in-flight beat names the
-        // result's packet, member lane and triangle. A result can
-        // complete the packet's current item, push children and retire
-        // lanes whose work ran out.
-        const InflightBeat ib = lane_inflight_[l].front();
-        lane_inflight_[l].pop_front();
-        PacketTraversal &p = packets_[ib.slot];
-        p.handleResult(out, ib.beat);
+        // The beat taken at acceptance names the result's packet,
+        // member lane and triangle. A result can complete the packet's
+        // current item, push children and retire lanes whose work ran
+        // out.
+        PacketTraversal &p = packets_[packet.slot];
+        p.handleResult(out, packet.beat);
         drainCompleted(p);
     } else {
         handleResult(out);
@@ -925,19 +890,22 @@ RtUnit::advance(uint64_t cycle)
     now_ = cycle;
     ++stats_.cycles;
 
-    // (a) Input handshake outcome, per lane: every issue slot lands in
-    // exactly one obs::Slot bucket. Idle slots share one cause,
-    // classified lazily before any lane is accepted. Accepted beats
-    // are then taken in descending lane order, so a slot's remaining
-    // pending positions (offered ascending by publish) stay valid.
+    // (a) Issue, per lane: every offer is accepted (a lane never
+    // back-pressures), and every issue slot lands in exactly one
+    // obs::Slot bucket. Idle slots share one cause, classified lazily
+    // before any lane is accepted. Accepted beats are then taken in
+    // descending lane order, so a slot's remaining pending positions
+    // (offered ascending by publish) stay valid.
     obs::Slot idle_cause = obs::Slot::kCount;
-    std::array<bool, kMaxIssueWidth> fired{};
+    std::array<const core::DatapathInput *, kMaxIssueWidth> accepted{};
+    std::array<InflightBeat, kMaxIssueWidth> taken{};
     for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
+        const Lane &lane = lanes_[l];
+        if (lane.offer.entry != kNoOffer) {
+            accepted[l] = knnMode() ? &lane.knn.beats[lane.knn.next_beat]
+                                    : &lane.in;
             ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
+            ++stats_.beats_by_op[size_t(accepted[l]->op)];
             ++stats_.slots[obs::Slot::Issued];
         } else {
             if (idle_cause == obs::Slot::kCount)
@@ -946,16 +914,24 @@ RtUnit::advance(uint64_t cycle)
         }
     }
     for (size_t l = lanes_.size(); l-- > 0;)
-        if (fired[l])
-            acceptLane(l);
+        if (accepted[l])
+            taken[l] = acceptLane(l);
 
-    // (b) Output handshake outcome, per lane; then occupancy-driven
-    // repacking at fetch boundaries, before new fetches are issued for
-    // the packets involved.
+    // (b) Per lane, drain the result due this cycle, then evaluate the
+    // beat accepted in (a) (still where publish() put it) into the
+    // delay line, due kPipelineLatency cycles from now. Then
+    // occupancy-driven repacking at fetch boundaries, before new
+    // fetches are issued for the packets involved.
     for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &out = lanes_[l]->out();
-        if (out.valid && out.ready)
-            drainLane(l, out.bits);
+        Lane &lane = lanes_[l];
+        if (const Lane::Pending *due = lane.dueAt(now_)) {
+            drainLane(due->out, due->packet);
+            lane.pop();
+        }
+        if (accepted[l])
+            lane.push({now_ + kPipelineLatency,
+                       functionalEval(*accepted[l], lane.acc, box_width_),
+                       taken[l]});
     }
     compactPackets();
 
@@ -1026,8 +1002,6 @@ RtUnit::stallReport() const
 void
 RtUnit::registerWith(pipeline::Simulator &sim)
 {
-    for (core::RayFlexDatapath *lane : lanes_)
-        lane->registerWith(sim);
     sim.add(this);
 }
 
@@ -1038,10 +1012,8 @@ RtUnit::beginRun()
     mshrs_.reset();
     mshr_refused_ = false;
     trace_occupancy_last_ = ~uint64_t(0);
-    for (auto &q : lane_inflight_)
-        q.clear();
-    for (KnnLaneJob &j : knn_lane_)
-        j = KnnLaneJob{};
+    for (Lane &l : lanes_)
+        l = Lane{};
     mem_->reset(); // cold cache per run: runs are reproducible
 }
 

@@ -66,13 +66,13 @@ struct RtUnitConfig
     unsigned mem_requests_per_cycle = 1;
     TraversalMode mode = TraversalMode::Closest;
 
-    /** Datapath issue lanes, 1..kMaxIssueWidth. The unit drives up to
-     *  this many beats per cycle into the datapath by replicating the
-     *  pipeline lane behind one valid/ready handshake per lane: lane 0
-     *  is the caller's datapath, lanes 1..N-1 are private replicas
-     *  built from the same DatapathConfig. issue_width == 1 (the
-     *  default) preserves the single-beat scalar and packet schedules
-     *  bit-for-bit. */
+    /** Datapath issue lanes, 1..kMaxIssueWidth. The unit issues up to
+     *  this many beats per cycle, one per lane. Each lane is a delay
+     *  line owned by the unit: a beat is evaluated when the lane
+     *  accepts it and its result drains core::kPipelineLatency cycles
+     *  later, the timing of the skid-buffer pipeline. issue_width == 1
+     *  (the default) preserves the single-beat scalar and packet
+     *  schedules bit-for-bit. */
     unsigned issue_width = 1;
 
     /** Bounded MSHR file fronting the unit's shared L1 (bvh::MshrFile).
@@ -207,13 +207,16 @@ struct RtUnitStats
 };
 
 /**
- * The RT unit: traverses a BVH for a batch of rays using a pipelined
- * RayFlex datapath instance.
+ * The RT unit: traverses a BVH for a batch of rays through
+ * RtUnitConfig::issue_width pipelined RayFlex datapath lanes.
  */
 class RtUnit : public pipeline::Component
 {
   public:
-    /** @throws std::invalid_argument when validate(cfg) rejects the
+    /** The lanes implement `dp.config()`; `dp` itself is only read
+     *  for its configuration and never ticked (its activity() and
+     *  stages() stay zero).
+     *  @throws std::invalid_argument when validate(cfg) rejects the
      *  configuration. */
     RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
            const RtUnitConfig &cfg = {});
@@ -281,7 +284,7 @@ class RtUnit : public pipeline::Component
     /**
      * Lock-step chip API: run() decomposed so N units can share one
      * pipeline::Simulator and tick together over a shared L2.
-     * registerWith() registers the unit's lanes and the unit itself;
+     * registerWith() registers the unit (its lanes are part of it);
      * beginRun() resets per-run state (run()'s preamble); done() is
      * true when every submitted ray completed; endRun() finalizes and
      * returns the stats (run()'s postamble — throws if rays remain).
@@ -366,14 +369,24 @@ class RtUnit : public pipeline::Component
 
     // ----- the one cycle loop (advance) and its scheduler hooks -----
 
+    /** A packet-mode beat inside a lane, with its packet slot. */
+    struct InflightBeat
+    {
+        size_t slot = 0;
+        PacketBeat beat;
+    };
+
     /** Ray-buffer slots of the active scheduler. */
     size_t slotCount() const;
     /** Lifecycle state of slot `i`. */
     EntryState slotState(size_t i) const;
-    /** Step (a): lane `l` accepted the beat publish() offered it. */
-    void acceptLane(size_t l);
-    /** Step (b): lane `l` produced `out`. */
-    void drainLane(size_t l, const core::DatapathOutput &out);
+    /** Step (a): lane `l` accepted the beat publish() offered it.
+     *  @return the packet beat taken (packet mode; default otherwise),
+     *  which rides the delay line beside the beat's result. */
+    InflightBeat acceptLane(size_t l);
+    /** Step (b): a lane produced `out` for the beat `packet` names. */
+    void drainLane(const core::DatapathOutput &out,
+                   const InflightBeat &packet);
     /** Step (c): the work item slot `i` fetches (valid in NeedFetch). */
     WorkItem fetchItem(size_t i) const;
     /** Step (c): slot `i`'s fetch left for memory. */
@@ -426,15 +439,20 @@ class RtUnit : public pipeline::Component
         bool draining = false;
     };
 
-    /** A candidate's beats streaming down one lane. The lane is locked
-     *  to the candidate from the first accepted beat until the last
-     *  beat is accepted, so two same-kind jobs never interleave within
-     *  one lane's accumulator. */
+    /** A candidate's beats streaming down one lane, built once when a
+     *  free lane claims the candidate. The lane is locked to the
+     *  candidate from the first accepted beat until the last beat is
+     *  accepted, so two same-kind jobs never interleave within one
+     *  lane's accumulator. */
     struct KnnLaneJob
     {
-        bool active = false;
         std::vector<core::DatapathInput> beats;
-        size_t next_beat = 0;
+        size_t next_beat = 0; ///< beats accepted so far
+
+        /** Every beat accepted (or none claimed): the lane is free. */
+        bool free() const { return next_beat == beats.size(); }
+        /** Some but not all beats accepted. */
+        bool streaming() const { return next_beat > 0 && !free(); }
     };
 
     /** A queued query waiting for a free entry slot. */
@@ -470,7 +488,6 @@ class RtUnit : public pipeline::Component
 
     const KnnIndex *knn_index_ = nullptr;
     std::vector<KnnEntry> knn_entries_;
-    std::vector<KnnLaneJob> knn_lane_;
     std::deque<PendingKnn> pending_knn_;
     std::vector<KnnResult> knn_results_;
 
@@ -486,17 +503,12 @@ class RtUnit : public pipeline::Component
     void publishPacket();
 
     const Bvh4 &bvh_;
-    core::RayFlexDatapath &dp_;
+    unsigned box_width_; ///< the lanes' DatapathConfig::box_width
     RtUnitConfig cfg_;
     Scheduler sched_ = Scheduler::Scalar;
     std::unique_ptr<MemoryModel> mem_;
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
-
-    /** Issue lanes: lanes_[0] is the caller's datapath, the rest are
-     *  private replicas (extra_lanes_) built from the same config. */
-    std::vector<core::RayFlexDatapath *> lanes_;
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> extra_lanes_;
 
     /** Repacking window: cycles a below-threshold packet defers its
      *  next fetch waiting for a compaction partner to reach a fetch
@@ -532,16 +544,57 @@ class RtUnit : public pipeline::Component
         size_t entry = kNoOffer; ///< slot the offered beat belongs to
         size_t beat = 0;         ///< pending-beat or -candidate index
     };
-    std::vector<LaneOffer> offers_;
-    /** Per-lane in-flight beats (packet mode): each accepted beat,
-     *  with its packet slot, in issue order. Lanes are in-order, so
-     *  the front matches the lane's next output. */
-    struct InflightBeat
+    /**
+     * One issue lane, in place of a RayFlexDatapath's eleven-stage skid
+     * chain. The unit's consumer side is always ready, so that chain
+     * never back-pressures: every offered beat is accepted and its
+     * result leaves exactly kPipelineLatency cycles later. The lane
+     * therefore keeps only the timing (a delay line of due cycles) and
+     * computes each value once, at acceptance, with
+     * core::functionalEval and the lane's own accumulators. Lanes are
+     * in order and stages 9 and 10 hold separate registers, so every
+     * accumulator sees its beats in the same order as in the chain.
+     */
+    struct Lane
     {
-        size_t slot = 0;
-        PacketBeat beat;
+        LaneOffer offer;        ///< this cycle's offer (publish)
+        core::DatapathInput in; ///< the offered beat (ray schedulers)
+        core::DistanceAccumulators acc;
+        KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)
+
+        /** Results in flight, in issue order: a ring of at most
+         *  kPipelineLatency entries (one accept per cycle, drained on
+         *  its due cycle before that cycle's accept enters). */
+        struct Pending
+        {
+            uint64_t due = 0;
+            core::DatapathOutput out;
+            InflightBeat packet; ///< the beat's packet slot (packet mode)
+        };
+        std::array<Pending, core::kPipelineLatency> line;
+        unsigned head = 0;
+        unsigned size = 0;
+
+        /** The entry due at `cycle`, or nullptr. */
+        const Pending *
+        dueAt(uint64_t cycle) const
+        {
+            return size && line[head].due == cycle ? &line[head] : nullptr;
+        }
+        void
+        pop()
+        {
+            head = (head + 1) % core::kPipelineLatency;
+            --size;
+        }
+        void
+        push(const Pending &p)
+        {
+            line[(head + size) % core::kPipelineLatency] = p;
+            ++size;
+        }
     };
-    std::vector<std::deque<InflightBeat>> lane_inflight_;
+    std::vector<Lane> lanes_;
 };
 
 } // namespace rayflex::bvh

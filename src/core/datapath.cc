@@ -30,23 +30,27 @@ RayFlexDatapath::RayFlexDatapath(const DatapathConfig &cfg) : cfg_(cfg)
             return stages::stage1(in, cfg_.box_width);
         });
 
-    // Stages 2..10: SRFDS -> SRFDS. Blank combinations inside the stage
-    // functions copy input to output, exactly like the blank cells of
-    // Fig. 4c.
+    // Stages 2..10: SRFDS -> SRFDS. Each stage register gets its own
+    // copy of the bundle, which the in-place stage logic then updates;
+    // blank combinations leave fields untouched, exactly like the blank
+    // cells of Fig. 4c.
     auto mid = [this](const char *name, auto fn) {
-        mids_.push_back(std::make_unique<MidBuffer>(name, fn));
+        mids_.push_back(
+            std::make_unique<MidBuffer>(name, [fn](const Srfds &in) {
+                Srfds s = in;
+                fn(s);
+                return s;
+            }));
     };
-    mid("stage2-add", [](const Srfds &s) { return stages::stage2(s); });
-    mid("stage3-mul", [](const Srfds &s) { return stages::stage3(s); });
-    mid("stage4-cmp", [](const Srfds &s) { return stages::stage4(s); });
-    mid("stage5-mul", [](const Srfds &s) { return stages::stage5(s); });
-    mid("stage6-add", [](const Srfds &s) { return stages::stage6(s); });
-    mid("stage7-mul", [](const Srfds &s) { return stages::stage7(s); });
-    mid("stage8-add", [](const Srfds &s) { return stages::stage8(s); });
-    mid("stage9-add",
-        [this](const Srfds &s) { return stages::stage9(s, acc_); });
-    mid("stage10-sort",
-        [this](const Srfds &s) { return stages::stage10(s, acc_); });
+    mid("stage2-add", stages::stage2);
+    mid("stage3-mul", stages::stage3);
+    mid("stage4-cmp", stages::stage4);
+    mid("stage5-mul", stages::stage5);
+    mid("stage6-add", stages::stage6);
+    mid("stage7-mul", stages::stage7);
+    mid("stage8-add", stages::stage8);
+    mid("stage9-add", [this](Srfds &s) { stages::stage9(s, acc_); });
+    mid("stage10-sort", [this](Srfds &s) { stages::stage10(s, acc_); });
 
     // Stage 11: SRFDS -> IO format conversion.
     stage11_ = std::make_unique<SkidBuffer<Srfds, DatapathOutput>>(

@@ -59,13 +59,14 @@ struct ActivityTrace
  * registerWith(). Outputs appear exactly kPipelineLatency cycles after
  * their input beat is accepted when the pipeline is not back-pressured.
  *
- * A multi-issue consumer replicates the lane rather than widening it:
- * construct N instances from one DatapathConfig (config() hands back
- * the original, so replicas always match lane 0), register each with
- * the same Simulator and drive one valid/ready handshake per lane —
- * the pipeline itself stays one-beat-per-cycle and in order, which is
- * what lets a lane's consumer match results to inputs positionally.
- * bvh::RtUnit (RtUnitConfig::issue_width) is the canonical example.
+ * This is the paper-fidelity model: every beat crosses eleven skid
+ * buffers, each holding its own copy of the SRFDS, and the per-stage
+ * statistics and activity trace come from that chain. A consumer that
+ * is always ready never back-pressures it, so such a consumer may
+ * keep only the timing: evaluate each beat once with functionalEval
+ * (which the equivalence tests tie to this chain bit for bit) and
+ * deliver it kPipelineLatency cycles later. bvh::RtUnit's issue lanes
+ * do exactly that; they read a datapath's config() and never tick it.
  */
 class RayFlexDatapath
 {

@@ -120,6 +120,8 @@ struct BoxResult
     std::array<uint8_t, kMaxBoxesPerOp> order{};
     /** Entry distance per sorted position (+inf for misses). */
     std::array<F32, kMaxBoxesPerOp> sorted_dist{};
+
+    friend bool operator==(const BoxResult &, const BoxResult &) = default;
 };
 
 /**
@@ -133,6 +135,9 @@ struct TriangleResult
     F32 t_num = 0;                ///< distance numerator (T)
     F32 t_den = 0;                ///< distance denominator (determinant)
     std::array<F32, 3> uvw{};     ///< scaled barycentric coordinates
+
+    friend bool operator==(const TriangleResult &,
+                           const TriangleResult &) = default;
 };
 
 /** One output beat of the datapath, 11 cycles after its input beat. */
@@ -150,6 +155,11 @@ struct DatapathOutput
     F32 angular_dot_product = 0;   ///< running dot-product accumulator
     F32 angular_norm = 0;          ///< running candidate-norm accumulator
     bool angular_reset = false;    ///< reset_accumulator echoed (11 cyc)
+
+    /** Field-wise equality. F32 is the raw bit pattern, so NaN payloads
+     *  and signed zeros compare bit-exactly. */
+    friend bool operator==(const DatapathOutput &,
+                           const DatapathOutput &) = default;
 };
 
 /**

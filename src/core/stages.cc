@@ -71,8 +71,8 @@ stage1(const DatapathInput &in, unsigned box_width)
     return s;
 }
 
-Srfds
-stage2(Srfds s)
+void
+stage2(Srfds &s)
 {
     switch (s.op) {
       case Opcode::RayBox:
@@ -105,11 +105,10 @@ stage2(Srfds s)
       case Opcode::Cosine:
         break; // nothing at this stage
     }
-    return s;
 }
 
-Srfds
-stage3(Srfds s)
+void
+stage3(Srfds &s)
 {
     switch (s.op) {
       case Opcode::RayBox:
@@ -151,11 +150,10 @@ stage3(Srfds s)
         }
         break;
     }
-    return s;
 }
 
-Srfds
-stage4(Srfds s)
+void
+stage4(Srfds &s)
 {
     switch (s.op) {
       case Opcode::RayBox: {
@@ -201,11 +199,10 @@ stage4(Srfds s)
         }
         break;
     }
-    return s;
 }
 
-Srfds
-stage5(Srfds s)
+void
+stage5(Srfds &s)
 {
     if (s.op == Opcode::RayTriangle) {
         // Barycentric cross products (6 multiplications).
@@ -219,11 +216,10 @@ stage5(Srfds s)
         s.uvw_prod[4] = mulRec(bx, ay);
         s.uvw_prod[5] = mulRec(by, ax);
     }
-    return s;
 }
 
-Srfds
-stage6(Srfds s)
+void
+stage6(Srfds &s)
 {
     switch (s.op) {
       case Opcode::RayTriangle:
@@ -248,22 +244,20 @@ stage6(Srfds s)
       default:
         break;
     }
-    return s;
 }
 
-Srfds
-stage7(Srfds s)
+void
+stage7(Srfds &s)
 {
     if (s.op == Opcode::RayTriangle) {
         // Distance products (3 multiplications).
         for (int i = 0; i < 3; ++i)
             s.t_prod[i] = mulRec(s.uvw[i], s.tz[i]);
     }
-    return s;
 }
 
-Srfds
-stage8(Srfds s)
+void
+stage8(Srfds &s)
 {
     switch (s.op) {
       case Opcode::RayTriangle:
@@ -284,11 +278,10 @@ stage8(Srfds s)
       default:
         break;
     }
-    return s;
 }
 
-Srfds
-stage9(Srfds s, DistanceAccumulators &acc)
+void
+stage9(Srfds &s, DistanceAccumulators &acc)
 {
     switch (s.op) {
       case Opcode::RayTriangle:
@@ -316,11 +309,10 @@ stage9(Srfds s, DistanceAccumulators &acc)
       default:
         break;
     }
-    return s;
 }
 
-Srfds
-stage10(Srfds s, DistanceAccumulators &acc)
+void
+stage10(Srfds &s, DistanceAccumulators &acc)
 {
     switch (s.op) {
       case Opcode::RayBox: {
@@ -369,7 +361,6 @@ stage10(Srfds s, DistanceAccumulators &acc)
       default:
         break;
     }
-    return s;
 }
 
 DatapathOutput
@@ -415,15 +406,15 @@ functionalEval(const DatapathInput &in, DistanceAccumulators &acc,
 {
     using namespace stages;
     Srfds s = stage1(in, box_width);
-    s = stage2(std::move(s));
-    s = stage3(std::move(s));
-    s = stage4(std::move(s));
-    s = stage5(std::move(s));
-    s = stage6(std::move(s));
-    s = stage7(std::move(s));
-    s = stage8(std::move(s));
-    s = stage9(std::move(s), acc);
-    s = stage10(std::move(s), acc);
+    stage2(s);
+    stage3(s);
+    stage4(s);
+    stage5(s);
+    stage6(s);
+    stage7(s);
+    stage8(s);
+    stage9(s, acc);
+    stage10(s, acc);
     return stage11(s);
 }
 

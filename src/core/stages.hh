@@ -2,9 +2,13 @@
  * @file
  * The combinational logic of the eleven RayFlex pipeline stages.
  *
- * Each stage is a pure function from its input bundle to its output
- * bundle, matching the mapping of BVH-operation steps to stages in
- * Fig. 4c (baseline ops) and Fig. 6c (extended ops):
+ * Each stage is the combinational logic from its input bundle to its
+ * output bundle, matching the mapping of BVH-operation steps to stages
+ * in Fig. 4c (baseline ops) and Fig. 6c (extended ops). Stages 2-10
+ * update the SRFDS in place (fields a stage does not touch pass
+ * through, the blank cells of the figures), so a single-shot
+ * evaluation runs the whole chain on one bundle and the pipelined
+ * model copies the bundle once per stage register:
  *
  *  stage 1  format conversion FP32 -> rec33
  *  stage 2  24 adders    box translate (24) / tri translate (9) /
@@ -57,35 +61,35 @@ namespace stages
 Srfds stage1(const DatapathInput &in, unsigned box_width = kBoxesPerOp);
 
 /** Stage 2: translation subtractions / Euclidean differences. */
-Srfds stage2(Srfds s);
+void stage2(Srfds &s);
 
 /** Stage 3: slab / shear / square / product multiplications. */
-Srfds stage3(Srfds s);
+void stage3(Srfds &s);
 
 /** Stage 4: slab compare trees and box hit; triangle shear subtracts;
  *  first distance reduction level. */
-Srfds stage4(Srfds s);
+void stage4(Srfds &s);
 
 /** Stage 5: barycentric cross products. */
-Srfds stage5(Srfds s);
+void stage5(Srfds &s);
 
 /** Stage 6: barycentric subtractions; distance reduction level 2. */
-Srfds stage6(Srfds s);
+void stage6(Srfds &s);
 
 /** Stage 7: hit-distance products. */
-Srfds stage7(Srfds s);
+void stage7(Srfds &s);
 
 /** Stage 8: determinant/distance partial sums; distance reduction
  *  level 3. */
-Srfds stage8(Srfds s);
+void stage8(Srfds &s);
 
 /** Stage 9: determinant/distance final sums; Euclidean final reduction;
  *  cosine accumulation (stateful). */
-Srfds stage9(Srfds s, DistanceAccumulators &acc);
+void stage9(Srfds &s, DistanceAccumulators &acc);
 
 /** Stage 10: QuadSort; triangle hit test; Euclidean accumulation
  *  (stateful). */
-Srfds stage10(Srfds s, DistanceAccumulators &acc);
+void stage10(Srfds &s, DistanceAccumulators &acc);
 
 /** Stage 11: convert the SRFDS into the external output layout
  *  (recoded -> FP32). */
@@ -95,7 +99,8 @@ DatapathOutput stage11(const Srfds &s);
 
 /**
  * Single-shot functional evaluation of the whole datapath: applies the
- * eleven stages back to back without pipelining. Used by the golden
+ * eleven stages back to back, in place on one SRFDS, without
+ * pipelining. Used by the golden
  * cross-checks, the BVH traversal engine and fast workload generation.
  * Accumulator state behaves exactly as in the pipelined model (beats are
  * observed in call order).

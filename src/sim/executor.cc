@@ -98,16 +98,12 @@ BatchExecutor::runUnits(const Family &family,
     bvh::RtUnitConfig rt = cfg_.rt;
     rt.mode = family.mode;
 
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
+    // The units' lanes only read the datapath's configuration.
+    core::RayFlexDatapath dp(cfg_.dp);
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
-    dps.reserve(units);
     us.reserve(units);
-    for (unsigned u = 0; u < units; ++u) {
-        dps.push_back(
-            std::make_unique<core::RayFlexDatapath>(cfg_.dp));
-        us.push_back(
-            std::make_unique<bvh::RtUnit>(family.target, *dps[u], rt));
-    }
+    for (unsigned u = 0; u < units; ++u)
+        us.push_back(std::make_unique<bvh::RtUnit>(family.target, dp, rt));
 
     std::unique_ptr<bvh::SharedL2> shared;
     std::vector<std::unique_ptr<bvh::SharedL2>> priv;

@@ -168,6 +168,9 @@ TEST(RtUnit, MatchesFunctionalTraversal)
     }
     RtUnitStats stats = unit.run();
     EXPECT_EQ(stats.rays_completed, 64u);
+    // The unit's lanes only read dp's configuration; dp is never ticked.
+    EXPECT_EQ(dp.activity().totalBeats(), 0u);
+    EXPECT_EQ(dp.stages().front()->stats().cycles, 0u);
 
     Traverser ref(bvh);
     for (uint32_t i = 0; i < 64; ++i) {

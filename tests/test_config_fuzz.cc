@@ -3,9 +3,10 @@
  * Randomized differential test over the RT unit's knob space.
  *
  * A fixed number of seeded random configurations (packet width and
- * compaction, issue width, MSHRs, memory backend, chip units x L2 mode,
- * any-hit, k-NN, streaming, tracing) run small ray or k-NN workloads,
- * and each is checked against four oracles:
+ * compaction, issue width, ray-buffer size, MSHRs, fetch bandwidth,
+ * memory backend and L1 geometry, chip units x L2 mode and L2
+ * geometry, any-hit, k-NN, streaming, tracing) run small ray or k-NN
+ * workloads, and each is checked against four oracles:
  *   1. cycle-accurate hits (or neighbor lists) equal the Functional
  *      model's;
  *   2. the reports at 1 and 3 workers are identical;
@@ -37,10 +38,18 @@ enum Knob : size_t {
     kPacketWidth,
     kCompactBelow,
     kIssueWidth,
+    kRayBuffer,
     kMshrs,
+    kMemRequests,
     kCache,
+    kCacheLine,
+    kCacheSets,
+    kCacheWays,
     kChipUnits,
     kL2,
+    kL2Banks,
+    kL2Sets,
+    kL2Ways,
     kAnyHit,
     kKnn,
     kStream,
@@ -55,17 +64,29 @@ struct KnobSpec
 };
 
 /** The knob space. compact_below is drawn as a value and clamped to
- *  the packet width by the unit; l2 indexes sim::L2Mode. k-NN takes
+ *  the packet width by the unit; l2 indexes sim::L2Mode. The cache_*
+ *  knobs shape the L1 when cache == 1 and the l2_* knobs the L2 when
+ *  l2 != 0; their defaults are kProbeCache4KiB and kProbeL2_128KiB.
+ *  Geometry draws include zero and non-power-of-two values, which the
+ *  memory models tolerate (a zero dimension caches nothing). k-NN takes
  *  precedence over streaming, which takes precedence over a plain
  *  engine ray run. */
 const std::array<KnobSpec, kNumKnobs> kSpecs{{
     {"packet_width", {1, 2, 4, 8}},
     {"compact_below", {0, 1, 2, 4}},
     {"issue_width", {1, 2, 3, 4, 8}},
+    {"ray_buffer_entries", {32, 1, 3, 8, 64}},
     {"mshrs", {0, 1, 2, 8}},
+    {"mem_requests_per_cycle", {1, 2, 3, 8}},
     {"cache", {0, 1}},
+    {"cache_line", {64, 0, 16, 48, 128}},
+    {"cache_sets", {16, 0, 1, 5, 64}},
+    {"cache_ways", {4, 0, 1, 3, 8}},
     {"chip_units", {1, 2, 4}},
     {"l2", {0, 1, 2}},
+    {"l2_banks", {4, 0, 1, 3, 8}},
+    {"l2_sets", {64, 0, 1, 7, 256}},
+    {"l2_ways", {8, 0, 1, 2, 16}},
     {"any_hit", {0, 1}},
     {"knn", {0, 1}},
     {"stream", {0, 1}},
@@ -125,14 +146,22 @@ engineConfig(const Config &c, unsigned threads)
     cfg.rt.packet.width = c[kPacketWidth];
     cfg.rt.packet.compact_below = c[kCompactBelow];
     cfg.rt.issue_width = c[kIssueWidth];
+    cfg.rt.ray_buffer_entries = c[kRayBuffer];
     cfg.rt.mshrs = c[kMshrs];
+    cfg.rt.mem_requests_per_cycle = c[kMemRequests];
     if (c[kCache]) {
         cfg.rt.mem_backend = MemBackend::NodeCache;
         cfg.rt.cache = kProbeCache4KiB;
+        cfg.rt.cache.line_bytes = c[kCacheLine];
+        cfg.rt.cache.sets = c[kCacheSets];
+        cfg.rt.cache.ways = c[kCacheWays];
     }
     cfg.chip.units = c[kChipUnits];
     cfg.chip.l2 = sim::L2Mode(c[kL2]);
     cfg.chip.l2cfg = kProbeL2_128KiB;
+    cfg.chip.l2cfg.banks = c[kL2Banks];
+    cfg.chip.l2cfg.sets = c[kL2Sets];
+    cfg.chip.l2cfg.ways = c[kL2Ways];
     if (c[kKnn])
         cfg.dp = core::kExtendedUnified;
     return cfg;

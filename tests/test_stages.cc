@@ -84,7 +84,8 @@ TEST(Stage1, ComputesAxisPermutation)
 
 TEST(Stage2, TranslatesBoxCornersOnly)
 {
-    Srfds s = stages::stage2(boxSrfds());
+    Srfds s = boxSrfds();
+    stages::stage2(s);
     // box0.lo - origin = (1, 1, 1); box0.hi - origin = (5, 5, 5).
     for (int d = 0; d < 3; ++d) {
         EXPECT_FLOAT_EQ(recToFloat(s.box_lo[0][d]), 1.0f);
@@ -97,7 +98,8 @@ TEST(Stage2, TranslatesBoxCornersOnly)
 
 TEST(Stage2, TranslatesTriangleVertices)
 {
-    Srfds s = stages::stage2(triSrfds());
+    Srfds s = triSrfds();
+    stages::stage2(s);
     EXPECT_FLOAT_EQ(recToFloat(s.tri_v[0][0]), -0.5f); // 0 - 0.5
     EXPECT_FLOAT_EQ(recToFloat(s.tri_v[0][2]), 7.0f);  // 5 - (-2)
     EXPECT_FLOAT_EQ(recToFloat(s.tri_v[1][1]), 1.5f);  // 2 - 0.5
@@ -105,7 +107,9 @@ TEST(Stage2, TranslatesTriangleVertices)
 
 TEST(Stage3, ComputesSlabDistances)
 {
-    Srfds s = stages::stage3(stages::stage2(boxSrfds()));
+    Srfds s = boxSrfds();
+    stages::stage2(s);
+    stages::stage3(s);
     // t for box0 x: (2-1)*1 = 1 and (6-1)*1 = 5.
     EXPECT_FLOAT_EQ(recToFloat(s.box_lo[0][0]), 1.0f);
     EXPECT_FLOAT_EQ(recToFloat(s.box_hi[0][0]), 5.0f);
@@ -121,13 +125,18 @@ TEST(Stage3, ZeroTimesInfinityPoisonsSlab)
     in.op = Opcode::RayBox;
     in.ray = makeRay(2, 1, 1, 0, 1, 0, 0, 100); // dir.x = 0, org.x = 2
     in.boxes[0] = makeBox(2, 0, 0, 4, 2, 2);    // lo.x == org.x
-    Srfds s = stages::stage3(stages::stage2(stages::stage1(in)));
+    Srfds s = stages::stage1(in);
+    stages::stage2(s);
+    stages::stage3(s);
     EXPECT_TRUE(isNaNRec(s.box_lo[0][0])); // 0 * inf
 }
 
 TEST(Stage4, BoxIntervalAndHit)
 {
-    Srfds s = stages::stage4(stages::stage3(stages::stage2(boxSrfds())));
+    Srfds s = boxSrfds();
+    stages::stage2(s);
+    stages::stage3(s);
+    stages::stage4(s);
     // Box 0 intervals per dim: x [1,5], y [2,10], z [4,20]:
     // near = max(1,2,4,t_beg=0) = 4; far = min(5,10,20,100) = 5.
     EXPECT_FLOAT_EQ(recToFloat(s.box_near[0]), 4.0f);
@@ -141,8 +150,10 @@ TEST(Stage4, BoxIntervalAndHit)
 
 TEST(Stage4, TriangleShearIsApplied)
 {
-    Srfds s =
-        stages::stage4(stages::stage3(stages::stage2(triSrfds())));
+    Srfds s = triSrfds();
+    stages::stage2(s);
+    stages::stage3(s);
+    stages::stage4(s);
     // Axis-aligned +z ray: Sx = Sy = 0, Sz = 1, so the sheared x/y are
     // the translated x/y and z is the translated z.
     EXPECT_FLOAT_EQ(recToFloat(s.txy[0][0]), -0.5f);
@@ -155,15 +166,15 @@ TEST(Stage4, TriangleShearIsApplied)
 TEST(Stages5to9, BarycentricsDeterminantDistance)
 {
     Srfds s = triSrfds();
-    s = stages::stage2(std::move(s));
-    s = stages::stage3(std::move(s));
-    s = stages::stage4(std::move(s));
-    s = stages::stage5(std::move(s));
-    s = stages::stage6(std::move(s));
-    s = stages::stage7(std::move(s));
-    s = stages::stage8(std::move(s));
+    stages::stage2(s);
+    stages::stage3(s);
+    stages::stage4(s);
+    stages::stage5(s);
+    stages::stage6(s);
+    stages::stage7(s);
+    stages::stage8(s);
     DistanceAccumulators acc;
-    s = stages::stage9(std::move(s), acc);
+    stages::stage9(s, acc);
 
     // Triangle (0,0),(0,2),(2,0) vs pixel (0.5,0.5): scaled barycentric
     // coordinates U,V,W and det = U+V+W = signed 2x area = 4.
@@ -181,15 +192,16 @@ TEST(Stage10, TriangleHitPredicates)
 {
     DistanceAccumulators acc;
     auto run = [&](Srfds s) {
-        s = stages::stage2(std::move(s));
-        s = stages::stage3(std::move(s));
-        s = stages::stage4(std::move(s));
-        s = stages::stage5(std::move(s));
-        s = stages::stage6(std::move(s));
-        s = stages::stage7(std::move(s));
-        s = stages::stage8(std::move(s));
-        s = stages::stage9(std::move(s), acc);
-        return stages::stage10(std::move(s), acc);
+        stages::stage2(s);
+        stages::stage3(s);
+        stages::stage4(s);
+        stages::stage5(s);
+        stages::stage6(s);
+        stages::stage7(s);
+        stages::stage8(s);
+        stages::stage9(s, acc);
+        stages::stage10(s, acc);
+        return s;
     };
     EXPECT_TRUE(run(triSrfds()).tri_hit);
 
@@ -212,13 +224,14 @@ TEST(Stage10, EuclideanAccumulatorProtocol)
         in.vec_b[0] = toBits(0.0f);
         in.reset_accumulator = reset;
         Srfds s = stages::stage1(in);
-        s = stages::stage2(std::move(s));
-        s = stages::stage3(std::move(s));
-        s = stages::stage4(std::move(s));
-        s = stages::stage6(std::move(s));
-        s = stages::stage8(std::move(s));
-        s = stages::stage9(std::move(s), acc);
-        return stages::stage10(std::move(s), acc);
+        stages::stage2(s);
+        stages::stage3(s);
+        stages::stage4(s);
+        stages::stage6(s);
+        stages::stage8(s);
+        stages::stage9(s, acc);
+        stages::stage10(s, acc);
+        return s;
     };
     // 3^2 + 4^2 accumulated over two beats, reset on the second.
     Srfds r1 = beat(3.0f, false);
@@ -243,11 +256,12 @@ TEST(Stage9, CosineAccumulatorsAreIndependent)
         in.vec_b[0] = toBits(b);
         in.reset_accumulator = reset;
         Srfds s = stages::stage1(in);
-        s = stages::stage3(std::move(s));
-        s = stages::stage4(std::move(s));
-        s = stages::stage6(std::move(s));
-        s = stages::stage8(std::move(s));
-        return stages::stage9(std::move(s), acc);
+        stages::stage3(s);
+        stages::stage4(s);
+        stages::stage6(s);
+        stages::stage8(s);
+        stages::stage9(s, acc);
+        return s;
     };
     Srfds r1 = beat(2.0f, 3.0f, false);
     EXPECT_FLOAT_EQ(recToFloat(r1.dot_out), 6.0f);
@@ -278,14 +292,17 @@ TEST(Stages, BlankStagesCopyInputToOutput)
 {
     // Ray-box data is untouched by the triangle-only stages 5-9 - the
     // "blank cells" of Fig. 4c.
-    Srfds s = stages::stage4(stages::stage3(stages::stage2(boxSrfds())));
-    Srfds before = s;
+    Srfds s = boxSrfds();
+    stages::stage2(s);
+    stages::stage3(s);
+    stages::stage4(s);
+    const Srfds before = s;
     DistanceAccumulators acc;
-    s = stages::stage5(std::move(s));
-    s = stages::stage6(std::move(s));
-    s = stages::stage7(std::move(s));
-    s = stages::stage8(std::move(s));
-    s = stages::stage9(std::move(s), acc);
+    stages::stage5(s);
+    stages::stage6(s);
+    stages::stage7(s);
+    stages::stage8(s);
+    stages::stage9(s, acc);
     for (int b = 0; b < 4; ++b) {
         EXPECT_EQ(s.box_near[b], before.box_near[b]);
         EXPECT_EQ(s.box_far[b], before.box_far[b]);

@@ -736,25 +736,67 @@ bankFields(const std::vector<L2Stats> &banks)
     return out;
 }
 
-/** FNV-1a over every field of every record, in order. */
-uint64_t
-traceDigest(const std::vector<obs::TraceRecord> &trace)
+/** FNV-1a over a stream of 64-bit words, little-endian bytes. */
+struct Fnv1a
 {
     uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](uint64_t x) {
+
+    void
+    mix(uint64_t x)
+    {
         for (int i = 0; i < 8; ++i) {
             h ^= (x >> (8 * i)) & 0xFFu;
             h *= 1099511628211ull;
         }
-    };
-    for (const obs::TraceRecord &r : trace) {
-        mix(r.cycle);
-        mix(r.unit);
-        mix(uint64_t(r.event));
-        mix(r.a);
-        mix(r.b);
     }
-    return h;
+};
+
+/** FNV-1a over every field of every record, in order. */
+uint64_t
+traceDigest(const std::vector<obs::TraceRecord> &trace)
+{
+    Fnv1a d;
+    for (const obs::TraceRecord &r : trace) {
+        d.mix(r.cycle);
+        d.mix(r.unit);
+        d.mix(uint64_t(r.event));
+        d.mix(r.a);
+        d.mix(r.b);
+    }
+    return d.h;
+}
+
+/** FNV-1a over every field of every hit record (floats by their bit
+ *  pattern), in ray order. */
+uint64_t
+hitDigest(const std::vector<HitRecord> &hits)
+{
+    Fnv1a d;
+    for (const HitRecord &h : hits) {
+        d.mix(h.hit);
+        d.mix(toBits(h.t));
+        d.mix(h.triangle_id);
+        d.mix(toBits(h.u));
+        d.mix(toBits(h.v));
+        d.mix(toBits(h.w));
+    }
+    return d.h;
+}
+
+/** FNV-1a over the score bits and id of every neighbor, in query
+ *  order. */
+uint64_t
+neighborDigest(const std::vector<KnnResult> &results)
+{
+    Fnv1a d;
+    for (const KnnResult &r : results) {
+        d.mix(r.neighbors.size());
+        for (const KnnNeighbor &n : r.neighbors) {
+            d.mix(toBits(n.score));
+            d.mix(n.id);
+        }
+    }
+    return d.h;
 }
 
 } // namespace
@@ -1045,4 +1087,41 @@ TEST(BatchApiPin, MixedStreamReport)
     EXPECT_EQ(tr.unit, rep.unit);
     EXPECT_EQ(tr.trace.size(), 3563u);
     EXPECT_EQ(traceDigest(tr.trace), 15567548716477660303ull);
+}
+
+// ---------------------------------------------------------------------
+// Result pins: every hit-record field of three ray runs and every
+// neighbor of a k-NN run, digested. The counters above pin the timing;
+// these pin the values the lanes compute, independently of the
+// Functional model the hit-equality tests compare against.
+// ---------------------------------------------------------------------
+
+TEST(BatchApiPin, HitAndNeighborDigests)
+{
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = pinRays(bvh);
+
+    sim::EngineConfig single = packetEngineConfig(1);
+    single.batch_size = 64;
+    single.rt.issue_width = 2;
+    single.rt.mshrs = 8;
+    EXPECT_EQ(hitDigest(sim::Engine(single).run(bvh, rays).hits),
+              13017464970468346363ull);
+
+    sim::EngineConfig chip = packetEngineConfig(1);
+    chip.batch_size = 64;
+    chip.chip.units = 4;
+    chip.chip.l2 = sim::L2Mode::Shared;
+    chip.chip.l2cfg = kProbeL2_128KiB;
+    EXPECT_EQ(hitDigest(sim::Engine(chip).run(bvh, rays).hits),
+              13017464970468346363ull);
+
+    sim::EngineConfig any = packetEngineConfig(1);
+    any.batch_size = 64;
+    any.any_hit = true;
+    EXPECT_EQ(hitDigest(sim::Engine(any).run(bvh, rays).hits),
+              8557016087063139173ull);
+
+    EXPECT_EQ(neighborDigest(pinKnnRun(1, KnnMetric::Euclidean).results),
+              5506704842429364290ull);
 }
