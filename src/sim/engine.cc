@@ -110,6 +110,12 @@ class Engine::Pool
 Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 {
     bvh::validate(cfg_.rt);
+    // The executor sets each batch's traversal mode from the per-run
+    // any-hit flag, so a mode set here would be silently dropped.
+    if (cfg_.rt.mode != bvh::TraversalMode::Closest)
+        throw std::invalid_argument(
+            "EngineConfig::rt.mode is ignored by the engine; set "
+            "EngineConfig::any_hit or pass any_hit to Engine::run");
     resolved_threads_ = cfg.threads;
     if (resolved_threads_ == 0) {
         resolved_threads_ = std::thread::hardware_concurrency();
@@ -228,16 +234,8 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
         report.traversal.merge(br.traversal);
         if (!tracing)
             continue;
-        const uint64_t n = batches[bi].size();
-        report.trace.push_back(
-            {offset, 0, obs::TraceEvent::BatchStart, uint64_t(bi), n});
-        for (obs::TraceRecord rec : br.trace) {
-            rec.cycle += offset;
-            report.trace.push_back(rec);
-        }
+        spliceBatchTrace(report.trace, br, bi, batches[bi].size(), offset);
         offset += br.sim_cycles;
-        report.trace.push_back(
-            {offset, 0, obs::TraceEvent::BatchEnd, uint64_t(bi), n});
     }
     return report;
 }

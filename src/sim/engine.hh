@@ -72,8 +72,9 @@ struct EngineConfig : ExecutorConfig
      *  resolving the closest one. Supported by both execution models:
      *  the Functional model uses Traverser::anyHit, the CycleAccurate
      *  model runs its RT units in bvh::TraversalMode::Any so occlusion
-     *  batches can be timed. Overrides rt.mode. See EngineReport::hits
-     *  for the reduced hit-record contract. */
+     *  batches can be timed. The only mode switch: rt.mode must stay
+     *  Closest (the constructor rejects anything else). See
+     *  EngineReport::hits for the reduced hit-record contract. */
     bool any_hit = false;
 };
 
@@ -168,7 +169,9 @@ class Engine
 {
   public:
     /** @throws std::invalid_argument when bvh::validate rejects
-     *  cfg.rt (a configuration that could never retire a ray). */
+     *  cfg.rt (a configuration that could never retire a ray), or when
+     *  cfg.rt.mode is not Closest (the engine would ignore it; use
+     *  any_hit). */
     explicit Engine(const EngineConfig &cfg = {});
     ~Engine();
 
@@ -217,7 +220,7 @@ class Engine
     class Pool;
 
     /** The one batch loop behind run(), runKnn() and
-     *  StreamingService::finish: execute(0) .. execute(batches - 1) on
+     *  StreamingService::run: execute(0) .. execute(batches - 1) on
      *  the worker pool, each result in its batch-index slot (see
      *  engine.cc). */
     std::vector<BatchResult>

@@ -232,4 +232,18 @@ BatchExecutor::executeBatch(const BatchRayRef *refs, size_t n,
     return res;
 }
 
+void
+spliceBatchTrace(std::vector<obs::TraceRecord> &trace,
+                 const BatchResult &batch, uint64_t index, uint64_t rays,
+                 uint64_t start)
+{
+    trace.push_back({start, 0, obs::TraceEvent::BatchStart, index, rays});
+    for (obs::TraceRecord rec : batch.trace) {
+        rec.cycle += start;
+        trace.push_back(rec);
+    }
+    trace.push_back({start + batch.sim_cycles, 0,
+                     obs::TraceEvent::BatchEnd, index, rays});
+}
+
 } // namespace rayflex::sim

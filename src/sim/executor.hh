@@ -4,7 +4,7 @@
  *
  * The engine stack is three layers (see ARCHITECTURE.md):
  *
- *   job tier        sim::RenderJob / sim::JobQueue     (sim/stream.hh)
+ *   job tier        sim::RenderJob                     (sim/stream.hh)
  *   scheduler tier  sim::BatchScheduler                (sim/stream.hh)
  *   executor tier   sim::BatchExecutor                 (this file)
  *
@@ -136,6 +136,15 @@ struct BatchResult
      *  and the engine's bit-identity contract extends to the trace. */
     std::vector<obs::TraceRecord> trace;
 };
+
+/** Append batch `index`'s trace to a caller's timeline at tick
+ *  `start`: BatchStart(index, rays) at `start`, the batch's records
+ *  rebased by `start`, then BatchEnd(index, rays) at
+ *  start + sim_cycles. Engine::run and StreamingService::run assemble
+ *  their traces this way; only the start tick they pass differs. */
+void spliceBatchTrace(std::vector<obs::TraceRecord> &trace,
+                      const BatchResult &batch, uint64_t index,
+                      uint64_t rays, uint64_t start);
 
 /** Executor configuration: everything the simulation of one batch
  *  depends on. sim::EngineConfig extends it with the sharding knobs. */

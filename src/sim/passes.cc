@@ -42,18 +42,6 @@ foldPass(PassesReport &rep, const EngineReport &pass)
     rep.elapsed_seconds += pass.elapsed_seconds;
 }
 
-/** Run the optional k-NN ride-along pass (PassConfig::knn_index) and
- *  fold its counters into the report totals. */
-void
-foldKnn(PassesReport &rep, const Engine &engine, const PassConfig &cfg)
-{
-    if (!cfg.knn_index)
-        return;
-    rep.knn = engine.runKnn(*cfg.knn_index, cfg.knn_queries);
-    rep.unit.merge(rep.knn.unit);
-    rep.elapsed_seconds += rep.knn.elapsed_seconds;
-}
-
 /** Triangle lookup by id. Ids survive the builder's reordering but
  *  nothing in Bvh4 makes them dense 0..n-1, so the table is sized by
  *  the maximum id actually present — falling back to a hash map when
@@ -159,73 +147,24 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
         }
     }
 
-    // The reductions below consume nothing but hit flags/records, so
-    // they are shared between the sequential and streaming paths.
-    const auto reduceShadow = [&](const std::vector<bvh::HitRecord>
-                                      &hits) {
-        for (size_t s = 0; s < shadow_px.size(); ++s)
-            rep.lit[shadow_px[s]] = hits[s].hit ? 0 : 1;
-    };
-    const auto reduceAo = [&](const std::vector<bvh::HitRecord> &hits) {
-        for (size_t f = 0; f < ao_px.size(); ++f) {
-            unsigned occluded = 0;
-            for (unsigned s = 0; s < cfg.ao_samples; ++s)
-                occluded += hits[f * cfg.ao_samples + s].hit ? 1 : 0;
-            rep.ao_open[ao_px[f]] =
-                1.0f - float(occluded) / float(cfg.ao_samples);
-        }
-    };
-    const auto reduceBounce = [&](const std::vector<bvh::HitRecord>
-                                      &hits) {
-        for (size_t b = 0; b < bounce_px.size(); ++b)
-            rep.bounce_hits[bounce_px[b]] = hits[b];
-    };
-
-    if (cfg.stream_secondary) {
-        // The secondary passes become CONCURRENT jobs on the streaming
-        // service: both occlusion batches (shadow + AO) are any-hit
-        // and pack into shared batches, the mirror batch runs
-        // closest-hit in its own. Hit records — and therefore every
-        // per-pixel output — are bit-identical to the sequential
-        // branch below; only timing attribution changes (merged in
-        // rep.stream rather than per pass).
-        std::vector<RenderJob> jobs;
-        jobs.push_back({1, 0, true, std::move(shadow_rays)});
-        if (cfg.ao_samples > 0)
-            jobs.push_back({2, 0, true, std::move(ao_rays)});
-        if (cfg.bounce)
-            jobs.push_back({3, 0, false, std::move(bounce_rays)});
-        rep.stream = StreamingService::run(engine, bvh,
-                                           std::move(jobs), cfg.stream);
-        rep.traversal.merge(rep.stream.traversal);
-        rep.unit.merge(rep.stream.unit);
-        rep.total_rays += rep.stream.total_rays;
-        rep.elapsed_seconds += rep.stream.elapsed_seconds;
-
-        reduceShadow(rep.stream.job(1)->hits);
-        if (cfg.ao_samples > 0)
-            reduceAo(rep.stream.job(2)->hits);
-        if (cfg.bounce)
-            reduceBounce(rep.stream.job(3)->hits);
-        // The raw records were reduced into the per-pixel arrays;
-        // release them as the sequential branch does.
-        for (JobReport &j : rep.stream.jobs)
-            j.hits = {};
-        foldKnn(rep, engine, cfg);
-        return rep;
-    }
-
     // ---- pass 2: shadow any-hit (only the flag is defined) ----------
     rep.shadow = engine.run(bvh, shadow_rays, true);
     foldPass(rep, rep.shadow);
-    reduceShadow(rep.shadow.hits);
+    for (size_t s = 0; s < shadow_px.size(); ++s)
+        rep.lit[shadow_px[s]] = rep.shadow.hits[s].hit ? 0 : 1;
     rep.shadow.hits = {}; // reduced into lit; release the raw records
 
     // ---- pass 3: ambient-occlusion any-hit fans ---------------------
     if (cfg.ao_samples > 0) {
         rep.ao = engine.run(bvh, ao_rays, true);
         foldPass(rep, rep.ao);
-        reduceAo(rep.ao.hits);
+        for (size_t f = 0; f < ao_px.size(); ++f) {
+            unsigned occluded = 0;
+            for (unsigned s = 0; s < cfg.ao_samples; ++s)
+                occluded += rep.ao.hits[f * cfg.ao_samples + s].hit ? 1 : 0;
+            rep.ao_open[ao_px[f]] =
+                1.0f - float(occluded) / float(cfg.ao_samples);
+        }
         rep.ao.hits = {}; // reduced into ao_open
     }
 
@@ -233,11 +172,11 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
     if (cfg.bounce) {
         rep.bounce = engine.run(bvh, bounce_rays, false);
         foldPass(rep, rep.bounce);
-        reduceBounce(rep.bounce.hits);
+        for (size_t b = 0; b < bounce_px.size(); ++b)
+            rep.bounce_hits[bounce_px[b]] = rep.bounce.hits[b];
         rep.bounce.hits = {}; // rehomed per pixel in bounce_hits
     }
 
-    foldKnn(rep, engine, cfg);
     return rep;
 }
 

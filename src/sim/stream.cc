@@ -2,12 +2,13 @@
  * @file
  * Streaming service implementation: plan, execute, simulated timeline.
  *
- * finish() is three deterministic phases. PLAN: the sorted job list
- * goes through BatchScheduler::plan, a pure function. EXECUTE: the
- * engine's batch loop (Engine::shard) runs planned batch bi on a
- * worker, which gathers it into executor refs and runs it on a freshly
- * constructed unit (sim::BatchExecutor); each result lands in the slot
- * of its plan index, so the worker count cannot influence any result.
+ * run() is three deterministic phases. PLAN: the job list, sorted by
+ * (arrival, id), goes through BatchScheduler::plan, a pure function.
+ * EXECUTE: the engine's batch loop (Engine::shard) runs planned batch
+ * bi on a worker, which gathers it into executor refs and runs it on a
+ * freshly constructed unit (sim::BatchExecutor); each result lands in
+ * the slot of its plan index, so the worker count cannot influence any
+ * result.
  * TIMELINE: batches are charged sequentially in plan order
  * (start = max(previous end, ready tick), end = start + the batch's
  * simulated cycles) and per-job latencies read off that timeline.
@@ -110,61 +111,28 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
         b.n_jobs = seen.size();
 
         remaining -= b.rays.size();
-        v += uint64_t(b.rays.size()) * cfg_.plan_cycles_per_ray;
+        v += uint64_t(b.rays.size()) * kPlanCyclesPerRay;
         plans.push_back(std::move(b));
     }
     return plans;
 }
 
-StreamingService::StreamingService(const Engine &engine,
-                                   const StreamConfig &cfg)
-    : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity),
-      // The collector drains the bounded queue into the job table as
-      // submissions arrive, so back-pressure engages only when
-      // submitters outrun the drain by queue_capacity jobs.
-      collector_([this] {
-          while (std::optional<RenderJob> job = queue_.pop())
-              jobs_.push_back(std::move(*job));
-      })
-{
-}
-
-StreamingService::~StreamingService()
-{
-    queue_.close();
-    if (collector_.joinable())
-        collector_.join();
-}
-
-void
-StreamingService::submit(RenderJob job)
-{
-    if (!queue_.push(std::move(job)))
-        throw std::logic_error(
-            "StreamingService: submit after finish");
-}
-
 StreamReport
-StreamingService::finish(const bvh::Bvh4 &bvh)
+StreamingService::run(const Engine &engine, const bvh::Bvh4 &bvh,
+                      std::vector<RenderJob> jobs,
+                      const StreamConfig &cfg)
 {
-    if (finished_)
-        throw std::logic_error(
-            "StreamingService: finish called twice");
-    finished_ = true;
-    queue_.close();
-    collector_.join();
-
     {
         std::unordered_set<uint64_t> ids;
-        for (const RenderJob &j : jobs_)
+        for (const RenderJob &j : jobs)
             if (!ids.insert(j.id).second)
                 throw std::invalid_argument(
                     "StreamingService: duplicate job id");
     }
 
     // The canonical job order — and the only order anything below
-    // depends on — is the schedule itself, not submission timing.
-    std::stable_sort(jobs_.begin(), jobs_.end(),
+    // depends on — is the schedule itself, not the caller's order.
+    std::stable_sort(jobs.begin(), jobs.end(),
                      [](const RenderJob &a, const RenderJob &b) {
                          return a.arrival_tick != b.arrival_tick
                                     ? a.arrival_tick < b.arrival_tick
@@ -172,31 +140,31 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
                      });
 
     const std::vector<PlannedBatch> plans =
-        BatchScheduler(cfg_).plan(jobs_);
+        BatchScheduler(cfg).plan(jobs);
 
     StreamReport rep;
     rep.batches = plans.size();
-    rep.jobs.resize(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    rep.jobs.resize(jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
         JobReport &jr = rep.jobs[j];
-        jr.id = jobs_[j].id;
-        jr.arrival_tick = jobs_[j].arrival_tick;
-        jr.any_hit = jobs_[j].any_hit;
-        jr.first_service_tick = jobs_[j].arrival_tick;
-        jr.completion_tick = jobs_[j].arrival_tick;
-        jr.hits.resize(jobs_[j].rays.size());
-        rep.total_rays += jobs_[j].rays.size();
+        jr.id = jobs[j].id;
+        jr.arrival_tick = jobs[j].arrival_tick;
+        jr.any_hit = jobs[j].any_hit;
+        jr.first_service_tick = jobs[j].arrival_tick;
+        jr.completion_tick = jobs[j].arrival_tick;
+        jr.hits.resize(jobs[j].rays.size());
+        rep.total_rays += jobs[j].rays.size();
     }
 
-    const BatchExecutor exec(bvh, engine_.executorConfig());
-    const std::vector<BatchResult> results = engine_.shard(
+    const BatchExecutor exec(bvh, engine.executorConfig());
+    const std::vector<BatchResult> results = engine.shard(
         plans.size(),
         [&](size_t bi) {
             const PlannedBatch &b = plans[bi];
             std::vector<BatchRayRef> refs(b.rays.size());
             for (size_t k = 0; k < b.rays.size(); ++k) {
                 const auto [j, ri] = b.rays[k];
-                refs[k] = {&jobs_[j].rays[ri], &rep.jobs[j].hits[ri], j};
+                refs[k] = {&jobs[j].rays[ri], &rep.jobs[j].hits[ri], j};
             }
             return exec.executeBatch(refs.data(), refs.size(), b.any_hit);
         },
@@ -210,24 +178,24 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
     }
 
     const bool tracing =
-        engine_.config().trace &&
-        engine_.config().model == ExecutionModel::CycleAccurate;
+        engine.config().trace &&
+        engine.config().model == ExecutionModel::CycleAccurate;
     if (tracing)
-        for (size_t j = 0; j < jobs_.size(); ++j)
-            rep.trace.push_back({jobs_[j].arrival_tick, 0,
+        for (size_t j = 0; j < jobs.size(); ++j)
+            rep.trace.push_back({jobs[j].arrival_tick, 0,
                                  obs::TraceEvent::JobSubmit,
-                                 jobs_[j].id,
-                                 uint64_t(jobs_[j].rays.size())});
+                                 jobs[j].id,
+                                 uint64_t(jobs[j].rays.size())});
 
     // The simulated timeline: sequential-machine semantics. Batch bi
     // starts when the previous batch drained and its own contributors
     // have all arrived. Each batch's executor trace (batch-local
     // clock) is rebased to its timeline start here, so the stream
     // trace shares the tick axis with every latency it reports.
-    std::vector<obs::Histogram> raylat(jobs_.size());
-    std::vector<uint64_t> count(jobs_.size(), 0);
+    std::vector<obs::Histogram> raylat(jobs.size());
+    std::vector<uint64_t> count(jobs.size(), 0);
     std::vector<uint32_t> touched;
-    std::vector<bool> first_seen(jobs_.size(), false);
+    std::vector<bool> first_seen(jobs.size(), false);
     uint64_t prev_end = 0;
     for (size_t bi = 0; bi < plans.size(); ++bi) {
         const PlannedBatch &b = plans[bi];
@@ -235,18 +203,9 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
         const uint64_t end = start + results[bi].sim_cycles;
         prev_end = end;
 
-        if (tracing) {
-            rep.trace.push_back({start, 0, obs::TraceEvent::BatchStart,
-                                 uint64_t(bi),
-                                 uint64_t(b.rays.size())});
-            for (obs::TraceRecord rec : results[bi].trace) {
-                rec.cycle += start;
-                rep.trace.push_back(rec);
-            }
-            rep.trace.push_back({end, 0, obs::TraceEvent::BatchEnd,
-                                 uint64_t(bi),
-                                 uint64_t(b.rays.size())});
-        }
+        if (tracing)
+            spliceBatchTrace(rep.trace, results[bi], bi, b.rays.size(),
+                             start);
 
         touched.clear();
         for (const auto &[j, ri] : b.rays) {
@@ -276,7 +235,7 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
     obs::Histogram job_lat;
     double x_sum = 0, x2_sum = 0;
     size_t x_n = 0;
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    for (size_t j = 0; j < jobs.size(); ++j) {
         JobReport &jr = rep.jobs[j];
         jr.latency = jr.completion_tick - jr.arrival_tick;
         jr.queue_wait = jr.first_service_tick - jr.arrival_tick;
@@ -303,17 +262,6 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
                        ? (x_sum * x_sum) / (double(x_n) * x2_sum)
                        : 0.0;
     return rep;
-}
-
-StreamReport
-StreamingService::run(const Engine &engine, const bvh::Bvh4 &bvh,
-                      std::vector<RenderJob> jobs,
-                      const StreamConfig &cfg)
-{
-    StreamingService svc(engine, cfg);
-    for (RenderJob &j : jobs)
-        svc.submit(std::move(j));
-    return svc.finish(bvh);
 }
 
 } // namespace rayflex::sim

@@ -9,38 +9,30 @@
  * the machine shared. This module adds the two tiers above the
  * executor (sim/executor.hh) that make those questions answerable:
  *
- *   * job tier — sim::RenderJob is one client request (rays + mode +
- *     arrival tick from a fixed, caller-supplied schedule) and
- *     sim::JobQueue is the bounded submission channel that
- *     back-pressures submitters when the service falls behind;
+ *   * job tier — sim::RenderJob is one client request: rays, a mode
+ *     and an arrival tick from a fixed, caller-supplied schedule;
  *   * scheduler tier — sim::BatchScheduler packs rays from different
  *     in-flight jobs into shared batches (cross-job packet formation:
  *     one job's coherent rays fill another's divergence-thinned
- *     packets), and sim::StreamingService runs the planned batches
- *     through the engine's batch loop while tracking per-job
+ *     packets), and sim::StreamingService::run executes the planned
+ *     batches through the engine's batch loop while tracking per-job
  *     completion on a simulated-cycle timeline.
  *
  * Determinism contract, extended from the engine: the batch plan is a
  * PURE function of the job schedule (ids, arrival ticks, modes, rays,
- * StreamConfig) — never of worker count, wall-clock or queue timing —
- * and each planned batch is executed by a freshly constructed unit.
- * A fixed arrival schedule therefore yields bit-identical hits,
- * per-job simulated latencies and merged statistics at every worker
- * count, no matter how submissions interleaved in host time. The
- * simulated timeline is sequential-machine semantics: batches are
- * charged in plan order (start = max(previous end, batch ready
- * tick)), so worker parallelism accelerates the host, not the modeled
- * chip.
+ * StreamConfig) — never of worker count, wall-clock or the order of
+ * the job vector — and each planned batch is executed by a freshly
+ * constructed unit. A fixed arrival schedule therefore yields
+ * bit-identical hits, per-job simulated latencies and merged
+ * statistics at every worker count. The simulated timeline is
+ * sequential-machine semantics: batches are charged in plan order
+ * (start = max(previous end, batch ready tick)), so worker parallelism
+ * accelerates the host, not the modeled chip.
  */
 #ifndef RAYFLEX_SIM_STREAM_HH
 #define RAYFLEX_SIM_STREAM_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,7 +49,7 @@ namespace rayflex::sim
 struct RenderJob
 {
     /** Caller-chosen identity; must be unique within a service run
-     *  (StreamingService::finish throws on duplicates). */
+     *  (StreamingService::run throws on duplicates). */
     uint64_t id = 0;
 
     /** Simulated cycle at which the job enters the system. Rays of a
@@ -72,79 +64,12 @@ struct RenderJob
     std::vector<core::Ray> rays;
 };
 
-/**
- * Bounded MPMC queue: push blocks while the queue is full (the
- * back-pressure the job tier applies to submitters), pop blocks while
- * it is empty, close() wakes everyone. Element order is FIFO.
- */
-template <typename T> class BoundedQueue
-{
-  public:
-    explicit BoundedQueue(size_t capacity)
-        : cap_(capacity ? capacity : 1)
-    {
-    }
-
-    /** Block until space is available, then enqueue. @return false
-     *  when the queue was closed (the item is not enqueued). */
-    bool
-    push(T item)
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_space_.wait(lk,
-                       [this] { return closed_ || q_.size() < cap_; });
-        if (closed_)
-            return false;
-        q_.push_back(std::move(item));
-        cv_item_.notify_one();
-        return true;
-    }
-
-    /** Block until an item is available; std::nullopt once the queue
-     *  is closed AND drained. */
-    std::optional<T>
-    pop()
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_item_.wait(lk, [this] { return closed_ || !q_.empty(); });
-        if (q_.empty())
-            return std::nullopt;
-        T item = std::move(q_.front());
-        q_.pop_front();
-        cv_space_.notify_one();
-        return item;
-    }
-
-    /** No further pushes succeed; blocked producers and consumers
-     *  wake. Items already queued remain poppable. */
-    void
-    close()
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        closed_ = true;
-        cv_item_.notify_all();
-        cv_space_.notify_all();
-    }
-
-    size_t capacity() const { return cap_; }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        return q_.size();
-    }
-
-  private:
-    const size_t cap_;
-    mutable std::mutex m_;
-    std::condition_variable cv_item_, cv_space_;
-    std::deque<T> q_;
-    bool closed_ = false;
-};
-
-/** The job tier's submission channel. */
-using JobQueue = BoundedQueue<RenderJob>;
+/** Planning-rate estimate (simulated cycles per ray) that advances the
+ *  scheduler's formation clock between batches — how far the simulated
+ *  clock has moved, and hence which arrivals are in flight, when the
+ *  next batch forms. A fixed model parameter (NOT a measurement), so
+ *  the plan stays a pure function of the schedule. */
+inline constexpr unsigned kPlanCyclesPerRay = 8;
 
 /** Scheduler-tier configuration. */
 struct StreamConfig
@@ -160,22 +85,10 @@ struct StreamConfig
      *  packing against. Changes batch composition (and therefore
      *  timing and latency), never hit records. */
     bool cross_job_packing = true;
-
-    /** Planning-rate estimate (simulated cycles per ray) that advances
-     *  the scheduler's formation clock between batches — how far the
-     *  simulated clock has moved, and hence which arrivals are
-     *  in-flight, when the next batch forms. A fixed model parameter
-     *  (NOT a measurement), so the plan stays a pure function of the
-     *  schedule. */
-    unsigned plan_cycles_per_ray = 8;
-
-    /** JobQueue capacity: submissions beyond this many undrained jobs
-     *  block the submitter. */
-    size_t queue_capacity = 64;
 };
 
 /** One scheduled batch: which (job, ray) pairs run together, in
- *  submission order per job, round-robin across jobs. */
+ *  ray order per job, round-robin across jobs. */
 struct PlannedBatch
 {
     bool any_hit = false;
@@ -198,7 +111,7 @@ struct PlannedBatch
  * the service's determinism contract reduces to the executor's.
  *
  * Formation model: a virtual clock starts at the first arrival and
- * advances plan_cycles_per_ray per scheduled ray. Each round, the
+ * advances kPlanCyclesPerRay per scheduled ray. Each round, the
  * batch takes the traversal mode of the earliest in-flight job and
  * fills with that mode's in-flight jobs — round-robin one ray per job
  * in (arrival, id) order when cross-job packing is on, FIFO from the
@@ -280,8 +193,8 @@ struct StreamReport
     size_t batches = 0;
     unsigned threads_used = 0;
 
-    /** Simulated tick at which the last batch drained (0 when no rays
-     *  were submitted). Ticks are absolute on the arrival timeline. */
+    /** Simulated tick at which the last batch drained (0 when no job
+     *  has rays). Ticks are absolute on the arrival timeline. */
     uint64_t makespan_ticks = 0;
 
     /** Nearest-rank percentiles over the jobs' simulated latencies
@@ -332,50 +245,22 @@ struct StreamReport
 };
 
 /**
- * The streaming front-end over an existing Engine: concurrent clients
- * submit() RenderJobs through the bounded JobQueue (blocking when the
- * queue is full), and finish() closes intake, plans the batches, and
- * executes them through the engine's batch loop (each worker gathers
- * the batch it claims), returning the per-job and aggregate report.
- * The engine's threads/model/rt/dp/chip knobs apply;
- * EngineConfig::batch_size and any_hit are ignored, superseded by
- * StreamConfig::batch_size and the per-job modes.
- *
- * One service instance is one run: submit() after finish() throws.
+ * The streaming front-end over an existing Engine. run() is the one
+ * entry point: it rejects duplicate job ids, sorts the jobs by
+ * (arrival_tick, id), plans the batches, executes them through the
+ * engine's batch loop (each worker gathers the batch it claims) and
+ * returns the per-job and aggregate report. The engine's
+ * threads/model/rt/dp/chip knobs apply; EngineConfig::batch_size and
+ * any_hit are ignored, superseded by StreamConfig::batch_size and the
+ * per-job modes.
  */
 class StreamingService
 {
   public:
-    StreamingService(const Engine &engine, const StreamConfig &cfg = {});
-    ~StreamingService();
-
-    StreamingService(const StreamingService &) = delete;
-    StreamingService &operator=(const StreamingService &) = delete;
-
-    /** Enqueue a job; blocks while queue_capacity jobs are undrained.
-     *  Safe to call from many submitter threads concurrently.
-     *  @throws std::logic_error after finish(). */
-    void submit(RenderJob job);
-
-    /** Close intake, schedule every submitted job, execute, and
-     *  report.
-     *  @throws std::invalid_argument on duplicate job ids. */
-    StreamReport finish(const bvh::Bvh4 &bvh);
-
-    /** Convenience one-shot: submit every job, then finish. */
+    /** @throws std::invalid_argument on duplicate job ids. */
     static StreamReport run(const Engine &engine, const bvh::Bvh4 &bvh,
                             std::vector<RenderJob> jobs,
                             const StreamConfig &cfg = {});
-
-    const StreamConfig &config() const { return cfg_; }
-
-  private:
-    const Engine &engine_;
-    StreamConfig cfg_;
-    JobQueue queue_;
-    std::vector<RenderJob> jobs_; ///< filled by collector_
-    std::thread collector_;       ///< drains queue_ into jobs_
-    bool finished_ = false;
 };
 
 } // namespace rayflex::sim

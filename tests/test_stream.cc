@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the streaming render service (job / scheduler / executor
- * tiers): JobQueue back-pressure, the extended determinism contract
+ * tiers): the extended determinism contract
  * (bit-identical hits, per-job simulated latencies and merged stats at
  * every worker count for a fixed arrival schedule), cross-job packet
  * formation, head-of-line blocking vs packing, and the batch-API pins
@@ -10,10 +10,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "bvh/scene.hh"
 #include "core/workloads.hh"
@@ -131,72 +129,6 @@ jobReportsIdentical(const sim::JobReport &a, const sim::JobReport &b)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Job tier: the bounded submission channel.
-// ---------------------------------------------------------------------
-
-TEST(JobQueue, FifoWithinCapacity)
-{
-    sim::BoundedQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i));
-    EXPECT_EQ(q.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        auto v = q.pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-}
-
-TEST(JobQueue, PushBlocksWhenFullUntilPopMakesSpace)
-{
-    sim::BoundedQueue<int> q(2);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-
-    std::atomic<bool> third_pushed{false};
-    std::thread producer([&] {
-        ASSERT_TRUE(q.push(3)); // blocks: queue is at capacity
-        third_pushed = true;
-    });
-    // Back-pressure: the producer must still be blocked after a grace
-    // period with the queue full.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(third_pushed.load());
-    EXPECT_EQ(q.size(), 2u);
-
-    auto v = q.pop(); // frees one slot; the producer completes
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 1);
-    producer.join();
-    EXPECT_TRUE(third_pushed.load());
-    EXPECT_EQ(*q.pop(), 2);
-    EXPECT_EQ(*q.pop(), 3);
-}
-
-TEST(JobQueue, CloseDrainsThenSignalsAndRejectsPushes)
-{
-    sim::BoundedQueue<int> q(8);
-    ASSERT_TRUE(q.push(7));
-    q.close();
-    EXPECT_FALSE(q.push(8)); // rejected, not enqueued
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value()); // queued items remain poppable
-    EXPECT_EQ(*v, 7);
-    EXPECT_FALSE(q.pop().has_value()); // closed and drained
-}
-
-TEST(JobQueue, CloseWakesBlockedProducer)
-{
-    sim::BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-    producer.join();
-}
-
-// ---------------------------------------------------------------------
 // Scheduler tier: plan shape and the service determinism contract.
 // ---------------------------------------------------------------------
 
@@ -246,50 +178,30 @@ TEST(StreamingService, DeterministicAcrossWorkerCounts)
     ASSERT_GT(ref.makespan_ticks, 0u);
     ASSERT_GT(ref.fairness, 0.0);
 
+    // The plan is a function of the schedule, not of the order the
+    // caller lists the jobs in: the reversed vector reports the same.
+    std::vector<sim::RenderJob> reversed = mixedSchedule(bvh);
+    std::reverse(reversed.begin(), reversed.end());
     for (unsigned threads : {2u, 8u}) {
-        sim::StreamReport rep = sim::StreamingService::run(
-            sim::Engine(packetEngineConfig(threads)), bvh,
-            mixedSchedule(bvh), scfg);
-        EXPECT_EQ(rep.threads_used,
-                  std::min<unsigned>(threads, unsigned(rep.batches)));
-        EXPECT_EQ(rep.unit, ref.unit) << threads << " threads";
-        EXPECT_EQ(rep.batches, ref.batches);
-        EXPECT_EQ(rep.makespan_ticks, ref.makespan_ticks);
-        EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
-        EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
-        EXPECT_EQ(rep.fairness, ref.fairness);
-        ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
-        for (size_t j = 0; j < ref.jobs.size(); ++j)
-            EXPECT_TRUE(jobReportsIdentical(rep.jobs[j], ref.jobs[j]))
-                << threads << " threads";
+        for (bool reverse : {false, true}) {
+            sim::StreamReport rep = sim::StreamingService::run(
+                sim::Engine(packetEngineConfig(threads)), bvh,
+                reverse ? reversed : mixedSchedule(bvh), scfg);
+            EXPECT_EQ(rep.threads_used,
+                      std::min<unsigned>(threads, unsigned(rep.batches)));
+            EXPECT_EQ(rep.unit, ref.unit)
+                << threads << " threads, reversed " << reverse;
+            EXPECT_EQ(rep.batches, ref.batches);
+            EXPECT_EQ(rep.makespan_ticks, ref.makespan_ticks);
+            EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
+            EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
+            EXPECT_EQ(rep.fairness, ref.fairness);
+            ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
+            for (size_t j = 0; j < ref.jobs.size(); ++j)
+                EXPECT_TRUE(jobReportsIdentical(rep.jobs[j], ref.jobs[j]))
+                    << threads << " threads, reversed " << reverse;
+        }
     }
-}
-
-TEST(StreamingService, SubmissionInterleavingDoesNotChangeTheReport)
-{
-    Bvh4 bvh = testScene();
-    std::vector<sim::RenderJob> jobs = mixedSchedule(bvh);
-    sim::Engine engine(packetEngineConfig(2));
-
-    sim::StreamReport ref =
-        sim::StreamingService::run(engine, bvh, mixedSchedule(bvh), {});
-
-    // Submit the same schedule from three racing submitter threads in
-    // reverse order: the plan is a function of the schedule, not of
-    // host-time interleaving.
-    sim::StreamingService svc(engine);
-    std::vector<std::thread> submitters;
-    for (size_t j = 0; j < jobs.size(); ++j)
-        submitters.emplace_back(
-            [&, j] { svc.submit(jobs[jobs.size() - 1 - j]); });
-    for (auto &t : submitters)
-        t.join();
-    sim::StreamReport rep = svc.finish(bvh);
-
-    EXPECT_EQ(rep.unit, ref.unit);
-    ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
-    for (size_t j = 0; j < ref.jobs.size(); ++j)
-        EXPECT_TRUE(jobReportsIdentical(rep.jobs[j], ref.jobs[j]));
 }
 
 TEST(StreamingService, HitsMatchStandaloneEngineRunsPerJob)
@@ -343,56 +255,33 @@ TEST(StreamingService, ApiMisuseThrows)
     Bvh4 bvh = testScene();
     sim::Engine engine(packetEngineConfig(1));
 
-    { // duplicate job ids
-        sim::StreamingService svc(engine);
-        svc.submit({3, 0, false, cameraRays(bvh, 2, 2)});
-        svc.submit({3, 10, false, cameraRays(bvh, 2, 2)});
-        EXPECT_THROW(svc.finish(bvh), std::invalid_argument);
-    }
-    { // submit after finish
-        sim::StreamingService svc(engine);
-        svc.finish(bvh);
-        EXPECT_THROW(svc.submit({1, 0, false, {}}), std::logic_error);
-        EXPECT_THROW(svc.finish(bvh), std::logic_error);
-    }
+    std::vector<sim::RenderJob> jobs;
+    jobs.push_back({3, 0, false, cameraRays(bvh, 2, 2)});
+    jobs.push_back({3, 10, false, cameraRays(bvh, 2, 2)});
+    EXPECT_THROW(sim::StreamingService::run(engine, bvh, std::move(jobs)),
+                 std::invalid_argument);
 }
 
 TEST(StreamingService, ZeroKnobsCompleteIdenticallyAtEveryWorkerCount)
 {
     // No StreamConfig knob can livelock: batch_size 0 means unbounded
-    // batches, queue_capacity 0 is clamped to 1 by BoundedQueue and
-    // plan_cycles_per_ray 0 means instant planning.
+    // batches (one per formation round).
     Bvh4 bvh = testScene();
     sim::StreamConfig zero;
     zero.batch_size = 0;
-    zero.queue_capacity = 0;
-    zero.plan_cycles_per_ray = 0;
-    for (int knob = 0; knob < 3; ++knob) {
-        sim::StreamConfig scfg;
-        scfg.batch_size = knob == 0 ? 0 : 64;
-        scfg.queue_capacity = knob == 1 ? 0 : scfg.queue_capacity;
-        scfg.plan_cycles_per_ray =
-            knob == 2 ? 0 : scfg.plan_cycles_per_ray;
-        for (const sim::StreamConfig &cfg : {scfg, zero}) {
-            sim::StreamReport ref = sim::StreamingService::run(
-                sim::Engine(packetEngineConfig(1)), bvh,
-                mixedSchedule(bvh), cfg);
-            sim::StreamReport rep = sim::StreamingService::run(
-                sim::Engine(packetEngineConfig(3)), bvh,
-                mixedSchedule(bvh), cfg);
-            EXPECT_EQ(ref.total_rays, 192u + 150u + 64u);
-            EXPECT_EQ(rep.unit, ref.unit) << "knob " << knob;
-            EXPECT_EQ(rep.batches, ref.batches);
-            EXPECT_EQ(rep.makespan_ticks, ref.makespan_ticks);
-            EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
-            EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
-            ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
-            for (size_t j = 0; j < ref.jobs.size(); ++j)
-                EXPECT_TRUE(
-                    jobReportsIdentical(rep.jobs[j], ref.jobs[j]))
-                    << "knob " << knob;
-        }
-    }
+    sim::StreamReport ref = sim::StreamingService::run(
+        sim::Engine(packetEngineConfig(1)), bvh, mixedSchedule(bvh), zero);
+    sim::StreamReport rep = sim::StreamingService::run(
+        sim::Engine(packetEngineConfig(3)), bvh, mixedSchedule(bvh), zero);
+    EXPECT_EQ(ref.total_rays, 192u + 150u + 64u);
+    EXPECT_EQ(rep.unit, ref.unit);
+    EXPECT_EQ(rep.batches, ref.batches);
+    EXPECT_EQ(rep.makespan_ticks, ref.makespan_ticks);
+    EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
+    EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
+    ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
+    for (size_t j = 0; j < ref.jobs.size(); ++j)
+        EXPECT_TRUE(jobReportsIdentical(rep.jobs[j], ref.jobs[j]));
 }
 
 // ---------------------------------------------------------------------
@@ -472,49 +361,6 @@ TEST(CrossJobPacking, PackingBeatsHeadOfLineBlockingForSmallJobs)
     EXPECT_LT(ps->latency, hs->latency);
     EXPECT_LT(ps->queue_wait, hs->queue_wait);
     EXPECT_LT(ps->p99_ray_latency, hs->p99_ray_latency);
-}
-
-// ---------------------------------------------------------------------
-// Passes-as-jobs: streaming secondary passes reproduce the sequential
-// per-pixel outputs bit for bit.
-// ---------------------------------------------------------------------
-
-TEST(StreamPasses, StreamedSecondariesMatchSequentialPerPixel)
-{
-    Bvh4 bvh = testScene();
-    sim::Engine engine(packetEngineConfig(2));
-
-    sim::PassConfig pc;
-    pc.camera.eye = {0.5f, 1.0f, 9.0f};
-    pc.camera.look_at = {0.0f, 0.0f, 0.0f};
-    pc.camera.width = 16;
-    pc.camera.height = 16;
-    pc.ao_samples = 2;
-    pc.bounce = true;
-    pc.seed = 7;
-    sim::PassesReport seq = sim::renderPasses(engine, bvh, pc);
-
-    pc.stream_secondary = true;
-    pc.stream.batch_size = 64;
-    sim::PassesReport str = sim::renderPasses(engine, bvh, pc);
-
-    ASSERT_EQ(str.lit, seq.lit);
-    ASSERT_EQ(str.diffuse.size(), seq.diffuse.size());
-    for (size_t i = 0; i < seq.diffuse.size(); ++i) {
-        EXPECT_EQ(toBits(str.diffuse[i]), toBits(seq.diffuse[i])) << i;
-        EXPECT_EQ(toBits(str.ao_open[i]), toBits(seq.ao_open[i])) << i;
-        EXPECT_TRUE(bitIdentical(str.bounce_hits[i], seq.bounce_hits[i]))
-            << i;
-    }
-    // Same rays traversed, merged into the stream report instead of
-    // the per-pass ones (which stay empty in stream mode).
-    EXPECT_EQ(str.total_rays, seq.total_rays);
-    EXPECT_EQ(str.shadow.hits.size() + str.shadow.batches, 0u);
-    EXPECT_EQ(str.stream.jobs.size(), 3u);
-    EXPECT_GT(str.stream.unit.cycles, 0u);
-    // Shadow and AO are both any-hit and in flight together: the
-    // occlusion batches actually pack across the two jobs.
-    EXPECT_GT(str.stream.unit.packet.cross_job_fetches_shared, 0u);
 }
 
 // ---------------------------------------------------------------------
