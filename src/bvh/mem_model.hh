@@ -17,7 +17,7 @@
  *     latencies) with LRU replacement and per-run CacheStats.
  *
  * One MemoryModel instance is the unit's SHARED L1: every ray-buffer
- * slot (scalar entry or packet) of an RtUnit fetches through the same
+ * slot (packet or k-NN query) of an RtUnit fetches through the same
  * model, so slots contend for the same lines. The MshrFile in this
  * header is the bounded outstanding-request file that fronts that L1
  * (RtUnitConfig::mshrs): duplicate in-flight fetches of the same

@@ -3,7 +3,7 @@
  * Packet traversal implementation.
  *
  * Lifecycle of one work item, packet-wide: popNext() pops the shared
- * stack, applying the scalar pruning rule per lane (a lane whose best
+ * stack, applying the one-ray pruning rule per lane (a lane whose best
  * hit already beats the item's entry distance is masked off, not the
  * whole item); the unit fetches the node or leaf once for the surviving
  * mask; fetchArrived() expands the item into datapath beats (one
@@ -12,8 +12,8 @@
  * leaf in leaf order); handleResult() folds results back in issue
  * order; completeItem() merges per-lane box results into child items
  * (mask = lanes whose slab test hit the child, pushed farthest-first
- * by minimum entry distance) and retires lanes whose pending work
- * dropped to zero.
+ * by minimum entry distance, or in the datapath's order at width 1)
+ * and retires lanes whose pending work dropped to zero.
  *
  * All decisions are pure functions of the admitted rays and the BVH:
  * no clocks, no host pointers, no randomness — the packet inherits the
@@ -61,7 +61,7 @@ PacketTraversal::admit(std::deque<PendingRay> &queue)
 
     if (bvh_.tris.empty()) {
         // Nothing to traverse: every lane completes with a miss, the
-        // packet never forms (mirrors the scalar empty-scene refill).
+        // packet never forms.
         for (unsigned r = 0; r < n_lanes_; ++r)
             completed_.emplace_back(lanes_[r].ray_id, HitRecord{});
         unsigned admitted = n_lanes_;
@@ -124,7 +124,7 @@ PacketTraversal::popNext()
             if (!(it.mask & (1u << r)))
                 continue;
             Lane &ln = lanes_[r];
-            // The scalar pruning rule, applied per lane: a retired or
+            // The one-ray pruning rule, applied per lane: a retired or
             // pruned lane leaves the item; the item survives for the
             // rest.
             if (ln.retired || (ln.best.hit && it.entry[r] > ln.best.t))
@@ -169,7 +169,7 @@ PacketTraversal::fetchArrived()
     pending_.clear();
     if (cur_.is_leaf) {
         // Triangle-major: each lane sees the leaf's triangles in leaf
-        // order, exactly as the scalar entry does.
+        // order, exactly as a lone ray does.
         for (uint32_t t = cur_.index; t < cur_.index + cur_.count; ++t)
             for (unsigned r = 0; r < n_lanes_; ++r)
                 if (live_ & (1u << r))
@@ -187,7 +187,7 @@ PacketTraversal::pruneDeadBeats()
     // Beats for lanes retired mid-leaf (any-hit) are never issued.
     // Pruning the whole queue (not just the front) never changes the
     // issued-beat sequence — dead beats would be skipped on their way
-    // to the front anyway — and keeps pendingCount()/makeBeatAt()
+    // to the front anyway — and keeps issuableCount()/makeBeatAt()
     // indices dense for the multi-issue offer loop.
     std::erase_if(pending_, [this](const PacketBeat &b) {
         return lanes_[b.lane].retired;
@@ -425,7 +425,11 @@ PacketTraversal::mergeBoxResults()
             entry[r][br.order[i]] = fromBits(br.sorted_dist[i]);
     }
 
-    // One candidate child item per slot some lane hit.
+    // One candidate child item per slot some lane hit. Rule (b): a
+    // width-1 packet takes its children in the QuadSort network's
+    // nearest-first order, ties as the network leaves them; wider
+    // packets sort the candidates below.
+    const bool datapath_order = width_ == 1;
     struct Cand
     {
         Item item;
@@ -435,7 +439,8 @@ PacketTraversal::mergeBoxResults()
     std::array<Cand, 4> cands;
     int n_cands = 0;
     bool split = false;
-    for (int slot = 0; slot < 4; ++slot) {
+    for (int k = 0; k < 4; ++k) {
+        const int slot = datapath_order ? box_res_[0].order[k] : k;
         const WideNode::Child &c = node.child[slot];
         if (c.kind == WideNode::Kind::Empty)
             continue;
@@ -469,11 +474,12 @@ PacketTraversal::mergeBoxResults()
 
     // Push farthest-first so the packet-nearest child pops first;
     // slot index breaks exact-distance ties deterministically.
-    std::sort(cands.begin(), cands.begin() + n_cands,
-              [](const Cand &a, const Cand &b) {
-                  return a.key != b.key ? a.key < b.key
-                                        : a.slot < b.slot;
-              });
+    if (!datapath_order)
+        std::sort(cands.begin(), cands.begin() + n_cands,
+                  [](const Cand &a, const Cand &b) {
+                      return a.key != b.key ? a.key < b.key
+                                            : a.slot < b.slot;
+                  });
     for (int i = n_cands - 1; i >= 0; --i) {
         stack_.push_back(cands[size_t(i)].item);
         for (unsigned r = 0; r < n_lanes_; ++r)

@@ -4,31 +4,38 @@
  * fetches.
  *
  * The paper models only the intersection-test datapath and defers warp
- * management to the enclosing RT unit. The scalar RtUnit feeds that
- * datapath one independent ray per ray-buffer entry, so a coherent
- * camera batch pays a full node fetch per ray even when neighbouring
- * rays walk the same subtree. PacketTraversal is the warp-level
- * counterpart: up to PacketConfig::width rays share ONE traversal stack
- * and ONE MemoryModel fetch per node visited — every member ray
- * consumes the fetched data — with per-ray active masks tracking
- * divergence. The datapath interface is unchanged: a packet visiting a
- * node issues one ray-box beat per active ray (SIMD-style multi-ray
- * AABB beats, pipelined back-to-back), and a leaf issues the usual
- * ray-triangle beats per (triangle, active ray) pair.
+ * management to the enclosing RT unit. PacketTraversal is that unit's
+ * one ray scheduler: up to PacketConfig::width rays share ONE
+ * traversal stack and ONE MemoryModel fetch per node visited — every
+ * member ray consumes the fetched data — with per-ray active masks
+ * tracking divergence. The datapath interface is unchanged: a packet
+ * visiting a node issues one ray-box beat per active ray (SIMD-style
+ * multi-ray AABB beats, pipelined back-to-back), and a leaf issues the
+ * usual ray-triangle beats per (triangle, active ray) pair.
  *
- * Contract: packets change timing and memory traffic, never hits. A
- * packetized run produces bit-identical hit records to scalar
- * traversal: per-ray pruning uses exactly the scalar condition
- * (entry_t > best.t masks the ray off a work item instead of popping
- * it), triangle acceptance is the scalar code verbatim, and each ray
- * sees a leaf's triangles in leaf order. Rays retire out of a packet
- * independently: a ray whose pending work drops to zero completes even
- * while its packet continues traversing for the other lanes.
+ * A width-1 packet is the scalar schedule — one independent ray per
+ * ray-buffer slot, a full node fetch per ray — under two rules keyed
+ * on the width: (a) a leaf issues its next triangle beat only after
+ * the previous result drained (one beat in flight per ray), and (b)
+ * hit children are pushed in the datapath's own QuadSort order, which
+ * is not stable on distance ties, instead of the (distance, slot)
+ * order a wider packet sorts its members' children into.
+ *
+ * Contract: the packet width changes timing and memory traffic, never
+ * hits. Every width produces bit-identical hit records: each ray
+ * prunes by its own condition (entry > best.t masks the ray off a work
+ * item instead of popping it), accepts triangles by the same per-ray
+ * test, and sees a leaf's triangles in leaf order. Rays retire out of
+ * a packet independently: a ray whose pending work drops to zero
+ * completes even while its packet continues traversing for the other
+ * lanes.
  *
  * PacketStats counts the wavefront-level quantities (packets formed,
  * occupancy, fetches shared, divergence splits) and merges with the
  * same commutative sums as every other stats struct, so sharded
- * engine runs stay bit-identical at every worker count.
+ * engine runs stay bit-identical at every worker count. The RT unit
+ * reports it (and the Packet* trace events) for packets of two or
+ * more rays only.
  */
 #ifndef RAYFLEX_BVH_PACKET_HH
 #define RAYFLEX_BVH_PACKET_HH
@@ -77,9 +84,10 @@ struct PacketBeat
 /** Packet-mode configuration of the RT unit. */
 struct PacketConfig
 {
-    /** Rays grouped per packet. 1 (the default) keeps the scalar
-     *  one-ray-per-entry path bit-for-bit; widths 2..kMaxPacketWidth
-     *  enable the shared-stack wavefront scheduler. */
+    /** Rays grouped per packet. 1 (the default) is the scalar
+     *  one-ray-per-slot schedule (rules (a) and (b) above); widths
+     *  2..kMaxPacketWidth share a stack and each node fetch across
+     *  the member rays. */
     unsigned width = 1;
 
     /** Occupancy-driven compaction threshold. 0 (the default)
@@ -99,7 +107,8 @@ struct PacketConfig
 /** Per-run packet counters. All fields are sums of uint64 counts, so
  *  merging is commutative and associative like RtUnitStats: aggregates
  *  over many batches are identical no matter which worker ran which
- *  batch or in what order merges happen. All-zero in scalar mode. */
+ *  batch or in what order merges happen. All-zero at width 1 (the
+ *  scalar schedule). */
 struct PacketStats
 {
     uint64_t packets_formed = 0;   ///< packets admitted from the queue
@@ -165,8 +174,7 @@ struct PacketStats
  * drives them through four service points per cycle — memory
  * (needsFetch/fetchIssued/fetchArrived), datapath issue
  * (issueReady/makeBeatAt/takeBeatAt, up to issue_width beats per
- * cycle), datapath drain (handleResult) and refill (admit) —
- * mirroring the scalar Entry lifecycle, packet-wide. Between work
+ * cycle), datapath drain (handleResult) and refill (admit). Between work
  * items (compactable()) a divergence-thinned packet can absorb()
  * another's surviving lanes, so the beat slots divergence emptied are
  * recovered instead of riding along dead.
@@ -216,10 +224,18 @@ class PacketTraversal
      *  die mid-leaf); such beats are never issued. Call before
     *   peeking the pending queue. */
     void pruneDeadBeats();
-    /** Beats awaiting issue (after pruneDeadBeats()). The multi-issue
-     *  unit offers pending beats 0..N-1 to its N datapath lanes in one
-     *  cycle — SIMD-style back-to-back member-lane beats. */
-    size_t pendingCount() const { return pending_.size(); }
+    /** Beats the unit may offer this cycle (after pruneDeadBeats()).
+     *  The multi-issue unit offers pending beats 0..N-1 to its N
+     *  datapath lanes in one cycle — SIMD-style back-to-back
+     *  member-lane beats. Rule (a): a width-1 packet keeps one beat in
+     *  flight, so its leaf serializes on each triangle result. */
+    size_t
+    issuableCount() const
+    {
+        if (width_ == 1)
+            return outstanding_ == 0 && !pending_.empty() ? 1 : 0;
+        return pending_.size();
+    }
     /** Datapath input for pending beat `j`; `tag` is echoed on the
      *  datapath output so the unit can route the result back here. */
     core::DatapathInput makeBeatAt(size_t j, uint64_t tag) const;

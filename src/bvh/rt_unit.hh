@@ -13,15 +13,15 @@
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. Three schedulers fill the ray
- * buffer under one cycle loop: the scalar mode traces one independent
- * ray per entry, the packet/wavefront mode (RtUnitConfig::packet,
- * bvh/packet.hh) groups coherent rays into packets that share a
- * traversal stack and one BVH fetch per visited node, optionally
- * repacking divergence-thinned packets (PacketConfig::compact_below),
- * and the k-NN mode walks a KnnIndex per query. This is the model used
- * to measure datapath utilization, memory sensitivity and rays/cycle
- * on real scenes.
+ * to one beat per lane per cycle. Two schedulers fill the ray buffer
+ * under one cycle loop: the packet/wavefront scheduler
+ * (RtUnitConfig::packet, bvh/packet.hh) groups coherent rays into
+ * packets that share a traversal stack and one BVH fetch per visited
+ * node, optionally repacking divergence-thinned packets
+ * (PacketConfig::compact_below) — a packet of width 1 is the scalar
+ * one-ray-per-slot schedule — and the k-NN scheduler walks a KnnIndex
+ * per query. This is the model used to measure datapath utilization,
+ * memory sensitivity and rays/cycle on real scenes.
  */
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
@@ -71,8 +71,8 @@ struct RtUnitConfig
      *  line owned by the unit: a beat is evaluated when the lane
      *  accepts it and its result drains core::kPipelineLatency cycles
      *  later, the timing of the skid-buffer pipeline. issue_width == 1
-     *  (the default) preserves the single-beat scalar and packet
-     *  schedules bit-for-bit. */
+     *  (the default) is the single-beat schedule of every packet
+     *  width. */
     unsigned issue_width = 1;
 
     /** Bounded MSHR file fronting the unit's shared L1 (bvh::MshrFile).
@@ -89,10 +89,11 @@ struct RtUnitConfig
     /** Cache geometry and timing (MemBackend::NodeCache). */
     NodeCacheConfig cache;
 
-    /** Packet/wavefront traversal (bvh/packet.hh). width == 1 (the
-     *  default) keeps the scalar one-ray-per-entry scheduler
-     *  bit-for-bit; wider packets share one node fetch across the
-     *  member rays. Hit records are bit-identical either way. */
+    /** Packet/wavefront traversal (bvh/packet.hh), the one ray
+     *  scheduler. width == 1 (the default) is the scalar
+     *  one-ray-per-slot schedule; wider packets share one node fetch
+     *  across the member rays. Hit records are bit-identical either
+     *  way. */
     PacketConfig packet;
 };
 
@@ -123,8 +124,8 @@ struct RtUnitStats
      *  struct, so sharded aggregation stays order-independent. */
     CacheStats mem;
 
-    /** Packet-traversal counters; all-zero in scalar mode
-     *  (packet.width == 1). Same commutative-sum merge contract. */
+    /** Packet-traversal counters; all-zero at packet.width == 1 (the
+     *  scalar schedule). Same commutative-sum merge contract. */
     PacketStats packet;
 
     /** MSHR-file counters; all-zero when the file is disabled
@@ -310,39 +311,25 @@ class RtUnit : public pipeline::Component
     void advance(uint64_t cycle) override;
 
   private:
-    /** Lifecycle of a ray-buffer slot, shared by the three schedulers
-     *  (a packet reports its issue phase as InFlight; a k-NN query
-     *  never uses ReadyBox). */
+    /** Lifecycle of a ray-buffer slot, shared by both schedulers (a
+     *  packet reports its issue phase as InFlight; ReadyTri is a k-NN
+     *  query's fetched leaf). */
     enum class EntryState : uint8_t {
         Idle,        ///< slot free
         NeedFetch,   ///< next node known, fetch not yet issued
         Fetching,    ///< waiting on node memory
-        ReadyBox,    ///< node data present, box beat pending
-        ReadyTri,    ///< leaf data present, triangle beats pending
+        ReadyTri,    ///< leaf data present, candidate beats pending
         InFlight,    ///< beat inside the datapath
     };
+    /** The state's name, as stallReport() prints it. */
+    static const char *stateName(EntryState st);
 
-    /** One deferred unit of traversal work for a ray. */
+    /** The node or leaf a slot fetches. */
     struct WorkItem
     {
         bool is_leaf = false;
         uint32_t index = 0; ///< node index or first triangle
         uint32_t count = 0; ///< triangle count when leaf
-        float entry_t = 0;  ///< child entry distance (for pruning)
-    };
-
-    struct Entry
-    {
-        EntryState state = EntryState::Idle;
-        core::Ray ray;
-        uint32_t ray_id = 0;
-        std::vector<WorkItem> stack; ///< pending work, nearest on top
-        WorkItem fetch;              ///< node or leaf being processed
-        uint32_t leaf_next = 0;      ///< next triangle to test (leaf)
-        uint32_t inflight_tri = 0;   ///< triangle of the in-flight beat
-        HitRecord best;
-        float t_beg = 0;
-        float t_max = 0;
     };
 
     struct MemRequest
@@ -360,16 +347,9 @@ class RtUnit : public pipeline::Component
         uint64_t queue_until = 0;
     };
 
-    /** Which scheduler fills the ray buffer; fixed at construction. */
-    enum class Scheduler : uint8_t {
-        Scalar, ///< one ray per Entry (packet.width == 1)
-        Packet, ///< PacketTraversal slots (packet.width > 1)
-        Knn,    ///< KnnEntry queries (constructed over a KnnIndex)
-    };
-
     // ----- the one cycle loop (advance) and its scheduler hooks -----
 
-    /** A packet-mode beat inside a lane, with its packet slot. */
+    /** A packet beat inside a lane, with its packet slot. */
     struct InflightBeat
     {
         size_t slot = 0;
@@ -381,8 +361,8 @@ class RtUnit : public pipeline::Component
     /** Lifecycle state of slot `i`. */
     EntryState slotState(size_t i) const;
     /** Step (a): lane `l` accepted the beat publish() offered it.
-     *  @return the packet beat taken (packet mode; default otherwise),
-     *  which rides the delay line beside the beat's result. */
+     *  @return the packet beat taken (default in k-NN mode), which
+     *  rides the delay line beside the beat's result. */
     InflightBeat acceptLane(size_t l);
     /** Step (b): a lane produced `out` for the beat `packet` names. */
     void drainLane(const core::DatapathOutput &out,
@@ -396,9 +376,6 @@ class RtUnit : public pipeline::Component
     /** Step (d): admit queued rays or queries into free slots. */
     void refill();
 
-    void popWork(Entry &e);
-    void finishRay(Entry &e, const HitRecord &rec);
-    void handleResult(const core::DatapathOutput &out);
     /** Exclusive cause of this cycle's idle issue slots (the
      *  non-Issued buckets of obs::Slot). All idle slots of one cycle
      *  share one cause, so step (a) classifies lazily once per
@@ -462,7 +439,7 @@ class RtUnit : public pipeline::Component
         uint32_t query_id = 0;
     };
 
-    bool knnMode() const { return sched_ == Scheduler::Knn; }
+    bool knnMode() const { return knn_index_ != nullptr; }
     void publishKnn();
     /** Step (a) for k-NN: start or continue a candidate on lane `l`. */
     void acceptKnnBeat(size_t l);
@@ -491,10 +468,13 @@ class RtUnit : public pipeline::Component
     std::deque<PendingKnn> pending_knn_;
     std::vector<KnnResult> knn_results_;
 
-    // ----- packet mode (packet.width > 1) -----
+    // ----- the packet scheduler (every ray run) -----
 
-    /** True when the packet/wavefront scheduler is active. */
-    bool packetized() const { return sched_ == Scheduler::Packet; }
+    /** Packet observability — PacketStats and the Packet* trace events
+     *  — covers packets of two or more rays. A width-1 packet shares
+     *  nothing, so it reports all-zero PacketStats and no Packet*
+     *  events. */
+    bool packetObserved() const { return cfg_.packet.width > 1; }
     void drainCompleted(PacketTraversal &p);
     void compactPackets();
     /** Step (c): true when packet `i` defers its fetch inside the
@@ -505,7 +485,6 @@ class RtUnit : public pipeline::Component
     const Bvh4 &bvh_;
     unsigned box_width_; ///< the lanes' DatapathConfig::box_width
     RtUnitConfig cfg_;
-    Scheduler sched_ = Scheduler::Scalar;
     std::unique_ptr<MemoryModel> mem_;
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
@@ -517,9 +496,8 @@ class RtUnit : public pipeline::Component
      *  partner that is still waiting on memory. */
     static constexpr unsigned kCompactWaitCycles = 16;
 
-    std::vector<Entry> entries_;   ///< scalar mode (packet.width == 1)
-    std::vector<PacketTraversal> packets_; ///< packet mode
-    /** Per-packet repacking-window progress (packet mode). */
+    std::vector<PacketTraversal> packets_; ///< ray slots
+    /** Per-packet repacking-window progress. */
     std::vector<unsigned> compact_hold_;
     std::deque<PendingRay> pending_rays_;
     std::deque<MemRequest> mem_queue_;
@@ -558,7 +536,7 @@ class RtUnit : public pipeline::Component
     struct Lane
     {
         LaneOffer offer;        ///< this cycle's offer (publish)
-        core::DatapathInput in; ///< the offered beat (ray schedulers)
+        core::DatapathInput in; ///< the offered beat (packet scheduler)
         core::DistanceAccumulators acc;
         KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)
 
@@ -569,7 +547,7 @@ class RtUnit : public pipeline::Component
         {
             uint64_t due = 0;
             core::DatapathOutput out;
-            InflightBeat packet; ///< the beat's packet slot (packet mode)
+            InflightBeat packet; ///< the beat's packet slot (ray runs)
         };
         std::array<Pending, core::kPipelineLatency> line;
         unsigned head = 0;

@@ -18,6 +18,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+
+// The golden model (core::golden) computes in host float and is pinned
+// bit-equal to this softfloat substrate, so host float must be
+// IEEE-754 binary32.
+static_assert(std::numeric_limits<float>::is_iec559,
+              "rayflex needs IEEE-754 binary32 host floats");
 
 namespace rayflex::fp
 {

@@ -13,7 +13,7 @@
  *
  *     SlotAccounting::total() == cycles * issue_width
  *
- * in every configuration (scalar, packet and k-NN schedulers; flat,
+ * in every configuration (packets of every width and k-NN; flat,
  * cached and chip-mode memory), pinned by tests/test_obs.cc. The
  * `Issued` bucket always equals datapath_beats; the idle slots are
  * total() - Issued and the memory-stall slots memoryStallSlots().

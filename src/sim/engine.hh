@@ -98,7 +98,7 @@ struct EngineReport
      *  batches; all-zero under the flat-latency backend), `unit.mshr`
      *  the merged MSHR-file counters (all-zero when rt.mshrs == 0)
      *  and `unit.packet` the wavefront counters, including
-     *  compactions (all-zero in scalar mode). Chip mode adds
+     *  compactions (all-zero at packet width 1). Chip mode adds
      *  `unit.chip_cycles` (lock-step chip ticks summed over batches)
      *  and `unit.l2_banks` (per-bank L2 counters, merged bank-by-bank
      *  across batches); both stay zero/empty when chip is inactive. */

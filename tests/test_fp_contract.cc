@@ -9,10 +9,18 @@
  * rounding and silently breaks hardware-vs-golden comparisons. The
  * build sets -ffp-contract=off globally; this test makes a mis-built
  * tree fail loudly instead of producing subtly wrong comparisons.
+ *
+ * The same contract needs subnormals to be kept: x86-64 binaries that
+ * start with flush-to-zero or denormals-are-zero set in MXCSR (what
+ * linking with -ffast-math does) round subnormal results and inputs
+ * to zero, which the softfloat substrate never does.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#endif
 
 #include "core/config.hh" // also exercises the C++20 #error guard
 #include "fp/float32.hh"
@@ -51,6 +59,19 @@ TEST(FpContract, MulAddRoundsIntermediateProduct)
     // Sanity: a true fused multiply-add distinguishes this input, so
     // the probe above really does detect contraction.
     EXPECT_EQ(std::fma(a, a, c), 0x1p-24f);
+}
+
+TEST(FpContract, SubnormalsAreNotFlushedToZero)
+{
+#if defined(__x86_64__) || defined(_M_X64)
+    const unsigned csr = _mm_getcsr();
+    EXPECT_EQ(csr & 0x8000u, 0u)
+        << "MXCSR.FTZ is set: subnormal results flush to zero";
+    EXPECT_EQ(csr & 0x0040u, 0u)
+        << "MXCSR.DAZ is set: subnormal inputs read as zero";
+#else
+    GTEST_SKIP() << "MXCSR exists on x86-64 only";
+#endif
 }
 
 TEST(FpContract, SoftFloatMatchesSeparatelyRoundedHost)

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "bvh/scene.hh"
+#include "core/raygen.hh"
 #include "core/workloads.hh"
 #include "sim/engine.hh"
 #include "sim/passes.hh"
@@ -857,6 +859,115 @@ TEST(BatchApiPin, ScalarAnyHit)
                    {},
                    {4658, 4934, 0, 0, 0, 0, 642, 10},
                    {}});
+}
+
+namespace
+{
+
+/** A torus with 8-triangle leaves: every leaf streams several triangle
+ *  beats. Its top and bottom rings share one y plane, so rays from
+ *  above enter sibling boxes at equal distances and the child order
+ *  rests on the QuadSort network's tie order. */
+Bvh4
+tieHeavyScene()
+{
+    BuildParams params;
+    params.max_leaf_size = 8;
+    return buildBvh4(makeTorus({0, 0, 0}, 2.5f, 0.8f, 24, 16), params);
+}
+
+/** Camera rays from above and from a diagonal, random rays around the
+ *  torus and two AO fans off its inner surface. */
+std::vector<Ray>
+tieHeavyRays(const Bvh4 &bvh)
+{
+    std::vector<Ray> rays;
+    for (const auto &[eye, side] :
+         {std::pair<Vec3, unsigned>{{0.3f, 9.0f, 0.7f}, 16},
+          std::pair<Vec3, unsigned>{{6.0f, 6.0f, 6.0f}, 12}}) {
+        Camera cam;
+        cam.look_at = bvh.root_bounds.centre();
+        cam.eye = eye;
+        cam.width = side;
+        cam.height = side;
+        for (unsigned y = 0; y < side; ++y)
+            for (unsigned x = 0; x < side; ++x)
+                rays.push_back(cam.primaryRay(x, y, 100.0f));
+    }
+    WorkloadGen gen(31);
+    for (int i = 0; i < 48; ++i)
+        rays.push_back(gen.ray(3.0f));
+    const float c = std::sqrt(0.5f);
+    const RayGen fans(3);
+    fans.appendAoFan(rays, {2.5f - 0.8f * c, 0.8f * c, 0}, {-c, c, 0}, 32,
+                     1e-3f, 4.0f);
+    fans.appendAoFan(rays, {1.7f, 0, 0}, {-1, 0, 0}, 32, 1e-3f, 4.0f);
+    return rays;
+}
+
+} // namespace
+
+TEST(BatchApiPin, WidthOneTieHeavyMultiTriangleLeaves)
+{
+    // The width-1 schedule where it is easiest to break: one triangle
+    // beat in flight per leaf, children pushed in the datapath's own
+    // order on distance ties.
+    Bvh4 bvh = tieHeavyScene();
+    const std::vector<Ray> rays = tieHeavyRays(bvh);
+    struct Case
+    {
+        unsigned issue_width;
+        bool any_hit;
+        uint64_t hits;
+        UnitPin pin;
+    };
+    const Case cases[] = {
+        {1, false, 12762920933769853588ull,
+         {{32503, 0, 512, 5363, 1153, 27140, 25762},
+          {1660, 3703, 0, 0},
+          {668, 3140, 2635},
+          {1153, 1110, 340258},
+          {},
+          {},
+          {5363, 3819, 21943, 0, 0, 0, 1370, 8},
+          {}}},
+        {4, false, 12762920933769853588ull,
+         {{33468, 0, 512, 5363, 1115, 128509, 121181},
+          {1660, 3703, 0, 0},
+          {562, 3193, 2688},
+          {1115, 1148, 363940},
+          {},
+          {},
+          {5363, 18394, 102787, 0, 0, 0, 7296, 32},
+          {}}},
+        {1, true, 14737014582729411557ull,
+         {{28849, 0, 512, 4617, 1031, 24232, 23343},
+          {1567, 3050, 0, 0},
+          {584, 2817, 2312},
+          {1031, 1082, 306360},
+          {},
+          {},
+          {4617, 3638, 19705, 0, 0, 0, 881, 8},
+          {}}},
+        {4, true, 14737014582729411557ull,
+         {{29382, 0, 512, 4617, 992, 112911, 107736},
+          {1567, 3050, 0, 0},
+          {513, 2828, 2323},
+          {992, 1121, 325710},
+          {},
+          {},
+          {4617, 17266, 90470, 0, 0, 0, 5143, 32},
+          {}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << "issue " << c.issue_width
+                                        << (c.any_hit ? " any" : " closest"));
+        sim::EngineConfig cfg = scalarEngineConfig(c.issue_width, 2);
+        cfg.any_hit = c.any_hit;
+        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        EXPECT_EQ(hitDigest(rep.hits), c.hits);
+        expectUnitPin(rep.unit, c.pin);
+    }
 }
 
 TEST(BatchApiPin, PacketCompactingAnyHit)
