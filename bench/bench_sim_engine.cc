@@ -5,9 +5,9 @@
  * in both execution models, plus the sharding overhead of the
  * single-thread engine path against the bare single-unit loop, the
  * any-hit shadow batches the cycle-accurate RT unit can now time, and
- * the multi-pass scenario path (sim::renderPasses) on the persistent
- * worker pool, and the node-cache scene-size sweep: a fixed-size cache
- * against BVHs of growing triangle count, reporting the hit-rate and
+ * the multi-pass scenario path (sim::renderPasses) on one engine, and
+ * the node-cache scene-size sweep: a fixed-size cache against BVHs of
+ * growing triangle count, reporting the hit-rate and
  * per-ray memory-stall numbers the flat-latency memory model could not
  * distinguish across working-set sizes, and the packet-coherence
  * sweep: packet widths 1..16 on coherent primaries vs incoherent AO
@@ -184,10 +184,9 @@ BM_ShadowAnyHitCycleAccurate(benchmark::State &state)
     sim::EngineConfig cfg;
     cfg.threads = unsigned(state.range(0));
     cfg.batch_size = 128;
-    cfg.any_hit = true;
-    sim::Engine engine(cfg); // pool outlives the timing loop
+    const sim::Engine engine(cfg);
     for (auto _ : state) {
-        auto rep = engine.run(bvh, rays);
+        auto rep = engine.run(bvh, rays, true);
         benchmark::DoNotOptimize(rep.unit.cycles);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *
@@ -205,8 +204,7 @@ static void
 BM_RenderPassesFunctional(benchmark::State &state)
 {
     // The full multi-pass scenario (primary + shadow + AO + bounce) on
-    // one engine: every pass after the first reuses the persistent
-    // worker pool, so this measures the subsystem end to end.
+    // one engine: the subsystem end to end.
     const Bvh4 &bvh = benchScene();
     sim::PassConfig pcfg;
     pcfg.camera.eye = {6.0f, 8.0f, 14.0f};

@@ -8,7 +8,7 @@
  * datapath model. Rendering is engine-driven and multi-pass through
  * sim::renderPasses: a closest-hit primary pass, an any-hit shadow
  * pass, and optionally an any-hit ambient-occlusion pass, all sharded
- * across the engine's persistent worker pool. Simple Lambertian
+ * across the engine's worker threads. Simple Lambertian
  * shading writes a PPM image, and the merged datapath-beat statistics
  * are reported - the quantity a hardware architect cares about. The
  * image is bit-identical for every value of [threads].
@@ -181,7 +181,7 @@ main(int argc, char **argv)
     sim::Engine engine(ecfg);
 
     // All passes (primary closest-hit, shadow any-hit, optional AO
-    // fans) through the engine's persistent worker pool.
+    // fans) through one engine.
     sim::PassesReport passes = sim::renderPasses(engine, bvh, pcfg);
 
     // ---- resolve to the image ----

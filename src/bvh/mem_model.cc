@@ -1,6 +1,6 @@
 /**
  * @file
- * NodeCache and SharedL2 implementations.
+ * LruSets, NodeCache and SharedL2 implementations.
  *
  * Line indexing uses plain division/modulo rather than bit shifts, so
  * line_bytes, sets and banks need not be powers of two; any positive
@@ -14,48 +14,67 @@
 namespace rayflex::bvh
 {
 
-NodeCache::NodeCache(const NodeCacheConfig &cfg) : cfg_(cfg)
+LruSets::LruSets(uint32_t sets, uint32_t ways)
+    : sets_(sets), ways_(ways), lines_(size_t(sets) * ways)
 {
-    lines_.resize(size_t(cfg_.sets) * cfg_.ways);
 }
 
 void
-NodeCache::reset()
+LruSets::reset()
 {
     lines_.assign(lines_.size(), Line{});
     tick_ = 0;
-    stats_ = {};
 }
 
-bool
-NodeCache::touchLine(uint64_t line)
+LruSets::Touch
+LruSets::touch(uint64_t line)
 {
-    Line *set = lines_.data() + size_t(line % cfg_.sets) * cfg_.ways;
+    Line *set = lines_.data() + size_t(line % sets_) * ways_;
     ++tick_;
 
     Line *victim = set;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
+    for (uint32_t w = 0; w < ways_; ++w) {
         Line &l = set[w];
         if (l.valid && l.tag == line) {
             l.last_used = tick_;
-            ++stats_.hits;
-            return true;
+            return Touch::Hit;
         }
         // Victim preference: first invalid way, else the least recently
-        // used one; ties break toward the lowest way index, keeping
-        // replacement a pure function of the access sequence.
+        // used one; ties break toward the lowest way index.
         if (!victim->valid)
             continue;
         if (!l.valid || l.last_used < victim->last_used)
             victim = &l;
     }
 
+    const Touch done = victim->valid ? Touch::Evict : Touch::Fill;
+    *victim = {line, tick_, true};
+    return done;
+}
+
+NodeCache::NodeCache(const NodeCacheConfig &cfg)
+    : cfg_(cfg), lines_(cfg.sets, cfg.ways)
+{
+}
+
+void
+NodeCache::reset()
+{
+    lines_.reset();
+    stats_ = {};
+}
+
+bool
+NodeCache::touchLine(uint64_t line)
+{
+    const LruSets::Touch t = lines_.touch(line);
+    if (t == LruSets::Touch::Hit) {
+        ++stats_.hits;
+        return true;
+    }
     ++stats_.misses;
-    if (victim->valid)
+    if (t == LruSets::Touch::Evict)
         ++stats_.evictions;
-    victim->tag = line;
-    victim->last_used = tick_;
-    victim->valid = true;
     return false;
 }
 
@@ -137,9 +156,7 @@ NodeCache::access(uint64_t addr, uint32_t bytes, uint64_t now,
 SharedL2::SharedL2(const L2Config &cfg) : cfg_(cfg)
 {
     const size_t n_banks = cfg_.banks ? cfg_.banks : 1;
-    banks_.resize(n_banks);
-    for (Bank &b : banks_)
-        b.lines.resize(size_t(cfg_.sets) * cfg_.ways);
+    banks_.assign(n_banks, Bank{LruSets(cfg_.sets, cfg_.ways), {}, 0});
     stats_.resize(n_banks);
 }
 
@@ -147,10 +164,9 @@ void
 SharedL2::reset()
 {
     for (Bank &b : banks_) {
-        b.lines.assign(b.lines.size(), Line{});
+        b.lines.reset();
         b.inflight.clear();
         b.free_at = 0;
-        b.tick = 0;
     }
     stats_.assign(stats_.size(), L2Stats{});
 }
@@ -229,30 +245,13 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
         return unsigned(start + cfg_.miss_latency - arrival);
     }
 
-    Line *set =
-        bank.lines.data() + size_t(line % cfg_.sets) * cfg_.ways;
-    ++bank.tick;
-    Line *victim = set;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = set[w];
-        if (l.valid && l.tag == line) {
-            l.last_used = bank.tick;
-            ++st.hits;
-            *fill_out = cfg_.hit_latency;
-            return unsigned(start + cfg_.hit_latency - arrival);
-        }
-        // Same victim preference as NodeCache: first invalid way, else
-        // least recently used, ties toward the lowest way index.
-        if (!victim->valid)
-            continue;
-        if (!l.valid || l.last_used < victim->last_used)
-            victim = &l;
+    if (bank.lines.touch(line) == LruSets::Touch::Hit) {
+        ++st.hits;
+        *fill_out = cfg_.hit_latency;
+        return unsigned(start + cfg_.hit_latency - arrival);
     }
 
     ++st.misses;
-    victim->tag = line;
-    victim->last_used = bank.tick;
-    victim->valid = true;
     const uint64_t done = start + cfg_.miss_latency;
     bank.inflight.push_back({line, done, unit});
     *fill_out = cfg_.miss_latency;

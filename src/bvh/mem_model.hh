@@ -179,23 +179,10 @@ class MshrFile
         uint64_t queue_until = 0; ///< end of the bank-queue phase
     };
 
-    /** In-flight fill whose target matches `addr`, if any.
-     *  @return completion cycle of the matching entry, or 0. Fills
-     *  complete strictly after their allocation cycle, so 0 is never a
-     *  legal completion and doubles as "no match". */
-    uint64_t
-    inflightCompletion(uint64_t addr) const
-    {
-        for (const Entry &e : inflight_)
-            if (e.addr == addr)
-                return e.done_cycle;
-        return 0;
-    }
-
-    /** The in-flight entry matching `addr`, or nullptr. Like
-     *  inflightCompletion but with the phase boundaries along — what a
-     *  merged requester copies into its own request record. The
-     *  pointer is invalidated by the next allocate/retire/reset. */
+    /** The in-flight entry matching `addr`, or nullptr: its
+     *  completion cycle and phase boundaries are what a merged
+     *  requester copies into its own request record. The pointer is
+     *  invalidated by the next allocate/retire/reset. */
     const Entry *
     lookup(uint64_t addr) const
     {
@@ -242,6 +229,44 @@ class MshrFile
   private:
     unsigned entries_;
     std::vector<Entry> inflight_;
+};
+
+/**
+ * Set-associative line array with LRU replacement: the one policy
+ * behind NodeCache and every SharedL2 bank. A touch looks the line up
+ * in set line % sets and, on a miss, installs it over the victim: the
+ * first invalid way, else the least recently used one, ties toward
+ * the lowest way index, so replacement is a pure function of the touch
+ * sequence. The geometry must be non-zero; callers handle zero-capacity
+ * caches before touching.
+ */
+class LruSets
+{
+  public:
+    /** What a touch did: hit a resident line, fill an invalid way, or
+     *  evict a valid line to make room. */
+    enum class Touch : uint8_t { Hit, Fill, Evict };
+
+    LruSets(uint32_t sets, uint32_t ways);
+
+    /** Touch `line` (a full line index, addr / line_bytes). */
+    Touch touch(uint64_t line);
+
+    /** Drop every line and restart the LRU clock. */
+    void reset();
+
+  private:
+    struct Line
+    {
+        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
+        uint64_t last_used = 0; ///< LRU clock value of the last touch
+        bool valid = false;
+    };
+
+    uint32_t sets_;
+    uint32_t ways_;
+    std::vector<Line> lines_; ///< sets * ways, set-major
+    uint64_t tick_ = 0;       ///< LRU clock
 };
 
 /** Per-run counters of one SharedL2 bank (or of a whole L2 when the
@@ -351,9 +376,9 @@ inline constexpr L2Config kProbeL2_128KiB{
  * Chip-level banked cache behind the per-unit L1s.
  *
  * Address-interleaved by L2 line across `banks` banks, each bank a
- * set-associative LRU array (same deterministic lowest-way tie-break
- * as NodeCache) with a single-server service queue. Units and banks
- * sit on a ring: a request from unit u to bank b pays
+ * set-associative LRU array (an LruSets, like NodeCache) with a
+ * single-server service queue. Units and banks sit on a ring: a
+ * request from unit u to bank b pays
  * min(|u%B - b|, B - |u%B - b|) hops each way at hop_latency cycles
  * per hop. A fill that misses the array goes to DRAM and is recorded
  * in-flight; a second lookup of the same line while the fill is
@@ -400,13 +425,6 @@ class SharedL2
     const L2Config &config() const { return cfg_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
-        uint64_t last_used = 0; ///< LRU clock value of the last touch
-        bool valid = false;
-    };
-
     /** One outstanding DRAM fill. */
     struct Inflight
     {
@@ -417,10 +435,9 @@ class SharedL2
 
     struct Bank
     {
-        std::vector<Line> lines; ///< sets * ways, set-major
+        LruSets lines;
         std::vector<Inflight> inflight;
         uint64_t free_at = 0; ///< next cycle the bank can start service
-        uint64_t tick = 0;    ///< LRU clock
     };
 
     /** Fill one line; @return cycles from `arrival` (at the bank) to
@@ -591,19 +608,11 @@ class NodeCache final : public MemoryModel
     const NodeCacheConfig &config() const { return cfg_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
-        uint64_t last_used = 0; ///< LRU clock value of the last touch
-        bool valid = false;
-    };
-
     /** Touch one line; fills on miss. @return true on hit. */
     bool touchLine(uint64_t line);
 
     NodeCacheConfig cfg_;
-    std::vector<Line> lines_; ///< sets * ways, set-major
-    uint64_t tick_ = 0;       ///< LRU clock
+    LruSets lines_;
     CacheStats stats_;
     SharedL2 *next_ = nullptr; ///< borrowed chip-level tier, if any
     unsigned unit_ = 0;        ///< this L1's unit id on the ring

@@ -13,99 +13,22 @@
  * slot and are merged after the join, in batch order (the merge is
  * commutative and associative, so the order is only for clarity).
  *
- * Workers live in a persistent pool (Engine::Pool): threads are spawned
- * once, then parked on a condition variable between runs. A run hands
- * the pool a job and a worker count; each drafted worker executes
- * job(worker_id) and reports back, and the dispatching thread blocks
- * until all drafted workers have returned. Single-worker runs bypass
- * the pool entirely and execute inline on the calling thread. The
- * streaming service (sim/stream.hh) runs its planned batches through
- * the same loop, Engine::shard.
+ * Each shard() call spawns its own helper threads and joins them
+ * before it returns; worker 0 runs on the calling thread, so a
+ * single-worker run spawns nothing. The streaming service
+ * (sim/stream.hh) runs its planned batches through the same loop.
  */
 #include "sim/engine.hh"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <stdexcept>
 #include <thread>
 
 namespace rayflex::sim
 {
-
-/** Persistent worker threads parked between dispatches. */
-class Engine::Pool
-{
-  public:
-    explicit Pool(unsigned workers)
-    {
-        threads_.reserve(workers);
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this, i] { loop(i); });
-    }
-
-    ~Pool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            stop_ = true;
-        }
-        cv_work_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
-    }
-
-    /** Run job(0) .. job(n-1) on n pool workers; blocks until every
-     *  drafted worker has returned. The job must not throw (workers
-     *  capture exceptions themselves). */
-    void
-    dispatch(unsigned n, const std::function<void(unsigned)> &job)
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        job_ = &job;
-        active_ = n;
-        remaining_ = n;
-        ++generation_;
-        cv_work_.notify_all();
-        cv_done_.wait(lk, [this] { return remaining_ == 0; });
-        job_ = nullptr;
-    }
-
-  private:
-    void
-    loop(unsigned id)
-    {
-        uint64_t seen = 0;
-        std::unique_lock<std::mutex> lk(m_);
-        for (;;) {
-            cv_work_.wait(lk, [&] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            if (id >= active_)
-                continue; // not drafted for this dispatch
-            const std::function<void(unsigned)> *job = job_;
-            lk.unlock();
-            (*job)(id);
-            lk.lock();
-            if (--remaining_ == 0)
-                cv_done_.notify_one();
-        }
-    }
-
-    std::vector<std::thread> threads_;
-    std::mutex m_;
-    std::condition_variable cv_work_, cv_done_;
-    const std::function<void(unsigned)> *job_ = nullptr;
-    unsigned active_ = 0;    ///< workers drafted this generation
-    unsigned remaining_ = 0; ///< drafted workers still running
-    uint64_t generation_ = 0;
-    bool stop_ = false;
-};
 
 Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 {
@@ -114,33 +37,14 @@ Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
     // any-hit flag, so a mode set here would be silently dropped.
     if (cfg_.rt.mode != bvh::TraversalMode::Closest)
         throw std::invalid_argument(
-            "EngineConfig::rt.mode is ignored by the engine; set "
-            "EngineConfig::any_hit or pass any_hit to Engine::run");
+            "EngineConfig::rt.mode is ignored by the engine; pass "
+            "any_hit to Engine::run");
     resolved_threads_ = cfg.threads;
     if (resolved_threads_ == 0) {
         resolved_threads_ = std::thread::hardware_concurrency();
         if (resolved_threads_ == 0)
             resolved_threads_ = 1;
     }
-}
-
-Engine::~Engine() = default;
-
-void
-Engine::dispatchWorkers(unsigned n,
-                        const std::function<void(unsigned)> &job) const
-{
-    if (n <= 1) {
-        job(0);
-        return;
-    }
-    // Concurrent run() calls from different threads serialize here;
-    // results are unaffected (work distribution is the callers' atomic
-    // batch counters), only wall-clock overlaps are lost.
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    if (!pool_)
-        pool_ = std::make_unique<Pool>(resolved_threads_);
-    pool_->dispatch(n, job);
 }
 
 /**
@@ -176,7 +80,13 @@ Engine::shard(size_t batches,
     };
 
     const auto t0 = std::chrono::steady_clock::now();
-    dispatchWorkers(threads, worker);
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(threads - 1);
+        for (unsigned wid = 1; wid < threads; ++wid)
+            helpers.emplace_back(worker, wid);
+        worker(0);
+    } // helpers join here
     const auto t1 = std::chrono::steady_clock::now();
     elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -184,13 +94,6 @@ Engine::shard(size_t batches,
         if (e)
             std::rethrow_exception(e);
     return results;
-}
-
-EngineReport
-Engine::run(const bvh::Bvh4 &bvh,
-            const std::vector<core::Ray> &rays) const
-{
-    return run(bvh, rays, cfg_.any_hit);
 }
 
 EngineReport

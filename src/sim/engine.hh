@@ -26,23 +26,12 @@
  *   3. batch statistics are merged with commutative-associative sums
  *      (RtUnitStats::merge / TraversalStats::merge), so the claim order
  *      of batches by workers cannot change the aggregate.
- *
- * Worker threads are persistent: the first multi-threaded run() lazily
- * spawns a pool sized to the configured thread count, and every later
- * run() of the same engine reuses it, so multi-pass scenarios (primary,
- * shadow, ambient-occlusion, bounce batches - see sim/passes.hh) stop
- * paying thread creation per pass. The same pool also executes
- * sim::StreamingService batches (sim/stream.hh). The pool never
- * affects results: work distribution stays the atomic batch counter of
- * point 1 above.
  */
 #ifndef RAYFLEX_SIM_ENGINE_HH
 #define RAYFLEX_SIM_ENGINE_HH
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/workloads.hh"
@@ -66,16 +55,6 @@ struct EngineConfig : ExecutorConfig
      *  unit of work distribution, so changing `threads` never changes
      *  any result. 0 means one batch for the whole workload. */
     size_t batch_size = 1024;
-
-    /** Any-hit (shadow/occlusion) queries: stop at the first
-     *  intersection inside the ray extent [t_beg, t_end] instead of
-     *  resolving the closest one. Supported by both execution models:
-     *  the Functional model uses Traverser::anyHit, the CycleAccurate
-     *  model runs its RT units in bvh::TraversalMode::Any so occlusion
-     *  batches can be timed. The only mode switch: rt.mode must stay
-     *  Closest (the constructor rejects anything else). See
-     *  EngineReport::hits for the reduced hit-record contract. */
-    bool any_hit = false;
 };
 
 /** Aggregate result of an engine run. */
@@ -84,7 +63,7 @@ struct EngineReport
     /** Hit records in ray order (parallel to the input).
      *
      *  Closest-hit runs fill every field. Any-hit runs
-     *  (EngineConfig::any_hit) fill ONLY the `hit` flag: t,
+     *  (Engine::run's any_hit) fill ONLY the `hit` flag: t,
      *  triangle_id and u/v/w stay value-initialized at zero, in both
      *  execution models. The records therefore stay operator==- and
      *  bit-comparable across models, but consumers of an any-hit run
@@ -156,41 +135,35 @@ struct KnnReport
 /**
  * The batch simulation engine. A run() call carries no simulation
  * state in or out: every batch goes through a sim::BatchExecutor that
- * constructs its simulation units fresh, so one engine can serve many
- * scenes and workloads back to back and no run's results depend on a
- * previous run. One piece of host-side state DOES persist across runs
- * — the worker pool, a pure performance cache — and it is why the
- * engine is not copyable. run() stays safe to call
- * from different threads, with concurrent runs serializing on the
- * shared pool (each caller still gets the report of exactly the rays
- * it passed).
+ * constructs its simulation units fresh, and each call spawns and
+ * joins its own worker threads, so the engine is a plain copyable
+ * value holding only its configuration. One engine can serve many
+ * scenes and workloads back to back, and concurrent run() calls on it
+ * from different threads each get the report of exactly the rays they
+ * passed.
  */
 class Engine
 {
   public:
     /** @throws std::invalid_argument when bvh::validate rejects
      *  cfg.rt (a configuration that could never retire a ray), or when
-     *  cfg.rt.mode is not Closest (the engine would ignore it; use
-     *  any_hit). */
+     *  cfg.rt.mode is not Closest (the engine would ignore it; pass
+     *  any_hit to run()). */
     explicit Engine(const EngineConfig &cfg = {});
-    ~Engine();
-
-    Engine(const Engine &) = delete;
-    Engine &operator=(const Engine &) = delete;
 
     /** Trace every ray against the BVH and merge the statistics.
+     *  With `any_hit`, each ray is an occlusion query: it stops at the
+     *  first intersection inside its extent [t_beg, t_end] instead of
+     *  resolving the closest one. Both execution models support it:
+     *  the Functional model uses Traverser::anyHit, the CycleAccurate
+     *  model runs its RT units in bvh::TraversalMode::Any so occlusion
+     *  batches can be timed. See EngineReport::hits for the reduced
+     *  hit-record contract.
      *  @throws std::runtime_error when a batch exceeds
      *          max_cycles_per_batch (CycleAccurate model). */
     EngineReport run(const bvh::Bvh4 &bvh,
-                     const std::vector<core::Ray> &rays) const;
-
-    /** As run(), but overriding EngineConfig::any_hit for this run
-     *  only, so one engine - and its persistent worker pool - serves
-     *  both the closest-hit and the occlusion passes of a multi-pass
-     *  scenario (see sim/passes.hh). */
-    EngineReport run(const bvh::Bvh4 &bvh,
                      const std::vector<core::Ray> &rays,
-                     bool any_hit) const;
+                     bool any_hit = false) const;
 
     /**
      * Answer every k-NN query against the index and merge the
@@ -217,31 +190,17 @@ class Engine
   private:
     friend class StreamingService; ///< shares shard() (sim/stream.hh)
 
-    class Pool;
-
     /** The one batch loop behind run(), runKnn() and
      *  StreamingService::run: execute(0) .. execute(batches - 1) on
-     *  the worker pool, each result in its batch-index slot (see
+     *  this call's workers, each result in its batch-index slot (see
      *  engine.cc). */
     std::vector<BatchResult>
     shard(size_t batches,
           const std::function<BatchResult(size_t)> &execute,
           unsigned &threads_used, double &elapsed_seconds) const;
 
-    /** Run job(0)..job(n-1) on the shared worker pool (inline on the
-     *  calling thread when n == 1), serializing with other runs on
-     *  pool_mutex_; blocks until every worker returned. shard() is the
-     *  only caller. */
-    void dispatchWorkers(unsigned n,
-                         const std::function<void(unsigned)> &job) const;
-
     EngineConfig cfg_;
     unsigned resolved_threads_ = 1; ///< cfg.threads with 0 resolved
-
-    /** Lazily created on the first run() that needs more than one
-     *  worker, then reused by every later run(). */
-    mutable std::unique_ptr<Pool> pool_;
-    mutable std::mutex pool_mutex_; ///< guards creation and dispatch
 };
 
 } // namespace rayflex::sim

@@ -250,9 +250,9 @@ struct StreamReport
  * (arrival_tick, id), plans the batches, executes them through the
  * engine's batch loop (each worker gathers the batch it claims) and
  * returns the per-job and aggregate report. The engine's
- * threads/model/rt/dp/chip knobs apply; EngineConfig::batch_size and
- * any_hit are ignored, superseded by StreamConfig::batch_size and the
- * per-job modes.
+ * threads/model/rt/dp/chip knobs apply; EngineConfig::batch_size is
+ * ignored, superseded by StreamConfig::batch_size; each job carries its
+ * own any-hit mode.
  */
 class StreamingService
 {

@@ -140,7 +140,6 @@ engineConfig(const Config &c, unsigned threads)
     sim::EngineConfig cfg;
     cfg.threads = threads;
     cfg.batch_size = 16;
-    cfg.any_hit = c[kAnyHit] != 0;
     cfg.trace = c[kTrace] != 0;
     cfg.max_cycles_per_batch = 2000000;
     cfg.rt.packet.width = c[kPacketWidth];
@@ -291,12 +290,12 @@ checkRays(const Config &c)
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
-    const sim::EngineReport ref =
-        sim::Engine(fcfg).run(bvh, rays, c[kAnyHit] != 0);
+    const bool any_hit = c[kAnyHit] != 0;
+    const sim::EngineReport ref = sim::Engine(fcfg).run(bvh, rays, any_hit);
     const sim::EngineReport one =
-        sim::Engine(engineConfig(c, 1)).run(bvh, rays);
+        sim::Engine(engineConfig(c, 1)).run(bvh, rays, any_hit);
     const sim::EngineReport three =
-        sim::Engine(engineConfig(c, 3)).run(bvh, rays);
+        sim::Engine(engineConfig(c, 3)).run(bvh, rays, any_hit);
     if (one.hits != ref.hits)
         return "hits differ from the Functional model";
     if (three.hits != one.hits || !(three.unit == one.unit) ||

@@ -2,8 +2,9 @@
  * @file
  * Tests of the pluggable RT-unit memory models (bvh/mem_model.hh):
  * the FixedLatencyMemory backend's bit-identity with the original
- * flat-latency timing, the NodeCache's LRU/eviction mechanics and
- * degenerate geometries, the CacheStats merge contract, and the
+ * flat-latency timing, the LRU/eviction mechanics of the NodeCache and
+ * the SharedL2, the NodeCache's degenerate geometries, the CacheStats
+ * merge contract, and the
  * engine-level determinism sweep with the cached backend — mirroring
  * test_sim_engine at 1/2/8 workers — plus the scene-size sweep
  * acceptance property: the hit-rate falls monotonically as the BVH
@@ -113,7 +114,7 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     MshrFile file(2);
     ASSERT_TRUE(file.enabled());
     EXPECT_FALSE(file.full());
-    EXPECT_EQ(file.inflightCompletion(128), 0u);
+    EXPECT_EQ(file.lookup(128), nullptr);
 
     // Two distinct targets fill the file.
     file.allocate(128, 30);
@@ -121,20 +122,23 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     EXPECT_TRUE(file.full());
     // A duplicate of an in-flight target reports its completion (the
     // merge the RT unit rides instead of allocating).
-    EXPECT_EQ(file.inflightCompletion(128), 30u);
-    EXPECT_EQ(file.inflightCompletion(256), 25u);
-    EXPECT_EQ(file.inflightCompletion(512), 0u);
+    ASSERT_NE(file.lookup(128), nullptr);
+    EXPECT_EQ(file.lookup(128)->done_cycle, 30u);
+    ASSERT_NE(file.lookup(256), nullptr);
+    EXPECT_EQ(file.lookup(256)->done_cycle, 25u);
+    EXPECT_EQ(file.lookup(512), nullptr);
 
     // Retirement frees exactly the entries whose fill completed.
     file.retire(24);
     EXPECT_TRUE(file.full());
     file.retire(25);
     EXPECT_FALSE(file.full());
-    EXPECT_EQ(file.inflightCompletion(256), 0u);
-    EXPECT_EQ(file.inflightCompletion(128), 30u);
+    EXPECT_EQ(file.lookup(256), nullptr);
+    ASSERT_NE(file.lookup(128), nullptr);
+    EXPECT_EQ(file.lookup(128)->done_cycle, 30u);
 
     file.reset();
-    EXPECT_EQ(file.inflightCompletion(128), 0u);
+    EXPECT_EQ(file.lookup(128), nullptr);
     EXPECT_FALSE(file.full());
 
     // Entry count 0 disables the file (the legacy unbounded path).
@@ -226,6 +230,57 @@ TEST(NodeCache, HitsMissesAndLruEviction)
     cache.reset();
     EXPECT_EQ(cache.stats(), CacheStats{});
     EXPECT_EQ(cache.access(0, 4), 20u);
+}
+
+TEST(SharedL2, HitsMissesAndLruEviction)
+{
+    // Two banks of one 2-way set with 64-byte lines: even lines share
+    // bank 0's only set, odd lines bank 1's. Unit 0 sits at bank 0's
+    // ring stop (0 hops) and one hop from bank 1. Lookups are 1000
+    // cycles apart, so every fill has landed (no in-flight merges) and
+    // no bank queues: a hit costs hit_latency, a miss miss_latency.
+    L2Config cfg;
+    cfg.line_bytes = 64;
+    cfg.banks = 2;
+    cfg.sets = 1;
+    cfg.ways = 2;
+    cfg.hit_latency = 8;
+    cfg.miss_latency = 80;
+    SharedL2 l2(cfg);
+    uint64_t now = 0;
+    const auto fill = [&](uint64_t line) {
+        now += 1000;
+        return l2.fill(line * 64, 4, now, 0);
+    };
+
+    EXPECT_EQ(fill(0), 80u); // line 0: compulsory miss
+    EXPECT_EQ(fill(2), 80u); // line 2: compulsory miss, set now full
+    EXPECT_EQ(fill(0), 8u);  // line 0: hit, now the most recent
+    EXPECT_EQ(fill(1), 82u); // bank 1 (one hop each way): its own set
+
+    // Line 4 overfills bank 0's set. The victim is line 2, the least
+    // recently used, not line 0, which was filled first.
+    EXPECT_EQ(fill(4), 80u);
+    EXPECT_EQ(fill(0), 8u);  // line 0 survived
+    EXPECT_EQ(fill(2), 80u); // line 2 was the victim; evicts line 4
+    EXPECT_EQ(fill(4), 80u); // line 4 was the victim; evicts line 0
+    EXPECT_EQ(fill(2), 8u);
+    EXPECT_EQ(fill(1), 10u); // bank 1 kept its line throughout
+
+    ASSERT_EQ(l2.bankStats().size(), 2u);
+    const L2Stats &b0 = l2.bankStats()[0];
+    EXPECT_EQ(b0.hits, 3u);
+    EXPECT_EQ(b0.misses, 5u);
+    EXPECT_EQ(b0.merges, 0u);
+    const L2Stats &b1 = l2.bankStats()[1];
+    EXPECT_EQ(b1.hits, 1u);
+    EXPECT_EQ(b1.misses, 1u);
+    EXPECT_EQ(b1.hops, 4u);
+
+    // reset() drops contents and counters: line 2 misses again.
+    l2.reset();
+    EXPECT_EQ(l2.totals(), L2Stats{});
+    EXPECT_EQ(fill(2), 80u);
 }
 
 TEST(NodeCache, AccessSpanningLinesTouchesEachLine)

@@ -324,7 +324,7 @@ TEST(Obs, StreamTraceBitIdenticalAcrossWorkers)
     const auto run = [&](unsigned threads) {
         sim::EngineConfig cfg = tracedChipConfig(threads, true);
         cfg.chip = {}; // single unit: streaming exercises the engine
-                       // pool, the chip path is covered above
+                       // workers, the chip path is covered above
         const sim::Engine eng(cfg);
         std::vector<sim::RenderJob> jobs;
         jobs.push_back({1, 0, false, rays});

@@ -133,7 +133,7 @@ TEST(SimEngine, DeterministicAcrossThreadCounts)
     }
 }
 
-TEST(SimEngine, ConcurrentRunsOnOneEngineAreSerializedAndIdentical)
+TEST(SimEngine, ConcurrentRunsOnOneEngineAreIdentical)
 {
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 64);
@@ -144,9 +144,9 @@ TEST(SimEngine, ConcurrentRunsOnOneEngineAreSerializedAndIdentical)
     sim::Engine engine(cfg);
     sim::EngineReport ref = engine.run(bvh, rays);
 
-    // run() is a const entry point on shared engine state (the worker
-    // pool): two client threads racing on ONE engine must each get the
-    // solo answer, bit for bit.
+    // run() is a const entry point that spawns its own workers: two
+    // client threads racing on ONE engine must each get the solo
+    // answer, bit for bit.
     sim::EngineReport a, b;
     std::thread ta([&] { a = engine.run(bvh, rays); });
     std::thread tb([&] { b = engine.run(bvh, rays); });
@@ -271,16 +271,13 @@ TEST(SimEngine, AnyHitMode)
     sim::EngineConfig cfg;
     cfg.model = sim::ExecutionModel::Functional;
     cfg.batch_size = 40;
-    cfg.any_hit = true;
     cfg.threads = 1;
-    sim::EngineReport ref = sim::Engine(cfg).run(bvh, rays);
+    sim::EngineReport ref = sim::Engine(cfg).run(bvh, rays, true);
 
     // A hit exists inside the extent iff closest-hit finds one. (Beat
     // counts are not compared: any-hit usually issues fewer, but with
     // no best-hit pruning that is scene-dependent, not an invariant.)
-    sim::EngineConfig closest = cfg;
-    closest.any_hit = false;
-    sim::EngineReport full = sim::Engine(closest).run(bvh, rays);
+    sim::EngineReport full = sim::Engine(cfg).run(bvh, rays);
     size_t n_hit = 0;
     for (size_t i = 0; i < rays.size(); ++i) {
         EXPECT_EQ(ref.hits[i].hit, full.hits[i].hit) << i;
@@ -290,7 +287,7 @@ TEST(SimEngine, AnyHitMode)
 
     // Determinism holds in any-hit mode too.
     cfg.threads = 4;
-    sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+    sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays, true);
     for (size_t i = 0; i < rays.size(); ++i)
         ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i])) << i;
     EXPECT_EQ(rep.traversal, ref.traversal);
@@ -304,10 +301,9 @@ TEST(SimEngine, AnyHitMode)
     // (only the hit flag set) agree with the functional model
     // bit-for-bit.
     sim::EngineConfig ca;
-    ca.any_hit = true;
     ca.batch_size = 40;
     ca.threads = 2;
-    sim::EngineReport cyc = sim::Engine(ca).run(bvh, rays);
+    sim::EngineReport cyc = sim::Engine(ca).run(bvh, rays, true);
     for (size_t i = 0; i < rays.size(); ++i)
         ASSERT_TRUE(bitIdentical(cyc.hits[i], ref.hits[i])) << i;
     EXPECT_GT(cyc.unit.cycles, 0u);
@@ -317,7 +313,7 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
 {
     // A cycle budget no batch can meet: the std::runtime_error thrown
     // inside a worker thread must surface from Engine::run, not crash
-    // or deadlock the pool. (The functional/invalid-argument path used
+    // or deadlock. (The functional/invalid-argument path used
     // to be the only exception test; this covers the multi-threaded
     // cycle-accurate one.)
     Bvh4 bvh = testScene();
@@ -329,8 +325,8 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     cfg.max_cycles_per_batch = 10;
     sim::Engine engine(cfg);
     EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
-    // The persistent worker pool survives a failed run and serves the
-    // next one.
+    // A failed run leaves the engine usable: the next run fails the
+    // same way.
     EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
 }
 
@@ -445,17 +441,15 @@ TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)
 
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
-    fcfg.any_hit = true;
     fcfg.threads = 0; // all cores
     fcfg.batch_size = 512;
-    sim::EngineReport fun = sim::Engine(fcfg).run(bvh, rays);
+    sim::EngineReport fun = sim::Engine(fcfg).run(bvh, rays, true);
 
     sim::EngineConfig ccfg;
     ccfg.model = sim::ExecutionModel::CycleAccurate;
-    ccfg.any_hit = true;
     ccfg.threads = 0;
     ccfg.batch_size = 512;
-    sim::EngineReport cyc = sim::Engine(ccfg).run(bvh, rays);
+    sim::EngineReport cyc = sim::Engine(ccfg).run(bvh, rays, true);
 
     size_t occluded = 0;
     for (size_t i = 0; i < rays.size(); ++i) {

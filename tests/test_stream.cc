@@ -845,9 +845,9 @@ TEST(BatchApiPin, ScalarIssue4MshrCacheClosestHit)
 TEST(BatchApiPin, ScalarAnyHit)
 {
     Bvh4 bvh = testScene();
-    sim::EngineConfig cfg = scalarEngineConfig(2, 0);
-    cfg.any_hit = true;
-    const sim::EngineReport rep = sim::Engine(cfg).run(bvh, pinRays(bvh));
+    const sim::EngineConfig cfg = scalarEngineConfig(2, 0);
+    const sim::EngineReport rep =
+        sim::Engine(cfg).run(bvh, pinRays(bvh), true);
     EXPECT_EQ(rep.batches, 5u);
     EXPECT_EQ(hitCount(rep.hits), 58u);
     expectUnitPin(rep.unit,
@@ -962,9 +962,9 @@ TEST(BatchApiPin, WidthOneTieHeavyMultiTriangleLeaves)
     for (const Case &c : cases) {
         SCOPED_TRACE(testing::Message() << "issue " << c.issue_width
                                         << (c.any_hit ? " any" : " closest"));
-        sim::EngineConfig cfg = scalarEngineConfig(c.issue_width, 2);
-        cfg.any_hit = c.any_hit;
-        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        const sim::EngineConfig cfg = scalarEngineConfig(c.issue_width, 2);
+        const sim::EngineReport rep =
+            sim::Engine(cfg).run(bvh, rays, c.any_hit);
         EXPECT_EQ(hitDigest(rep.hits), c.hits);
         expectUnitPin(rep.unit, c.pin);
     }
@@ -975,8 +975,8 @@ TEST(BatchApiPin, PacketCompactingAnyHit)
     Bvh4 bvh = testScene();
     sim::EngineConfig cfg = packetEngineConfig(1);
     cfg.batch_size = 64;
-    cfg.any_hit = true;
-    const sim::EngineReport rep = sim::Engine(cfg).run(bvh, pinRays(bvh));
+    const sim::EngineReport rep =
+        sim::Engine(cfg).run(bvh, pinRays(bvh), true);
     EXPECT_EQ(rep.batches, 5u);
     EXPECT_EQ(hitCount(rep.hits), 58u);
     expectUnitPin(rep.unit,
@@ -1075,8 +1075,7 @@ TEST(BatchApiPin, HitAndNeighborDigests)
 
     sim::EngineConfig any = packetEngineConfig(1);
     any.batch_size = 64;
-    any.any_hit = true;
-    EXPECT_EQ(hitDigest(sim::Engine(any).run(bvh, rays).hits),
+    EXPECT_EQ(hitDigest(sim::Engine(any).run(bvh, rays, true).hits),
               8557016087063139173ull);
 
     EXPECT_EQ(neighborDigest(pinKnnRun(1, KnnMetric::Euclidean).results),
