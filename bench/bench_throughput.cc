@@ -2,9 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks of the model itself: simulation
  * speed of the softfloat substrate, the functional datapath, the
- * cycle-accurate pipeline, and BVH construction/traversal. These bound
- * how much verification and experimentation a given compute budget
- * buys (the model-side analogue of chiseltest runtime).
+ * engines' native evaluator, the cycle-accurate pipeline, and BVH
+ * construction/traversal. These bound how much verification and
+ * experimentation a given compute budget buys (the model-side analogue
+ * of chiseltest runtime).
  */
 #include <benchmark/benchmark.h>
 
@@ -76,6 +77,39 @@ BM_FunctionalRayTriangle(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_FunctionalRayTriangle);
+
+// The engines' evaluator on the same beats: the golden host-float
+// kernels, with the softfloat chain only as the NaN fallback. The gap to
+// BM_FunctionalRay* is the per-beat cost of the softfloat substrate.
+static void
+BM_NativeRayBox(benchmark::State &state)
+{
+    WorkloadGen gen(3);
+    auto batch = gen.batch(Opcode::RayBox, 256);
+    DistanceAccumulators acc;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(nativeEval(batch[i], acc));
+        i = (i + 1) % batch.size();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_NativeRayBox);
+
+static void
+BM_NativeRayTriangle(benchmark::State &state)
+{
+    WorkloadGen gen(4);
+    auto batch = gen.batch(Opcode::RayTriangle, 256);
+    DistanceAccumulators acc;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(nativeEval(batch[i], acc));
+        i = (i + 1) % batch.size();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_NativeRayTriangle);
 
 static void
 BM_GoldenRayBox(benchmark::State &state)

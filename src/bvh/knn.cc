@@ -203,7 +203,7 @@ KnnTraversal::search(const KnnQuery &query)
             stats_.distance_beats += beats.size();
             core::DatapathOutput out{};
             for (const DatapathInput &in : beats)
-                out = core::functionalEval(in, acc_);
+                out = core::nativeEval(in, acc_);
             float score =
                 query.metric == KnnMetric::Euclidean
                     ? fp::fromBits(out.euclidean_accumulator)

@@ -18,7 +18,7 @@
  *   * KnnTraversal — the functional engine: best-first node visits
  *     ordered by a point-to-box lower bound, a search radius that
  *     shrinks as better neighbors arrive, and candidate distances
- *     evaluated through core::functionalEval — exactly the arithmetic
+ *     evaluated through core::nativeEval — exactly the arithmetic
  *     the pipelined datapath implements. bvh::RtUnit runs the same
  *     algorithm cycle-accurately (see RtUnit's k-NN constructor) and
  *     returns bit-identical results.

@@ -740,7 +740,7 @@ RtUnit::advance(uint64_t cycle)
         }
         if (accepted[l])
             lane.push({now_ + kPipelineLatency,
-                       functionalEval(*accepted[l], lane.acc, box_width_),
+                       nativeEval(*accepted[l], lane.acc, box_width_),
                        taken[l]});
     }
     compactPackets();

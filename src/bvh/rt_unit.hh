@@ -528,10 +528,10 @@ class RtUnit : public pipeline::Component
      * never back-pressures: every offered beat is accepted and its
      * result leaves exactly kPipelineLatency cycles later. The lane
      * therefore keeps only the timing (a delay line of due cycles) and
-     * computes each value once, at acceptance, with
-     * core::functionalEval and the lane's own accumulators. Lanes are
-     * in order and stages 9 and 10 hold separate registers, so every
-     * accumulator sees its beats in the same order as in the chain.
+     * computes each value once, at acceptance, with core::nativeEval
+     * and the lane's own accumulators. Lanes are in order and stages 9
+     * and 10 hold separate registers, so every accumulator sees its
+     * beats in the same order as in the chain.
      */
     struct Lane
     {

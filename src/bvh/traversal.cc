@@ -78,7 +78,7 @@ Traverser::closestHit(const core::Ray &ray)
         const WideNode &node = bvh_.nodes[idx];
         ++stats_.nodes_visited;
 
-        DatapathOutput out = functionalEval(boxBeat(ray, node), acc_);
+        DatapathOutput out = nativeEval(boxBeat(ray, node), acc_);
         ++stats_.box_ops;
 
         // Children arrive sorted by entry distance; push in reverse so
@@ -105,7 +105,7 @@ Traverser::closestHit(const core::Ray &ray)
                     tin.op = Opcode::RayTriangle;
                     tin.ray = ray;
                     tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = functionalEval(tin, acc_);
+                    DatapathOutput tout = nativeEval(tin, acc_);
                     ++stats_.tri_ops;
                     auto d = triDistance(tout);
                     if (d && *d >= t_min && *d <= t_max &&
@@ -145,7 +145,7 @@ Traverser::anyHit(const core::Ray &ray)
         const WideNode &node = bvh_.nodes[idx];
         ++stats_.nodes_visited;
 
-        DatapathOutput out = functionalEval(boxBeat(ray, node), acc_);
+        DatapathOutput out = nativeEval(boxBeat(ray, node), acc_);
         ++stats_.box_ops;
         for (int i = 0; i < 4; ++i) {
             if (!out.box.hit[i])
@@ -159,7 +159,7 @@ Traverser::anyHit(const core::Ray &ray)
                     tin.op = Opcode::RayTriangle;
                     tin.ray = ray;
                     tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = functionalEval(tin, acc_);
+                    DatapathOutput tout = nativeEval(tin, acc_);
                     ++stats_.tri_ops;
                     auto d = triDistance(tout);
                     if (d && *d >= t_min && *d <= t_max)
@@ -183,7 +183,7 @@ Traverser::bruteForceClosest(const core::Ray &ray) const
         in.op = Opcode::RayTriangle;
         in.ray = ray;
         in.tri = tri.toIoTriangle();
-        DatapathOutput out = functionalEval(in, acc);
+        DatapathOutput out = nativeEval(in, acc);
         auto d = triDistance(out);
         if (d && *d >= t_min && *d <= t_max && (!best.hit || *d < best.t)) {
             best.hit = true;

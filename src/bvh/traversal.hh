@@ -6,9 +6,10 @@
  * datapath (Fig. 3): internal nodes issue one ray-box beat testing the
  * four child boxes (the datapath returns hit flags and children sorted
  * by entry distance), leaves issue one ray-triangle beat per triangle.
- * The datapath is invoked through core::functionalEval, so every
- * intersection decision is taken by exactly the arithmetic the hardware
- * model implements.
+ * The datapath is invoked through core::nativeEval, which returns
+ * core::functionalEval's result bit for bit, so every intersection
+ * decision is taken by exactly the arithmetic the hardware model
+ * implements.
  */
 #ifndef RAYFLEX_BVH_TRAVERSAL_HH
 #define RAYFLEX_BVH_TRAVERSAL_HH

@@ -63,10 +63,11 @@ struct ActivityTrace
  * buffers, each holding its own copy of the SRFDS, and the per-stage
  * statistics and activity trace come from that chain. A consumer that
  * is always ready never back-pressures it, so such a consumer may
- * keep only the timing: evaluate each beat once with functionalEval
- * (which the equivalence tests tie to this chain bit for bit) and
- * deliver it kPipelineLatency cycles later. bvh::RtUnit's issue lanes
- * do exactly that; they read a datapath's config() and never tick it.
+ * keep only the timing: evaluate each beat once with nativeEval
+ * (functionalEval's result computed in host floats; the equivalence
+ * tests tie both to this chain bit for bit) and deliver it
+ * kPipelineLatency cycles later. bvh::RtUnit's issue lanes do exactly
+ * that; they read a datapath's config() and never tick it.
  */
 class RayFlexDatapath
 {

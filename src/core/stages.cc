@@ -10,6 +10,7 @@
  */
 #include "core/stages.hh"
 
+#include "core/golden.hh"
 #include "core/quadsort.hh"
 
 namespace rayflex::core
@@ -416,6 +417,57 @@ functionalEval(const DatapathInput &in, DistanceAccumulators &acc,
     stage9(s, acc);
     stage10(s, acc);
     return stage11(s);
+}
+
+DatapathOutput
+nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
+           unsigned box_width)
+{
+    DatapathOutput out;
+    out.op = in.op;
+    out.tag = in.tag;
+    switch (in.op) {
+      case Opcode::RayBox:
+        out.box = golden::rayBoxN(in.ray, in.boxes, box_width);
+        break;
+      case Opcode::RayTriangle:
+        out.tri = golden::rayTriangle(in.ray, in.tri);
+        if (isNaNF32(out.tri.t_num) || isNaNF32(out.tri.t_den) ||
+            isNaNF32(out.tri.uvw[0]) || isNaNF32(out.tri.uvw[1]) ||
+            isNaNF32(out.tri.uvw[2]))
+            return functionalEval(in, acc, box_width);
+        break;
+      case Opcode::Euclidean: {
+        // Stage 10's accumulation, one host add into the register.
+        const F32 sum = toBits(
+            fromBits(decode(acc.euclid)) +
+            fromBits(golden::euclideanBeat(in.vec_a, in.vec_b, in.mask)));
+        if (isNaNF32(sum))
+            return functionalEval(in, acc, box_width);
+        out.euclidean_accumulator = sum;
+        out.euclidean_reset = in.reset_accumulator;
+        acc.euclid = in.reset_accumulator ? recZero() : recode(sum);
+        break;
+      }
+      case Opcode::Cosine: {
+        // Stage 9's accumulation, one host add per register.
+        const golden::CosineBeat beat =
+            golden::cosineBeat(in.vec_a, in.vec_b, in.mask);
+        const F32 dot =
+            toBits(fromBits(decode(acc.dot)) + fromBits(beat.dot));
+        const F32 norm =
+            toBits(fromBits(decode(acc.norm)) + fromBits(beat.norm));
+        if (isNaNF32(dot) || isNaNF32(norm))
+            return functionalEval(in, acc, box_width);
+        out.angular_dot_product = dot;
+        out.angular_norm = norm;
+        out.angular_reset = in.reset_accumulator;
+        acc.dot = in.reset_accumulator ? recZero() : recode(dot);
+        acc.norm = in.reset_accumulator ? recZero() : recode(norm);
+        break;
+      }
+    }
+    return out;
 }
 
 } // namespace rayflex::core

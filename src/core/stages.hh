@@ -100,14 +100,36 @@ DatapathOutput stage11(const Srfds &s);
 /**
  * Single-shot functional evaluation of the whole datapath: applies the
  * eleven stages back to back, in place on one SRFDS, without
- * pipelining. Used by the golden
- * cross-checks, the BVH traversal engine and fast workload generation.
- * Accumulator state behaves exactly as in the pipelined model (beats are
- * observed in call order).
+ * pipelining. Used by the golden cross-checks, fast workload
+ * generation and as nativeEval's NaN fallback; it is the oracle the
+ * engines' evaluator is pinned against. Accumulator state behaves
+ * exactly as in the pipelined model (beats are observed in call order).
  */
 DatapathOutput functionalEval(const DatapathInput &in,
                               DistanceAccumulators &acc,
                               unsigned box_width = kBoxesPerOp);
+
+/**
+ * The engines' evaluator: the same result as functionalEval, output and
+ * accumulators bit for bit, computed with the golden host-float kernels
+ * (core::golden) instead of the softfloat stage chain. Used by the RT
+ * unit's issue lanes and the functional BVH and k-NN traversals.
+ *
+ * Host binary32 arithmetic under -ffp-contract=off rounds every add and
+ * mul exactly as the datapath does, so every non-NaN result is
+ * bit-exact, and whether a result is NaN follows IEEE in both models.
+ * Only a NaN's payload and sign differ (x86 produces 0xFFC00000 where
+ * the datapath produces kDefaultNaN and keeps first-operand payloads),
+ * so a triangle beat with a NaN output, or a distance beat whose new
+ * accumulator value is NaN, is re-evaluated with functionalEval from
+ * the unmodified accumulators. A box beat needs no fallback: a NaN slab
+ * is a miss keyed +inf in both models. Infinite inputs never fall back;
+ * an infinite inv_dir is the normal case for an axis-aligned ray, and
+ * infinities are exact values in both models.
+ */
+DatapathOutput nativeEval(const DatapathInput &in,
+                          DistanceAccumulators &acc,
+                          unsigned box_width = kBoxesPerOp);
 
 } // namespace rayflex::core
 

@@ -168,14 +168,18 @@ TEST(PipelinedEquivalence, MixedTrafficMatchesFunctional)
     std::vector<DatapathOutput> piped = runBatch(dp, inputs);
     ASSERT_EQ(piped.size(), inputs.size());
 
-    // Whole outputs, bit for bit: the skid chain and the single-shot
-    // evaluation the RT unit's lanes use must agree on every field.
-    DistanceAccumulators acc;
+    // Whole outputs, bit for bit: the skid chain, the single-shot
+    // evaluation and the native evaluator the engines use (each with
+    // its own accumulators) must agree on every field.
+    DistanceAccumulators acc, native_acc;
     size_t nan_outputs = 0;
     for (size_t i = 0; i < inputs.size(); ++i) {
         const DatapathOutput fn = functionalEval(inputs[i], acc);
         ASSERT_EQ(piped[i], fn) << "beat " << i << " ("
                                 << opcodeName(inputs[i].op) << ")";
+        ASSERT_EQ(piped[i], nativeEval(inputs[i], native_acc))
+            << "native beat " << i << " ("
+            << opcodeName(inputs[i].op) << ")";
         bool nan = isNaNF32(fn.tri.t_num) || isNaNF32(fn.tri.t_den);
         for (rayflex::fp::F32 x : fn.tri.uvw)
             nan = nan || isNaNF32(x);
@@ -195,6 +199,171 @@ TEST(PipelinedEquivalence, BaselineRejectsDistanceOpcodes)
     WorkloadGen gen(5);
     std::vector<DatapathInput> in = {gen.euclideanOp(true, 0)};
     EXPECT_THROW(runBatch(dp, in), std::invalid_argument);
+}
+
+// ----- native evaluator equals functional model -----
+
+namespace
+{
+
+/** Runs every beat through functionalEval and nativeEval, each with its
+ *  own accumulators, and counts the beats whose output or any of the
+ *  three accumulators differ in a single bit afterwards. */
+struct NativeVsFunctional
+{
+    DistanceAccumulators fn_acc, native_acc;
+    size_t beats = 0;
+    size_t mismatches = 0;
+    size_t nan_outputs = 0;
+
+    void
+    check(const DatapathInput &in, unsigned box_width = kBoxesPerOp)
+    {
+        const DatapathOutput fn = functionalEval(in, fn_acc, box_width);
+        const DatapathOutput native = nativeEval(in, native_acc, box_width);
+        ++beats;
+        const bool same = fn == native &&
+                          fn_acc.euclid.bits == native_acc.euclid.bits &&
+                          fn_acc.dot.bits == native_acc.dot.bits &&
+                          fn_acc.norm.bits == native_acc.norm.bits;
+        if (!same && mismatches++ < 5)
+            ADD_FAILURE() << "beat " << beats - 1 << " ("
+                          << opcodeName(in.op) << ", tag " << in.tag
+                          << ", box width " << box_width << ")";
+        bool nan = isNaNF32(fn.euclidean_accumulator) ||
+                   isNaNF32(fn.angular_dot_product) ||
+                   isNaNF32(fn.angular_norm) || isNaNF32(fn.tri.t_num) ||
+                   isNaNF32(fn.tri.t_den);
+        for (rayflex::fp::F32 x : fn.tri.uvw)
+            nan = nan || isNaNF32(x);
+        nan_outputs += nan;
+    }
+};
+
+/** A random subnormal bit pattern of either sign. */
+rayflex::fp::F32
+subnormal(WorkloadGen &gen)
+{
+    const uint64_t r = gen.engine()();
+    return rayflex::fp::packF32(r & 1, 0, 1 + uint32_t(r >> 1) % 0x7FFFFFu);
+}
+
+/** Replaces about a third of the coordinates with subnormals. */
+void
+sprinkleSubnormals(WorkloadGen &gen, rayflex::fp::F32 *v, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (gen.engine()() % 3 == 0)
+            v[i] = subnormal(gen);
+}
+
+} // namespace
+
+TEST(NativeEval, EveryBoxWidthMatchesFunctional)
+{
+    WorkloadGen gen(0x51DE);
+    NativeVsFunctional cmp;
+    for (unsigned w = 1; w <= kMaxBoxesPerOp; ++w) {
+        for (int i = 0; i < 1500; ++i) {
+            DatapathInput in = (i & 1) ? gen.adversarialRayBoxOp(i)
+                                       : gen.rayBoxOp(i);
+            for (size_t b = kBoxesPerOp; b < kMaxBoxesPerOp; ++b)
+                in.boxes[b] = gen.box();
+            cmp.check(in, w);
+        }
+    }
+    EXPECT_EQ(cmp.mismatches, 0u) << "of " << cmp.beats << " beats";
+}
+
+TEST(NativeEval, SubnormalCoordinatesMatchFunctional)
+{
+    // Subnormal inputs, and normal inputs scaled to 2^-130 so that
+    // the translations and products underflow into subnormals.
+    WorkloadGen gen(0xDE40);
+    NativeVsFunctional cmp;
+    auto scaled = [](rayflex::fp::F32 &x) {
+        x = rayflex::fp::toBits(fromBits(x) * 0x1p-130f);
+    };
+    for (int i = 0; i < 2000; ++i) {
+        DatapathInput box = gen.rayBoxOp(i);
+        DatapathInput tri = gen.rayTriangleOp(i);
+        if (i & 1) {
+            for (int d = 0; d < 3; ++d) {
+                scaled(box.ray.origin[d]);
+                scaled(tri.ray.origin[d]);
+                for (Box &b : box.boxes) {
+                    scaled(b.lo[d]);
+                    scaled(b.hi[d]);
+                }
+                for (auto &v : tri.tri.v)
+                    scaled(v[d]);
+            }
+        } else {
+            sprinkleSubnormals(gen, box.ray.origin.data(), 3);
+            sprinkleSubnormals(gen, tri.ray.origin.data(), 3);
+            sprinkleSubnormals(gen, tri.ray.shear.data(), 3);
+            for (Box &b : box.boxes) {
+                sprinkleSubnormals(gen, b.lo.data(), 3);
+                sprinkleSubnormals(gen, b.hi.data(), 3);
+            }
+            for (auto &v : tri.tri.v)
+                sprinkleSubnormals(gen, v.data(), 3);
+        }
+        cmp.check(box);
+        cmp.check(tri);
+        for (DatapathInput dist : {gen.euclideanOp(i & 1, i),
+                                   gen.cosineOp(i & 1, i)}) {
+            sprinkleSubnormals(gen, dist.vec_a.data(), kEuclideanWidth);
+            sprinkleSubnormals(gen, dist.vec_b.data(), kEuclideanWidth);
+            cmp.check(dist);
+        }
+    }
+    EXPECT_EQ(cmp.mismatches, 0u) << "of " << cmp.beats << " beats";
+}
+
+TEST(NativeEval, MultiBeatJobsWithNaNAndInfMatchFunctional)
+{
+    // Euclidean and cosine jobs of 1-6 beats in random order. About a
+    // third of the beats get one element poisoned: a vec_b NaN (random
+    // payload and sign, quiet or signaling), a vec_b infinity, the same
+    // infinity in vec_a and vec_b (inf - inf) or a zero vec_a against an
+    // infinite vec_b (0 * inf). Propagated NaNs, NaNs created inside a
+    // beat and NaNs created by the accumulator add (+inf + -inf across
+    // beats) all reach the registers. The later beats of a job then read
+    // the NaN the fallback wrote, and the next job is compared after the
+    // reset clears it.
+    WorkloadGen gen(0xFA11);
+    NativeVsFunctional cmp;
+    for (int job = 0; job < 3000; ++job) {
+        const bool cosine = gen.engine()() & 1;
+        const size_t width = cosine ? kCosineWidth : kEuclideanWidth;
+        const int beats = 1 + int(gen.engine()() % 6);
+        for (int b = 0; b < beats; ++b) {
+            const bool last = b == beats - 1;
+            DatapathInput in = cosine ? gen.cosineOp(last, job)
+                                      : gen.euclideanOp(last, job);
+            const uint64_t r = gen.engine()();
+            const size_t i = (r >> 8) % width;
+            const bool neg = r & 0x40u;
+            const rayflex::fp::F32 inf = rayflex::fp::packF32(neg, 0xFF, 0);
+            switch (r % 12) {
+              case 0:
+                in.vec_b[i] = rayflex::fp::packF32(
+                    neg, 0xFF, 1 + uint32_t(r >> 16) % 0x7FFFFFu);
+                break;
+              case 1: in.vec_b[i] = inf; break;
+              case 2: in.vec_a[i] = in.vec_b[i] = inf; break;
+              case 3:
+                in.vec_a[i] = rayflex::fp::kPosZero;
+                in.vec_b[i] = inf;
+                break;
+              default: break;
+            }
+            cmp.check(in);
+        }
+    }
+    EXPECT_EQ(cmp.mismatches, 0u) << "of " << cmp.beats << " beats";
+    EXPECT_GT(cmp.nan_outputs, 0u) << "the NaN fallback never ran";
 }
 
 // ----- FP32 vs double-precision geometric reference -----

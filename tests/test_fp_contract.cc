@@ -28,14 +28,15 @@
 namespace
 {
 
-/** volatile parameters so the probe is evaluated with exactly the
- *  floating-point codegen of this translation unit: noinline alone
- *  does not stop GCC's IPA constant propagation from folding the call
- *  at the separately-rounded value, which would mask a contracted
- *  build. */
+/** The arguments go through volatile locals so the probe is evaluated
+ *  with exactly the floating-point codegen of this translation unit:
+ *  noinline alone does not stop GCC's IPA constant propagation from
+ *  folding the call at the separately-rounded value, which would mask
+ *  a contracted build. */
 float
-mulAddProbe(volatile float a, volatile float b, volatile float c)
+mulAddProbe(float a_in, float b_in, float c_in)
 {
+    volatile float a = a_in, b = b_in, c = c_in;
     return a * b + c;
 }
 
