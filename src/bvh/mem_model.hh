@@ -210,6 +210,7 @@ class MshrFile
                              l1_until ? l1_until : done_cycle,
                              ring_until ? ring_until : done_cycle,
                              queue_until ? queue_until : done_cycle});
+        ++generation_;
     }
 
     /** Release every entry whose fill has completed by `now` (same
@@ -218,17 +219,29 @@ class MshrFile
     void
     retire(uint64_t now)
     {
-        std::erase_if(inflight_, [now](const Entry &e) {
-            return e.done_cycle <= now;
-        });
+        if (std::erase_if(inflight_, [now](const Entry &e) {
+                return e.done_cycle <= now;
+            }))
+            ++generation_;
     }
 
     /** Drop all in-flight entries (start of an RtUnit::run). */
-    void reset() { inflight_.clear(); }
+    void
+    reset()
+    {
+        inflight_.clear();
+        ++generation_;
+    }
+
+    /** Bumped by every change to the set of in-flight entries
+     *  (allocate, a retire that frees one, reset) and never 0: while it
+     *  holds, lookup() and full() answer as they did. */
+    uint64_t generation() const { return generation_; }
 
   private:
     unsigned entries_;
     std::vector<Entry> inflight_;
+    uint64_t generation_ = 1;
 };
 
 /**

@@ -38,6 +38,18 @@
  * target is already in flight merges onto the existing entry (one miss
  * serves both requesters, no L1 touch, no issue bandwidth), and a full
  * file refuses new allocations, holding the requester in NeedFetch.
+ *
+ * Only the cycles in which something can change are evaluated. A
+ * refused slot parks on (file generation, fetch address): while both
+ * hold, its retry is counted as refused without consulting the file.
+ * A cycle that changed no state — no lane accepted or drained, no
+ * fetch retired, issued or merged, no MSHR entry allocated or freed,
+ * no slot refilled, no compaction hold or absorb — repeats until the
+ * earliest lane due cycle or fetch completion, so nextEvent() reports
+ * that cycle and skipTo() charges the cycles in between in bulk (the
+ * refusals, and the idle slots split at the gating fetch's phase
+ * boundaries with the same classifyIdle()). A traced run neither parks
+ * nor skips: its events are emitted cycle by cycle.
  */
 #include "bvh/rt_unit.hh"
 
@@ -114,7 +126,7 @@ RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
 
 /** Step-(c) preamble: release completed MSHR entries (sampling the
  *  residency counter when it changed and tracing is on) and re-arm the
- *  MSHR-refusal flag for this cycle's issue loop (classifyIdle reads
+ *  MSHR-refusal count for this cycle's issue loop (classifyIdle reads
  *  last cycle's value in step (a), which runs before this). */
 void
 RtUnit::retireMshrs()
@@ -129,42 +141,46 @@ RtUnit::retireMshrs()
     } else {
         mshrs_.retire(now_);
     }
-    mshr_refused_ = false;
+    mshr_refusals_ = 0;
 }
 
-/** Exclusive cause of this cycle's idle issue slots. The priority and
+/** Exclusive cause of cycle `t`'s idle issue slots. The priority and
  * the phase-boundary walk are documented in obs/slot_accounting.hh.
  * Step (a) calls this before accepting any lane, and advance() runs
  * only while work is outstanding, so the answer is the same whichever
  * lane triggers the lazy evaluation and "no work at all" reduces to
  * the last fallback. ReadyTri counts as in-datapath work next to
  * InFlight, as do beats still riding a lane (the lanes hold them
- * outside the slots). */
+ * outside the slots). skipTo() passes cycles before every fetch's
+ * completion, where only the phase walk depends on `t`. */
 obs::Slot
-RtUnit::classifyIdle() const
+RtUnit::classifyIdle(uint64_t t, uint64_t &until) const
 {
-    if (mshr_refused_)
+    until = kNever;
+    if (mshr_refusals_)
         return obs::Slot::StallMshrFull;
     if (!mem_queue_.empty()) {
         // The gating request: the earliest-completing in-flight fetch
         // (queue order breaks ties) — the one the unit is actually
         // waiting out. Attribute this cycle to the phase containing
         // it, clamped into the request's lifetime so a fetch retiring
-        // later this same cycle still lands in its last real phase.
+        // later this same cycle still lands in its last real phase (a
+        // clamped cause no longer changes with `t`).
         const MemRequest *g = &mem_queue_.front();
         for (const MemRequest &r : mem_queue_)
             if (r.done_cycle < g->done_cycle)
                 g = &r;
-        const uint64_t t =
-            now_ < g->done_cycle
-                ? now_
-                : (g->done_cycle ? g->done_cycle - 1 : 0);
-        if (t < g->l1_until)
-            return obs::Slot::StallL1Miss;
-        if (t < g->ring_until)
-            return obs::Slot::StallRingHop;
-        if (t < g->queue_until)
-            return obs::Slot::StallL2BankQueue;
+        const bool clamped = t >= g->done_cycle;
+        if (clamped)
+            t = g->done_cycle ? g->done_cycle - 1 : 0;
+        for (const auto &[end, cause] :
+             {std::pair{g->l1_until, obs::Slot::StallL1Miss},
+              std::pair{g->ring_until, obs::Slot::StallRingHop},
+              std::pair{g->queue_until, obs::Slot::StallL2BankQueue}})
+            if (t < end) {
+                until = clamped ? kNever : end;
+                return cause;
+            }
         return obs::Slot::StallL2Fill;
     }
     bool in_datapath = false;
@@ -180,6 +196,17 @@ RtUnit::classifyIdle() const
     return in_datapath ? obs::Slot::StallDrain : obs::Slot::IdleNoWork;
 }
 
+/** The synthetic address map, shared by both schedulers: the whole
+ *  leaf for leaf work, one wide node otherwise. The address doubles as
+ *  the MSHR merge key — each node and leaf has a unique base
+ *  address. */
+uint64_t
+RtUnit::fetchAddr(const WorkItem &w) const
+{
+    return w.is_leaf ? tri_base_ + uint64_t(w.index) * kTriStrideBytes
+                     : uint64_t(w.index) * kNodeStrideBytes;
+}
+
 /** Route one slot's fetch to memory: straight to the L1 when the MSHR
  *  file is disabled (the legacy unbounded path, bit-for-bit), else
  *  merge-or-allocate through the file. `issued` is the memory-issue
@@ -189,17 +216,12 @@ RtUnit::classifyIdle() const
  *  requests (bank queues, in-flight merges) on the lock-step chip
  *  clock; single-unit backends ignore it. The access's phase breakdown
  *  becomes absolute boundaries on the queued request — what
- *  classifyIdle() attributes stalled slots against. */
+ *  classifyIdle() attributes stalled slots against. A refusal parks the
+ *  slot unless a trace sink wants the event of every retry. */
 bool
-RtUnit::issueFetch(size_t slot, const WorkItem &w, unsigned &issued)
+RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
+                   unsigned &issued)
 {
-    // The synthetic address map, shared by both schedulers: the whole
-    // leaf for leaf work, one wide node otherwise. The address doubles
-    // as the MSHR merge key — each node and leaf has a unique base
-    // address.
-    const uint64_t addr =
-        w.is_leaf ? tri_base_ + uint64_t(w.index) * kTriStrideBytes
-                  : uint64_t(w.index) * kNodeStrideBytes;
     const uint32_t bytes =
         w.is_leaf ? w.count * kTriStrideBytes : kNodeStrideBytes;
     const bool mshr = mshrs_.enabled();
@@ -221,11 +243,13 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, unsigned &issued)
     }
     if (mshr && mshrs_.full()) {
         ++stats_.mshr.stalls_full;
-        mshr_refused_ = true;
+        ++mshr_refusals_;
         if (trace_)
             trace_->record({now_, trace_unit_,
                             obs::TraceEvent::MshrStallFull, addr,
                             uint64_t(slot)});
+        else
+            parked_[slot] = {mshrs_.generation(), addr};
         return false; // back-pressure: slot retries next cycle
     }
     if (mshr && issued >= cfg_.mem_requests_per_cycle)
@@ -468,12 +492,13 @@ RtUnit::drainCompleted(PacketTraversal &p)
  *  below-threshold packet DEFERS its next fetch for up to
  *  kCompactWaitCycles (see holdForCompaction) — the
  *  repacking window in which a partner can appear. */
-void
+bool
 RtUnit::compactPackets()
 {
     const unsigned threshold = cfg_.packet.compact_below;
     if (threshold == 0)
-        return;
+        return false;
+    bool absorbed = false;
     for (size_t i = 0; i < packets_.size(); ++i) {
         PacketTraversal &p = packets_[i];
         if (!p.compactable())
@@ -491,6 +516,7 @@ RtUnit::compactPackets()
                 live + ql > cfg_.packet.width)
                 continue;
             p.absorb(q);
+            absorbed = true;
             if (trace_)
                 trace_->record({now_, trace_unit_,
                                 obs::TraceEvent::PacketCompact,
@@ -500,6 +526,7 @@ RtUnit::compactPackets()
             live += ql;
         }
     }
+    return absorbed;
 }
 
 /** Packet publish: offer up to issue_width beats, scanning packets
@@ -691,14 +718,18 @@ RtUnit::advance(uint64_t cycle)
     // A finished unit idles: in chip mode the shared simulator keeps
     // ticking until the slowest unit drains, and a done unit must stop
     // accumulating cycles/idle-slot counters (its per-unit `cycles` is
-    // the cycle its own rays completed). Unreachable under run(),
-    // whose loop stops at outstanding_ == 0 — single-unit schedules
-    // are bit-for-bit unaffected.
+    // the cycle its own rays completed; skipTo() likewise charges it
+    // nothing). Unreachable under run(), whose loop stops at
+    // outstanding_ == 0 — single-unit schedules are bit-for-bit
+    // unaffected.
     if (outstanding_ == 0 && pending_rays_.empty() &&
         pending_knn_.empty())
         return;
     now_ = cycle;
     ++stats_.cycles;
+    const uint64_t mshr_generation = mshrs_.generation();
+    const size_t queued = pending_rays_.size() + pending_knn_.size();
+    bool changed = false;
 
     // (a) Issue, per lane: every offer is accepted (a lane never
     // back-pressures), and every issue slot lands in exactly one
@@ -717,9 +748,12 @@ RtUnit::advance(uint64_t cycle)
             ++stats_.datapath_beats;
             ++stats_.beats_by_op[size_t(accepted[l]->op)];
             ++stats_.slots[obs::Slot::Issued];
+            changed = true;
         } else {
-            if (idle_cause == obs::Slot::kCount)
-                idle_cause = classifyIdle();
+            if (idle_cause == obs::Slot::kCount) {
+                uint64_t until;
+                idle_cause = classifyIdle(now_, until);
+            }
             ++stats_.slots[idle_cause];
         }
     }
@@ -737,13 +771,14 @@ RtUnit::advance(uint64_t cycle)
         if (const Lane::Pending *due = lane.dueAt(now_)) {
             drainLane(due->out, due->packet);
             lane.pop();
+            changed = true;
         }
         if (accepted[l])
             lane.push({now_ + kPipelineLatency,
                        nativeEval(*accepted[l], lane.acc, box_width_),
                        taken[l]});
     }
-    compactPackets();
+    changed = compactPackets() || changed;
 
     // (c) Memory: retire due responses, issue new fetches. Retirement
     // is completion-ordered, not FIFO: with the cache backend a cheap
@@ -752,7 +787,8 @@ RtUnit::advance(uint64_t cycle)
     // exists to expose would be masked. (Under a uniform-latency
     // backend completion order equals issue order.) One fetch serves a
     // packet's whole active mask, and the MSHR file (when enabled)
-    // merges duplicate in-flight targets across slots.
+    // merges duplicate in-flight targets across slots. A parked slot
+    // is refused again without consulting the file.
     retireMshrs();
     for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
         if (it->done_cycle > now_) {
@@ -764,6 +800,7 @@ RtUnit::advance(uint64_t cycle)
                             it->addr, uint64_t(it->entry)});
         fetchArrived(it->entry);
         it = mem_queue_.erase(it);
+        changed = true;
     }
     unsigned issued = 0;
     for (size_t i = 0; i < slotCount(); ++i) {
@@ -771,16 +808,28 @@ RtUnit::advance(uint64_t cycle)
             continue;
         if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
             break;
-        if (holdForCompaction(i))
+        if (holdForCompaction(i)) {
+            changed = true;
             continue;
-        if (issueFetch(i, fetchItem(i), issued))
+        }
+        const WorkItem w = fetchItem(i);
+        const uint64_t addr = fetchAddr(w);
+        if (parked_[i].generation == mshrs_.generation() &&
+            parked_[i].addr == addr) {
+            ++stats_.mshr.stalls_full;
+            ++mshr_refusals_;
+        } else if (issueFetch(i, w, addr, issued)) {
             fetchIssued(i);
+            changed = true;
+        }
     }
 
     // (d) Refill free slots from the submission queue, then sample the
     // packet occupancy counter: live lanes across all packet slots,
     // emitted on change only (tracing off costs one pointer test).
     refill();
+    live_ = changed || mshrs_.generation() != mshr_generation ||
+            pending_rays_.size() + pending_knn_.size() != queued;
     if (trace_ && packetObserved()) {
         uint64_t occ = 0;
         for (const PacketTraversal &p : packets_)
@@ -790,6 +839,42 @@ RtUnit::advance(uint64_t cycle)
             trace_->record({now_, trace_unit_,
                             obs::TraceEvent::PacketOccupancy, occ, 0});
         }
+    }
+}
+
+uint64_t
+RtUnit::nextEvent(uint64_t cycle) const
+{
+    if (done())
+        return kNever;
+    if (live_ || trace_)
+        return cycle;
+    // Every lane result due and every fetch complete by now_ was
+    // handled in the dead cycle, so the earliest remaining one lies
+    // ahead.
+    uint64_t next = kNever;
+    for (const Lane &l : lanes_)
+        if (l.size)
+            next = std::min(next, l.line[l.head].due);
+    for (const MemRequest &r : mem_queue_)
+        next = std::min(next, r.done_cycle);
+    return next;
+}
+
+void
+RtUnit::skipTo(uint64_t cycle)
+{
+    if (done())
+        return;
+    const uint64_t n = cycle - now_ - 1;
+    stats_.cycles += n;
+    stats_.mshr.stalls_full += uint64_t(mshr_refusals_) * n;
+    for (uint64_t t = now_ + 1; t < cycle;) {
+        uint64_t until;
+        const obs::Slot cause = classifyIdle(t, until);
+        const uint64_t end = std::min(until, cycle);
+        stats_.slots[cause] += (end - t) * lanes_.size();
+        t = end;
     }
 }
 
@@ -836,7 +921,9 @@ RtUnit::beginRun()
 {
     stats_ = {};
     mshrs_.reset();
-    mshr_refused_ = false;
+    mshr_refusals_ = 0;
+    live_ = true;
+    parked_.assign(slotCount(), Park{});
     trace_occupancy_last_ = ~uint64_t(0);
     for (Lane &l : lanes_)
         l = Lane{};
@@ -861,8 +948,9 @@ RtUnit::run(uint64_t max_cycles)
     pipeline::Simulator sim;
     registerWith(sim);
     beginRun();
-    while (outstanding_ > 0 && stats_.cycles < max_cycles)
-        sim.tick();
+    while (outstanding_ > 0 && sim.cycle() < max_cycles)
+        if (!sim.step(max_cycles))
+            break; // nothing left to wait on: endRun reports the hang
     return endRun();
 }
 

@@ -278,7 +278,9 @@ class RtUnit : public pipeline::Component
         trace_unit_ = unit_id;
     }
 
-    /** Run the unit until all submitted rays complete.
+    /** Run the unit until all submitted rays complete, skipping dead
+     *  cycles exactly as the batch executor does (pipeline::Simulator
+     *  ::step).
      *  @return statistics for the run. */
     RtUnitStats run(uint64_t max_cycles = 100000000ull);
 
@@ -289,7 +291,7 @@ class RtUnit : public pipeline::Component
      * beginRun() resets per-run state (run()'s preamble); done() is
      * true when every submitted ray completed; endRun() finalizes and
      * returns the stats (run()'s postamble — throws if rays remain).
-     * run() itself is exactly registerWith + beginRun + tick-until-done
+     * run() itself is exactly registerWith + beginRun + step-until-done
      * + endRun on a private simulator.
      */
     void registerWith(pipeline::Simulator &sim);
@@ -309,6 +311,17 @@ class RtUnit : public pipeline::Component
 
     void publish(uint64_t cycle) override;
     void advance(uint64_t cycle) override;
+    /** `cycle` while the last advance() changed any state or a trace
+     *  sink is attached (a traced run never skips); otherwise the
+     *  earliest lane due cycle or fetch completion (an MSHR entry
+     *  completes with its allocating request); kNever once done, or
+     *  when nothing is left to wait on. */
+    uint64_t nextEvent(uint64_t cycle) const override;
+    /** Charge the dead cycles before `cycle` in bulk: each repeats the
+     *  last one, so cycles, the MSHR refusals and the idle slots
+     *  (split at the gating fetch's phase boundaries) scale with their
+     *  number. A finished unit is charged nothing. */
+    void skipTo(uint64_t cycle) override;
 
   private:
     /** Lifecycle of a ray-buffer slot, shared by both schedulers (a
@@ -376,19 +389,25 @@ class RtUnit : public pipeline::Component
     /** Step (d): admit queued rays or queries into free slots. */
     void refill();
 
-    /** Exclusive cause of this cycle's idle issue slots (the
-     *  non-Issued buckets of obs::Slot). All idle slots of one cycle
-     *  share one cause, so step (a) classifies lazily once per
-     *  cycle. */
-    obs::Slot classifyIdle() const;
-    /** Step-(c) MSHR retirement (residency trace sample + refusal-flag
-     *  re-arm). */
+    /** Exclusive cause of the idle issue slots of cycle `t` (the
+     *  non-Issued buckets of obs::Slot), from the unit's current state.
+     *  All idle slots of one cycle share one cause, so step (a)
+     *  classifies lazily once per cycle, and skipTo() charges a run of
+     *  dead cycles with it. `until` receives the first cycle after `t`
+     *  at which the cause changes with no state change (a phase
+     *  boundary of the gating fetch), or kNever. */
+    obs::Slot classifyIdle(uint64_t t, uint64_t &until) const;
+    /** Step-(c) MSHR retirement (residency trace sample + refusal
+     *  count re-arm). */
     void retireMshrs();
-    /** Route one fetch through the MSHR file (when enabled) or
-     *  straight to the L1. @return true when the fetch left the slot
-     *  (allocated or merged); false on MSHR-full or exhausted
+    /** The synthetic address of a work item's fetch. */
+    uint64_t fetchAddr(const WorkItem &w) const;
+    /** Route one fetch of `addr` through the MSHR file (when enabled)
+     *  or straight to the L1. @return true when the fetch left the
+     *  slot (allocated or merged); false on MSHR-full or exhausted
      *  mem-issue bandwidth, leaving the slot in NeedFetch. */
-    bool issueFetch(size_t slot, const WorkItem &w, unsigned &issued);
+    bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
+                    unsigned &issued);
 
     // ----- k-NN mode (constructed over a KnnIndex) -----
 
@@ -476,7 +495,8 @@ class RtUnit : public pipeline::Component
      *  events. */
     bool packetObserved() const { return cfg_.packet.width > 1; }
     void drainCompleted(PacketTraversal &p);
-    void compactPackets();
+    /** @return true when any packet absorbed another. */
+    bool compactPackets();
     /** Step (c): true when packet `i` defers its fetch inside the
      *  repacking window (counting the cycle). */
     bool holdForCompaction(size_t i);
@@ -510,9 +530,24 @@ class RtUnit : public pipeline::Component
     /** Last emitted PacketOccupancy sample (~0 = none yet), so the
      *  counter track only records changes. */
     uint64_t trace_occupancy_last_ = ~uint64_t(0);
-    /** Set by issueFetch when a full MSHR file refused a fetch this
-     *  cycle; read by the next cycle's idle classification. */
-    bool mshr_refused_ = false;
+    /** Fetches a full MSHR file refused in this cycle's issue loop;
+     *  read by the next cycle's idle classification. */
+    unsigned mshr_refusals_ = 0;
+    /** Whether the last advance() changed any state: a lane accept or
+     *  drain, a compaction absorb or hold, a fetch retire, issue or
+     *  merge, an MSHR allocation or retire, or a refill admission. */
+    bool live_ = true;
+    /** A NeedFetch slot refused by the full MSHR file: the file
+     *  generation and fetch address of the refusal. While both still
+     *  match, a retry would be refused again, so the issue loop counts
+     *  it without asking the file. Keyed on the address too, so a slot
+     *  whose fetch target changes (compaction) needs no unparking. */
+    struct Park
+    {
+        uint64_t generation = 0; ///< 0 = not parked (never a generation)
+        uint64_t addr = 0;
+    };
+    std::vector<Park> parked_;
 
     /** Per-lane issue bookkeeping, reset each publish(). A lane with
      *  no offer this cycle holds entry == kNoOffer. */

@@ -14,10 +14,19 @@
  *
  * This mirrors the self-synchronizing elastic pipeline of the paper: there
  * is no global controller, only local handshakes (Section III-C).
+ *
+ * Because registers change only when a handshake fires, a cycle in
+ * which no component changed state repeats until the next known
+ * event. A component may opt in to reporting that event
+ * (nextEvent/skipTo): Simulator::step ticks once, then jumps the clock
+ * over the cycles in which no component can change. A component that
+ * does not opt in is live every cycle, so the clock never jumps past
+ * it.
  */
 #ifndef RAYFLEX_PIPELINE_COMPONENT_HH
 #define RAYFLEX_PIPELINE_COMPONENT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +49,20 @@ class Component
 
     /** Sample ports, compute fires, update registers (clock edge). */
     virtual void advance(uint64_t cycle) = 0;
+
+    /** nextEvent() of a component that will never change state again. */
+    static constexpr uint64_t kNever = ~uint64_t(0);
+
+    /** The first cycle >= `cycle` (the next one to tick) in which this
+     *  component may change state, or kNever. Every cycle before it
+     *  would repeat the last advance() and change nothing but
+     *  counters. The default keeps the component live every cycle. */
+    virtual uint64_t nextEvent(uint64_t cycle) const { return cycle; }
+
+    /** Account the cycles after the last advance() and before `cycle`,
+     *  which the simulator jumps over as nextEvent() allowed, exactly
+     *  as if each had been evaluated. */
+    virtual void skipTo(uint64_t cycle) { (void)cycle; }
 
     /** Component instance name, used in statistics reports. */
     const std::string &name() const { return name_; }
@@ -76,6 +99,32 @@ class Simulator
     {
         for (uint64_t i = 0; i < n; ++i)
             tick();
+    }
+
+    /**
+     * Tick once, then jump the clock over the cycles in which no
+     * component can change state: to the earliest nextEvent(), but no
+     * further than cycle `limit`, charging the jumped cycles through
+     * skipTo().
+     * @return false when no component will ever change state again
+     *         (every later cycle would repeat the last one).
+     */
+    bool
+    step(uint64_t limit)
+    {
+        tick();
+        uint64_t next = Component::kNever;
+        for (Component *c : components_)
+            next = std::min(next, c->nextEvent(cycle_));
+        if (next == Component::kNever)
+            return false;
+        next = std::min(next, limit);
+        if (next > cycle_) {
+            for (Component *c : components_)
+                c->skipTo(next);
+            cycle_ = next;
+        }
+        return true;
     }
 
     /**

@@ -147,17 +147,33 @@ BatchExecutor::runUnits(const Family &family,
                 return false;
         return true;
     };
-    uint64_t ticks = 0;
-    while (!all_done() && ticks < cfg_.max_cycles_per_batch) {
-        sim.tick();
-        ++ticks;
+    // Each step ticks every unit in lock step, then jumps the clock to
+    // the next cycle in which an unfinished unit can change state (the
+    // shared L2 keeps no clock: it is evaluated when a fetch reaches
+    // it). A step that finds no future event leaves the batch unable
+    // to finish, and the watchdog below fires at once instead of at
+    // the budget.
+    const uint64_t budget = cfg_.max_cycles_per_batch;
+    uint64_t evaluated = 0;
+    while (!all_done() && sim.cycle() < budget) {
+        ++evaluated;
+        if (!sim.step(budget))
+            break;
     }
-    for (unsigned u = 0; u < units; ++u)
-        if (!us[u]->done())
-            throw std::runtime_error(
-                "BatchExecutor: batch exceeded max_cycles_per_batch (" +
-                std::to_string(cfg_.max_cycles_per_batch) + "): unit " +
-                std::to_string(u) + ": " + us[u]->stallReport());
+    for (unsigned u = 0; u < units; ++u) {
+        if (us[u]->done())
+            continue;
+        const std::string why =
+            sim.cycle() < budget
+                ? "can never finish (no unit has a future event) at cycle " +
+                      std::to_string(sim.cycle()) + " of"
+                : "exceeded";
+        throw std::runtime_error(
+            "BatchExecutor: batch " + why + " max_cycles_per_batch (" +
+            std::to_string(budget) + "): unit " + std::to_string(u) + ": " +
+            us[u]->stallReport());
+    }
+    const uint64_t ticks = sim.cycle();
 
     BatchResult res;
     for (auto &u : us)
@@ -165,6 +181,7 @@ BatchExecutor::runUnits(const Family &family,
     if (cfg_.chip.active())
         res.unit.chip_cycles = ticks;
     res.sim_cycles = ticks;
+    res.evaluated_cycles = evaluated;
     if (shared) {
         res.unit.l2_banks = shared->bankStats();
     } else {

@@ -128,6 +128,11 @@ struct BatchResult
      *  Functional model. The scheduler tier's simulated timeline
      *  charges each batch exactly this. */
     uint64_t sim_cycles = 0;
+    /** Lock-step ticks the host evaluated for this batch
+     *  (CycleAccurate): sim_cycles minus the dead cycles jumped over
+     *  (pipeline::Simulator::step). Equal to sim_cycles with tracing
+     *  on, which never skips. A host-side count, not a modeled one. */
+    uint64_t evaluated_cycles = 0;
 
     /** Cycle-stamped events of this batch (ExecutorConfig::trace, on
      *  the batch-local clock starting at 0); empty with tracing off or

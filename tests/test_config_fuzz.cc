@@ -6,12 +6,17 @@
  * compaction, issue width, ray-buffer size, MSHRs, fetch bandwidth,
  * memory backend and L1 geometry, chip units x L2 mode and L2
  * geometry, any-hit, k-NN, streaming, tracing) run small ray or k-NN
- * workloads, and each is checked against four oracles:
+ * workloads, and each is checked against five oracles:
  *   1. cycle-accurate hits (or neighbor lists) equal the Functional
  *      model's;
  *   2. the reports at 1 and 3 workers are identical;
  *   3. slots.total() == cycles * issue_width;
- *   4. sum(beats_by_op) == datapath_beats.
+ *   4. sum(beats_by_op) == datapath_beats;
+ *   5. the report with the trace knob flipped is identical (unit
+ *      stats, hits or neighbor lists, simulated cycles or makespan and
+ *      job latencies). A traced unit neither parks refused fetches nor
+ *      skips dead cycles, so this pins the bulk accounting of skipped
+ *      cycles to the cycle-by-cycle path across the knob space.
  * The run is bounded by a config count, not wall clock, so it is
  * deterministic. A failing config is shrunk — knobs reset to their
  * defaults one at a time while the failure persists — and printed as
@@ -195,6 +200,14 @@ fuzzRays()
     return rays;
 }
 
+/** The config with its trace knob flipped (oracle 5). */
+Config
+traceFlipped(Config c)
+{
+    c[kTrace] ^= 1u;
+    return c;
+}
+
 /** Oracles 3 and 4 on one merged stats record. */
 std::string
 checkSlots(const RtUnitStats &u, unsigned issue_width)
@@ -229,6 +242,10 @@ checkKnn(const Config &c)
         return "k-NN results differ from the Functional model";
     if (three.results != one.results || !(three.unit == one.unit))
         return "k-NN report differs between 1 and 3 workers";
+    const sim::KnnReport flipped =
+        sim::Engine(engineConfig(traceFlipped(c), 1)).runKnn(index, queries);
+    if (flipped.results != one.results || !(flipped.unit == one.unit))
+        return "k-NN report differs with the trace knob flipped";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 
@@ -279,6 +296,20 @@ checkStream(const Config &c)
             three.jobs[j].latency != one.jobs[j].latency ||
             three.jobs[j].batches != one.jobs[j].batches)
             return "stream job report differs between 1 and 3 workers";
+    const sim::StreamReport flipped = sim::StreamingService::run(
+        sim::Engine(engineConfig(traceFlipped(c), 1)), bvh, fuzzJobs(c),
+        scfg);
+    if (!(flipped.unit == one.unit) ||
+        flipped.makespan_ticks != one.makespan_ticks ||
+        flipped.p50_job_latency != one.p50_job_latency ||
+        flipped.p99_job_latency != one.p99_job_latency)
+        return "stream report differs with the trace knob flipped";
+    for (size_t j = 0; j < one.jobs.size(); ++j)
+        if (flipped.jobs[j].hits != one.jobs[j].hits ||
+            flipped.jobs[j].latency != one.jobs[j].latency ||
+            flipped.jobs[j].completion_tick != one.jobs[j].completion_tick)
+            return "stream job report differs with the trace knob "
+                   "flipped";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 
@@ -301,6 +332,10 @@ checkRays(const Config &c)
     if (three.hits != one.hits || !(three.unit == one.unit) ||
         three.trace != one.trace)
         return "report differs between 1 and 3 workers";
+    const sim::EngineReport flipped =
+        sim::Engine(engineConfig(traceFlipped(c), 1)).run(bvh, rays, any_hit);
+    if (flipped.hits != one.hits || !(flipped.unit == one.unit))
+        return "report differs with the trace knob flipped";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 

@@ -10,10 +10,14 @@
  * issue_width on coherent packets, where the single-beat datapath was
  * flat), MSHR merge/back-pressure behavior, compaction recovering
  * retirement occupancy, scheduler-stat parity between the scalar path
- * and one-occupancy packets, and the 1/2/8-worker determinism sweep
- * with every new knob enabled at once.
+ * and one-occupancy packets, the 1/2/8-worker determinism sweep
+ * with every new knob enabled at once, and dead-cycle skipping and
+ * refused-fetch parking (fewer evaluated cycles, every counter equal to
+ * the traced run's, which ticks every cycle).
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "bvh/builder.hh"
 #include "bvh/scene.hh"
@@ -431,4 +435,119 @@ TEST(MultiIssue, IssueWidthIsClampedToTheSupportedRange)
     EXPECT_EQ(o.unit, m.unit);
     for (size_t i = 0; i < rays.size(); ++i)
         ASSERT_TRUE(bitIdentical(o.hits[i], ref.hits[i])) << i;
+}
+
+TEST(DeadCycles, LatencyBoundBatchEvaluatesUnderHalfItsCycles)
+{
+    // A long flat fetch latency and a two-ray buffer leave the unit
+    // waiting on memory in most cycles. The untraced batch jumps over
+    // those dead cycles and charges them in bulk; the traced batch
+    // ticks every cycle. Both report the same stats and hits.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 16);
+    rays.erase(rays.begin(), rays.end() - 32);
+
+    sim::ExecutorConfig cfg;
+    cfg.rt.mem_latency = 200;
+    cfg.rt.ray_buffer_entries = 2;
+    const auto execute = [&](std::vector<HitRecord> &hits) {
+        hits.assign(rays.size(), {});
+        std::vector<sim::BatchRayRef> refs;
+        for (size_t i = 0; i < rays.size(); ++i)
+            refs.push_back({&rays[i], &hits[i]});
+        return sim::BatchExecutor(bvh, cfg).executeBatch(
+            refs.data(), refs.size(), false);
+    };
+    std::vector<HitRecord> hits, traced_hits;
+    const sim::BatchResult fast = execute(hits);
+    cfg.trace = true;
+    const sim::BatchResult traced = execute(traced_hits);
+
+    EXPECT_LT(2 * fast.evaluated_cycles, fast.sim_cycles)
+        << fast.evaluated_cycles << " of " << fast.sim_cycles;
+    EXPECT_EQ(traced.evaluated_cycles, traced.sim_cycles);
+    EXPECT_EQ(fast.sim_cycles, traced.sim_cycles);
+    EXPECT_EQ(fast.unit, traced.unit);
+    for (size_t i = 0; i < rays.size(); ++i)
+        ASSERT_TRUE(bitIdentical(hits[i], traced_hits[i])) << i;
+}
+
+TEST(DeadCycles, ParkedRefusalsEqualTheTracedStallEvents)
+{
+    // One MSHR behind four lanes starves the k-NN slots: most fetch
+    // retries are refused. Untraced, a refused slot parks and skipped
+    // cycles charge their refusals in bulk; traced, every refused
+    // retry of every cycle emits one MshrStallFull event. The untraced
+    // count must equal the traced events.
+    const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(16, 8, 4, 6))
+        queries.push_back({std::move(p.coords), 4});
+
+    sim::ExecutorConfig cfg;
+    cfg.dp = core::kExtendedUnified;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.issue_width = 4;
+    cfg.rt.mshrs = 1;
+    const auto execute = [&](std::vector<KnnResult> &results) {
+        results.assign(queries.size(), {});
+        std::vector<sim::KnnBatchRef> refs;
+        for (size_t i = 0; i < queries.size(); ++i)
+            refs.push_back({&queries[i], &results[i]});
+        return sim::BatchExecutor(index, cfg).executeKnnBatch(
+            refs.data(), refs.size());
+    };
+    std::vector<KnnResult> results, traced_results;
+    const sim::BatchResult fast = execute(results);
+    cfg.trace = true;
+    const sim::BatchResult traced = execute(traced_results);
+
+    const auto events = std::count_if(
+        traced.trace.begin(), traced.trace.end(),
+        [](const obs::TraceRecord &r) {
+            return r.event == obs::TraceEvent::MshrStallFull;
+        });
+    EXPECT_GT(fast.unit.mshr.stalls_full, 0u);
+    EXPECT_EQ(fast.unit.mshr.stalls_full, uint64_t(events));
+    EXPECT_EQ(fast.unit, traced.unit);
+    EXPECT_EQ(results, traced_results);
+    EXPECT_LT(fast.evaluated_cycles, fast.sim_cycles);
+    EXPECT_EQ(traced.evaluated_cycles, traced.sim_cycles);
+}
+
+TEST(DeadCycles, CompactionUnderMshrStarvationMatchesTheTracedRun)
+{
+    // Divergent fans through narrow packets that repack, a one- or
+    // two-entry MSHR file and a small ray buffer: slots park on
+    // refused fetches, donors of a repack go idle and refill at the
+    // root while other packets' fetches are in flight. Every counter
+    // and hit must equal the traced run's, which neither parks nor
+    // skips.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = fanRays(24, 8);
+    for (unsigned width : {2u, 4u})
+        for (unsigned mshrs : {1u, 2u}) {
+            sim::EngineConfig cfg;
+            cfg.threads = 1;
+            cfg.batch_size = 0;
+            cfg.rt.mem_backend = MemBackend::NodeCache;
+            cfg.rt.cache = kProbeCache4KiB;
+            cfg.rt.packet.width = width;
+            cfg.rt.packet.compact_below = width;
+            cfg.rt.ray_buffer_entries = 4 * width;
+            cfg.rt.issue_width = 2;
+            cfg.rt.mshrs = mshrs;
+            const sim::EngineReport fast = sim::Engine(cfg).run(bvh, rays);
+            cfg.trace = true;
+            const sim::EngineReport traced =
+                sim::Engine(cfg).run(bvh, rays);
+            ASSERT_GT(fast.unit.packet.compactions, 0u);
+            ASSERT_GT(fast.unit.mshr.stalls_full, 0u);
+            EXPECT_EQ(fast.unit, traced.unit)
+                << "width " << width << ", mshrs " << mshrs;
+            for (size_t i = 0; i < rays.size(); ++i)
+                ASSERT_TRUE(bitIdentical(fast.hits[i], traced.hits[i]))
+                    << i;
+        }
 }

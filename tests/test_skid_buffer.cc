@@ -7,10 +7,13 @@
  * producer/consumer stall patterns, full throughput when unstalled,
  * fully registered outputs (one cycle of latency per stage), correct
  * back-pressure propagation with no global controller, and exactly-once
- * invocation of the programmer-supplied (possibly stateful) logic.
+ * invocation of the programmer-supplied (possibly stateful) logic. The
+ * kernel's Simulator::step is checked to jump the clock only over the
+ * cycles in which no component can change state.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
 
@@ -247,4 +250,105 @@ TEST(SkidBuffer, TypeParameterization)
     src.push(42);
     ASSERT_TRUE(sim.runUntil([&] { return sink.count() == 1; }, 10));
     EXPECT_EQ(sink.received()[0], "42");
+}
+
+namespace
+{
+
+/** A component that changes state only on the cycles in `events` and
+ *  opts in to skipping: it counts the cycles it evaluates and the
+ *  cycles it is charged, evaluated or skipped. */
+class EventTimer : public Component
+{
+  public:
+    explicit EventTimer(std::vector<uint64_t> events)
+        : Component("timer"), events_(std::move(events))
+    {
+    }
+
+    void publish(uint64_t) override {}
+
+    void
+    advance(uint64_t cycle) override
+    {
+        ++evaluated;
+        ++charged;
+        last_ = cycle;
+        while (next_ < events_.size() && events_[next_] <= cycle)
+            ++next_;
+    }
+
+    uint64_t
+    nextEvent(uint64_t cycle) const override
+    {
+        return next_ < events_.size() ? std::max(events_[next_], cycle)
+                                      : kNever;
+    }
+
+    void skipTo(uint64_t cycle) override { charged += cycle - last_ - 1; }
+
+    uint64_t evaluated = 0;
+    uint64_t charged = 0;
+
+  private:
+    std::vector<uint64_t> events_;
+    size_t next_ = 0;
+    uint64_t last_ = 0;
+};
+
+/** A component that does not opt in: live every cycle. */
+class Plain : public Component
+{
+  public:
+    Plain() : Component("plain") {}
+    void publish(uint64_t) override {}
+    void advance(uint64_t) override { ++evaluated; }
+
+    uint64_t evaluated = 0;
+};
+
+} // namespace
+
+TEST(Simulator, StepJumpsToTheEarliestEvent)
+{
+    // Every step ticks every component, then the clock jumps to the
+    // earliest event of any component, and skipTo() charges each one
+    // the cycles jumped over.
+    EventTimer a({0, 10, 25}), b({4, 10});
+    Simulator sim;
+    sim.add(&a);
+    sim.add(&b);
+    while (sim.step(1000)) {
+    }
+    EXPECT_EQ(sim.cycle(), 26u); // the tick of cycle 25, then no event
+    EXPECT_EQ(a.evaluated, 4u);  // cycles 0, 4, 10 and 25
+    EXPECT_EQ(b.evaluated, 4u);
+    EXPECT_EQ(a.charged, 26u);
+    EXPECT_EQ(b.charged, 26u);
+
+    // The jump stops at the limit; the next step resumes it.
+    EventTimer c({0, 10});
+    Simulator limited;
+    limited.add(&c);
+    EXPECT_TRUE(limited.step(5));
+    EXPECT_EQ(limited.cycle(), 5u);
+    EXPECT_TRUE(limited.step(1000));
+    EXPECT_EQ(limited.cycle(), 10u);
+    EXPECT_FALSE(limited.step(1000));
+    EXPECT_EQ(limited.cycle(), 11u);
+    EXPECT_EQ(c.evaluated, 3u); // cycles 0, 5 and 10
+    EXPECT_EQ(c.charged, 11u);
+
+    // A component that does not opt in is live every cycle, so the
+    // clock never jumps: step is tick.
+    EventTimer d({0, 10});
+    Plain plain;
+    Simulator mixed;
+    mixed.add(&d);
+    mixed.add(&plain);
+    while (mixed.cycle() < 12)
+        EXPECT_TRUE(mixed.step(1000));
+    EXPECT_EQ(plain.evaluated, 12u);
+    EXPECT_EQ(d.evaluated, 12u);
+    EXPECT_EQ(d.charged, 12u);
 }
