@@ -377,8 +377,8 @@ struct L2Config
     friend bool operator==(const L2Config &, const L2Config &) = default;
 };
 
-/** The canonical probe L2 shared by BM_UnitScalingSweep, the
- *  render_scene chip probe and the chip tests: 128 KiB as 4 banks x
+/** The canonical probe L2 shared by BM_UnitScalingSweep, the chip
+ *  tests and render_scene's `chip=N` run: 128 KiB as 4 banks x
  *  64 sets x 8 ways x 64-byte lines, default timings. Sized so the
  *  bench scene's working set thrashes a per-unit 4 KiB L1 but largely
  *  fits the L2 — the regime where sharing wins. */
@@ -502,8 +502,8 @@ struct NodeCacheConfig
 };
 
 /** The canonical probe cache shared by the scene-size sweep
- *  (BM_NodeCacheSceneSweep), the render_scene memory probe and the
- *  monotonicity tests: 4 KiB as 16 sets x 4 ways x 64-byte lines,
+ *  (BM_NodeCacheSceneSweep), the monotonicity tests and render_scene's
+ *  `cache=1` run: 4 KiB as 16 sets x 4 ways x 64-byte lines,
  *  default hit/miss latencies. Small on purpose — real scenes outgrow
  *  it, which is the signal the sweep exists to show. */
 inline constexpr NodeCacheConfig kProbeCache4KiB{

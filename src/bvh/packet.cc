@@ -33,7 +33,7 @@ using namespace rayflex::core;
 using fp::fromBits;
 
 PacketTraversal::PacketTraversal(const Bvh4 &bvh, unsigned width,
-                                 Mode mode, PacketStats *stats)
+                                 TraversalMode mode, PacketStats *stats)
     : bvh_(bvh), width_(width), mode_(mode), stats_(stats)
 {
     assert(width_ >= 1 && width_ <= kMaxPacketWidth);
@@ -245,7 +245,7 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
                 float t = fromBits(out.tri.t_num) / den;
                 if (t >= ln.t_beg && t <= ln.t_max &&
                     (!ln.best.hit || t < ln.best.t)) {
-                    if (mode_ == Mode::Any) {
+                    if (mode_ == TraversalMode::Any) {
                         // First in-extent hit retires the lane; the
                         // record carries only the flag (the any-hit
                         // contract).

@@ -187,11 +187,7 @@ struct PacketStats
 class PacketTraversal
 {
   public:
-    /** What the unit resolves per ray; mirrors bvh::TraversalMode
-     *  (redeclared loosely to avoid a header cycle with rt_unit.hh). */
-    enum class Mode : uint8_t { Closest, Any };
-
-    PacketTraversal(const Bvh4 &bvh, unsigned width, Mode mode,
+    PacketTraversal(const Bvh4 &bvh, unsigned width, TraversalMode mode,
                     PacketStats *stats);
 
     /** True when the packet holds no rays and can admit new ones. */
@@ -318,7 +314,7 @@ class PacketTraversal
 
     const Bvh4 &bvh_;
     unsigned width_;
-    Mode mode_;
+    TraversalMode mode_;
     PacketStats *stats_;
 
     State state_ = State::Idle;

@@ -95,12 +95,9 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
     // packet slot stands in for `width` one-ray slots.
     const unsigned slots =
         std::max(1u, cfg_.ray_buffer_entries / cfg_.packet.width);
-    const auto mode = cfg_.mode == TraversalMode::Any
-                          ? PacketTraversal::Mode::Any
-                          : PacketTraversal::Mode::Closest;
     packets_.reserve(slots);
     for (unsigned i = 0; i < slots; ++i)
-        packets_.emplace_back(bvh_, cfg_.packet.width, mode,
+        packets_.emplace_back(bvh_, cfg_.packet.width, cfg_.mode,
                               &stats_.packet);
     cfg_.packet.compact_below =
         std::min(cfg_.packet.compact_below, cfg_.packet.width);

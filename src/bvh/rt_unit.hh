@@ -44,16 +44,6 @@
 namespace rayflex::bvh
 {
 
-/** What the unit resolves per ray. */
-enum class TraversalMode : uint8_t {
-    /** Resolve the closest hit inside the ray extent. */
-    Closest,
-    /** Retire the ray on the first hit inside the ray extent
-     *  (shadow/occlusion queries). The result record carries only the
-     *  `hit` flag; t, triangle id and barycentrics stay zero. */
-    Any,
-};
-
 /** Widest datapath the unit can drive (issue lanes per cycle). */
 inline constexpr unsigned kMaxIssueWidth = 8;
 

@@ -7,8 +7,7 @@
  * rays toward the light, ambient-occlusion fans) and an optional
  * one-bounce mirror pass, all generated deterministically by
  * core::RayGen from the primary hit points. renderPasses() owns that
- * orchestration - previously hand-rolled in examples/render_scene.cpp -
- * and runs every pass on the caller's engine.
+ * orchestration and runs every pass on the caller's engine.
  *
  * Determinism: the ray batches are pure functions of (camera, light,
  * seed, primary hits) and every engine run is bit-identical at every

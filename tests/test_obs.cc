@@ -480,7 +480,7 @@ TEST(Obs, SlotAccountingMergeAndNames)
     EXPECT_EQ(m.memoryStallSlots(), 3u);
 
     // Every bucket has a distinct, non-empty display name (the bench
-    // counters and the render_scene breakdown print them).
+    // counters and render_scene's issue-slot breakdown print them).
     for (size_t s = 0; s < obs::kSlotBuckets; ++s) {
         ASSERT_NE(obs::slotName(obs::Slot(s)), nullptr);
         for (size_t t = 0; t < s; ++t)
