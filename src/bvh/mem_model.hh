@@ -51,6 +51,7 @@
 #ifndef RAYFLEX_BVH_MEM_MODEL_HH
 #define RAYFLEX_BVH_MEM_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -210,6 +211,7 @@ class MshrFile
                              l1_until ? l1_until : done_cycle,
                              ring_until ? ring_until : done_cycle,
                              queue_until ? queue_until : done_cycle});
+        next_done_ = std::min(next_done_, done_cycle);
         ++generation_;
     }
 
@@ -219,10 +221,14 @@ class MshrFile
     void
     retire(uint64_t now)
     {
-        if (std::erase_if(inflight_, [now](const Entry &e) {
-                return e.done_cycle <= now;
-            }))
-            ++generation_;
+        if (now < next_done_)
+            return;
+        std::erase_if(inflight_,
+                      [now](const Entry &e) { return e.done_cycle <= now; });
+        next_done_ = ~uint64_t(0);
+        for (const Entry &e : inflight_)
+            next_done_ = std::min(next_done_, e.done_cycle);
+        ++generation_;
     }
 
     /** Drop all in-flight entries (start of an RtUnit::run). */
@@ -230,6 +236,7 @@ class MshrFile
     reset()
     {
         inflight_.clear();
+        next_done_ = ~uint64_t(0);
         ++generation_;
     }
 
@@ -241,6 +248,9 @@ class MshrFile
   private:
     unsigned entries_;
     std::vector<Entry> inflight_;
+    /** The earliest done_cycle in flight (all ones when empty): no
+     *  entry retires before it. */
+    uint64_t next_done_ = ~uint64_t(0);
     uint64_t generation_ = 1;
 };
 

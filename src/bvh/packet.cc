@@ -167,6 +167,7 @@ PacketTraversal::fetchArrived()
     assert(state_ == State::Fetching);
     state_ = State::Issue;
     pending_.clear();
+    next_ = 0;
     if (cur_.is_leaf) {
         // Triangle-major: each lane sees the leaf's triangles in leaf
         // order, exactly as a lone ray does.
@@ -178,6 +179,11 @@ PacketTraversal::fetchArrived()
         for (unsigned r = 0; r < n_lanes_; ++r)
             if (live_ & (1u << r))
                 pending_.push_back({uint8_t(r), 0});
+        const WideNode &node = bvh_.nodes[cur_.index];
+        for (size_t c = 0; c < node_boxes_.size(); ++c)
+            node_boxes_[c] = node.child[c].kind == WideNode::Kind::Empty
+                                 ? emptySlotBox()
+                                 : node.child[c].bounds.toIoBox();
     }
 }
 
@@ -187,18 +193,21 @@ PacketTraversal::pruneDeadBeats()
     // Beats for lanes retired mid-leaf (any-hit) are never issued.
     // Pruning the whole queue (not just the front) never changes the
     // issued-beat sequence — dead beats would be skipped on their way
-    // to the front anyway — and keeps issuableCount()/makeBeatAt()
+    // to the front anyway — and keeps issuableCount()/writeBeat()
     // indices dense for the multi-issue offer loop.
-    std::erase_if(pending_, [this](const PacketBeat &b) {
-        return lanes_[b.lane].retired;
-    });
+    pending_.erase(std::remove_if(pending_.begin() + std::ptrdiff_t(next_),
+                                  pending_.end(),
+                                  [this](const PacketBeat &b) {
+                                      return lanes_[b.lane].retired;
+                                  }),
+                   pending_.end());
 }
 
-core::DatapathInput
-PacketTraversal::makeBeatAt(size_t j, uint64_t tag) const
+void
+PacketTraversal::writeBeat(size_t j, uint64_t tag,
+                           core::DatapathInput &in) const
 {
-    const PacketBeat &b = pending_[j];
-    DatapathInput in;
+    const PacketBeat &b = pending_[next_ + j];
     in.tag = tag;
     in.ray = lanes_[b.lane].ray;
     if (cur_.is_leaf) {
@@ -206,24 +215,16 @@ PacketTraversal::makeBeatAt(size_t j, uint64_t tag) const
         in.tri = bvh_.tris[b.tri].toIoTriangle();
     } else {
         in.op = Opcode::RayBox;
-        const WideNode &node = bvh_.nodes[cur_.index];
-        for (int c = 0; c < 4; ++c) {
-            in.boxes[c] = node.child[c].kind == WideNode::Kind::Empty
-                              ? emptySlotBox()
-                              : node.child[c].bounds.toIoBox();
-        }
+        std::copy(node_boxes_.begin(), node_boxes_.end(), in.boxes.begin());
     }
-    return in;
 }
 
 PacketBeat
-PacketTraversal::takeBeatAt(size_t j)
+PacketTraversal::takeBeat()
 {
-    assert(j < pending_.size());
-    const PacketBeat b = pending_[j];
-    pending_.erase(pending_.begin() + std::ptrdiff_t(j));
+    assert(next_ < pending_.size());
     ++outstanding_;
-    return b;
+    return pending_[next_++];
 }
 
 void
@@ -252,6 +253,7 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
                         HitRecord occluded;
                         occluded.hit = true;
                         retireLane(b.lane, occluded);
+                        pruneDeadBeats();
                     } else {
                         ln.best.hit = true;
                         ln.best.t = t;
@@ -268,8 +270,7 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
         }
     }
 
-    pruneDeadBeats();
-    if (pending_.empty() && outstanding_ == 0)
+    if (next_ == pending_.size() && outstanding_ == 0)
         completeItem();
 }
 
@@ -406,6 +407,7 @@ PacketTraversal::absorb(PacketTraversal &donor)
 
     donor.stack_.clear();
     donor.pending_.clear();
+    donor.next_ = 0;
     donor.n_lanes_ = 0;
     donor.state_ = State::Idle;
 }
@@ -415,75 +417,74 @@ PacketTraversal::mergeBoxResults()
 {
     const WideNode &node = bvh_.nodes[cur_.index];
 
-    // Invert each lane's sorted result into a slot-indexed entry table.
-    std::array<std::array<float, 4>, kMaxPacketWidth> entry{};
+    // Invert each live lane's sorted result into per-slot tables: the
+    // lanes whose slab test hit the child, their entry distances, and
+    // the nearest of them (taken in lane order). A box width above four
+    // also tests slots past the node's children; they are no child.
+    std::array<uint32_t, 4> hit_mask{};
+    std::array<float, 4> nearest;
+    nearest.fill(std::numeric_limits<float>::infinity());
+    std::array<std::array<float, kMaxPacketWidth>, 4> entry{};
     for (unsigned r = 0; r < n_lanes_; ++r) {
         if (!(live_ & (1u << r)))
             continue;
         const BoxResult &br = box_res_[r];
-        for (int i = 0; i < 4; ++i)
-            entry[r][br.order[i]] = fromBits(br.sorted_dist[i]);
+        for (size_t i = 0; i < 4; ++i) {
+            const size_t slot = br.order[i];
+            if (slot >= node.child.size() || !br.hit[slot])
+                continue;
+            const float d = fromBits(br.sorted_dist[i]);
+            hit_mask[slot] |= 1u << r;
+            entry[slot][r] = d;
+            nearest[slot] = std::min(nearest[slot], d);
+        }
     }
 
-    // One candidate child item per slot some lane hit. Rule (b): a
-    // width-1 packet takes its children in the QuadSort network's
-    // nearest-first order, ties as the network leaves them; wider
-    // packets sort the candidates below.
+    // One candidate child per slot some lane hit. Rule (b): a width-1
+    // packet takes its children in the QuadSort network's nearest-first
+    // order, ties as the network leaves them; wider packets order the
+    // candidates by (key, slot) as they are found, an insertion into at
+    // most four.
     const bool datapath_order = width_ == 1;
     struct Cand
     {
-        Item item;
         float key; ///< nearest entry distance over member lanes
-        int slot;
+        size_t slot;
     };
     std::array<Cand, 4> cands;
-    int n_cands = 0;
+    size_t n_cands = 0;
     bool split = false;
-    for (int k = 0; k < 4; ++k) {
-        const int slot = datapath_order ? box_res_[0].order[k] : k;
-        const WideNode::Child &c = node.child[slot];
-        if (c.kind == WideNode::Kind::Empty)
+    for (size_t k = 0; k < 4; ++k) {
+        const size_t slot = datapath_order ? box_res_[0].order[k] : k;
+        if (node.child[slot].kind == WideNode::Kind::Empty ||
+            hit_mask[slot] == 0)
             continue;
-        uint32_t mask = 0;
-        float key = std::numeric_limits<float>::infinity();
-        Item it;
-        for (unsigned r = 0; r < n_lanes_; ++r) {
-            if (!(live_ & (1u << r)) || !box_res_[r].hit[slot])
-                continue;
-            mask |= 1u << r;
-            it.entry[r] = entry[r][slot];
-            key = std::min(key, entry[r][slot]);
-        }
-        if (mask == 0)
-            continue;
-        if (mask != live_)
+        if (hit_mask[slot] != live_)
             split = true; // the children partition the packet
-        it.mask = mask;
-        if (c.kind == WideNode::Kind::Internal) {
-            it.is_leaf = false;
-            it.index = c.index;
-        } else {
-            it.is_leaf = true;
-            it.index = c.index;
-            it.count = c.count;
-        }
-        cands[size_t(n_cands++)] = {it, key, slot};
+        // Keys are never NaN (a NaN slab is a miss keyed +inf), so
+        // (key, slot) is a strict total order. Candidates arrive in
+        // slot order, so a tie stays behind the lower slot.
+        size_t at = n_cands++;
+        if (!datapath_order)
+            for (; at > 0 && nearest[slot] < cands[at - 1].key; --at)
+                cands[at] = cands[at - 1];
+        cands[at] = {nearest[slot], slot};
     }
     if (split)
         ++stats_->divergence_splits;
 
-    // Push farthest-first so the packet-nearest child pops first;
-    // slot index breaks exact-distance ties deterministically.
-    if (!datapath_order)
-        std::sort(cands.begin(), cands.begin() + n_cands,
-                  [](const Cand &a, const Cand &b) {
-                      return a.key != b.key ? a.key < b.key
-                                            : a.slot < b.slot;
-                  });
-    for (int i = n_cands - 1; i >= 0; --i) {
-        stack_.push_back(cands[size_t(i)].item);
+    // Push farthest-first so the packet-nearest child pops first.
+    for (size_t i = n_cands; i-- > 0;) {
+        const size_t slot = cands[i].slot;
+        const WideNode::Child &child = node.child[slot];
+        Item &it = stack_.emplace_back();
+        it.is_leaf = child.kind == WideNode::Kind::Leaf;
+        it.index = child.index;
+        it.count = it.is_leaf ? child.count : 0;
+        it.mask = hit_mask[slot];
+        it.entry = entry[slot];
         for (unsigned r = 0; r < n_lanes_; ++r)
-            if (cands[size_t(i)].item.mask & (1u << r))
+            if (it.mask & (1u << r))
                 ++lanes_[r].pending;
     }
 }

@@ -171,10 +171,11 @@ struct PacketStats
 /**
  * One ray packet: the shared-stack traversal state machine for up to
  * PacketConfig::width rays. The RT unit owns a vector of these and
- * drives them through four service points per cycle — memory
+ * drives them through four service points — memory
  * (needsFetch/fetchIssued/fetchArrived), datapath issue
- * (issueReady/makeBeatAt/takeBeatAt, up to issue_width beats per
- * cycle), datapath drain (handleResult) and refill (admit). Between work
+ * (issuableCount/writeBeat/takeBeat, up to issue_width beats per
+ * cycle), datapath drain (handleResult) and refill (admit) — and reads
+ * the packet's state only after one of them changed it. Between work
  * items (compactable()) a divergence-thinned packet can absorb()
  * another's surviving lanes, so the beat slots divergence emptied are
  * recovered instead of riding along dead.
@@ -209,36 +210,38 @@ class PacketTraversal
     uint32_t fetchCount() const { return cur_.count; }
     /** The fetch left for memory; counts the visit into PacketStats. */
     void fetchIssued();
-    /** The fetch returned; builds the beat list for the datapath. */
+    /** The fetch returned; builds the beat list for the datapath (and,
+     *  for a node, converts its child boxes once for every beat). */
     void fetchArrived();
 
     // ---- datapath service ----------------------------------------------
     /** True when the packet is in its issue phase (fetched data
      *  present; beats pending and/or results outstanding). */
     bool issueReady() const { return state_ == State::Issue; }
-    /** Drop every queued beat whose lane has retired (any-hit lanes
-     *  die mid-leaf); such beats are never issued. Call before
-    *   peeking the pending queue. */
-    void pruneDeadBeats();
-    /** Beats the unit may offer this cycle (after pruneDeadBeats()).
-     *  The multi-issue unit offers pending beats 0..N-1 to its N
-     *  datapath lanes in one cycle — SIMD-style back-to-back
-     *  member-lane beats. Rule (a): a width-1 packet keeps one beat in
-     *  flight, so its leaf serializes on each triangle result. */
+    /** Beats the unit may offer this cycle. The multi-issue unit
+     *  offers pending beats 0..N-1 to its N datapath lanes in one
+     *  cycle — SIMD-style back-to-back member-lane beats. Rule (a): a
+     *  width-1 packet keeps one beat in flight, so its leaf serializes
+     *  on each triangle result. */
     size_t
     issuableCount() const
     {
+        const size_t pending = pending_.size() - next_;
         if (width_ == 1)
-            return outstanding_ == 0 && !pending_.empty() ? 1 : 0;
-        return pending_.size();
+            return outstanding_ == 0 && pending ? 1 : 0;
+        return pending;
     }
-    /** Datapath input for pending beat `j`; `tag` is echoed on the
-     *  datapath output so the unit can route the result back here. */
-    core::DatapathInput makeBeatAt(size_t j, uint64_t tag) const;
-    /** Pending beat `j` was accepted by a datapath lane: remove it
-     *  from the queue and count it outstanding. @return the beat,
-     *  which rides the lane's delay line beside its result. */
-    PacketBeat takeBeatAt(size_t j);
+    /** Write pending beat `j`'s operands into `in`, in place; `tag` is
+     *  echoed on the datapath output so the unit can route the result
+     *  back here. Only the fields of the beat's opcode are written:
+     *  the datapath reads no other. */
+    void writeBeat(size_t j, uint64_t tag, core::DatapathInput &in) const;
+    /** The first pending beat was accepted by a datapath lane: count
+     *  it outstanding. A cycle's offers are a prefix of the pending
+     *  beats and every offer is accepted, so the unit takes them front
+     *  first. @return the beat, which rides the lane's delay line
+     *  beside its result. */
+    PacketBeat takeBeat();
     /** Fold one datapath result back into the packet. `beat` is the
      *  value takeBeatAt() returned when this result's input was
      *  accepted — the lane's delay line carries it, so routing
@@ -306,6 +309,10 @@ class PacketTraversal
     void popNext();
     void completeItem();
     void mergeBoxResults();
+    /** Drop every pending beat whose lane has retired; such beats are
+     *  never issued. Only an any-hit lane retires while its leaf still
+     *  has beats pending, so handleResult() calls this after one does. */
+    void pruneDeadBeats();
     void dropLaneFromItem(unsigned lane);
     void retireLane(unsigned lane, const HitRecord &rec);
     /** Clear retired lanes out of this packet's stack masks (and
@@ -324,9 +331,15 @@ class PacketTraversal
     std::array<Lane, kMaxPacketWidth> lanes_;
     unsigned n_lanes_ = 0;
 
-    std::deque<PacketBeat> pending_; ///< beats not yet issued
+    /** The current item's beats; those from next_ on are not yet
+     *  issued. */
+    std::vector<PacketBeat> pending_;
+    size_t next_ = 0;
     unsigned outstanding_ = 0; ///< accepted beats not yet resolved
                                ///< (held in the unit's delay lines)
+    /** A fetched node's child boxes in datapath form (empty slots as
+     *  emptySlotBox()), the same for every box beat of the visit. */
+    std::array<core::Box, 4> node_boxes_{};
     std::array<core::BoxResult, kMaxPacketWidth> box_res_;
 
     std::vector<std::pair<uint32_t, HitRecord>> completed_;

@@ -26,6 +26,12 @@
  * fetch boundaries. Only publish() keeps one offer policy per
  * scheduler.
  *
+ * The loop reads slot states from lists kept at each slot's
+ * transitions (refreshSlot): the state of every slot, the slots in
+ * each state and the slots with a beat to offer. publish(), the
+ * fetch-issue walk, compaction, refill() and classifyIdle() walk or
+ * test those lists, so a slot with nothing to do is never touched.
+ *
  * Fetch latency comes from the configured MemoryModel — the unit's
  * shared L1: one instance serves every slot. The address map is
  * synthetic but stable: node i occupies
@@ -54,6 +60,7 @@
 #include "bvh/rt_unit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace rayflex::bvh
@@ -180,14 +187,10 @@ RtUnit::classifyIdle(uint64_t t, uint64_t &until) const
             }
         return obs::Slot::StallL2Fill;
     }
-    bool in_datapath = false;
-    for (size_t i = 0; i < slotCount(); ++i) {
-        const EntryState st = slotState(i);
-        if (st == EntryState::NeedFetch)
-            return obs::Slot::StallL1Miss; // waiting on issue bandwidth
-        in_datapath = in_datapath || st == EntryState::ReadyTri ||
-                      st == EntryState::InFlight;
-    }
+    if (!in_state_[size_t(EntryState::NeedFetch)].empty())
+        return obs::Slot::StallL1Miss; // waiting on issue bandwidth
+    bool in_datapath = !in_state_[size_t(EntryState::ReadyTri)].empty() ||
+                       !in_state_[size_t(EntryState::InFlight)].empty();
     for (const Lane &l : lanes_)
         in_datapath = in_datapath || l.size || l.knn.streaming();
     return in_datapath ? obs::Slot::StallDrain : obs::Slot::IdleNoWork;
@@ -231,6 +234,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
         req.ring_until = inflight->ring_until;
         req.queue_until = inflight->queue_until;
         mem_queue_.push_back(req);
+        mem_next_done_ = std::min(mem_next_done_, req.done_cycle);
         ++stats_.mshr.merges;
         if (trace_)
             trace_->record({now_, trace_unit_,
@@ -246,7 +250,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
                             obs::TraceEvent::MshrStallFull, addr,
                             uint64_t(slot)});
         else
-            parked_[slot] = {mshrs_.generation(), addr};
+            fetch_[slot].parked = mshrs_.generation();
         return false; // back-pressure: slot retries next cycle
     }
     if (mshr && issued >= cfg_.mem_requests_per_cycle)
@@ -258,6 +262,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
     req.ring_until = req.l1_until + bd.ring;
     req.queue_until = req.ring_until + bd.queue;
     mem_queue_.push_back(req);
+    mem_next_done_ = std::min(mem_next_done_, req.done_cycle);
     ++stats_.mem_requests;
     ++issued;
     if (trace_)
@@ -325,27 +330,24 @@ RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
 void
 RtUnit::publishKnn()
 {
-    // Claims advance one cursor over (entry, pending position): every
-    // entry before it is ineligible or fully claimed this cycle.
-    size_t i = 0;
+    // Claims advance one cursor over (offerable entry, pending
+    // position): every entry before it is fully claimed this cycle.
+    size_t i = offerable_.next(0);
     size_t pos = 0;
     for (Lane &lane : lanes_) {
         KnnLaneJob &job = lane.knn;
         if (!job.free()) {
-            lane.offer.entry = size_t(job.beats[job.next_beat].tag >> 32);
+            lane.offer = size_t(job.beats[job.next_beat].tag >> 32);
             continue;
         }
-        for (; i < knn_entries_.size(); ++i, pos = 0) {
-            const KnnEntry &e = knn_entries_[i];
-            if (e.state == EntryState::ReadyTri &&
-                pos < e.pending_cands.size())
+        for (; i != SlotSet::npos; i = offerable_.next(i + 1), pos = 0)
+            if (pos < knn_entries_[i].pending_cands.size())
                 break;
-        }
-        if (i == knn_entries_.size())
+        if (i == SlotSet::npos)
             continue;
-        job.beats = knnCandidateBeats(i, knn_entries_[i].pending_cands[pos]);
+        job.beats = knnCandidateBeats(i, knn_entries_[i].pending_cands[pos++]);
         job.next_beat = 0;
-        lane.offer = {i, pos++};
+        lane.offer = i;
     }
 }
 
@@ -439,11 +441,11 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
 
 /** k-NN accept: a locked lane advances its candidate; a free lane
  *  starts the candidate it claimed, taking it off the entry, and locks
- *  on until the job's last beat is accepted. Lanes are accepted in
- *  descending order, so a shared entry's pending positions (claimed
- *  ascending in publishKnn) stay valid; once an entry's leaf work has
- *  fully issued it moves on to the next frontier item (the next fetch
- *  overlaps the in-flight scores). */
+ *  on until the job's last beat is accepted. An entry's claims are a
+ *  prefix of its pending candidates, in lane order, and lanes are
+ *  accepted in ascending order, so each claim is the entry's front;
+ *  once an entry's leaf work has fully issued it moves on to the next
+ *  frontier item (the next fetch overlaps the in-flight scores). */
 void
 RtUnit::acceptKnnBeat(size_t l)
 {
@@ -451,9 +453,8 @@ RtUnit::acceptKnnBeat(size_t l)
     KnnLaneJob &job = lanes_[l].knn;
     if (job.next_beat++ > 0)
         return;
-    KnnEntry &e = knn_entries_[lanes_[l].offer.entry];
-    e.pending_cands.erase(e.pending_cands.begin() +
-                          ptrdiff_t(lanes_[l].offer.beat));
+    KnnEntry &e = knn_entries_[lanes_[l].offer];
+    e.pending_cands.pop_front();
     ++e.inflight_cands;
     ++stats_.knn.candidates;
     if (e.pending_cands.empty())
@@ -495,24 +496,23 @@ RtUnit::compactPackets()
     const unsigned threshold = cfg_.packet.compact_below;
     if (threshold == 0)
         return false;
+    // The compactable packets are the NeedFetch slots.
+    const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
     bool absorbed = false;
-    for (size_t i = 0; i < packets_.size(); ++i) {
+    for (size_t i = need.next(0); i != SlotSet::npos; i = need.next(i + 1)) {
         PacketTraversal &p = packets_[i];
-        if (!p.compactable())
-            continue;
         unsigned live = p.liveLanes();
         if (live == 0 || live >= threshold)
             continue;
-        for (size_t j = i + 1;
-             j < packets_.size() && live < threshold; ++j) {
+        for (size_t j = need.next(i + 1);
+             j != SlotSet::npos && live < threshold; j = need.next(j + 1)) {
             PacketTraversal &q = packets_[j];
-            if (!q.compactable())
-                continue;
             const unsigned ql = q.liveLanes();
             if (ql == 0 || ql >= threshold ||
                 live + ql > cfg_.packet.width)
                 continue;
             p.absorb(q);
+            refreshSlot(j);
             absorbed = true;
             if (trace_)
                 trace_->record({now_, trace_unit_,
@@ -526,26 +526,24 @@ RtUnit::compactPackets()
     return absorbed;
 }
 
-/** Packet publish: offer up to issue_width beats, scanning packets
- *  first-ready (round-robin would be fairer; first-ready is sufficient
- *  for utilization studies); one packet with several pending beats may
- *  fill several lanes in one cycle — the SIMD-style multi-ray beats of
- *  the wavefront scheduler. */
+/** Packet publish: offer up to issue_width beats from the offerable
+ *  packets in slot order (first-ready; round-robin would be fairer,
+ *  first-ready is sufficient for utilization studies); one packet with
+ *  several pending beats may fill several lanes in one cycle — the
+ *  SIMD-style multi-ray beats of the wavefront scheduler. Each beat is
+ *  written into its lane's input in place. */
 void
 RtUnit::publishPacket()
 {
     size_t lane = 0;
-    for (size_t i = 0; i < packets_.size() && lane < lanes_.size();
-         ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.issueReady())
-            continue;
-        p.pruneDeadBeats();
+    for (size_t i = offerable_.next(0);
+         i != SlotSet::npos && lane < lanes_.size();
+         i = offerable_.next(i + 1)) {
+        const PacketTraversal &p = packets_[i];
         const size_t nb = p.issuableCount();
-        for (size_t j = 0; j < nb && lane < lanes_.size();
-             ++j, ++lane) {
-            lanes_[lane].in = p.makeBeatAt(j, i);
-            lanes_[lane].offer = {i, j};
+        for (size_t j = 0; j < nb && lane < lanes_.size(); ++j, ++lane) {
+            p.writeBeat(j, i, lanes_[lane].in);
+            lanes_[lane].offer = i;
         }
     }
 }
@@ -554,11 +552,33 @@ void
 RtUnit::publish(uint64_t)
 {
     for (Lane &l : lanes_)
-        l.offer = LaneOffer{};
+        l.offer = kNoOffer;
     if (knnMode())
         publishKnn();
     else
         publishPacket();
+}
+
+bool
+RtUnit::SlotSet::empty() const
+{
+    return std::all_of(words_.begin(), words_.end(),
+                       [](uint64_t w) { return w == 0; });
+}
+
+size_t
+RtUnit::SlotSet::next(size_t i) const
+{
+    size_t w = i / 64;
+    if (w >= words_.size())
+        return npos;
+    uint64_t bits = words_[w] & (~uint64_t(0) << (i % 64));
+    while (bits == 0) {
+        if (++w == words_.size())
+            return npos;
+        bits = words_[w];
+    }
+    return w * 64 + size_t(std::countr_zero(bits));
 }
 
 size_t
@@ -580,15 +600,44 @@ RtUnit::slotState(size_t i) const
     return p.issueReady() ? EntryState::InFlight : EntryState::Fetching;
 }
 
+void
+RtUnit::refreshSlot(size_t i)
+{
+    const EntryState st = slotState(i);
+    EntryState &kept = slot_state_[i];
+    if (st != kept) {
+        in_state_[size_t(kept)].erase(i);
+        in_state_[size_t(st)].insert(i);
+        kept = st;
+    }
+    if (st == EntryState::NeedFetch) {
+        FetchTarget &f = fetch_[i];
+        f.item = fetchItem(i);
+        const uint64_t addr = fetchAddr(f.item);
+        if (addr != f.addr)
+            f.parked = 0;
+        f.addr = addr;
+    }
+    const bool offers = knnMode() ? st == EntryState::ReadyTri
+                                  : st == EntryState::InFlight &&
+                                        packets_[i].issuableCount() > 0;
+    if (offers)
+        offerable_.insert(i);
+    else
+        offerable_.erase(i);
+}
+
 RtUnit::InflightBeat
 RtUnit::acceptLane(size_t l)
 {
-    const LaneOffer o = lanes_[l].offer;
-    if (knnMode()) {
+    const size_t slot = lanes_[l].offer;
+    InflightBeat taken{slot, {}};
+    if (knnMode())
         acceptKnnBeat(l);
-        return {};
-    }
-    return {o.entry, packets_[o.entry].takeBeatAt(o.beat)};
+    else
+        taken.beat = packets_[slot].takeBeat();
+    refreshSlot(slot);
+    return taken;
 }
 
 void
@@ -597,14 +646,16 @@ RtUnit::drainLane(const core::DatapathOutput &out,
 {
     if (knnMode()) {
         handleKnnResult(out);
-        return;
+    } else {
+        // The beat taken at acceptance names the result's packet,
+        // member lane and triangle. A result can complete the packet's
+        // current item, push children and retire lanes whose work ran
+        // out.
+        PacketTraversal &p = packets_[packet.slot];
+        p.handleResult(out, packet.beat);
+        drainCompleted(p);
     }
-    // The beat taken at acceptance names the result's packet, member
-    // lane and triangle. A result can complete the packet's current
-    // item, push children and retire lanes whose work ran out.
-    PacketTraversal &p = packets_[packet.slot];
-    p.handleResult(out, packet.beat);
-    drainCompleted(p);
+    refreshSlot(packet.slot);
 }
 
 RtUnit::WorkItem
@@ -625,6 +676,7 @@ RtUnit::fetchIssued(size_t i)
         packets_[i].fetchIssued();
         compact_hold_[i] = 0;
     }
+    refreshSlot(i);
 }
 
 void
@@ -632,10 +684,7 @@ RtUnit::fetchArrived(size_t i)
 {
     if (!knnMode()) {
         packets_[i].fetchArrived();
-        return;
-    }
-    KnnEntry &e = knn_entries_[i];
-    if (e.fetch.is_leaf) {
+    } else if (KnnEntry &e = knn_entries_[i]; e.fetch.is_leaf) {
         ++stats_.knn.leaves_visited;
         for (uint32_t t = 0; t < e.fetch.count; ++t)
             e.pending_cands.push_back(e.fetch.index + t);
@@ -647,6 +696,7 @@ RtUnit::fetchArrived(size_t i)
         expandKnnNode(e);
         popKnnFrontier(e);
     }
+    refreshSlot(i);
 }
 
 /** A below-threshold packet defers its fetch inside the repacking
@@ -666,15 +716,41 @@ RtUnit::holdForCompaction(size_t i)
     return true;
 }
 
+/** The fetch-issue walk over the NeedFetch slots, in slot order. */
+void
+RtUnit::issueFetches(bool &changed)
+{
+    const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
+    unsigned issued = 0;
+    for (size_t i = need.next(0); i != SlotSet::npos; i = need.next(i + 1)) {
+        if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
+            break;
+        if (holdForCompaction(i)) {
+            changed = true;
+            continue;
+        }
+        const FetchTarget &f = fetch_[i];
+        if (f.parked == mshrs_.generation()) {
+            ++stats_.mshr.stalls_full;
+            ++mshr_refusals_;
+        } else if (issueFetch(i, f.item, f.addr, issued)) {
+            fetchIssued(i);
+            changed = true;
+        }
+    }
+}
+
 void
 RtUnit::refill()
 {
+    // A slot whose admission completes at once (an empty scene or
+    // index, k == 0) stays Idle; the walk moves on to the next.
+    const SlotSet &idle = in_state_[size_t(EntryState::Idle)];
     if (knnMode()) {
-        for (size_t i = 0;
-             i < knn_entries_.size() && !pending_knn_.empty(); ++i) {
+        for (size_t i = idle.next(0);
+             i != SlotSet::npos && !pending_knn_.empty();
+             i = idle.next(i + 1)) {
             KnnEntry &e = knn_entries_[i];
-            if (e.state != EntryState::Idle)
-                continue;
             PendingKnn pk = std::move(pending_knn_.front());
             pending_knn_.pop_front();
             e = KnnEntry{};
@@ -691,21 +767,21 @@ RtUnit::refill()
             if (e.frontier.size() > stats_.knn.frontier_peak)
                 stats_.knn.frontier_peak = e.frontier.size();
             popKnnFrontier(e);
+            refreshSlot(i);
         }
         return;
     }
     // Consecutive rays form one packet, so coherent submissions
     // (camera batches) become coherent packets.
-    for (size_t i = 0; i < packets_.size() && !pending_rays_.empty();
-         ++i) {
+    for (size_t i = idle.next(0);
+         i != SlotSet::npos && !pending_rays_.empty(); i = idle.next(i + 1)) {
         PacketTraversal &p = packets_[i];
-        if (!p.idle())
-            continue;
         p.admit(pending_rays_);
         if (trace_ && packetObserved())
             trace_->record({now_, trace_unit_, obs::TraceEvent::PacketForm,
                             uint64_t(i), p.liveLanes()});
         drainCompleted(p); // empty-scene rays complete at admission
+        refreshSlot(i);
     }
 }
 
@@ -732,14 +808,14 @@ RtUnit::advance(uint64_t cycle)
     // back-pressures), and every issue slot lands in exactly one
     // obs::Slot bucket. Idle slots share one cause, classified lazily
     // before any lane is accepted. Accepted beats are then taken in
-    // descending lane order, so a slot's remaining pending positions
-    // (offered ascending by publish) stay valid.
+    // ascending lane order: a slot's offers are a prefix of its pending
+    // beats or candidates, so each take is the slot's front.
     obs::Slot idle_cause = obs::Slot::kCount;
     std::array<const core::DatapathInput *, kMaxIssueWidth> accepted{};
     std::array<InflightBeat, kMaxIssueWidth> taken{};
     for (size_t l = 0; l < lanes_.size(); ++l) {
         const Lane &lane = lanes_[l];
-        if (lane.offer.entry != kNoOffer) {
+        if (lane.offer != kNoOffer) {
             accepted[l] = knnMode() ? &lane.knn.beats[lane.knn.next_beat]
                                     : &lane.in;
             ++stats_.datapath_beats;
@@ -754,7 +830,7 @@ RtUnit::advance(uint64_t cycle)
             ++stats_.slots[idle_cause];
         }
     }
-    for (size_t l = lanes_.size(); l-- > 0;)
+    for (size_t l = 0; l < lanes_.size(); ++l)
         if (accepted[l])
             taken[l] = acceptLane(l);
 
@@ -787,39 +863,25 @@ RtUnit::advance(uint64_t cycle)
     // merges duplicate in-flight targets across slots. A parked slot
     // is refused again without consulting the file.
     retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle > now_) {
-            ++it;
-            continue;
-        }
-        if (trace_)
-            trace_->record({now_, trace_unit_, obs::TraceEvent::FetchFill,
-                            it->addr, uint64_t(it->entry)});
-        fetchArrived(it->entry);
-        it = mem_queue_.erase(it);
-        changed = true;
-    }
-    unsigned issued = 0;
-    for (size_t i = 0; i < slotCount(); ++i) {
-        if (slotState(i) != EntryState::NeedFetch)
-            continue;
-        if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
-            break;
-        if (holdForCompaction(i)) {
-            changed = true;
-            continue;
-        }
-        const WorkItem w = fetchItem(i);
-        const uint64_t addr = fetchAddr(w);
-        if (parked_[i].generation == mshrs_.generation() &&
-            parked_[i].addr == addr) {
-            ++stats_.mshr.stalls_full;
-            ++mshr_refusals_;
-        } else if (issueFetch(i, w, addr, issued)) {
-            fetchIssued(i);
+    if (mem_next_done_ <= now_) {
+        size_t kept = 0;
+        mem_next_done_ = kNever;
+        for (const MemRequest &r : mem_queue_) {
+            if (r.done_cycle > now_) {
+                mem_next_done_ = std::min(mem_next_done_, r.done_cycle);
+                mem_queue_[kept++] = r;
+                continue;
+            }
+            if (trace_)
+                trace_->record({now_, trace_unit_,
+                                obs::TraceEvent::FetchFill, r.addr,
+                                uint64_t(r.entry)});
+            fetchArrived(r.entry);
             changed = true;
         }
+        mem_queue_.resize(kept);
     }
+    issueFetches(changed);
 
     // (d) Refill free slots from the submission queue, then sample the
     // packet occupancy counter: live lanes across all packet slots,
@@ -849,12 +911,10 @@ RtUnit::nextEvent(uint64_t cycle) const
     // Every lane result due and every fetch complete by now_ was
     // handled in the dead cycle, so the earliest remaining one lies
     // ahead.
-    uint64_t next = kNever;
+    uint64_t next = mem_next_done_;
     for (const Lane &l : lanes_)
         if (l.size)
             next = std::min(next, l.line[l.head].due);
-    for (const MemRequest &r : mem_queue_)
-        next = std::min(next, r.done_cycle);
     return next;
 }
 
@@ -920,7 +980,15 @@ RtUnit::beginRun()
     mshrs_.reset();
     mshr_refusals_ = 0;
     live_ = true;
-    parked_.assign(slotCount(), Park{});
+    fetch_.assign(slotCount(), FetchTarget{});
+    slot_state_.assign(slotCount(), EntryState::Idle);
+    for (SlotSet &set : in_state_)
+        set.assign(slotCount());
+    offerable_.assign(slotCount());
+    for (size_t i = 0; i < slotCount(); ++i) {
+        in_state_[size_t(EntryState::Idle)].insert(i);
+        refreshSlot(i);
+    }
     trace_occupancy_last_ = ~uint64_t(0);
     for (Lane &l : lanes_)
         l = Lane{};

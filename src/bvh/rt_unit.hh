@@ -324,6 +324,7 @@ class RtUnit : public pipeline::Component
         ReadyTri,    ///< leaf data present, candidate beats pending
         InFlight,    ///< beat inside the datapath
     };
+    static constexpr size_t kEntryStates = size_t(EntryState::InFlight) + 1;
     /** The state's name, as stallReport() prints it. */
     static const char *stateName(EntryState st);
 
@@ -361,11 +362,16 @@ class RtUnit : public pipeline::Component
 
     /** Ray-buffer slots of the active scheduler. */
     size_t slotCount() const;
-    /** Lifecycle state of slot `i`. */
+    /** Lifecycle state of slot `i`, read from its packet or query. */
     EntryState slotState(size_t i) const;
+    /** Record slot `i`'s state and whether it has a beat to offer in
+     *  the slot lists. Every hook that can change a slot calls this
+     *  for it, so the per-cycle loop reads the lists, never the
+     *  packets or queries themselves. */
+    void refreshSlot(size_t i);
     /** Step (a): lane `l` accepted the beat publish() offered it.
-     *  @return the packet beat taken (default in k-NN mode), which
-     *  rides the delay line beside the beat's result. */
+     *  @return the beat's slot and the packet beat taken (default in
+     *  k-NN mode), which ride the delay line beside its result. */
     InflightBeat acceptLane(size_t l);
     /** Step (b): a lane produced `out` for the beat `packet` names. */
     void drainLane(const core::DatapathOutput &out,
@@ -398,6 +404,9 @@ class RtUnit : public pipeline::Component
      *  mem-issue bandwidth, leaving the slot in NeedFetch. */
     bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
                     unsigned &issued);
+    /** Step (c): walk the NeedFetch slots and issue their fetches;
+     *  sets `changed` on an issue, merge or compaction hold. */
+    void issueFetches(bool &changed);
 
     // ----- k-NN mode (constructed over a KnnIndex) -----
 
@@ -510,7 +519,42 @@ class RtUnit : public pipeline::Component
     /** Per-packet repacking-window progress. */
     std::vector<unsigned> compact_hold_;
     std::deque<PendingRay> pending_rays_;
-    std::deque<MemRequest> mem_queue_;
+    /** In-flight fetches in issue order. */
+    std::vector<MemRequest> mem_queue_;
+    /** The earliest done_cycle in mem_queue_ (kNever when empty): no
+     *  fetch retires before it. */
+    uint64_t mem_next_done_ = kNever;
+
+    /** A set of slot indices, walked in ascending slot order. */
+    class SlotSet
+    {
+      public:
+        static constexpr size_t npos = ~size_t(0);
+        /** Empty the set and size it for `slots` slots. */
+        void assign(size_t slots) { words_.assign((slots + 63) / 64, 0); }
+        void insert(size_t i) { words_[i / 64] |= uint64_t(1) << (i % 64); }
+        void erase(size_t i) { words_[i / 64] &= ~(uint64_t(1) << (i % 64)); }
+        bool empty() const;
+        /** The smallest member >= i, or npos. It reads the current
+         *  members, so a walk `for (i = next(0); i != npos; i =
+         *  next(i + 1))` may erase or insert members as it goes and
+         *  sees every change ahead of its position. */
+        size_t next(size_t i) const;
+
+      private:
+        std::vector<uint64_t> words_;
+    };
+    /** The slot lists, kept by refreshSlot() at each slot's state
+     *  changes (admit, fetch issue and arrival, beat accept, result
+     *  drain, compaction absorb): each slot's state, the slots in each
+     *  state, and the slots with a beat to offer (a packet with
+     *  issuable beats, a k-NN query with a fetched leaf). publish()
+     *  walks `offerable_`, the fetch-issue loop and compaction walk the
+     *  NeedFetch set, refill() the Idle set, and classifyIdle() tests
+     *  the sets for emptiness. */
+    std::vector<EntryState> slot_state_;
+    std::array<SlotSet, kEntryStates> in_state_; ///< by EntryState
+    SlotSet offerable_;
     std::vector<HitRecord> results_;
     size_t outstanding_ = 0;
     uint64_t now_ = 0;
@@ -527,26 +571,24 @@ class RtUnit : public pipeline::Component
      *  drain, a compaction absorb or hold, a fetch retire, issue or
      *  merge, an MSHR allocation or retire, or a refill admission. */
     bool live_ = true;
-    /** A NeedFetch slot refused by the full MSHR file: the file
-     *  generation and fetch address of the refusal. While both still
-     *  match, a retry would be refused again, so the issue loop counts
-     *  it without asking the file. Keyed on the address too, so a slot
-     *  whose fetch target changes (compaction) needs no unparking. */
-    struct Park
+    /** A NeedFetch slot's work item and its address, recorded by
+     *  refreshSlot(), so the fetch-issue walk reads them here instead
+     *  of from the slot's packet or query; and its park. */
+    struct FetchTarget
     {
-        uint64_t generation = 0; ///< 0 = not parked (never a generation)
+        WorkItem item;
         uint64_t addr = 0;
+        /** The MSHR file generation at which the full file refused
+         *  this fetch (0 = not parked, never a generation). While it
+         *  is still the file's generation, a retry would be refused
+         *  again, so the issue loop counts it without asking the file.
+         *  refreshSlot() clears it when the address changes. */
+        uint64_t parked = 0;
     };
-    std::vector<Park> parked_;
+    std::vector<FetchTarget> fetch_;
 
-    /** Per-lane issue bookkeeping, reset each publish(). A lane with
-     *  no offer this cycle holds entry == kNoOffer. */
+    /** A lane with no offer this cycle (Lane::offer). */
     static constexpr size_t kNoOffer = ~size_t(0);
-    struct LaneOffer
-    {
-        size_t entry = kNoOffer; ///< slot the offered beat belongs to
-        size_t beat = 0;         ///< pending-beat or -candidate index
-    };
     /**
      * One issue lane, in place of a RayFlexDatapath's eleven-stage skid
      * chain. The unit's consumer side is always ready, so that chain
@@ -560,7 +602,8 @@ class RtUnit : public pipeline::Component
      */
     struct Lane
     {
-        LaneOffer offer;        ///< this cycle's offer (publish)
+        /** The slot of this cycle's offer, or kNoOffer (publish). */
+        size_t offer = kNoOffer;
         core::DatapathInput in; ///< the offered beat (packet scheduler)
         core::DistanceAccumulators acc;
         KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)

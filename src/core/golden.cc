@@ -91,7 +91,9 @@ rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
             key = kPosInf;
         recs[b] = {key, static_cast<uint8_t>(b)};
     }
-    sortNetwork(recs, width);
+    // No key is NaN here, and the host `>` orders every other key
+    // exactly as stage 10's fp::gtF32 does.
+    sortNetwork(recs, width, HostGreater{});
     for (size_t i = 0; i < kMaxBoxesPerOp; ++i) {
         out.order[i] = recs[i].payload;
         out.sorted_dist[i] = recs[i].key;

@@ -21,6 +21,9 @@
 #define RAYFLEX_CORE_QUADSORT_HH
 
 #include <array>
+#include <cassert>
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include "fp/float32.hh"
@@ -58,55 +61,111 @@ quadSort(std::array<SortRecord<Payload>, 4> r)
     return r;
 }
 
-/**
- * Generic Batcher odd-even mergesort network over the first n records,
- * supporting the non-4-wide BVH node configurations (e.g. Mesa's 6-wide
- * nodes). For n == 4 the generated compare-exchange sequence is exactly
- * the QuadSort network above. The comparator count grows
- * O(n log^2 n): 1 -> 0, 2 -> 1, 4 -> 5, 6 -> 12, 8 -> 19.
- *
- * @param r Records; entries at index >= n are left untouched.
- * @param n Number of records to sort (n <= r.size()).
- */
-template <typename Payload, size_t N>
-void
-sortNetwork(std::array<SortRecord<Payload>, N> &r, size_t n)
-{
-    auto ce = [&](size_t a, size_t b) {
-        if (fp::gtF32(r[a].key, r[b].key))
-            std::swap(r[a], r[b]);
-    };
-    for (size_t p = 1; p < n; p *= 2) {
-        for (size_t k = p; k >= 1; k /= 2) {
-            for (size_t j = k % p; j + k < n; j += 2 * k) {
-                for (size_t i = 0; i < k && i + j + k < n; ++i) {
-                    if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
-                        ce(i + j, i + j + k);
-                }
-            }
-            if (k == 1)
-                break;
-        }
-    }
-}
+/** Widest network tabulated below: the widest box op
+ *  (core::kMaxBoxesPerOp). */
+inline constexpr size_t kMaxSortInputs = 8;
 
-/** Number of compare-exchange units in the n-input Batcher network
- *  (used by the synthesis model to cost non-default node widths). */
-constexpr unsigned
-sortNetworkComparators(unsigned n)
+/** One compare-exchange unit: records `a` and `b` swap when key `a` is
+ *  strictly greater. */
+struct Comparator
 {
+    uint8_t a = 0;
+    uint8_t b = 0;
+};
+
+/** The comparators of one network, in evaluation order. */
+struct SortNetworkList
+{
+    std::array<Comparator, 19> ce{}; ///< 19 = the 8-input network
     unsigned count = 0;
+};
+
+/**
+ * The n-input Batcher odd-even mergesort network, supporting the
+ * non-4-wide BVH node configurations (e.g. Mesa's 6-wide nodes). For
+ * n == 4 the compare-exchange sequence is exactly the QuadSort network
+ * above. The comparator count grows O(n log^2 n): 1 -> 0, 2 -> 1,
+ * 4 -> 5, 6 -> 12, 8 -> 19.
+ */
+constexpr SortNetworkList
+batcherNetwork(unsigned n)
+{
+    SortNetworkList net;
     for (unsigned p = 1; p < n; p *= 2) {
         for (unsigned k = p; k >= 1; k /= 2) {
             for (unsigned j = k % p; j + k < n; j += 2 * k)
                 for (unsigned i = 0; i < k && i + j + k < n; ++i)
                     if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
-                        ++count;
+                        net.ce[net.count++] = {uint8_t(i + j),
+                                               uint8_t(i + j + k)};
             if (k == 1)
                 break;
         }
     }
-    return count;
+    return net;
+}
+
+/** batcherNetwork(n) for every n up to kMaxSortInputs, built once at
+ *  compile time. */
+inline constexpr std::array<SortNetworkList, kMaxSortInputs + 1>
+    kSortNetworks = [] {
+        std::array<SortNetworkList, kMaxSortInputs + 1> t{};
+        for (unsigned n = 0; n <= kMaxSortInputs; ++n)
+            t[n] = batcherNetwork(n);
+        return t;
+    }();
+
+/** The datapath's comparator: fp::gtF32 (the paper-fidelity model of
+ *  stage 10). */
+struct SoftfloatGreater
+{
+    bool operator()(fp::F32 a, fp::F32 b) const { return fp::gtF32(a, b); }
+};
+
+/** The host's `>` on the same bits. IEEE compareQuietGreater, so it
+ *  answers exactly as fp::gtF32 for every input: -0 == +0, subnormals
+ *  ordered, false on NaN (pinned by
+ *  QuadSort.HostCompareMatchesSoftfloatNetwork). */
+struct HostGreater
+{
+    bool
+    operator()(fp::F32 a, fp::F32 b) const
+    {
+        return fp::fromBits(a) > fp::fromBits(b);
+    }
+};
+
+/**
+ * Sort the first n records (n <= kMaxSortInputs) by ascending key
+ * through batcherNetwork(n), exchanging on `greater`. Entries at index
+ * >= n are left untouched.
+ */
+template <typename Payload, size_t N, typename Greater = SoftfloatGreater>
+void
+sortNetwork(std::array<SortRecord<Payload>, N> &r, size_t n,
+            Greater greater = {})
+{
+    static_assert(N <= kMaxSortInputs, "sortNetwork: array wider than "
+                                       "the comparator table");
+    assert(n <= N);
+    const SortNetworkList &net = kSortNetworks[n];
+    for (unsigned c = 0; c < net.count; ++c) {
+        const Comparator ce = net.ce[c];
+        if (greater(r[ce.a].key, r[ce.b].key))
+            std::swap(r[ce.a], r[ce.b]);
+    }
+}
+
+/** Number of compare-exchange units in the n-input Batcher network
+ *  (used by the synthesis model to cost non-default node widths).
+ *  @throws std::invalid_argument when n > kMaxSortInputs. */
+constexpr unsigned
+sortNetworkComparators(unsigned n)
+{
+    if (n > kMaxSortInputs)
+        throw std::invalid_argument(
+            "sortNetworkComparators: more inputs than kMaxSortInputs");
+    return kSortNetworks[n].count;
 }
 
 } // namespace rayflex::core

@@ -551,3 +551,148 @@ TEST(DeadCycles, CompactionUnderMshrStarvationMatchesTheTracedRun)
                     << i;
         }
 }
+
+namespace
+{
+
+/** Run `rays` as one batch untraced and traced and require the same
+ *  unit counters and hits. The untraced run skips dead cycles and
+ *  charges parked refusals in bulk; the traced run ticks and walks
+ *  every cycle. @return the untraced result. */
+sim::BatchResult
+expectTracedTwin(const Bvh4 &bvh, const std::vector<Ray> &rays,
+                 sim::ExecutorConfig cfg, bool any_hit)
+{
+    const auto execute = [&](std::vector<HitRecord> &hits) {
+        hits.assign(rays.size(), {});
+        std::vector<sim::BatchRayRef> refs;
+        for (size_t i = 0; i < rays.size(); ++i)
+            refs.push_back({&rays[i], &hits[i]});
+        return sim::BatchExecutor(bvh, cfg).executeBatch(
+            refs.data(), refs.size(), any_hit);
+    };
+    std::vector<HitRecord> hits, traced_hits;
+    cfg.trace = false;
+    const sim::BatchResult fast = execute(hits);
+    cfg.trace = true;
+    const sim::BatchResult traced = execute(traced_hits);
+    EXPECT_EQ(fast.unit, traced.unit);
+    EXPECT_EQ(fast.sim_cycles, traced.sim_cycles);
+    EXPECT_EQ(fast.unit.rays_completed, rays.size());
+    for (size_t i = 0; i < rays.size(); ++i)
+        EXPECT_TRUE(bitIdentical(hits[i], traced_hits[i])) << i;
+    return fast;
+}
+
+/** The schedule counters a slot-list change would move, against the
+ *  values the per-cycle slot scan produced. */
+void
+expectSchedule(const RtUnitStats &u, uint64_t cycles, uint64_t beats,
+               uint64_t mem_requests, uint64_t stalls_full)
+{
+    EXPECT_EQ(u.cycles, cycles);
+    EXPECT_EQ(u.datapath_beats, beats);
+    EXPECT_EQ(u.mem_requests, mem_requests);
+    EXPECT_EQ(u.mshr.stalls_full, stalls_full);
+}
+
+} // namespace
+
+TEST(DeadCycles, SlotListsMatchTheTracedWalk)
+{
+    // The unit keeps each slot's state, the NeedFetch and Idle sets and
+    // the offerable set up to date at the slot's transitions.
+    // Each case drives one transition that must update the lists; its
+    // untraced run must equal the traced twin, and its schedule the
+    // one the unit produced when it rescanned every slot every cycle
+    // (counters captured from that tree).
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 64);
+
+    // Any-hit lanes retire mid-leaf, leaving dead beats to prune, at
+    // width 8 and issue 4 (several beats of one packet per cycle). The
+    // large overlapping triangles in 8-triangle leaves make an early
+    // triangle occlude most rays while the leaf's later beats still
+    // wait to issue.
+    BuildParams dense;
+    dense.max_leaf_size = 8;
+    const Bvh4 occluders = buildBvh4(makeSoup(400, 3.0f, 2.5f, 5), dense);
+    sim::ExecutorConfig cfg;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.packet.width = 8;
+    cfg.rt.ray_buffer_entries = 32;
+    cfg.rt.issue_width = 4;
+    cfg.rt.mshrs = 4;
+    expectSchedule(
+        expectTracedTwin(occluders, testRays(occluders, 0), cfg, true).unit,
+        12413, 9647, 659, 0);
+
+    // A compaction absorb moves a donor out of NeedFetch while the one
+    // MSHR refuses the rest.
+    {
+        sim::ExecutorConfig c = cfg;
+        c.rt.packet.width = 4;
+        c.rt.packet.compact_below = 4;
+        c.rt.ray_buffer_entries = 16;
+        c.rt.issue_width = 2;
+        c.rt.mshrs = 1;
+        const sim::BatchResult r =
+            expectTracedTwin(bvh, fanRays(24, 8), c, true);
+        EXPECT_EQ(r.unit.packet.compactions, 45u);
+        expectSchedule(r.unit, 16081, 2267, 660, 30436);
+        EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+    }
+
+    // An empty scene: every admission completes its rays at once, so
+    // each slot stays Idle and refill() admits through every slot each
+    // cycle, four slots of eight rays.
+    {
+        const Bvh4 empty = buildBvh4({});
+        const sim::BatchResult r = expectTracedTwin(empty, rays, cfg, false);
+        EXPECT_EQ(r.unit.cycles, (rays.size() + 31) / 32);
+    }
+
+    // Width 1, the scalar schedule: one beat in flight per slot.
+    {
+        sim::ExecutorConfig c = cfg;
+        c.rt.packet.width = 1;
+        c.rt.issue_width = 2;
+        c.rt.mshrs = 2;
+        expectSchedule(expectTracedTwin(bvh, rays, c, false).unit, 19292,
+                       4904, 1872, 461911);
+    }
+
+    // k-NN under one MSHR, both metrics: the same lists hold the
+    // queries' states and offer their fetched leaves.
+    const KnnIndex index = buildKnnIndex(makePointCloud(160, 12, 4, 8));
+    std::vector<KnnQuery> queries;
+    unsigned n = 0;
+    for (DataPoint &p : makePointCloud(20, 12, 4, 9))
+        queries.push_back({std::move(p.coords), 3,
+                           n++ % 2 ? KnnMetric::Cosine
+                                   : KnnMetric::Euclidean});
+    sim::ExecutorConfig kc;
+    kc.dp = core::kExtendedUnified;
+    kc.rt.mem_backend = MemBackend::NodeCache;
+    kc.rt.cache = kProbeCache4KiB;
+    kc.rt.ray_buffer_entries = 8;
+    kc.rt.issue_width = 2;
+    kc.rt.mshrs = 1;
+    const auto execute = [&](std::vector<KnnResult> &results) {
+        results.assign(queries.size(), {});
+        std::vector<sim::KnnBatchRef> refs;
+        for (size_t i = 0; i < queries.size(); ++i)
+            refs.push_back({&queries[i], &results[i]});
+        return sim::BatchExecutor(index, kc).executeKnnBatch(
+            refs.data(), refs.size());
+    };
+    std::vector<KnnResult> results, traced_results;
+    const sim::BatchResult fast = execute(results);
+    kc.trace = true;
+    const sim::BatchResult traced = execute(traced_results);
+    expectSchedule(fast.unit, 27995, 4800, 914, 139588);
+    EXPECT_EQ(fast.unit.knn.queries, queries.size());
+    EXPECT_EQ(fast.unit, traced.unit);
+    EXPECT_EQ(results, traced_results);
+}

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "core/quadsort.hh"
@@ -101,6 +102,46 @@ TEST(QuadSort, RandomAgainstStdStableSort)
         for (int i = 0; i < 4; ++i) {
             ASSERT_EQ(net[size_t(i)].key, ref[size_t(i)].key);
             ASSERT_EQ(net[size_t(i)].payload, ref[size_t(i)].payload);
+        }
+    }
+}
+
+TEST(QuadSort, HostCompareMatchesSoftfloatNetwork)
+{
+    // The native box beat sorts with the host `>`; stage 10 sorts with
+    // fp::gtF32. On keys drawn from the values where the two could
+    // part ways (signed zeros, subnormals, infinities, runs of equal
+    // keys, NaNs) every width's network must leave the same records in
+    // the same order.
+    const std::array<F32, 14> pool = {
+        toBits(0.0f),        toBits(-0.0f),
+        0x00000001u,         0x80000001u, // smallest subnormals
+        0x007fffffu,         0x807fffffu, // largest subnormals
+        toBits(1.0f),        toBits(-1.0f),
+        toBits(3.5f),        kPosInf,
+        toBits(-std::numeric_limits<float>::infinity()),
+        0x7fc00000u,         0xffc00001u, // quiet NaNs
+        0x7f800001u};                     // signalling NaN
+    std::mt19937_64 rng(23);
+    for (size_t n = 1; n <= kMaxSortInputs; ++n) {
+        for (int iter = 0; iter < 4000; ++iter) {
+            std::array<SortRecord<uint8_t>, kMaxSortInputs> recs{};
+            // Every other case draws from a three-value subset, so
+            // equal-key runs are common.
+            const size_t span = iter % 2 ? pool.size() : 3;
+            const size_t base = rng() % (pool.size() - span + 1);
+            for (size_t i = 0; i < n; ++i)
+                recs[i] = {pool[base + rng() % span], uint8_t(i)};
+            auto soft = recs;
+            auto host = recs;
+            sortNetwork(soft, n);
+            sortNetwork(host, n, HostGreater{});
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(host[i].payload, soft[i].payload)
+                    << "n=" << n << " iter=" << iter << " i=" << i;
+                ASSERT_EQ(host[i].key, soft[i].key)
+                    << "n=" << n << " iter=" << iter << " i=" << i;
+            }
         }
     }
 }
