@@ -57,28 +57,35 @@ knnBeatsPerJob(size_t dims, KnnMetric metric)
     return (dims + width - 1) / width;
 }
 
-std::vector<DatapathInput>
-knnJobBeats(const float *query, const float *candidate, size_t dims,
-            KnnMetric metric, uint64_t tag)
+void
+knnWriteBeat(const float *query, const float *candidate, size_t dims,
+             KnnMetric metric, uint64_t tag, size_t beat,
+             DatapathInput &in)
 {
     const bool cosine = metric == KnnMetric::Cosine;
     const size_t width =
         cosine ? core::kCosineWidth : core::kEuclideanWidth;
-    std::vector<DatapathInput> beats;
-    beats.reserve(knnBeatsPerJob(dims, metric));
-    for (size_t base = 0; base < dims; base += width) {
-        DatapathInput in;
-        in.op = cosine ? Opcode::Cosine : Opcode::Euclidean;
-        in.tag = tag;
-        in.mask = 0;
-        for (size_t i = 0; i < width && base + i < dims; ++i) {
-            in.vec_a[i] = toBits(query[base + i]);
-            in.vec_b[i] = toBits(candidate[base + i]);
-            in.mask |= uint16_t(1u << i);
-        }
-        in.reset_accumulator = base + width >= dims;
-        beats.push_back(in);
+    const size_t base = beat * width;
+    const size_t n = std::min(width, dims - base);
+    in.op = cosine ? Opcode::Cosine : Opcode::Euclidean;
+    in.tag = tag;
+    for (size_t i = 0; i < n; ++i) {
+        in.vec_a[i] = toBits(query[base + i]);
+        in.vec_b[i] = toBits(candidate[base + i]);
     }
+    std::fill(in.vec_a.begin() + n, in.vec_a.end(), 0);
+    std::fill(in.vec_b.begin() + n, in.vec_b.end(), 0);
+    in.mask = uint16_t((1u << n) - 1);
+    in.reset_accumulator = base + width >= dims;
+}
+
+std::vector<DatapathInput>
+knnJobBeats(const float *query, const float *candidate, size_t dims,
+            KnnMetric metric, uint64_t tag)
+{
+    std::vector<DatapathInput> beats(knnBeatsPerJob(dims, metric));
+    for (size_t b = 0; b < beats.size(); ++b)
+        knnWriteBeat(query, candidate, dims, metric, tag, b, beats[b]);
     return beats;
 }
 
@@ -149,6 +156,8 @@ KnnTraversal::search(const KnnQuery &query)
 
     const bool prune = query.metric == KnnMetric::Euclidean;
     const float *q = query.point.data();
+    const size_t beats = knnBeatsPerJob(index_.dims, query.metric);
+    DatapathInput beat; // every candidate's beats are written here
 
     Frontier frontier;
     uint64_t seq = 0;
@@ -198,12 +207,13 @@ KnnTraversal::search(const KnnQuery &query)
             const DataPoint &p =
                 index_.points[index_.bvh.tris[t].id];
             ++stats_.candidates;
-            std::vector<DatapathInput> beats = knnJobBeats(
-                q, p.coords.data(), index_.dims, query.metric, p.id);
-            stats_.distance_beats += beats.size();
+            stats_.distance_beats += beats;
             core::DatapathOutput out{};
-            for (const DatapathInput &in : beats)
-                out = core::nativeEval(in, acc_);
+            for (size_t b = 0; b < beats; ++b) {
+                knnWriteBeat(q, p.coords.data(), index_.dims,
+                             query.metric, p.id, b, beat);
+                out = core::nativeEval(beat, acc_);
+            }
             float score =
                 query.metric == KnnMetric::Euclidean
                     ? fp::fromBits(out.euclidean_accumulator)

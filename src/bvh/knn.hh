@@ -145,11 +145,22 @@ KnnIndex buildKnnIndex(std::vector<DataPoint> points,
 size_t knnBeatsPerJob(size_t dims, KnnMetric metric);
 
 /**
- * The datapath beats of one query-vs-candidate distance job — the
- * single source of truth for beat packing (mask covers exactly the
- * valid dimensions of each chunk, reset_accumulator set on the last
- * beat only), shared by the functional traversal, the cycle-accurate
- * RT unit, examples/knn_search.cpp and the golden-pinning tests.
+ * Write beat `beat` of one query-vs-candidate distance job into `in`,
+ * in place — the single source of truth for beat packing (mask covers
+ * exactly the valid dimensions of the chunk, reset_accumulator set on
+ * the last beat only), shared by the functional traversal and the
+ * cycle-accurate RT unit. Every field a distance beat reads is
+ * written: vector lanes past the chunk are zeroed, so a stale beat of
+ * either metric left in `in` cannot leak into the result. The ray,
+ * triangle and box fields are left as they are.
+ */
+void knnWriteBeat(const float *query, const float *candidate,
+                  size_t dims, KnnMetric metric, uint64_t tag,
+                  size_t beat, core::DatapathInput &in);
+
+/**
+ * Every beat of one distance job, each written fresh by knnWriteBeat:
+ * a convenience for the golden-pinning tests.
  */
 std::vector<core::DatapathInput> knnJobBeats(const float *query,
                                              const float *candidate,

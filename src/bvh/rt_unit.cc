@@ -46,9 +46,12 @@
  * file refuses new allocations, holding the requester in NeedFetch.
  *
  * Only the cycles in which something can change are evaluated. A
- * refused slot parks on (file generation, fetch address): while both
- * hold, its retry is counted as refused without consulting the file.
- * A cycle that changed no state — no lane accepted or drained, no
+ * slot the full file refused parks: its address is not in flight, so
+ * while the file stays full its retry is counted as refused without
+ * consulting the file, and once the file is full in a cycle's issue
+ * walk the parked slots still ahead are counted in one popcount. Any
+ * event on the slot, or an allocation of its address, unparks it. A
+ * cycle that changed no state — no lane accepted or drained, no
  * fetch retired, issued or merged, no MSHR entry allocated or freed,
  * no slot refilled, no compaction hold or absorb — repeats until the
  * earliest lane due cycle or fetch completion, so nextEvent() reports
@@ -250,7 +253,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
                             obs::TraceEvent::MshrStallFull, addr,
                             uint64_t(slot)});
         else
-            fetch_[slot].parked = mshrs_.generation();
+            parked_.insert(slot);
         return false; // back-pressure: slot retries next cycle
     }
     if (mshr && issued >= cfg_.mem_requests_per_cycle)
@@ -273,6 +276,11 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
     mshrs_.allocate(addr, req.done_cycle, req.l1_until, req.ring_until,
                     req.queue_until);
     ++stats_.mshr.allocations;
+    // A slot parked on this address can merge now.
+    for (size_t j = parked_.next(0); j != SlotSet::npos;
+         j = parked_.next(j + 1))
+        if (fetch_[j].addr == addr)
+            parked_.erase(j);
     if (trace_) {
         trace_->record({now_, trace_unit_, obs::TraceEvent::MshrAlloc,
                         addr, mshrs_.inflightCount()});
@@ -308,46 +316,40 @@ RtUnit::submitKnn(const KnnQuery &query, uint32_t query_id)
     ++outstanding_;
 }
 
-std::vector<core::DatapathInput>
-RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
-{
-    const KnnEntry &e = knn_entries_[slot];
-    const DataPoint &p = knn_index_->points[bvh_.tris[tri].id];
-    // The tag routes the out-of-order final beat back to its query and
-    // candidate: entry slot in the high half, triangle index (unique
-    // per candidate) in the low half.
-    return knnJobBeats(e.point.data(), p.coords.data(),
-                       knn_index_->dims, e.metric,
-                       (uint64_t(slot) << 32) | tri);
-}
-
 /** k-NN publish: each lane first finishes the candidate it is
  *  streaming (all beats of one job stay on one lane, in order, so the
  *  lane's accumulator only ever holds that job's partial sums); free
  *  lanes claim the first pending candidates in entry order, distinct
- *  candidates per lane. A claim builds the candidate's beats once,
- *  into the lane's job: the lane always accepts what it is offered. */
+ *  candidates per lane. The lane always accepts what it is offered, so
+ *  each beat is written into the lane's input exactly once. */
 void
 RtUnit::publishKnn()
 {
-    // Claims advance one cursor over (offerable entry, pending
-    // position): every entry before it is fully claimed this cycle.
+    // Claims advance one cursor over offerable entries and their
+    // pending candidates: every entry before it is fully claimed this
+    // cycle.
     size_t i = offerable_.next(0);
-    size_t pos = 0;
+    uint32_t cand = i != SlotSet::npos ? knn_entries_[i].cand_next : 0;
     for (Lane &lane : lanes_) {
         KnnLaneJob &job = lane.knn;
-        if (!job.free()) {
-            lane.offer = size_t(job.beats[job.next_beat].tag >> 32);
-            continue;
+        if (job.free()) {
+            while (i != SlotSet::npos && cand == knn_entries_[i].cand_end)
+                if ((i = offerable_.next(i + 1)) != SlotSet::npos)
+                    cand = knn_entries_[i].cand_next;
+            if (i == SlotSet::npos)
+                continue;
+            job = {i, cand++, 0,
+                   knnBeatsPerJob(knn_index_->dims, knn_entries_[i].metric)};
         }
-        for (; i != SlotSet::npos; i = offerable_.next(i + 1), pos = 0)
-            if (pos < knn_entries_[i].pending_cands.size())
-                break;
-        if (i == SlotSet::npos)
-            continue;
-        job.beats = knnCandidateBeats(i, knn_entries_[i].pending_cands[pos++]);
-        job.next_beat = 0;
-        lane.offer = i;
+        const KnnEntry &e = knn_entries_[job.slot];
+        const DataPoint &p = knn_index_->points[bvh_.tris[job.tri].id];
+        // The tag routes the out-of-order final beat back to its query
+        // and candidate: entry slot in the high half, triangle index
+        // (unique per candidate) in the low half.
+        knnWriteBeat(e.point.data(), p.coords.data(), knn_index_->dims,
+                     e.metric, (uint64_t(job.slot) << 32) | job.tri,
+                     job.next_beat, lane.in);
+        lane.offer = job.slot;
     }
 }
 
@@ -454,10 +456,10 @@ RtUnit::acceptKnnBeat(size_t l)
     if (job.next_beat++ > 0)
         return;
     KnnEntry &e = knn_entries_[lanes_[l].offer];
-    e.pending_cands.pop_front();
+    ++e.cand_next;
     ++e.inflight_cands;
     ++stats_.knn.candidates;
-    if (e.pending_cands.empty())
+    if (e.cand_next == e.cand_end)
         popKnnFrontier(e);
 }
 
@@ -512,6 +514,9 @@ RtUnit::compactPackets()
                 live + ql > cfg_.packet.width)
                 continue;
             p.absorb(q);
+            // The recipient's hold window restarts, so it is unparked
+            // too: the issue walk must ask it to hold again.
+            refreshSlot(i);
             refreshSlot(j);
             absorbed = true;
             if (trace_)
@@ -567,18 +572,15 @@ RtUnit::SlotSet::empty() const
 }
 
 size_t
-RtUnit::SlotSet::next(size_t i) const
+RtUnit::SlotSet::countFrom(size_t i) const
 {
     size_t w = i / 64;
     if (w >= words_.size())
-        return npos;
-    uint64_t bits = words_[w] & (~uint64_t(0) << (i % 64));
-    while (bits == 0) {
-        if (++w == words_.size())
-            return npos;
-        bits = words_[w];
-    }
-    return w * 64 + size_t(std::countr_zero(bits));
+        return 0;
+    size_t n = size_t(std::popcount(words_[w] & (~uint64_t(0) << (i % 64))));
+    while (++w < words_.size())
+        n += size_t(std::popcount(words_[w]));
+    return n;
 }
 
 size_t
@@ -610,13 +612,11 @@ RtUnit::refreshSlot(size_t i)
         in_state_[size_t(st)].insert(i);
         kept = st;
     }
+    parked_.erase(i);
     if (st == EntryState::NeedFetch) {
         FetchTarget &f = fetch_[i];
         f.item = fetchItem(i);
-        const uint64_t addr = fetchAddr(f.item);
-        if (addr != f.addr)
-            f.parked = 0;
-        f.addr = addr;
+        f.addr = fetchAddr(f.item);
     }
     const bool offers = knnMode() ? st == EntryState::ReadyTri
                                   : st == EntryState::InFlight &&
@@ -686,8 +686,8 @@ RtUnit::fetchArrived(size_t i)
         packets_[i].fetchArrived();
     } else if (KnnEntry &e = knn_entries_[i]; e.fetch.is_leaf) {
         ++stats_.knn.leaves_visited;
-        for (uint32_t t = 0; t < e.fetch.count; ++t)
-            e.pending_cands.push_back(e.fetch.index + t);
+        e.cand_next = e.fetch.index;
+        e.cand_end = e.fetch.index + e.fetch.count;
         e.state = EntryState::ReadyTri;
     } else {
         // Node expansion (the double-precision box lower bound) is
@@ -716,13 +716,30 @@ RtUnit::holdForCompaction(size_t i)
     return true;
 }
 
-/** The fetch-issue walk over the NeedFetch slots, in slot order. */
+/** The fetch-issue walk over the NeedFetch slots, in slot order. No
+ *  entry retires during the walk, so once the MSHR file is full (at
+ *  the start or after an allocation) it stays full: every parked slot
+ *  from there on is refused, counted in one popcount, and the walk
+ *  visits only the unparked slots (to merge or be refused and park). A
+ *  parked slot never holds for compaction: its hold was declined when
+ *  it parked, and only an event that refreshes the slot restarts it. */
 void
 RtUnit::issueFetches(bool &changed)
 {
     const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
     unsigned issued = 0;
-    for (size_t i = need.next(0); i != SlotSet::npos; i = need.next(i + 1)) {
+    bool full = false;
+    const auto fileFull = [&](size_t from) {
+        full = true;
+        const unsigned refused = unsigned(parked_.countFrom(from));
+        stats_.mshr.stalls_full += refused;
+        mshr_refusals_ += refused;
+    };
+    if (mshrs_.enabled() && mshrs_.full())
+        fileFull(0);
+    for (size_t i = full ? need.nextNotIn(0, parked_) : need.next(0);
+         i != SlotSet::npos;
+         i = full ? need.nextNotIn(i + 1, parked_) : need.next(i + 1)) {
         if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
             break;
         if (holdForCompaction(i)) {
@@ -730,13 +747,12 @@ RtUnit::issueFetches(bool &changed)
             continue;
         }
         const FetchTarget &f = fetch_[i];
-        if (f.parked == mshrs_.generation()) {
-            ++stats_.mshr.stalls_full;
-            ++mshr_refusals_;
-        } else if (issueFetch(i, f.item, f.addr, issued)) {
-            fetchIssued(i);
-            changed = true;
-        }
+        if (!issueFetch(i, f.item, f.addr, issued))
+            continue;
+        fetchIssued(i);
+        changed = true;
+        if (!full && mshrs_.enabled() && mshrs_.full())
+            fileFull(i + 1);
     }
 }
 
@@ -816,8 +832,7 @@ RtUnit::advance(uint64_t cycle)
     for (size_t l = 0; l < lanes_.size(); ++l) {
         const Lane &lane = lanes_[l];
         if (lane.offer != kNoOffer) {
-            accepted[l] = knnMode() ? &lane.knn.beats[lane.knn.next_beat]
-                                    : &lane.in;
+            accepted[l] = &lane.in;
             ++stats_.datapath_beats;
             ++stats_.beats_by_op[size_t(accepted[l]->op)];
             ++stats_.slots[obs::Slot::Issued];
@@ -861,7 +876,7 @@ RtUnit::advance(uint64_t cycle)
     // backend completion order equals issue order.) One fetch serves a
     // packet's whole active mask, and the MSHR file (when enabled)
     // merges duplicate in-flight targets across slots. A parked slot
-    // is refused again without consulting the file.
+    // is refused again, without consulting the file, while it is full.
     retireMshrs();
     if (mem_next_done_ <= now_) {
         size_t kept = 0;
@@ -985,6 +1000,7 @@ RtUnit::beginRun()
     for (SlotSet &set : in_state_)
         set.assign(slotCount());
     offerable_.assign(slotCount());
+    parked_.assign(slotCount());
     for (size_t i = 0; i < slotCount(); ++i) {
         in_state_[size_t(EntryState::Idle)].insert(i);
         refreshSlot(i);

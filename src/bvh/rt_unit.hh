@@ -27,6 +27,7 @@
 #define RAYFLEX_BVH_RT_UNIT_HH
 
 #include <array>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <string>
@@ -424,8 +425,10 @@ class RtUnit : public pipeline::Component
         std::vector<KnnFrontierItem> frontier;
         uint64_t seq = 0; ///< frontier tie-break sequence
         WorkItem fetch;   ///< fetch target (entry_t unused)
-        /** Fetched-leaf candidates (tri indices) not yet started. */
-        std::deque<uint32_t> pending_cands;
+        /** Fetched-leaf candidates not yet started: the triangle range
+         *  [cand_next, cand_end) of the leaf, which is contiguous. */
+        uint32_t cand_next = 0;
+        uint32_t cand_end = 0;
         /** Candidates started on a lane, score not yet drained. */
         uint32_t inflight_cands = 0;
         /** All frontier/pending work exhausted; waiting on inflight
@@ -434,18 +437,20 @@ class RtUnit : public pipeline::Component
         bool draining = false;
     };
 
-    /** A candidate's beats streaming down one lane, built once when a
-     *  free lane claims the candidate. The lane is locked to the
-     *  candidate from the first accepted beat until the last beat is
-     *  accepted, so two same-kind jobs never interleave within one
-     *  lane's accumulator. */
+    /** A candidate streaming down one lane: publishKnn() writes its
+     *  next beat into the lane's input each cycle (knnWriteBeat). The
+     *  lane is locked to the candidate from the first accepted beat
+     *  until the last beat is accepted, so two same-kind jobs never
+     *  interleave within one lane's accumulator. */
     struct KnnLaneJob
     {
-        std::vector<core::DatapathInput> beats;
+        size_t slot = 0;      ///< the query's entry slot
+        uint32_t tri = 0;     ///< the candidate (triangle index)
         size_t next_beat = 0; ///< beats accepted so far
+        size_t beats = 0;     ///< beats of the job
 
         /** Every beat accepted (or none claimed): the lane is free. */
-        bool free() const { return next_beat == beats.size(); }
+        bool free() const { return next_beat == beats; }
         /** Some but not all beats accepted. */
         bool streaming() const { return next_beat > 0 && !free(); }
     };
@@ -476,10 +481,6 @@ class RtUnit : public pipeline::Component
         if (e.draining && e.inflight_cands == 0)
             finishKnnQuery(e);
     }
-    /** The distance beats of candidate (triangle) `tri` for entry
-     *  slot `slot`'s query. */
-    std::vector<core::DatapathInput> knnCandidateBeats(size_t slot,
-                                                      uint32_t tri) const;
 
     const KnnIndex *knn_index_ = nullptr;
     std::vector<KnnEntry> knn_entries_;
@@ -539,9 +540,40 @@ class RtUnit : public pipeline::Component
          *  members, so a walk `for (i = next(0); i != npos; i =
          *  next(i + 1))` may erase or insert members as it goes and
          *  sees every change ahead of its position. */
-        size_t next(size_t i) const;
+        size_t
+        next(size_t i) const
+        {
+            return scan(i, [](size_t) { return ~uint64_t(0); });
+        }
+        /** The smallest member >= i that is not in `other` (a set of
+         *  the same size), or npos; the same walk rule as next(). */
+        size_t
+        nextNotIn(size_t i, const SlotSet &other) const
+        {
+            return scan(i, [&](size_t w) { return ~other.words_[w]; });
+        }
+        /** The number of members >= i. */
+        size_t countFrom(size_t i) const;
 
       private:
+        /** The smallest member >= i whose bit is set in keep(word
+         *  index), or npos. */
+        template <class Keep>
+        size_t
+        scan(size_t i, Keep keep) const
+        {
+            size_t w = i / 64;
+            if (w >= words_.size())
+                return npos;
+            uint64_t bits = words_[w] & keep(w) & (~uint64_t(0) << (i % 64));
+            while (bits == 0) {
+                if (++w == words_.size())
+                    return npos;
+                bits = words_[w] & keep(w);
+            }
+            return w * 64 + size_t(std::countr_zero(bits));
+        }
+
         std::vector<uint64_t> words_;
     };
     /** The slot lists, kept by refreshSlot() at each slot's state
@@ -573,19 +605,20 @@ class RtUnit : public pipeline::Component
     bool live_ = true;
     /** A NeedFetch slot's work item and its address, recorded by
      *  refreshSlot(), so the fetch-issue walk reads them here instead
-     *  of from the slot's packet or query; and its park. */
+     *  of from the slot's packet or query. */
     struct FetchTarget
     {
         WorkItem item;
         uint64_t addr = 0;
-        /** The MSHR file generation at which the full file refused
-         *  this fetch (0 = not parked, never a generation). While it
-         *  is still the file's generation, a retry would be refused
-         *  again, so the issue loop counts it without asking the file.
-         *  refreshSlot() clears it when the address changes. */
-        uint64_t parked = 0;
     };
     std::vector<FetchTarget> fetch_;
+    /** NeedFetch slots a full MSHR file refused (untraced runs only)
+     *  whose address is not in flight: while the file stays full, a
+     *  retry would be refused again, so the issue walk counts them
+     *  without asking the file. refreshSlot() erases a slot on any
+     *  event on it, and an MSHR allocation erases the slots of its
+     *  address, which may now merge. */
+    SlotSet parked_;
 
     /** A lane with no offer this cycle (Lane::offer). */
     static constexpr size_t kNoOffer = ~size_t(0);
@@ -604,7 +637,7 @@ class RtUnit : public pipeline::Component
     {
         /** The slot of this cycle's offer, or kNoOffer (publish). */
         size_t offer = kNoOffer;
-        core::DatapathInput in; ///< the offered beat (packet scheduler)
+        core::DatapathInput in; ///< the offered beat, written in place
         core::DistanceAccumulators acc;
         KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)
 

@@ -696,3 +696,27 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
     EXPECT_EQ(fast.unit, traced.unit);
     EXPECT_EQ(results, traced_results);
 }
+
+TEST(DeadCycles, AbsorbRecipientIsUnparked)
+{
+    // Divergent closest-hit fans through packets that repack below full
+    // width, behind one MSHR with a long flat latency: the file is full
+    // in most cycles, so a packet whose repacking window ran out parks
+    // on its refused fetch. When it then absorbs a donor, its window
+    // restarts, and the issue walk must ask it to hold again rather
+    // than count it refused. The untraced run, which parks, must equal
+    // its traced twin, which never does.
+    Bvh4 bvh = testScene();
+    sim::ExecutorConfig cfg;
+    cfg.rt.mem_latency = 200;
+    cfg.rt.packet.width = 4;
+    cfg.rt.packet.compact_below = 4;
+    cfg.rt.ray_buffer_entries = 32;
+    cfg.rt.issue_width = 2;
+    cfg.rt.mshrs = 1;
+    const sim::BatchResult r =
+        expectTracedTwin(bvh, fanRays(24, 8), cfg, false);
+    EXPECT_GT(r.unit.packet.compactions, 0u);
+    EXPECT_GT(r.unit.mshr.stalls_full, 0u);
+    EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+}

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "bvh/knn.hh"
@@ -512,6 +515,73 @@ TEST(KnnBeats, JobBeatsThroughPipelineMatchGoldenScore)
                       toBits(core::golden::knnScore(
                           q.data(), c.data(), dims, cosine)))
                 << "dims=" << dims << " cosine=" << cosine;
+        }
+    }
+}
+
+namespace
+{
+
+/** Field-by-field equality of two datapath input beats. */
+::testing::AssertionResult
+sameBeat(const core::DatapathInput &a, const core::DatapathInput &b)
+{
+    const auto ray = [](const core::Ray &r) {
+        return std::tie(r.origin, r.dir, r.inv_dir, r.t_beg, r.t_end, r.kx,
+                        r.ky, r.kz, r.shear);
+    };
+    if (a.op != b.op || a.tag != b.tag || a.mask != b.mask ||
+        a.reset_accumulator != b.reset_accumulator || a.vec_a != b.vec_a ||
+        a.vec_b != b.vec_b || ray(a.ray) != ray(b.ray) ||
+        a.tri.v != b.tri.v ||
+        std::memcmp(a.boxes.data(), b.boxes.data(), sizeof(a.boxes)) != 0)
+        return ::testing::AssertionFailure() << "beats differ";
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(Knn, WriteBeatOverAStaleBeatMatchesAFreshJob)
+{
+    // The RT unit writes each candidate beat into a lane input that
+    // still holds the lane's previous beat. Start every write from a
+    // stale beat of the other metric with more dimensions and NaN in
+    // every vector lane: lanes past the new beat's mask must not leak,
+    // so the written beat equals knnJobBeats' fresh one field by field
+    // and evaluates to the same output.
+    const core::F32 nan = toBits(std::numeric_limits<float>::quiet_NaN());
+    uint64_t tag = 0;
+    for (const unsigned dims : {1u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+        std::vector<float> q(dims), c(dims);
+        for (unsigned d = 0; d < dims; ++d) {
+            q[d] = 0.43f * float(d) - 1.5f;
+            c[d] = -0.29f * float(d) + 0.75f;
+        }
+        for (const KnnMetric metric :
+             {KnnMetric::Euclidean, KnnMetric::Cosine}) {
+            const KnnMetric other = metric == KnnMetric::Euclidean
+                                        ? KnnMetric::Cosine
+                                        : KnnMetric::Euclidean;
+            const std::vector<float> wide(dims + 17, 2.0f);
+            core::DatapathInput stale = knnJobBeats(
+                wide.data(), wide.data(), wide.size(), other, ~tag)[0];
+            stale.vec_a.fill(nan);
+            stale.vec_b.fill(nan);
+
+            const std::vector<core::DatapathInput> fresh =
+                knnJobBeats(q.data(), c.data(), dims, metric, ++tag);
+            core::DistanceAccumulators fresh_acc, written_acc;
+            for (size_t b = 0; b < fresh.size(); ++b) {
+                core::DatapathInput in = stale;
+                knnWriteBeat(q.data(), c.data(), dims, metric, tag, b, in);
+                ASSERT_TRUE(sameBeat(in, fresh[b]))
+                    << "dims=" << dims << " metric=" << int(metric)
+                    << " beat=" << b;
+                EXPECT_EQ(core::nativeEval(in, written_acc),
+                          core::nativeEval(fresh[b], fresh_acc))
+                    << "dims=" << dims << " metric=" << int(metric)
+                    << " beat=" << b;
+            }
         }
     }
 }
