@@ -5,6 +5,7 @@
 #include "bvh/builder.hh"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -24,19 +25,47 @@ struct BinNode
     bool leaf = false;
 };
 
+/**
+ * The binary binned-SAH build. Each triangle's bounds() and centroid()
+ * are derived once, by input index; build() partitions ranges of an
+ * index permutation exactly as it would partition the triangles (the
+ * same std::partition over the same predicate results), and
+ * buildBvh4 applies that permutation once at the end.
+ */
 struct Builder
 {
     const BuildParams &params;
-    std::vector<SceneTriangle> &tris;
+    std::vector<Aabb> boxes;        ///< bounds() per input index
+    std::vector<Vec3> centroids;    ///< centroid() per input index
+    std::vector<uint32_t> order;    ///< input index per final position
     std::vector<BinNode> nodes;
+
+    // Scratch of one node's binning, reused across nodes.
+    std::vector<unsigned> tri_bin;  ///< bin per input index
+    std::vector<Aabb> bin_bounds;
+    std::vector<uint32_t> bin_count;
+    std::vector<float> right_area;
+    std::vector<uint32_t> right_count;
+
+    Builder(const BuildParams &p, const std::vector<SceneTriangle> &tris)
+        : params(p), order(tris.size()), tri_bin(tris.size())
+    {
+        boxes.reserve(tris.size());
+        centroids.reserve(tris.size());
+        for (const SceneTriangle &t : tris) {
+            boxes.push_back(t.bounds());
+            centroids.push_back(t.centroid());
+        }
+        std::iota(order.begin(), order.end(), 0u);
+    }
 
     int
     build(uint32_t first, uint32_t count)
     {
         Aabb bounds, centroid_bounds;
         for (uint32_t i = first; i < first + count; ++i) {
-            bounds.grow(tris[i].bounds());
-            centroid_bounds.grow(tris[i].centroid());
+            bounds.grow(boxes[order[i]]);
+            centroid_bounds.grow(centroids[order[i]]);
         }
 
         int idx = int(nodes.size());
@@ -68,22 +97,20 @@ struct Builder
         }
 
         const unsigned nbins = params.sah_bins;
-        std::vector<Aabb> bin_bounds(nbins);
-        std::vector<uint32_t> bin_count(nbins, 0);
-        auto bin_of = [&](const SceneTriangle &t) {
-            float rel = (t.centroid()[axis] - lo) / width;
-            int b = int(rel * float(nbins));
-            return std::clamp(b, 0, int(nbins) - 1);
-        };
+        bin_bounds.assign(nbins, Aabb{});
+        bin_count.assign(nbins, 0);
         for (uint32_t i = first; i < first + count; ++i) {
-            int b = bin_of(tris[i]);
-            bin_bounds[b].grow(tris[i].bounds());
+            const uint32_t t = order[i];
+            float rel = (centroids[t][axis] - lo) / width;
+            int b = std::clamp(int(rel * float(nbins)), 0, int(nbins) - 1);
+            tri_bin[t] = unsigned(b);
+            bin_bounds[b].grow(boxes[t]);
             ++bin_count[b];
         }
 
         // Sweep for the cheapest partition boundary.
-        std::vector<float> right_area(nbins, 0.0f);
-        std::vector<uint32_t> right_count(nbins, 0);
+        right_area.assign(nbins, 0.0f);
+        right_count.assign(nbins, 0);
         Aabb acc;
         uint32_t cnt = 0;
         for (int b = int(nbins) - 1; b >= 1; --b) {
@@ -123,11 +150,9 @@ struct Builder
         }
 
         auto mid_it = std::partition(
-            tris.begin() + first, tris.begin() + first + count,
-            [&](const SceneTriangle &t) {
-                return bin_of(t) <= best_split;
-            });
-        uint32_t mid = uint32_t(mid_it - tris.begin());
+            order.begin() + first, order.begin() + first + count,
+            [&](uint32_t t) { return int(tri_bin[t]) <= best_split; });
+        uint32_t mid = uint32_t(mid_it - order.begin());
         if (mid == first || mid == first + count)
             mid = first + count / 2; // numeric corner case: force split
 
@@ -164,15 +189,16 @@ struct Collapser
         out.nodes.push_back({});
 
         // Gather up to 4 binary subtree roots under `root`.
-        std::vector<int> slots;
-        slots.push_back(bin[root].leaf ? root : bin[root].left);
+        std::array<int, 4> slots{};
+        size_t n = 0;
+        slots[n++] = bin[root].leaf ? root : bin[root].left;
         if (!bin[root].leaf)
-            slots.push_back(bin[root].right);
-        while (slots.size() < 4) {
+            slots[n++] = bin[root].right;
+        while (n < 4) {
             // Expand the internal slot with the largest surface area.
             int pick = -1;
             float best = -1.0f;
-            for (size_t i = 0; i < slots.size(); ++i) {
+            for (size_t i = 0; i < n; ++i) {
                 if (!bin[slots[i]].leaf &&
                     bin[slots[i]].bounds.surfaceArea() > best) {
                     best = bin[slots[i]].bounds.surfaceArea();
@@ -183,12 +209,11 @@ struct Collapser
                 break;
             int node = slots[pick];
             slots[pick] = bin[node].left;
-            slots.push_back(bin[node].right);
+            slots[n++] = bin[node].right;
         }
 
         WideNode wn;
-        std::vector<int> pending_internal; // slot -> binary node
-        for (size_t i = 0; i < slots.size() && i < 4; ++i) {
+        for (size_t i = 0; i < n; ++i) {
             const BinNode &b = bin[slots[i]];
             wn.child[i].bounds = b.bounds;
             if (b.leaf) {
@@ -197,14 +222,16 @@ struct Collapser
                 wn.child[i].count = b.count;
             } else {
                 wn.child[i].kind = WideNode::Kind::Internal;
-                pending_internal.push_back(int(i));
             }
         }
         out.nodes[wide_idx] = wn;
 
-        for (int slot : pending_internal) {
-            uint32_t child_idx = collapse(slots[size_t(slot)]);
-            out.nodes[wide_idx].child[slot].index = child_idx;
+        for (size_t i = 0; i < n; ++i) {
+            if (wn.child[i].kind != WideNode::Kind::Internal)
+                continue;
+            // collapse() grows out.nodes: index it only afterwards.
+            const uint32_t child_idx = collapse(slots[i]);
+            out.nodes[wide_idx].child[i].index = child_idx;
         }
         return wide_idx;
     }
@@ -246,10 +273,12 @@ buildBvh4(std::vector<SceneTriangle> tris, const BuildParams &params)
         out.nodes.push_back({});
         return out;
     }
-    Builder b{params, tris, {}};
+    Builder b(params, tris);
     int root = b.build(0, uint32_t(tris.size()));
     out.root_bounds = b.nodes[root].bounds;
-    out.tris = std::move(tris);
+    out.tris.reserve(tris.size());
+    for (uint32_t i : b.order)
+        out.tris.push_back(tris[i]);
 
     if (b.nodes[root].leaf) {
         // Single-leaf scene: wrap in one wide node.

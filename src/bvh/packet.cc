@@ -245,7 +245,7 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
             if (den != 0.0f) {
                 float t = fromBits(out.tri.t_num) / den;
                 if (t >= ln.t_beg && t <= ln.t_max &&
-                    (!ln.best.hit || t < ln.best.t)) {
+                    replacesBest(t, tri.id, ln.best)) {
                     if (mode_ == TraversalMode::Any) {
                         // First in-extent hit retires the lane; the
                         // record carries only the flag (the any-hit

@@ -109,7 +109,7 @@ Traverser::closestHit(const core::Ray &ray)
                     ++stats_.tri_ops;
                     auto d = triDistance(tout);
                     if (d && *d >= t_min && *d <= t_max &&
-                        (!best.hit || *d < best.t)) {
+                        replacesBest(*d, bvh_.tris[t].id, best)) {
                         best.hit = true;
                         best.t = *d;
                         best.triangle_id = bvh_.tris[t].id;
@@ -185,7 +185,8 @@ Traverser::bruteForceClosest(const core::Ray &ray) const
         in.tri = tri.toIoTriangle();
         DatapathOutput out = nativeEval(in, acc);
         auto d = triDistance(out);
-        if (d && *d >= t_min && *d <= t_max && (!best.hit || *d < best.t)) {
+        if (d && *d >= t_min && *d <= t_max &&
+            replacesBest(*d, tri.id, best)) {
             best.hit = true;
             best.t = *d;
             best.triangle_id = tri.id;

@@ -44,6 +44,18 @@ struct HitRecord
                            const HitRecord &) = default;
 };
 
+/** Whether an in-extent hit at distance `t` on triangle `id` replaces
+ *  `best`: it is nearer, or as near on a lower id. The tie rule makes
+ *  the closest hit independent of the order triangles are tested in,
+ *  so every traversal model and schedule reports the same record (a
+ *  ray starting on a shared vertex hits all its triangles at t = 0). */
+inline bool
+replacesBest(float t, uint32_t id, const HitRecord &best)
+{
+    return !best.hit || t < best.t ||
+           (t == best.t && id < best.triangle_id);
+}
+
 /** Traversal statistics (datapath beats issued). */
 struct TraversalStats
 {

@@ -34,6 +34,24 @@ opcodeName(Opcode op)
     return "unknown";
 }
 
+namespace
+{
+
+/**
+ * a / b in host binary32, which is correctly rounded with subnormals
+ * kept, so only a NaN quotient's payload can differ from the datapath's
+ * divF32; a NaN is recomputed in softfloat (the native value path's
+ * rule).
+ */
+F32
+divide(F32 a, F32 b)
+{
+    const float q = fromBits(a) / fromBits(b);
+    return q != q ? divF32(a, b) : toBits(q);
+}
+
+} // namespace
+
 Ray
 makeRay(const std::array<F32, 3> &origin, const std::array<F32, 3> &dir,
         F32 t_beg, F32 t_end)
@@ -46,16 +64,17 @@ makeRay(const std::array<F32, 3> &origin, const std::array<F32, 3> &dir,
 
     constexpr F32 one = 0x3F800000u; // 1.0f
     for (int d = 0; d < 3; ++d)
-        r.inv_dir[d] = divF32(one, dir[d]);
+        r.inv_dir[d] = divide(one, dir[d]);
 
-    // kz: the dimension where |dir| is maximal (2 comparisons).
-    F32 ax = dir[0] & 0x7FFFFFFFu;
-    F32 ay = dir[1] & 0x7FFFFFFFu;
-    F32 az = dir[2] & 0x7FFFFFFFu;
+    // kz: the dimension where |dir| is maximal (2 comparisons). Host
+    // compares equal geF32 for every input, NaN included.
+    const float ax = fromBits(dir[0] & 0x7FFFFFFFu);
+    const float ay = fromBits(dir[1] & 0x7FFFFFFFu);
+    const float az = fromBits(dir[2] & 0x7FFFFFFFu);
     uint8_t kz = 2;
-    if (geF32(ax, ay) && geF32(ax, az))
+    if (ax >= ay && ax >= az)
         kz = 0;
-    else if (geF32(ay, az))
+    else if (ay >= az)
         kz = 1;
     uint8_t kx = (kz + 1) % 3;
     uint8_t ky = (kx + 1) % 3;
@@ -67,10 +86,11 @@ makeRay(const std::array<F32, 3> &origin, const std::array<F32, 3> &dir,
     r.ky = ky;
     r.kz = kz;
 
-    // Shear constants (3 divisions, done here so the datapath has none).
-    r.shear[0] = divF32(dir[kx], dir[kz]); // Sx
-    r.shear[1] = divF32(dir[ky], dir[kz]); // Sy
-    r.shear[2] = divF32(one, dir[kz]);     // Sz
+    // Shear constants (2 more divisions, done here so the datapath has
+    // none); Sz = 1 / dir[kz] is inv_dir[kz].
+    r.shear[0] = divide(dir[kx], dir[kz]); // Sx
+    r.shear[1] = divide(dir[ky], dir[kz]); // Sy
+    r.shear[2] = r.inv_dir[kz];            // Sz
     return r;
 }
 

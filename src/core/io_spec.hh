@@ -165,7 +165,9 @@ struct DatapathOutput
 /**
  * Ray-creation routine (the shaded steps 1-3 of Fig. 4b, performed on the
  * GPU core): computes the inverse direction, the winding-preserving axis
- * permutation k, and the shear constants S. All arithmetic is IEEE FP32.
+ * permutation k, and the shear constants S. All arithmetic is IEEE FP32
+ * with round-to-nearest-even and subnormals kept: host binary32, with a
+ * NaN quotient recomputed by fp::divF32 so its bits are the datapath's.
  *
  * @param origin Ray origin.
  * @param dir    Ray direction (need not be normalized, must be nonzero).

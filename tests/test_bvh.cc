@@ -9,6 +9,7 @@
 #include <random>
 
 #include "bvh/builder.hh"
+#include "bvh/knn.hh"
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
@@ -38,6 +39,40 @@ randomRay(std::mt19937_64 &rng)
     if (dx == 0 && dy == 0 && dz == 0)
         dx = 1;
     return makeRay(p(rng), p(rng), p(rng), dx, dy, dz, 0.0f, 100.0f);
+}
+
+/** FNV-1a over every node's child kinds, indices, counts and bound
+ *  bits, then the final triangle order (ids and vertex bits). */
+uint64_t
+treeDigest(const Bvh4 &bvh)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&](uint32_t w) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (w >> (8 * i)) & 0xFFu;
+            h *= 1099511628211ull;
+        }
+    };
+    auto mixVec = [&](Vec3 v) {
+        mix(rayflex::fp::toBits(v.x));
+        mix(rayflex::fp::toBits(v.y));
+        mix(rayflex::fp::toBits(v.z));
+    };
+    for (const WideNode &n : bvh.nodes)
+        for (const WideNode::Child &c : n.child) {
+            mix(uint32_t(c.kind));
+            mix(c.index);
+            mix(c.count);
+            mixVec(c.bounds.lo);
+            mixVec(c.bounds.hi);
+        }
+    for (const SceneTriangle &t : bvh.tris) {
+        mix(t.id);
+        mixVec(t.v0);
+        mixVec(t.v1);
+        mixVec(t.v2);
+    }
+    return h;
 }
 
 } // namespace
@@ -81,6 +116,26 @@ TEST(BvhBuilder, DuplicatePositionsDoNotBreakBuild)
         tris.push_back({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, i});
     Bvh4 bvh = buildBvh4(tris);
     EXPECT_EQ(validateBvh4(bvh), "");
+}
+
+TEST(BvhBuilder, TreeIsPinned)
+{
+    // The exact tree, node by node and triangle by triangle, as the
+    // binned-SAH build produced it when these constants were recorded.
+    // Every timing pin depends on it; this names a changed tree directly.
+    auto scene = makeTerrain(20.0f, 32, 0.5f, 11);
+    auto sphere =
+        makeSphere({0, 2.0f, 0}, 2.0f, 16, 24, uint32_t(scene.size()));
+    scene.insert(scene.end(), sphere.begin(), sphere.end());
+    EXPECT_EQ(treeDigest(buildBvh4(std::move(scene))), 0xf59e9b0750f48254ull);
+
+    KnnIndex knn = buildKnnIndex(makePointCloud(1000, 16, 8, 42));
+    EXPECT_EQ(treeDigest(knn.bvh), 0xaa8fc055b3c5ee93ull);
+
+    std::vector<SceneTriangle> dup;
+    for (uint32_t i = 0; i < 37; ++i)
+        dup.push_back({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, i});
+    EXPECT_EQ(treeDigest(buildBvh4(std::move(dup))), 0x44604c93cb846e26ull);
 }
 
 TEST(BvhBuilder, SahBeatsWorstCaseChildCount)

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -460,6 +461,76 @@ TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)
     EXPECT_GT(occluded, 100u);
     EXPECT_GT(rays.size() - occluded, 100u);
     EXPECT_EQ(cyc.unit.rays_completed, rays.size());
+}
+
+TEST(SimEngine, OddRaysMatchFunctionalOnEveryScheduler)
+{
+    // Rays no camera makes, end to end through the cycle-accurate unit:
+    // NaN and infinite origins; directions with zero components (an
+    // infinite inverse), all zero, NaN, infinite or subnormal; and
+    // extents of 0, 100 and +inf. Every ray must complete, with the
+    // Functional engine's hits, whatever its inverse direction and
+    // shear came out as (NaN quotients included). Several rays hit
+    // many triangles at one t (an origin on the sphere's pole vertex,
+    // an infinite shear); the lowest id must win in every schedule.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float sub = 1e-40f;
+    const Vec3 origins[] = {
+        {0.5f, 1.0f, 9.0f}, {0, 0, 0},      {-7.0f, 0.3f, 0.2f},
+        {nan, 1.0f, 9.0f},  {0, nan, nan},  {inf, 0, 9.0f},
+        {0, 2.0f, 0},       {-inf, 0, 0},   {6.0f, 6.0f, 6.0f},
+    };
+    const Vec3 dirs[] = {
+        {0, 0, -1},      {0, 0, 0},         {1, 0, 0},
+        {0, -1, 0},      {-0.3f, 0.2f, -1}, {nan, 0, -1},
+        {inf, 0, -1},    {-inf, 1, 0},      {sub, -sub, -1},
+        {sub, 0, 0},     {-1, -1, -1},
+    };
+    const float t_maxes[] = {0.0f, 100.0f, inf};
+    std::vector<Ray> rays;
+    for (const Vec3 &o : origins)
+        for (const Vec3 &d : dirs)
+            for (float t : t_maxes)
+                rays.push_back(
+                    makeRay(o.x, o.y, o.z, d.x, d.y, d.z, 0.0f, t));
+    const Bvh4 bvh = testScene();
+
+    for (bool any_hit : {false, true}) {
+        sim::EngineConfig fcfg;
+        fcfg.model = sim::ExecutionModel::Functional;
+        fcfg.threads = 1;
+        const sim::EngineReport ref = sim::Engine(fcfg).run(bvh, rays, any_hit);
+        size_t n_hit = 0;
+        for (const HitRecord &h : ref.hits)
+            n_hit += h.hit;
+        ASSERT_GT(n_hit, 20u) << "any_hit " << any_hit;
+        ASSERT_LT(n_hit, rays.size() / 2) << "any_hit " << any_hit;
+
+        for (unsigned width : {1u, 8u})
+            for (unsigned units : {1u, 4u}) {
+                sim::EngineConfig cfg;
+                cfg.threads = 2;
+                cfg.batch_size = 64;
+                cfg.rt.packet.width = width;
+                if (units > 1) {
+                    cfg.rt.mem_backend = MemBackend::NodeCache;
+                    cfg.rt.cache = kProbeCache4KiB;
+                    cfg.chip.units = units;
+                    cfg.chip.l2 = sim::L2Mode::Shared;
+                    cfg.chip.l2cfg = kProbeL2_128KiB;
+                }
+                const sim::EngineReport rep =
+                    sim::Engine(cfg).run(bvh, rays, any_hit);
+                SCOPED_TRACE(::testing::Message()
+                             << "width " << width << " units " << units
+                             << " any_hit " << any_hit);
+                EXPECT_EQ(rep.unit.rays_completed, rays.size());
+                for (size_t i = 0; i < rays.size(); ++i)
+                    ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i]))
+                        << "ray " << i;
+            }
+    }
 }
 
 TEST(SimEngine, EmptySceneMissesEverything)

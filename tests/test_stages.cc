@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/stages.hh"
 #include "core/workloads.hh"
 
@@ -308,4 +310,97 @@ TEST(Stages, BlankStagesCopyInputToOutput)
         EXPECT_EQ(s.box_far[b], before.box_far[b]);
         EXPECT_EQ(s.box_hit[b], before.box_hit[b]);
     }
+}
+
+namespace
+{
+
+/** makeRay's contract written out in softfloat: three divF32 for the
+ *  inverse direction, geF32 for kz, three divF32 for the shear. */
+Ray
+softfloatRay(const std::array<F32, 3> &o, const std::array<F32, 3> &d,
+             F32 t_beg, F32 t_end)
+{
+    constexpr F32 one = 0x3F800000u;
+    Ray r;
+    r.origin = o;
+    r.dir = d;
+    r.t_beg = t_beg;
+    r.t_end = t_end;
+    for (int i = 0; i < 3; ++i)
+        r.inv_dir[i] = divF32(one, d[i]);
+    F32 ax = d[0] & 0x7FFFFFFFu, ay = d[1] & 0x7FFFFFFFu,
+        az = d[2] & 0x7FFFFFFFu;
+    uint8_t kz = 2;
+    if (geF32(ax, ay) && geF32(ax, az))
+        kz = 0;
+    else if (geF32(ay, az))
+        kz = 1;
+    uint8_t kx = (kz + 1) % 3, ky = (kx + 1) % 3;
+    if (signF32(d[kz]) && !isZeroF32(d[kz]))
+        std::swap(kx, ky);
+    r.kx = kx;
+    r.ky = ky;
+    r.kz = kz;
+    r.shear[0] = divF32(d[kx], d[kz]);
+    r.shear[1] = divF32(d[ky], d[kz]);
+    r.shear[2] = divF32(one, d[kz]);
+    return r;
+}
+
+} // namespace
+
+TEST(MakeRay, HostDivisionMatchesSoftfloat)
+{
+    // Special values (both zeros, subnormals, extremes, infinities and
+    // NaNs with payloads and either sign) mixed with random patterns.
+    const F32 special[] = {
+        0x00000000u, 0x80000000u, 0x00000001u, 0x807FFFFFu, 0x00400000u,
+        0x00800000u, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F800000u, 0xFF800000u,
+        0x7FC00000u, 0xFFC00000u, 0x7FC12345u, 0xFF800001u, 0x7FA00000u,
+        0x3F800000u, 0xBF800000u, 0x3F000000u, 0x5F000000u, 0x1F000000u,
+    };
+    std::mt19937_64 rng(0x5EED);
+    auto draw = [&]() -> F32 {
+        switch (rng() % 4) {
+          case 0: return special[rng() % std::size(special)];
+          case 1: return uint32_t(rng()) & 0x807FFFFFu; // subnormal/zero
+          default: return uint32_t(rng());
+        }
+    };
+
+    size_t checked = 0, nan_fields = 0;
+    auto check = [&](const std::array<F32, 3> &o,
+                     const std::array<F32, 3> &d, F32 t0, F32 t1) {
+        const Ray got = makeRay(o, d, t0, t1);
+        const Ray want = softfloatRay(o, d, t0, t1);
+        ASSERT_EQ(got.origin, want.origin);
+        ASSERT_EQ(got.dir, want.dir);
+        ASSERT_EQ(got.t_beg, want.t_beg);
+        ASSERT_EQ(got.t_end, want.t_end);
+        ASSERT_EQ(got.kx, want.kx) << std::hex << d[0] << " " << d[1]
+                                   << " " << d[2];
+        ASSERT_EQ(got.ky, want.ky);
+        ASSERT_EQ(got.kz, want.kz);
+        // Bit equality: a NaN must carry the softfloat payload and sign.
+        for (int i = 0; i < 3; ++i) {
+            ASSERT_EQ(got.inv_dir[i], want.inv_dir[i])
+                << std::hex << "dir 0x" << d[i];
+            ASSERT_EQ(got.shear[i], want.shear[i])
+                << std::hex << "dir 0x" << d[0] << " 0x" << d[1] << " 0x"
+                << d[2];
+            nan_fields += isNaNF32(want.inv_dir[i]) +
+                          isNaNF32(want.shear[i]);
+        }
+        ++checked;
+    };
+
+    check({0, 0, 0}, {0, 0, 0}, 0, 0x7F800000u);             // all-zero
+    check({0, 0, 0}, {0x80000000u, 0, 0x80000000u}, 0, 0);  // signed zeros
+    for (int i = 0; i < 200000; ++i)
+        check({draw(), draw(), draw()}, {draw(), draw(), draw()}, draw(),
+              draw());
+    EXPECT_EQ(checked, 200002u);
+    // NaN quotients (0/0, inf/inf, NaN operands) actually occurred.
+    EXPECT_GT(nan_fields, 10000u);
 }
