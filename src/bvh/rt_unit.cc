@@ -850,8 +850,8 @@ RtUnit::advance(uint64_t cycle)
             taken[l] = acceptLane(l);
 
     // (b) Per lane, drain the result due this cycle, then evaluate the
-    // beat accepted in (a) (still where publish() put it) into the
-    // delay line, due kPipelineLatency cycles from now. Then
+    // beat accepted in (a) (still where publish() put it) in place into
+    // its delay-line entry, due kPipelineLatency cycles from now. Then
     // occupancy-driven repacking at fetch boundaries, before new
     // fetches are issued for the packets involved.
     for (size_t l = 0; l < lanes_.size(); ++l) {
@@ -861,10 +861,12 @@ RtUnit::advance(uint64_t cycle)
             lane.pop();
             changed = true;
         }
-        if (accepted[l])
-            lane.push({now_ + kPipelineLatency,
-                       nativeEval(*accepted[l], lane.acc, box_width_),
-                       taken[l]});
+        if (accepted[l]) {
+            Lane::Pending &entry = lane.push();
+            entry.due = now_ + kPipelineLatency;
+            entry.packet = taken[l];
+            nativeEval(*accepted[l], lane.acc, entry.out, box_width_);
+        }
     }
     changed = compactPackets() || changed;
 

@@ -629,9 +629,10 @@ class RtUnit : public pipeline::Component
      * result leaves exactly kPipelineLatency cycles later. The lane
      * therefore keeps only the timing (a delay line of due cycles) and
      * computes each value once, at acceptance, with core::nativeEval
-     * and the lane's own accumulators. Lanes are in order and stages 9
-     * and 10 hold separate registers, so every accumulator sees its
-     * beats in the same order as in the chain.
+     * and the lane's own accumulators, straight into its delay-line
+     * entry. Lanes are in order and stages 9 and 10 hold separate
+     * registers, so every accumulator sees its beats in the same order
+     * as in the chain.
      */
     struct Lane
     {
@@ -666,11 +667,11 @@ class RtUnit : public pipeline::Component
             head = (head + 1) % core::kPipelineLatency;
             --size;
         }
-        void
-        push(const Pending &p)
+        /** Append an entry and return it for the caller to fill. */
+        Pending &
+        push()
         {
-            line[(head + size) % core::kPipelineLatency] = p;
-            ++size;
+            return line[(head + size++) % core::kPipelineLatency];
         }
     };
     std::vector<Lane> lanes_;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/quadsort.hh"
 
@@ -22,22 +23,129 @@ using namespace rayflex::fp;
 namespace
 {
 
-/** NaN-propagating min mirroring the hardware comparator + mux. */
-float
-minProp(float a, float b)
+/** minProp's select, `a > b ? b : a`: the hardware comparator + mux
+ *  for operands that are not NaN. */
+inline float
+selMin(float a, float b)
 {
-    if (std::isnan(a) || std::isnan(b))
-        return fromBits(kDefaultNaN);
     return a > b ? b : a;
 }
 
-/** NaN-propagating max mirroring the hardware comparator + mux. */
-float
-maxProp(float a, float b)
+/** maxProp's select, `a < b ? b : a`, for operands that are not NaN. */
+inline float
+selMax(float a, float b)
 {
-    if (std::isnan(a) || std::isnan(b))
-        return fromBits(kDefaultNaN);
     return a < b ? b : a;
+}
+
+/** The ray fields a slab test reads, as host floats, converted once
+ *  per beat. */
+struct SlabRay
+{
+    float org[3], inv[3];
+    float t_beg, t_end;
+    bool nan; ///< t_beg or t_end is NaN
+
+    explicit SlabRay(const Ray &ray)
+        : t_beg(fromBits(ray.t_beg)), t_end(fromBits(ray.t_end)),
+          nan(std::isnan(t_beg) | std::isnan(t_end))
+    {
+        for (int d = 0; d < 3; ++d) {
+            org[d] = fromBits(ray.origin[d]);
+            inv[d] = fromBits(ray.inv_dir[d]);
+        }
+    }
+};
+
+/** One box's slab distances, and whether a NaN reached them. */
+struct Slab
+{
+    float near, far;
+    bool nan;
+
+    bool hit() const { return !nan & (near <= far); }
+};
+
+/**
+ * The slab test of stages 2-4, branch-free. The hardware's min/max
+ * propagate a NaN operand (minProp/maxProp); here the folds are plain
+ * selects in the same operand order, which agree with them whenever no
+ * operand is NaN, and a NaN anywhere sets one flag instead. A NaN near
+ * or far distance is a miss in both models, so the flag is all the
+ * verdict needs.
+ */
+inline Slab
+slab(const SlabRay &r, const Box &box)
+{
+    float near_d[3], far_d[3];
+    bool nan = r.nan;
+    for (int d = 0; d < 3; ++d) {
+        // Same op order as stages 2-4: translate, multiply, swap.
+        const float t0 = (fromBits(box.lo[d]) - r.org[d]) * r.inv[d];
+        const float t1 = (fromBits(box.hi[d]) - r.org[d]) * r.inv[d];
+        nan |= std::isnan(t0) | std::isnan(t1);
+        near_d[d] = selMin(t0, t1);
+        far_d[d] = selMax(t0, t1);
+    }
+    const float near =
+        selMax(selMax(near_d[0], near_d[1]), selMax(near_d[2], r.t_beg));
+    const float far =
+        selMin(selMin(far_d[0], far_d[1]), selMin(far_d[2], r.t_end));
+    return {near, far, nan};
+}
+
+/** Slot b's stage-10 sort record: its entry distance on a hit, else
+ *  +inf. A hit's distance is never NaN, and the host `>` orders every
+ *  other key exactly as stage 10's fp::gtF32 does. */
+inline SortRecord<uint8_t>
+boxRecord(const SlabRay &r, const Box &box, size_t b, bool &hit)
+{
+    const Slab s = slab(r, box);
+    hit = s.hit();
+    // hit ? near : +inf, through a mask: no branch on the verdict.
+    const F32 on_hit = -F32(hit);
+    return {(toBits(s.near) & on_hit) | (kPosInf & ~on_hit),
+            static_cast<uint8_t>(b)};
+}
+
+/** Slots [from, kMaxBoxesPerOp) of a BoxResult: misses keyed +inf in
+ *  slot order. */
+inline void
+missFrom(size_t from, BoxResult &out)
+{
+    for (size_t b = from; b < kMaxBoxesPerOp; ++b) {
+        out.hit[b] = false;
+        out.order[b] = static_cast<uint8_t>(b);
+        out.sorted_dist[b] = kPosInf;
+    }
+}
+
+/** Sorted records [0, n) into a BoxResult. */
+template <size_t N>
+inline void
+writeSorted(const std::array<SortRecord<uint8_t>, N> &recs, size_t n,
+            BoxResult &out)
+{
+    for (size_t i = 0; i < n; ++i) {
+        out.order[i] = recs[i].payload;
+        out.sorted_dist[i] = recs[i].key;
+    }
+}
+
+/** rayBoxN at a width fixed at compile time: the slab tests and the
+ *  sort network unrolled. */
+template <size_t W>
+void
+rayBoxUnrolled(const SlabRay &r,
+               const std::array<Box, kMaxBoxesPerOp> &boxes, BoxResult &out)
+{
+    std::array<SortRecord<uint8_t>, W> recs;
+    [&]<size_t... b>(std::index_sequence<b...>) {
+        ((recs[b] = boxRecord(r, boxes[b], b, out.hit[b])), ...);
+    }(std::make_index_sequence<W>{});
+    sortNetworkUnrolled<W>(recs, HostGreater{});
+    writeSorted(recs, W, out);
+    missFrom(W, out);
 }
 
 } // namespace
@@ -45,70 +153,29 @@ maxProp(float a, float b)
 BoxHit
 rayBox(const Ray &ray, const Box &box)
 {
-    float org[3], inv[3], lo[3], hi[3];
-    for (int d = 0; d < 3; ++d) {
-        org[d] = fromBits(ray.origin[d]);
-        inv[d] = fromBits(ray.inv_dir[d]);
-        lo[d] = fromBits(box.lo[d]);
-        hi[d] = fromBits(box.hi[d]);
-    }
-    float near_d[3], far_d[3];
-    for (int d = 0; d < 3; ++d) {
-        // Same op order as stages 2-4: translate, multiply, swap.
-        float t0 = (lo[d] - org[d]) * inv[d];
-        float t1 = (hi[d] - org[d]) * inv[d];
-        near_d[d] = minProp(t0, t1);
-        far_d[d] = maxProp(t0, t1);
-    }
-    float t_beg = fromBits(ray.t_beg);
-    float t_end = fromBits(ray.t_end);
-    float near = maxProp(maxProp(near_d[0], near_d[1]),
-                         maxProp(near_d[2], t_beg));
-    float far =
-        minProp(minProp(far_d[0], far_d[1]), minProp(far_d[2], t_end));
-    BoxHit r;
-    // NaN anywhere makes the comparison false: miss.
-    r.hit = !(std::isnan(near) || std::isnan(far)) && near <= far;
-    r.t_near = toBits(near);
-    return r;
+    const Slab s = slab(SlabRay(ray), box);
+    return {s.hit(), s.nan ? kDefaultNaN : toBits(s.near)};
 }
 
-BoxResult
+void
 rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
-        unsigned width)
+        unsigned width, BoxResult &out)
 {
-    BoxResult out;
+    const SlabRay r(ray);
+    if (width == kBoxesPerOp) {
+        rayBoxUnrolled<kBoxesPerOp>(r, boxes, out);
+        return;
+    }
     std::array<SortRecord<uint8_t>, kMaxBoxesPerOp> recs;
-    for (size_t b = 0; b < kMaxBoxesPerOp; ++b) {
-        F32 key = kPosInf;
-        if (b < width) {
-            BoxHit h = rayBox(ray, boxes[b]);
-            out.hit[b] = h.hit;
-            if (h.hit)
-                key = h.t_near;
-        }
-        if (isNaNF32(key))
-            key = kPosInf;
-        recs[b] = {key, static_cast<uint8_t>(b)};
-    }
-    // No key is NaN here, and the host `>` orders every other key
-    // exactly as stage 10's fp::gtF32 does.
+    for (size_t b = 0; b < width; ++b)
+        recs[b] = boxRecord(r, boxes[b], b, out.hit[b]);
     sortNetwork(recs, width, HostGreater{});
-    for (size_t i = 0; i < kMaxBoxesPerOp; ++i) {
-        out.order[i] = recs[i].payload;
-        out.sorted_dist[i] = recs[i].key;
-    }
-    return out;
+    writeSorted(recs, width, out);
+    missFrom(width, out);
 }
 
-BoxResult
-rayBox4(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes)
-{
-    return rayBoxN(ray, boxes, kBoxesPerOp);
-}
-
-TriangleResult
-rayTriangle(const Ray &ray, const Triangle &tri)
+void
+rayTriangle(const Ray &ray, const Triangle &tri, TriangleResult &out)
 {
     const int kx = ray.kx, ky = ray.ky, kz = ray.kz;
     const float sx = fromBits(ray.shear[0]);
@@ -135,15 +202,13 @@ rayTriangle(const Ray &ray, const Triangle &tri)
     float det = (u + vv) + w;
     float t_num = (u * z[0] + vv * z[1]) + w * z[2];
 
-    TriangleResult r;
-    r.t_num = toBits(t_num);
-    r.t_den = toBits(det);
-    r.uvw = {toBits(u), toBits(vv), toBits(w)};
+    out.t_num = toBits(t_num);
+    out.t_den = toBits(det);
+    out.uvw = {toBits(u), toBits(vv), toBits(w)};
     // Backface culling: det must be strictly positive. All comparisons
     // are false on NaN.
-    r.hit = (u >= 0.0f) && (vv >= 0.0f) && (w >= 0.0f) && (det > 0.0f) &&
-            (t_num >= 0.0f);
-    return r;
+    out.hit = (u >= 0.0f) & (vv >= 0.0f) & (w >= 0.0f) & (det > 0.0f) &
+              (t_num >= 0.0f);
 }
 
 F32

@@ -33,21 +33,47 @@ struct BoxHit
     F32 t_near = 0; ///< entry distance (meaningful when hit)
 };
 
-/** Golden slab ray-box test in FP32 with hardware NaN semantics. */
+/** Golden slab ray-box test in FP32 with hardware NaN semantics. A NaN
+ *  anywhere in the test is a miss with t_near = kDefaultNaN. */
 BoxHit rayBox(const Ray &ray, const Box &box);
 
-/** Golden multi-box test plus the stage-10 sort, matching BoxResult.
- *  Slots at index >= width are reported as misses with +inf keys. */
-BoxResult rayBoxN(const Ray &ray,
-                  const std::array<Box, kMaxBoxesPerOp> &boxes,
-                  unsigned width);
+/** Golden multi-box test plus the stage-10 sort, written into every
+ *  field of `out`. Slots at index >= width are reported as misses with
+ *  +inf keys. The slab test and the sort network run without a branch
+ *  on the data: a NaN slab is one flag that makes the slot a miss, and
+ *  the compare-exchanges are selects. */
+void rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
+             unsigned width, BoxResult &out);
+
+/** rayBoxN, returning the result. */
+inline BoxResult
+rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
+        unsigned width)
+{
+    BoxResult out;
+    rayBoxN(ray, boxes, width, out);
+    return out;
+}
 
 /** Golden 4-box test (the RDNA3 default width). */
-BoxResult rayBox4(const Ray &ray,
-                  const std::array<Box, kMaxBoxesPerOp> &boxes);
+inline BoxResult
+rayBox4(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes)
+{
+    return rayBoxN(ray, boxes, kBoxesPerOp);
+}
 
-/** Golden watertight ray-triangle test in FP32. */
-TriangleResult rayTriangle(const Ray &ray, const Triangle &tri);
+/** Golden watertight ray-triangle test in FP32, written into every
+ *  field of `out`. */
+void rayTriangle(const Ray &ray, const Triangle &tri, TriangleResult &out);
+
+/** rayTriangle, returning the result. */
+inline TriangleResult
+rayTriangle(const Ray &ray, const Triangle &tri)
+{
+    TriangleResult out;
+    rayTriangle(ray, tri, out);
+    return out;
+}
 
 /** Golden 16-wide Euclidean beat partial sum (same reduction tree). */
 F32 euclideanBeat(const std::array<F32, kEuclideanWidth> &a,

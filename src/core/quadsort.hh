@@ -39,6 +39,23 @@ struct SortRecord
     Payload payload; ///< carried data (box slot index)
 };
 
+/** One compare-exchange: `a` and `b` swap when `greater(a.key, b.key)`.
+ *  The swap is a select through an all-ones mask, so a host comparator
+ *  compiles without a branch on the data. */
+template <typename Payload, typename Greater>
+inline void
+compareExchange(SortRecord<Payload> &a, SortRecord<Payload> &b,
+                Greater greater)
+{
+    const fp::F32 swap = -fp::F32(greater(a.key, b.key));
+    const fp::F32 key = (a.key ^ b.key) & swap;
+    a.key ^= key;
+    b.key ^= key;
+    const Payload payload = (a.payload ^ b.payload) & Payload(swap);
+    a.payload ^= payload;
+    b.payload ^= payload;
+}
+
 /**
  * Sort four records by ascending key using the 5-comparator network.
  * Misses should be encoded with a +inf key so they sort last.
@@ -47,17 +64,13 @@ template <typename Payload>
 std::array<SortRecord<Payload>, 4>
 quadSort(std::array<SortRecord<Payload>, 4> r)
 {
-    auto ce = [](SortRecord<Payload> &a, SortRecord<Payload> &b) {
-        // Compare-exchange: swap only when strictly greater; unordered
-        // comparisons (NaN) never swap.
-        if (fp::gtF32(a.key, b.key))
-            std::swap(a, b);
-    };
-    ce(r[0], r[1]);
-    ce(r[2], r[3]);
-    ce(r[0], r[2]);
-    ce(r[1], r[3]);
-    ce(r[1], r[2]);
+    // Swap only when strictly greater; unordered comparisons (NaN)
+    // never swap.
+    compareExchange(r[0], r[1], fp::gtF32);
+    compareExchange(r[2], r[3], fp::gtF32);
+    compareExchange(r[0], r[2], fp::gtF32);
+    compareExchange(r[1], r[3], fp::gtF32);
+    compareExchange(r[1], r[2], fp::gtF32);
     return r;
 }
 
@@ -149,11 +162,21 @@ sortNetwork(std::array<SortRecord<Payload>, N> &r, size_t n,
                                        "the comparator table");
     assert(n <= N);
     const SortNetworkList &net = kSortNetworks[n];
-    for (unsigned c = 0; c < net.count; ++c) {
-        const Comparator ce = net.ce[c];
-        if (greater(r[ce.a].key, r[ce.b].key))
-            std::swap(r[ce.a], r[ce.b]);
-    }
+    for (unsigned c = 0; c < net.count; ++c)
+        compareExchange(r[net.ce[c].a], r[net.ce[c].b], greater);
+}
+
+/** sortNetwork for a width fixed at compile time: the same comparators
+ *  of kSortNetworks[n], unrolled. */
+template <size_t n, typename Payload, size_t N, typename Greater>
+inline void
+sortNetworkUnrolled(std::array<SortRecord<Payload>, N> &r, Greater greater)
+{
+    static_assert(n <= N, "sortNetworkUnrolled: more inputs than records");
+    constexpr SortNetworkList net = kSortNetworks[n];
+    [&]<size_t... c>(std::index_sequence<c...>) {
+        (compareExchange(r[net.ce[c].a], r[net.ce[c].b], greater), ...);
+    }(std::make_index_sequence<net.count>{});
 }
 
 /** Number of compare-exchange units in the n-input Batcher network

@@ -419,31 +419,43 @@ functionalEval(const DatapathInput &in, DistanceAccumulators &acc,
     return stage11(s);
 }
 
-DatapathOutput
+void
 nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
-           unsigned box_width)
+           DatapathOutput &out, unsigned box_width)
 {
-    DatapathOutput out;
+    // Every field is written: the fields of the other opcodes read as
+    // functionalEval leaves them, zero.
     out.op = in.op;
     out.tag = in.tag;
+    if (in.op != Opcode::RayBox)
+        out.box = {};
+    if (in.op != Opcode::RayTriangle)
+        out.tri = {};
+    out.euclidean_accumulator = 0;
+    out.euclidean_reset = false;
+    out.angular_dot_product = 0;
+    out.angular_norm = 0;
+    out.angular_reset = false;
     switch (in.op) {
       case Opcode::RayBox:
-        out.box = golden::rayBoxN(in.ray, in.boxes, box_width);
+        golden::rayBoxN(in.ray, in.boxes, box_width, out.box);
         break;
       case Opcode::RayTriangle:
-        out.tri = golden::rayTriangle(in.ray, in.tri);
+        golden::rayTriangle(in.ray, in.tri, out.tri);
         if (isNaNF32(out.tri.t_num) || isNaNF32(out.tri.t_den) ||
             isNaNF32(out.tri.uvw[0]) || isNaNF32(out.tri.uvw[1]) ||
             isNaNF32(out.tri.uvw[2]))
-            return functionalEval(in, acc, box_width);
+            out = functionalEval(in, acc, box_width);
         break;
       case Opcode::Euclidean: {
         // Stage 10's accumulation, one host add into the register.
         const F32 sum = toBits(
             fromBits(decode(acc.euclid)) +
             fromBits(golden::euclideanBeat(in.vec_a, in.vec_b, in.mask)));
-        if (isNaNF32(sum))
-            return functionalEval(in, acc, box_width);
+        if (isNaNF32(sum)) {
+            out = functionalEval(in, acc, box_width);
+            break;
+        }
         out.euclidean_accumulator = sum;
         out.euclidean_reset = in.reset_accumulator;
         acc.euclid = in.reset_accumulator ? recZero() : recode(sum);
@@ -457,8 +469,10 @@ nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
             toBits(fromBits(decode(acc.dot)) + fromBits(beat.dot));
         const F32 norm =
             toBits(fromBits(decode(acc.norm)) + fromBits(beat.norm));
-        if (isNaNF32(dot) || isNaNF32(norm))
-            return functionalEval(in, acc, box_width);
+        if (isNaNF32(dot) || isNaNF32(norm)) {
+            out = functionalEval(in, acc, box_width);
+            break;
+        }
         out.angular_dot_product = dot;
         out.angular_norm = norm;
         out.angular_reset = in.reset_accumulator;
@@ -467,7 +481,6 @@ nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
         break;
       }
     }
-    return out;
 }
 
 } // namespace rayflex::core

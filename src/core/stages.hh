@@ -113,7 +113,9 @@ DatapathOutput functionalEval(const DatapathInput &in,
  * The engines' evaluator: the same result as functionalEval, output and
  * accumulators bit for bit, computed with the golden host-float kernels
  * (core::golden) instead of the softfloat stage chain. Used by the RT
- * unit's issue lanes and the functional BVH and k-NN traversals.
+ * unit's issue lanes and the functional BVH and k-NN traversals. It
+ * writes every field of the caller's `out`, so a reused destination
+ * keeps nothing of an earlier beat.
  *
  * Host binary32 arithmetic under -ffp-contract=off rounds every add and
  * mul exactly as the datapath does, so every non-NaN result is
@@ -127,9 +129,18 @@ DatapathOutput functionalEval(const DatapathInput &in,
  * an infinite inv_dir is the normal case for an axis-aligned ray, and
  * infinities are exact values in both models.
  */
-DatapathOutput nativeEval(const DatapathInput &in,
-                          DistanceAccumulators &acc,
-                          unsigned box_width = kBoxesPerOp);
+void nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
+                DatapathOutput &out, unsigned box_width = kBoxesPerOp);
+
+/** nativeEval, returning the result. */
+inline DatapathOutput
+nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
+           unsigned box_width = kBoxesPerOp)
+{
+    DatapathOutput out;
+    nativeEval(in, acc, out, box_width);
+    return out;
+}
 
 } // namespace rayflex::core
 

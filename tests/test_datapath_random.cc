@@ -11,6 +11,9 @@
  * geometric reference additionally bounds the FP32 answers away from
  * degenerate geometry.
  */
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/datapath.hh"
@@ -364,6 +367,136 @@ TEST(NativeEval, MultiBeatJobsWithNaNAndInfMatchFunctional)
     }
     EXPECT_EQ(cmp.mismatches, 0u) << "of " << cmp.beats << " beats";
     EXPECT_GT(cmp.nan_outputs, 0u) << "the NaN fallback never ran";
+}
+
+TEST(NativeEval, InPlaceIntoDirtyDestinationMatchesFunctional)
+{
+    // nativeEval writes every field of its destination. Each beat is
+    // evaluated into a destination filled with 0xFF bytes and into one
+    // holding a result of another opcode, from equal accumulators, and
+    // both must equal functionalEval field for field. Box beats run at
+    // every width; triangle and distance beats include the ones that
+    // take the NaN fallback.
+    WorkloadGen gen(0xD1E7);
+    DistanceAccumulators fn_acc, native_acc;
+    std::array<DatapathOutput, 4> previous{}; // the last result per opcode
+    size_t beats = 0, mismatches = 0, fallbacks = 0;
+    auto check = [&](const DatapathInput &in, unsigned box_width) {
+        const DatapathOutput fn = functionalEval(in, fn_acc, box_width);
+        DatapathOutput ones;
+        std::memset(static_cast<void *>(&ones), 0xFF, sizeof ones);
+        DatapathOutput other = previous[(size_t(in.op) + 1) % 4];
+        DistanceAccumulators other_acc = native_acc;
+        nativeEval(in, native_acc, ones, box_width);
+        nativeEval(in, other_acc, other, box_width);
+        previous[size_t(in.op)] = fn;
+        ++beats;
+        auto same_acc = [&](const DistanceAccumulators &a) {
+            return a.euclid.bits == fn_acc.euclid.bits &&
+                   a.dot.bits == fn_acc.dot.bits &&
+                   a.norm.bits == fn_acc.norm.bits;
+        };
+        const bool same = ones == fn && other == fn &&
+                          same_acc(native_acc) && same_acc(other_acc);
+        if (!same && mismatches++ < 5)
+            ADD_FAILURE() << "beat " << beats - 1 << " ("
+                          << opcodeName(in.op) << ", box width "
+                          << box_width << ")";
+        bool nan = isNaNF32(fn.euclidean_accumulator) ||
+                   isNaNF32(fn.angular_dot_product) ||
+                   isNaNF32(fn.angular_norm) || isNaNF32(fn.tri.t_num) ||
+                   isNaNF32(fn.tri.t_den);
+        for (rayflex::fp::F32 x : fn.tri.uvw)
+            nan = nan || isNaNF32(x);
+        fallbacks += nan;
+    };
+    for (int i = 0; i < 600; ++i) {
+        DatapathInput box = (i & 1) ? gen.adversarialRayBoxOp(i)
+                                    : gen.rayBoxOp(i);
+        for (size_t b = kBoxesPerOp; b < kMaxBoxesPerOp; ++b)
+            box.boxes[b] = gen.box();
+        for (unsigned w = 1; w <= kMaxBoxesPerOp; ++w)
+            check(box, w);
+        check((i & 1) ? gen.adversarialRayTriangleOp(i)
+                      : gen.rayTriangleOp(i),
+              kBoxesPerOp);
+        const bool last = i % 3 == 2;
+        for (DatapathInput dist : {gen.euclideanOp(last, i),
+                                   gen.cosineOp(last, i)}) {
+            // One beat in eight carries a NaN: the accumulators take
+            // the fallback, and keep the NaN until the job's reset.
+            if (i % 8 == 0)
+                dist.vec_b[i % kCosineWidth] = rayflex::fp::kDefaultNaN;
+            check(dist, kBoxesPerOp);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << beats << " beats";
+    EXPECT_GT(fallbacks, 0u) << "the NaN fallback never ran";
+}
+
+namespace
+{
+
+/** One binary32 field for a box beat: ±0, a subnormal, ±inf, a NaN
+ *  (quiet or signaling, random payload and sign) or, half the time, a
+ *  normal of magnitude 2^-8..2^7. */
+rayflex::fp::F32
+specialValue(WorkloadGen &gen)
+{
+    using rayflex::fp::packF32;
+    const uint64_t r = gen.engine()();
+    const bool neg = r & 1;
+    const uint32_t frac = uint32_t(r >> 8) % 0x7FFFFFu;
+    switch ((r >> 1) % 8) {
+      case 0: return packF32(neg, 0, 0);
+      case 1: return packF32(neg, 0, 1 + frac);
+      case 2: return packF32(neg, 0xFF, 0);
+      case 3: return packF32(neg, 0xFF, 1 + frac);
+      default: return packF32(neg, 119 + uint32_t(r >> 40) % 16, frac);
+    }
+}
+
+} // namespace
+
+TEST(NativeEval, SpecialValueBoxBeatsMatchFunctional)
+{
+    // Every field a box beat reads (origin, inv_dir, t_beg, t_end and
+    // both corners of every box) is drawn from specialValue, at every
+    // box width. NaNs enter as inputs, not only through 0 * inf or
+    // inf - inf, so this pins the native kernel's one NaN flag: a NaN
+    // anywhere in a slot's slab test is a miss keyed +inf.
+    WorkloadGen gen(0x5BEC);
+    NativeVsFunctional cmp;
+    size_t hits = 0, nan_inputs = 0;
+    for (int i = 0; i < 4000; ++i) {
+        DatapathInput in;
+        in.op = Opcode::RayBox;
+        in.tag = uint64_t(i);
+        std::vector<rayflex::fp::F32 *> fields = {&in.ray.t_beg,
+                                                  &in.ray.t_end};
+        for (int d = 0; d < 3; ++d) {
+            fields.push_back(&in.ray.origin[d]);
+            fields.push_back(&in.ray.inv_dir[d]);
+            for (Box &b : in.boxes) {
+                fields.push_back(&b.lo[d]);
+                fields.push_back(&b.hi[d]);
+            }
+        }
+        bool nan = false;
+        for (rayflex::fp::F32 *f : fields) {
+            *f = specialValue(gen);
+            nan = nan || isNaNF32(*f);
+        }
+        nan_inputs += nan;
+        const unsigned w = 1 + unsigned(i) % kMaxBoxesPerOp;
+        cmp.check(in, w);
+        const BoxResult out = golden::rayBoxN(in.ray, in.boxes, w);
+        for (unsigned b = 0; b < w; ++b)
+            hits += out.hit[b];
+    }
+    EXPECT_EQ(cmp.mismatches, 0u) << "of " << cmp.beats << " beats";
+    EXPECT_GT(hits, 0u) << "no slot hit";
+    EXPECT_GT(nan_inputs, 0u) << "no NaN was drawn";
 }
 
 // ----- FP32 vs double-precision geometric reference -----

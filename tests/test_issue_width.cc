@@ -343,8 +343,9 @@ TEST(MultiIssue, SchedulerStatParityWithOneOccupancyPackets)
     Bvh4 bvh = buildBvh4(tris, params);
     for (const WideNode &n : bvh.nodes)
         for (const auto &c : n.child)
-            if (c.kind == WideNode::Kind::Leaf)
+            if (c.kind == WideNode::Kind::Leaf) {
                 ASSERT_EQ(c.count, 1u); // the parity precondition
+            }
 
     const Ray probes[] = {
         makeRay(20.3f, 0.3f, 50.0f, 0, 0, -1, 0.0f, 100.0f), // hit
