@@ -9,11 +9,10 @@
  * summary quoted in Section VII-A.
  *
  * An optional argument names a JSON output file in the
- * google-benchmark shape scripts/bench_compare.py consumes
- * ({"benchmarks": [{"name", <counters>}]}), so CI can threshold-gate
- * the area trajectory like every perf bench:
+ * google-benchmark shape ({"benchmarks": [{"name", <counters>}]});
+ * ctest checks it against bench/baselines/bench_fig7_area.json:
  *
- *     bench_fig7_area BENCH_area.json
+ *     bench_fig7_area area.json
  */
 #include <cstdio>
 

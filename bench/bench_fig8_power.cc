@@ -9,10 +9,10 @@
  * drives the power model.
  *
  * An optional argument names a JSON output file in the
- * google-benchmark shape scripts/bench_compare.py consumes, so CI can
- * threshold-gate the power trajectory:
+ * google-benchmark shape; ctest checks it against
+ * bench/baselines/bench_fig8_power.json:
  *
- *     bench_fig8_power BENCH_power.json
+ *     bench_fig8_power power.json
  */
 #include <cstdio>
 

@@ -8,7 +8,8 @@
  * bit-identical neighbor lists (tests/test_knn.cc pins them to the
  * golden brute-force scan), so the sweep varies cost only: the
  * cycles_per_query and pruning counters are simulated quantities,
- * bit-deterministic, and gated by bench_compare.py in CI.
+ * bit-deterministic, and checked exactly against
+ * bench/baselines/bench_knn.counters.
  */
 #include <benchmark/benchmark.h>
 

@@ -472,7 +472,7 @@ BM_IssueWidthSweep(benchmark::State &state)
         double(rep.unit.packet.compactions);
     // Top-down issue-slot attribution (obs::SlotAccounting): where the
     // non-issued slots went, so a regression here can say WHICH
-    // bottleneck moved — bench_compare.py gates stall_mem_slots_per_ray.
+    // bottleneck moved.
     const obs::SlotAccounting &sl = rep.unit.slots;
     state.counters["issued_slots_per_ray"] =
         double(sl[obs::Slot::Issued]) / n;
@@ -595,8 +595,7 @@ BM_StreamingMixSweep(benchmark::State &state)
     // probe rays riding the frame's packets — at identical hit
     // records and near-identical aggregate cycles_per_ray (packing
     // reshuffles batch composition, not the work). All latencies are
-    // simulated cycles, so every counter here is bit-deterministic
-    // and gated tightly by bench_compare.py in CI.
+    // simulated cycles, so every counter here is bit-deterministic.
     const unsigned clients = unsigned(state.range(0));
     const bool packing = state.range(1) != 0;
     const Bvh4 &bvh = benchScene();

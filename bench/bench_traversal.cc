@@ -4,8 +4,9 @@
  * datapath over procedural scenes (the workload class that motivates
  * the paper's Fig. 2 / Fig. 3 structure), now run through the sharded
  * batch simulation engine. Reports datapath beats per ray, utilization,
- * sensitivity to ray-buffer size and node-fetch latency, and host-side
- * thread scaling of the engine.
+ * and sensitivity to ray-buffer size and node-fetch latency. Every
+ * number is modeled, so the output is deterministic; worker scaling is
+ * measured by bench_sim_engine's BM_EngineCycleAccurate.
  */
 #include <cstdio>
 
@@ -46,8 +47,7 @@ runScene(const char *name, std::vector<SceneTriangle> tris)
 
     // One batch per scene: the engine reproduces the unsharded
     // single-unit run exactly, so the per-ray cycle numbers stay
-    // comparable with the seed's. The thread-scaling section below is
-    // where sharding across cores is measured.
+    // comparable with the seed's.
     sim::EngineConfig cfg;
     cfg.batch_size = 0;
     sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
@@ -103,28 +103,6 @@ main()
                    100.0 * rep.unit.utilization());
         }
     }
-
-    // Host-side scaling: the same workload at increasing worker counts.
-    printf("\n=== Engine thread scaling (terrain scene, %zu rays) ===\n",
-           rays.size());
-    printf("%-8s %10s %12s %9s\n", "threads", "wall ms", "rays/s",
-           "speedup");
-    double base = 0;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        sim::EngineConfig cfg;
-        cfg.threads = threads;
-        cfg.batch_size = 50;
-        sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
-        if (threads == 1)
-            base = rep.elapsed_seconds;
-        printf("%-8u %10.1f %12.0f %8.2fx\n", rep.threads_used,
-               1e3 * rep.elapsed_seconds, rep.raysPerSecond(),
-               rep.elapsed_seconds > 0
-                   ? base / rep.elapsed_seconds
-                   : 0.0);
-    }
-    printf("(speedup tracks the physical core count; results are "
-           "bit-identical at every row)\n");
 
     printf("\nTakeaway: a single 11-stage II=1 datapath needs tens of "
            "rays in flight to stay\nbusy under realistic node-fetch "

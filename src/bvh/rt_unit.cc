@@ -79,10 +79,6 @@ validate(const RtUnitConfig &cfg)
         throw std::invalid_argument(
             "RtUnitConfig::ray_buffer_entries must be at least 1 (no "
             "slot could ever hold a ray)");
-    if (cfg.mem_requests_per_cycle == 0)
-        throw std::invalid_argument(
-            "RtUnitConfig::mem_requests_per_cycle must be at least 1 (no "
-            "node fetch could ever issue)");
 }
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
@@ -212,18 +208,18 @@ RtUnit::fetchAddr(const WorkItem &w) const
 
 /** Route one slot's fetch to memory: straight to the L1 when the MSHR
  *  file is disabled (the legacy unbounded path, bit-for-bit), else
- *  merge-or-allocate through the file. `issued` is the memory-issue
- *  bandwidth consumed this cycle; merges are free (they ride an
- *  in-flight fill instead of going to memory). The current cycle rides
- *  into MemoryModel::access so a chip-mode L1 can anchor its SharedL2
- *  requests (bank queues, in-flight merges) on the lock-step chip
- *  clock; single-unit backends ignore it. The access's phase breakdown
+ *  merge-or-allocate through the file. One request reaches the L1 per
+ *  cycle; `issued` says whether this cycle's has gone. Merges are free
+ *  (they ride an in-flight fill instead of going to memory). The
+ *  current cycle rides into MemoryModel::access so a chip-mode L1 can
+ *  anchor its SharedL2 requests (bank queues, in-flight merges) on the
+ *  lock-step chip clock; single-unit backends ignore it. The access's phase breakdown
  *  becomes absolute boundaries on the queued request — what
  *  classifyIdle() attributes stalled slots against. A refusal parks the
  *  slot unless a trace sink wants the event of every retry. */
 bool
 RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
-                   unsigned &issued)
+                   bool &issued)
 {
     const uint32_t bytes =
         w.is_leaf ? w.count * kTriStrideBytes : kNodeStrideBytes;
@@ -256,7 +252,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
             parked_.insert(slot);
         return false; // back-pressure: slot retries next cycle
     }
-    if (mshr && issued >= cfg_.mem_requests_per_cycle)
+    if (mshr && issued)
         return false;
     AccessBreakdown bd;
     const unsigned lat = mem_->access(addr, bytes, now_, &bd);
@@ -267,7 +263,7 @@ RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
     mem_queue_.push_back(req);
     mem_next_done_ = std::min(mem_next_done_, req.done_cycle);
     ++stats_.mem_requests;
-    ++issued;
+    issued = true;
     if (trace_)
         trace_->record({now_, trace_unit_, obs::TraceEvent::FetchIssue,
                         addr, uint64_t(slot)});
@@ -727,7 +723,7 @@ void
 RtUnit::issueFetches(bool &changed)
 {
     const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
-    unsigned issued = 0;
+    bool issued = false;
     bool full = false;
     const auto fileFull = [&](size_t from) {
         full = true;
@@ -740,7 +736,7 @@ RtUnit::issueFetches(bool &changed)
     for (size_t i = full ? need.nextNotIn(0, parked_) : need.next(0);
          i != SlotSet::npos;
          i = full ? need.nextNotIn(i + 1, parked_) : need.next(i + 1)) {
-        if (!mshrs_.enabled() && issued >= cfg_.mem_requests_per_cycle)
+        if (!mshrs_.enabled() && issued)
             break;
         if (holdForCompaction(i)) {
             changed = true;

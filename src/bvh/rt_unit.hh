@@ -54,7 +54,6 @@ struct RtUnitConfig
     unsigned ray_buffer_entries = 32; ///< rays concurrently in flight
     /** Node fetch latency, cycles (MemBackend::FixedLatency). */
     unsigned mem_latency = 20;
-    unsigned mem_requests_per_cycle = 1;
     TraversalMode mode = TraversalMode::Closest;
 
     /** Datapath issue lanes, 1..kMaxIssueWidth. The unit issues up to
@@ -89,8 +88,7 @@ struct RtUnitConfig
 };
 
 /** Reject a configuration under which no ray can ever retire:
- *  ray_buffer_entries == 0 (no slot to hold one) or
- *  mem_requests_per_cycle == 0 (no fetch ever issues). Every other
+ *  ray_buffer_entries == 0 (no slot to hold one). Every other
  *  out-of-range knob is clamped (see ARCHITECTURE.md).
  *  @throws std::invalid_argument naming the offending knob. */
 void validate(const RtUnitConfig &cfg);
@@ -401,10 +399,11 @@ class RtUnit : public pipeline::Component
     uint64_t fetchAddr(const WorkItem &w) const;
     /** Route one fetch of `addr` through the MSHR file (when enabled)
      *  or straight to the L1. @return true when the fetch left the
-     *  slot (allocated or merged); false on MSHR-full or exhausted
-     *  mem-issue bandwidth, leaving the slot in NeedFetch. */
+     *  slot (allocated or merged); false on MSHR-full or when this
+     *  cycle's one L1 request is taken, leaving the slot in
+     *  NeedFetch. */
     bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
-                    unsigned &issued);
+                    bool &issued);
     /** Step (c): walk the NeedFetch slots and issue their fetches;
      *  sets `changed` on an issue, merge or compaction hold. */
     void issueFetches(bool &changed);

@@ -45,7 +45,6 @@ enum Knob : size_t {
     kIssueWidth,
     kRayBuffer,
     kMshrs,
-    kMemRequests,
     kCache,
     kCacheLine,
     kCacheSets,
@@ -82,7 +81,6 @@ const std::array<KnobSpec, kNumKnobs> kSpecs{{
     {"issue_width", {1, 2, 3, 4, 8}},
     {"ray_buffer_entries", {32, 1, 3, 8, 64}},
     {"mshrs", {0, 1, 2, 8}},
-    {"mem_requests_per_cycle", {1, 2, 3, 8}},
     {"cache", {0, 1}},
     {"cache_line", {64, 0, 16, 48, 128}},
     {"cache_sets", {16, 0, 1, 5, 64}},
@@ -152,7 +150,6 @@ engineConfig(const Config &c, unsigned threads)
     cfg.rt.issue_width = c[kIssueWidth];
     cfg.rt.ray_buffer_entries = c[kRayBuffer];
     cfg.rt.mshrs = c[kMshrs];
-    cfg.rt.mem_requests_per_cycle = c[kMemRequests];
     if (c[kCache]) {
         cfg.rt.mem_backend = MemBackend::NodeCache;
         cfg.rt.cache = kProbeCache4KiB;

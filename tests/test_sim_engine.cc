@@ -364,10 +364,9 @@ TEST(SimEngine, MaxCyclesMessageNamesTheStuckUnitAndSlot)
 
 TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
 {
-    // Zero ray-buffer entries or zero memory requests per cycle can
-    // never retire a ray: both are rejected when the engine or the unit
-    // is built, naming the knob, instead of spinning to the cycle
-    // budget. The small budget keeps a regression from hanging.
+    // Zero ray-buffer entries can never retire a ray: the config is
+    // rejected when the engine or the unit is built, naming the knob,
+    // instead of spinning to the cycle budget. The small budget keeps a regression from hanging.
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 8);
 
@@ -401,10 +400,6 @@ TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
     sim::EngineConfig no_entries = cfg;
     no_entries.rt.ray_buffer_entries = 0;
     expectRejected(no_entries, "ray_buffer_entries");
-
-    sim::EngineConfig no_requests = cfg;
-    no_requests.rt.mem_requests_per_cycle = 0;
-    expectRejected(no_requests, "mem_requests_per_cycle");
 }
 
 TEST(SimEngine, RtModeOnAnEngineConfigIsRejectedAtConstruction)
