@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the output of `perfbench/run.py --workload all --seed 1`.
+"""Check the output of `perfbench/run.py --workload all --seed N`.
 
 The output must hold exactly one JSON result line per workload (three),
 and every result must report "correct": true and "failed": 0. run.py
@@ -8,10 +8,11 @@ itself exits non-zero on a build failure or a NONDETERMINISM verdict
 missing outputs.
 
 Each workload's output digest, and in an untraced run its four modeled
-metrics, must also equal bench/baselines/perfbench_seed1.json exactly:
-they are simulated, so they do not depend on the host or on --seconds.
-To re-baseline, write the run's values into that file and say why in
-CHANGES.md.
+metrics, must also equal bench/baselines/perfbench_seed<N>.json for the
+run's seed N exactly: they are simulated, so they do not depend on the
+host or on --seconds. Seeds 1 and 7919 (held out) are committed; a run
+at a seed with no committed baseline fails. To re-baseline, write the
+run's values into the seed's file and say why in CHANGES.md.
 
 Usage:
     check_perfbench.py OUTPUT.txt
@@ -26,8 +27,8 @@ import sys
 WORKLOADS = 3
 MODELED = ("items_per_kcycle", "energy_nj_per_item",
            "p50_job_latency_kcycles", "p95_job_latency_kcycles")
-BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                        "bench", "baselines", "perfbench_seed1.json")
+BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "bench", "baselines")
 
 
 def modeled(lines):
@@ -65,11 +66,17 @@ def main():
         return 1
 
     got, seeds = modeled(lines)
-    if seeds != {1}:
-        print("perfbench: seeds %s; the baseline holds seed 1"
+    if len(seeds) != 1:
+        print("perfbench: seeds %s; one run holds one seed"
               % sorted(seeds), file=sys.stderr)
         return 1
-    with open(BASELINE) as f:
+    baseline = os.path.normpath(os.path.join(
+        BASELINES, "perfbench_seed%d.json" % seeds.pop()))
+    if not os.path.exists(baseline):
+        print("perfbench: no baseline %s is committed for this seed"
+              % baseline, file=sys.stderr)
+        return 1
+    with open(baseline) as f:
         want = json.load(f)
     diffs = ["%s %s: baseline %r, this run %r"
              % (w, k, want.get(w, {}).get(k), v)
@@ -81,7 +88,7 @@ def main():
                      % (sorted(want), sorted(got)))
     if diffs:
         print("perfbench: modeled output differs from %s:\n  %s"
-              % (os.path.normpath(BASELINE), "\n  ".join(diffs)),
+              % (baseline, "\n  ".join(diffs)),
               file=sys.stderr)
         return 1
     return 0

@@ -9,11 +9,13 @@
  * mask; fetchArrived() expands the item into datapath beats (one
  * ray-box beat per active lane, or one ray-triangle beat per
  * (triangle, active lane) pair, triangle-major so each lane sees the
- * leaf in leaf order); handleResult() folds results back in issue
- * order; completeItem() merges per-lane box results into child items
- * (mask = lanes whose slab test hit the child, pushed farthest-first
- * by minimum entry distance, or in the datapath's order at width 1)
- * and retires lanes whose pending work dropped to zero.
+ * leaf in leaf order) and, for a node, tests every active lane's ray
+ * against the four child boxes at once; handleResult() folds results
+ * back as the beats drain, evaluating triangle beats there;
+ * completeItem() turns the node visit into child items (mask = lanes
+ * whose slab test hit the child, pushed farthest-first by minimum
+ * entry distance, or in the datapath's order at width 1) and retires
+ * lanes whose pending work dropped to zero.
  *
  * All decisions are pure functions of the admitted rays and the BVH:
  * no clocks, no host pointers, no randomness — the packet inherits the
@@ -50,6 +52,7 @@ PacketTraversal::admit(std::deque<PendingRay> &queue)
         Lane &ln = lanes_[n_lanes_];
         ln = Lane{};
         ln.ray = pr.ray;
+        ln.slab = golden::SlabRay(pr.ray);
         ln.ray_id = pr.ray_id;
         ln.job = pr.job;
         ln.t_beg = fromBits(pr.ray.t_beg);
@@ -179,11 +182,42 @@ PacketTraversal::fetchArrived()
         for (unsigned r = 0; r < n_lanes_; ++r)
             if (live_ & (1u << r))
                 pending_.push_back({uint8_t(r), 0});
-        const WideNode &node = bvh_.nodes[cur_.index];
-        for (size_t c = 0; c < node_boxes_.size(); ++c)
-            node_boxes_[c] = node.child[c].kind == WideNode::Kind::Empty
-                                 ? emptySlotBox()
-                                 : node.child[c].bounds.toIoBox();
+        visitNode();
+    }
+}
+
+void
+PacketTraversal::visitNode()
+{
+    const WideNode &node = bvh_.nodes[cur_.index];
+    std::array<Box, 4> boxes;
+    for (size_t c = 0; c < boxes.size(); ++c)
+        boxes[c] = node.child[c].kind == WideNode::Kind::Empty
+                       ? emptySlotBox()
+                       : node.child[c].bounds.toIoBox();
+    const golden::Box4 box4(boxes.data());
+
+    // One 4-wide slab test per live lane, inverted into per-slot
+    // tables: the lanes that hit each child, and the nearest of their
+    // entry distances, where a later lane replaces only a strictly
+    // nearer one.
+    visit_.hit = {};
+    visit_.nearest = golden::splat(std::numeric_limits<float>::infinity());
+    for (unsigned r = 0; r < n_lanes_; ++r) {
+        if (!(live_ & (1u << r)))
+            continue;
+        const golden::Slab4 s = golden::slab4(lanes_[r].slab, box4);
+        const golden::M32x4 hit = s.hit();
+        visit_.entry[r] = s.near;
+        visit_.nearest = golden::blend(hit & (s.near < visit_.nearest),
+                                       s.near, visit_.nearest);
+        for (size_t c = 0; c < 4; ++c)
+            visit_.hit[c] |= uint32_t(hit[c] & 1) << r;
+        if (width_ == 1) {
+            const auto recs = golden::quadSortSlots(s);
+            for (size_t k = 0; k < 4; ++k)
+                visit_.order[k] = recs[k].payload;
+        }
     }
 }
 
@@ -193,30 +227,14 @@ PacketTraversal::pruneDeadBeats()
     // Beats for lanes retired mid-leaf (any-hit) are never issued.
     // Pruning the whole queue (not just the front) never changes the
     // issued-beat sequence — dead beats would be skipped on their way
-    // to the front anyway — and keeps issuableCount()/writeBeat()
-    // indices dense for the multi-issue offer loop.
+    // to the front anyway — and keeps issuableCount() dense for the
+    // multi-issue offer loop.
     pending_.erase(std::remove_if(pending_.begin() + std::ptrdiff_t(next_),
                                   pending_.end(),
                                   [this](const PacketBeat &b) {
                                       return lanes_[b.lane].retired;
                                   }),
                    pending_.end());
-}
-
-void
-PacketTraversal::writeBeat(size_t j, uint64_t tag,
-                           core::DatapathInput &in) const
-{
-    const PacketBeat &b = pending_[next_ + j];
-    in.tag = tag;
-    in.ray = lanes_[b.lane].ray;
-    if (cur_.is_leaf) {
-        in.op = Opcode::RayTriangle;
-        in.tri = bvh_.tris[b.tri].toIoTriangle();
-    } else {
-        in.op = Opcode::RayBox;
-        std::copy(node_boxes_.begin(), node_boxes_.end(), in.boxes.begin());
-    }
 }
 
 PacketBeat
@@ -228,22 +246,23 @@ PacketTraversal::takeBeat()
 }
 
 void
-PacketTraversal::handleResult(const core::DatapathOutput &out,
-                              const PacketBeat &beat)
+PacketTraversal::handleResult(const PacketBeat &beat)
 {
     assert(outstanding_ > 0);
     --outstanding_;
     const PacketBeat &b = beat;
     Lane &ln = lanes_[b.lane];
 
-    if (out.op == Opcode::RayBox) {
-        box_res_[b.lane] = out.box;
-    } else if (!ln.retired) { // drop results for lanes dead mid-leaf
+    // A box beat's result is already in visit_; a triangle beat of a
+    // lane that retired mid-leaf (any-hit) is dropped unevaluated.
+    if (cur_.is_leaf && !ln.retired) {
         const SceneTriangle &tri = bvh_.tris[b.tri];
-        if (out.tri.hit) {
-            float den = fromBits(out.tri.t_den);
+        TriangleResult res;
+        nativeTriangle(ln.ray, tri.toIoTriangle(), res);
+        if (res.hit) {
+            float den = fromBits(res.t_den);
             if (den != 0.0f) {
-                float t = fromBits(out.tri.t_num) / den;
+                float t = fromBits(res.t_num) / den;
                 if (t >= ln.t_beg && t <= ln.t_max &&
                     replacesBest(t, tri.id, ln.best)) {
                     if (mode_ == TraversalMode::Any) {
@@ -258,9 +277,9 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
                         ln.best.hit = true;
                         ln.best.t = t;
                         ln.best.triangle_id = tri.id;
-                        float u = fromBits(out.tri.uvw[0]);
-                        float v = fromBits(out.tri.uvw[1]);
-                        float w = fromBits(out.tri.uvw[2]);
+                        float u = fromBits(res.uvw[0]);
+                        float v = fromBits(res.uvw[1]);
+                        float w = fromBits(res.uvw[2]);
                         ln.best.u = u / den;
                         ln.best.v = v / den;
                         ln.best.w = w / den;
@@ -417,29 +436,6 @@ PacketTraversal::mergeBoxResults()
 {
     const WideNode &node = bvh_.nodes[cur_.index];
 
-    // Invert each live lane's sorted result into per-slot tables: the
-    // lanes whose slab test hit the child, their entry distances, and
-    // the nearest of them (taken in lane order). A box width above four
-    // also tests slots past the node's children; they are no child.
-    std::array<uint32_t, 4> hit_mask{};
-    std::array<float, 4> nearest;
-    nearest.fill(std::numeric_limits<float>::infinity());
-    std::array<std::array<float, kMaxPacketWidth>, 4> entry{};
-    for (unsigned r = 0; r < n_lanes_; ++r) {
-        if (!(live_ & (1u << r)))
-            continue;
-        const BoxResult &br = box_res_[r];
-        for (size_t i = 0; i < 4; ++i) {
-            const size_t slot = br.order[i];
-            if (slot >= node.child.size() || !br.hit[slot])
-                continue;
-            const float d = fromBits(br.sorted_dist[i]);
-            hit_mask[slot] |= 1u << r;
-            entry[slot][r] = d;
-            nearest[slot] = std::min(nearest[slot], d);
-        }
-    }
-
     // One candidate child per slot some lane hit. Rule (b): a width-1
     // packet takes its children in the QuadSort network's nearest-first
     // order, ties as the network leaves them; wider packets order the
@@ -455,20 +451,21 @@ PacketTraversal::mergeBoxResults()
     size_t n_cands = 0;
     bool split = false;
     for (size_t k = 0; k < 4; ++k) {
-        const size_t slot = datapath_order ? box_res_[0].order[k] : k;
+        const size_t slot = datapath_order ? visit_.order[k] : k;
         if (node.child[slot].kind == WideNode::Kind::Empty ||
-            hit_mask[slot] == 0)
+            visit_.hit[slot] == 0)
             continue;
-        if (hit_mask[slot] != live_)
+        if (visit_.hit[slot] != live_)
             split = true; // the children partition the packet
         // Keys are never NaN (a NaN slab is a miss keyed +inf), so
         // (key, slot) is a strict total order. Candidates arrive in
         // slot order, so a tie stays behind the lower slot.
+        const float key = visit_.nearest[slot];
         size_t at = n_cands++;
         if (!datapath_order)
-            for (; at > 0 && nearest[slot] < cands[at - 1].key; --at)
+            for (; at > 0 && key < cands[at - 1].key; --at)
                 cands[at] = cands[at - 1];
-        cands[at] = {nearest[slot], slot};
+        cands[at] = {key, slot};
     }
     if (split)
         ++stats_->divergence_splits;
@@ -481,11 +478,13 @@ PacketTraversal::mergeBoxResults()
         it.is_leaf = child.kind == WideNode::Kind::Leaf;
         it.index = child.index;
         it.count = it.is_leaf ? child.count : 0;
-        it.mask = hit_mask[slot];
-        it.entry = entry[slot];
-        for (unsigned r = 0; r < n_lanes_; ++r)
-            if (it.mask & (1u << r))
+        it.mask = visit_.hit[slot];
+        for (unsigned r = 0; r < n_lanes_; ++r) {
+            if (it.mask & (1u << r)) {
+                it.entry[r] = visit_.entry[r][slot];
                 ++lanes_[r].pending;
+            }
+        }
     }
 }
 

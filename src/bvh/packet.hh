@@ -11,7 +11,13 @@
  * tracking divergence. The datapath interface is unchanged: a packet
  * visiting a node issues one ray-box beat per active ray (SIMD-style
  * multi-ray AABB beats, pipelined back-to-back), and a leaf issues the
- * usual ray-triangle beats per (triangle, active ray) pair.
+ * usual ray-triangle beats per (triangle, active ray) pair. The beats
+ * carry only timing: a node visit is evaluated once, when its fetch
+ * arrives, as one 4-wide slab test per active ray against the node's
+ * four child boxes (core::golden::slab4), and a triangle beat is
+ * evaluated when its result drains, from the lane's ray and the BVH's
+ * triangle. Neither operand can change in between: a packet stays in
+ * its issue phase until every beat has drained.
  *
  * A width-1 packet is the scalar schedule — one independent ray per
  * ray-buffer slot, a full node fetch per ray — under two rules keyed
@@ -46,6 +52,7 @@
 #include <vector>
 
 #include "bvh/traversal.hh"
+#include "core/golden.hh"
 #include "core/io_spec.hh"
 
 namespace rayflex::bvh
@@ -72,9 +79,9 @@ struct PendingRay
 /** One datapath beat of a packet's current work item: which member
  *  lane it tests and, for leaf items, which triangle. The RT unit
  *  holds the accepted beat in its per-datapath-lane in-flight queue
- *  and hands it back to handleResult() with the datapath output, so
- *  result routing never depends on cross-lane arrival order (the
- *  multi-issue datapath drains several lanes per cycle). */
+ *  and hands it back to handleResult() when it drains, so result
+ *  routing never depends on cross-lane arrival order (the multi-issue
+ *  datapath drains several lanes per cycle). */
 struct PacketBeat
 {
     uint8_t lane = 0;
@@ -173,7 +180,7 @@ struct PacketStats
  * PacketConfig::width rays. The RT unit owns a vector of these and
  * drives them through four service points — memory
  * (needsFetch/fetchIssued/fetchArrived), datapath issue
- * (issuableCount/writeBeat/takeBeat, up to issue_width beats per
+ * (issuableCount/beatOp/takeBeat, up to issue_width beats per
  * cycle), datapath drain (handleResult) and refill (admit) — and reads
  * the packet's state only after one of them changed it. Between work
  * items (compactable()) a divergence-thinned packet can absorb()
@@ -210,8 +217,9 @@ class PacketTraversal
     uint32_t fetchCount() const { return cur_.count; }
     /** The fetch left for memory; counts the visit into PacketStats. */
     void fetchIssued();
-    /** The fetch returned; builds the beat list for the datapath (and,
-     *  for a node, converts its child boxes once for every beat). */
+    /** The fetch returned; builds the beat list for the datapath. A
+     *  node is visited here: every live lane's ray is tested against
+     *  its four child boxes, into nodeVisit(). */
     void fetchArrived();
 
     // ---- datapath service ----------------------------------------------
@@ -231,23 +239,45 @@ class PacketTraversal
             return outstanding_ == 0 && pending ? 1 : 0;
         return pending;
     }
-    /** Write pending beat `j`'s operands into `in`, in place; `tag` is
-     *  echoed on the datapath output so the unit can route the result
-     *  back here. Only the fields of the beat's opcode are written:
-     *  the datapath reads no other. */
-    void writeBeat(size_t j, uint64_t tag, core::DatapathInput &in) const;
+    /** The opcode of the current item's beats. */
+    core::Opcode
+    beatOp() const
+    {
+        return cur_.is_leaf ? core::Opcode::RayTriangle
+                            : core::Opcode::RayBox;
+    }
     /** The first pending beat was accepted by a datapath lane: count
      *  it outstanding. A cycle's offers are a prefix of the pending
      *  beats and every offer is accepted, so the unit takes them front
      *  first. @return the beat, which rides the lane's delay line
      *  beside its result. */
     PacketBeat takeBeat();
-    /** Fold one datapath result back into the packet. `beat` is the
-     *  value takeBeatAt() returned when this result's input was
-     *  accepted — the lane's delay line carries it, so routing
-     *  is explicit rather than inferred from arrival order. */
-    void handleResult(const core::DatapathOutput &out,
-                      const PacketBeat &beat);
+    /** One beat's result drained: fold it back into the packet. `beat`
+     *  is the value takeBeat() returned when the beat was accepted —
+     *  the lane's delay line carries it, so routing is explicit rather
+     *  than inferred from arrival order. A box beat counts the visit
+     *  down; a triangle beat is evaluated here, for a lane still live,
+     *  with core::nativeTriangle. */
+    void handleResult(const PacketBeat &beat);
+
+    /** One node visit's slab results, written when the node's fetch
+     *  arrives and read when its last box beat drains. */
+    struct NodeVisit
+    {
+        /** Per child slot, the live lanes whose ray hit its box. */
+        std::array<uint32_t, 4> hit{};
+        /** Per child slot, the nearest entry distance of those lanes
+         *  (taken in lane order, +inf when none hit). */
+        core::golden::F32x4 nearest;
+        /** Per live lane, its entry distance to each child slot
+         *  (meaningful where the lane hit). */
+        std::array<core::golden::F32x4, kMaxPacketWidth> entry;
+        /** Width 1 only: the slots in the datapath's QuadSort order,
+         *  misses last (rule (b)). */
+        std::array<uint8_t, 4> order{};
+    };
+    /** The current node visit (valid in the issue phase of a node). */
+    const NodeVisit &nodeVisit() const { return visit_; }
 
     // ---- occupancy-driven compaction -----------------------------------
     /** Lanes admitted and not yet retired. */
@@ -297,6 +327,7 @@ class PacketTraversal
     struct Lane
     {
         core::Ray ray;
+        core::golden::SlabRay slab; ///< the ray's slab form
         uint32_t ray_id = 0;
         uint32_t job = 0; ///< submission stream (stats only)
         HitRecord best;
@@ -308,6 +339,10 @@ class PacketTraversal
 
     void popNext();
     void completeItem();
+    /** Test every live lane's ray against the current node's four
+     *  child boxes into visit_ (one 4-wide slab test per lane). */
+    void visitNode();
+    /** Push the visited node's hit children as stack items. */
     void mergeBoxResults();
     /** Drop every pending beat whose lane has retired; such beats are
      *  never issued. Only an any-hit lane retires while its leaf still
@@ -337,10 +372,7 @@ class PacketTraversal
     size_t next_ = 0;
     unsigned outstanding_ = 0; ///< accepted beats not yet resolved
                                ///< (held in the unit's delay lines)
-    /** A fetched node's child boxes in datapath form (empty slots as
-     *  emptySlotBox()), the same for every box beat of the visit. */
-    std::array<core::Box, 4> node_boxes_{};
-    std::array<core::BoxResult, kMaxPacketWidth> box_res_;
+    NodeVisit visit_;
 
     std::vector<std::pair<uint32_t, HitRecord>> completed_;
 };

@@ -9,8 +9,8 @@
  * (d) refills free ray-buffer slots from the submission queue. A lane
  * is a delay line, not a skid chain: the unit always accepts results,
  * so the chain could never back-pressure, and a beat's result is
- * computed once when its lane accepts it and drains
- * core::kPipelineLatency cycles later (RtUnit::Lane).
+ * evaluated once and drains core::kPipelineLatency cycles after its
+ * lane accepts it (RtUnit::Lane).
  *
  * advance() is the one cycle loop for both schedulers. It does the
  * slot accounting, MSHR retirement, completion-ordered fill and fetch
@@ -81,15 +81,25 @@ validate(const RtUnitConfig &cfg)
             "slot could ever hold a ray)");
 }
 
+void
+validate(const core::DatapathConfig &dp)
+{
+    if (dp.box_width != kBoxesPerOp)
+        throw std::invalid_argument(
+            "DatapathConfig::box_width must be " +
+            std::to_string(kBoxesPerOp) + " in an RT unit (the arity of "
+            "the BVH it traverses), not " + std::to_string(dp.box_width));
+}
+
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg)
-    : pipeline::Component("rt-unit"), bvh_(bvh),
-      box_width_(dp.config().box_width), cfg_(cfg),
+    : pipeline::Component("rt-unit"), bvh_(bvh), cfg_(cfg),
       mem_(makeMemoryModel(cfg.mem_backend, cfg.mem_latency, cfg.cache)),
       mshrs_(cfg.mshrs),
       tri_base_(uint64_t(bvh.nodes.size()) * kNodeStrideBytes)
 {
     validate(cfg_);
+    validate(dp.config());
     cfg_.packet.width =
         std::clamp(cfg_.packet.width, 1u, kMaxPacketWidth);
     cfg_.issue_width =
@@ -346,6 +356,7 @@ RtUnit::publishKnn()
                      e.metric, (uint64_t(job.slot) << 32) | job.tri,
                      job.next_beat, lane.in);
         lane.offer = job.slot;
+        lane.op = lane.in.op;
     }
 }
 
@@ -531,8 +542,8 @@ RtUnit::compactPackets()
  *  packets in slot order (first-ready; round-robin would be fairer,
  *  first-ready is sufficient for utilization studies); one packet with
  *  several pending beats may fill several lanes in one cycle — the
- *  SIMD-style multi-ray beats of the wavefront scheduler. Each beat is
- *  written into its lane's input in place. */
+ *  SIMD-style multi-ray beats of the wavefront scheduler. A ray beat
+ *  carries no operands: the lane records only its slot and opcode. */
 void
 RtUnit::publishPacket()
 {
@@ -541,10 +552,11 @@ RtUnit::publishPacket()
          i != SlotSet::npos && lane < lanes_.size();
          i = offerable_.next(i + 1)) {
         const PacketTraversal &p = packets_[i];
-        const size_t nb = p.issuableCount();
-        for (size_t j = 0; j < nb && lane < lanes_.size(); ++j, ++lane) {
-            p.writeBeat(j, i, lanes_[lane].in);
+        const size_t end = std::min(lanes_.size(), lane + p.issuableCount());
+        const Opcode op = p.beatOp();
+        for (; lane < end; ++lane) {
             lanes_[lane].offer = i;
+            lanes_[lane].op = op;
         }
     }
 }
@@ -648,7 +660,7 @@ RtUnit::drainLane(const core::DatapathOutput &out,
         // current item, push children and retire lanes whose work ran
         // out.
         PacketTraversal &p = packets_[packet.slot];
-        p.handleResult(out, packet.beat);
+        p.handleResult(packet.beat);
         drainCompleted(p);
     }
     refreshSlot(packet.slot);
@@ -823,14 +835,14 @@ RtUnit::advance(uint64_t cycle)
     // ascending lane order: a slot's offers are a prefix of its pending
     // beats or candidates, so each take is the slot's front.
     obs::Slot idle_cause = obs::Slot::kCount;
-    std::array<const core::DatapathInput *, kMaxIssueWidth> accepted{};
+    std::array<bool, kMaxIssueWidth> accepted{};
     std::array<InflightBeat, kMaxIssueWidth> taken{};
     for (size_t l = 0; l < lanes_.size(); ++l) {
         const Lane &lane = lanes_[l];
         if (lane.offer != kNoOffer) {
-            accepted[l] = &lane.in;
+            accepted[l] = true;
             ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(accepted[l]->op)];
+            ++stats_.beats_by_op[size_t(lane.op)];
             ++stats_.slots[obs::Slot::Issued];
             changed = true;
         } else {
@@ -845,9 +857,12 @@ RtUnit::advance(uint64_t cycle)
         if (accepted[l])
             taken[l] = acceptLane(l);
 
-    // (b) Per lane, drain the result due this cycle, then evaluate the
-    // beat accepted in (a) (still where publish() put it) in place into
-    // its delay-line entry, due kPipelineLatency cycles from now. Then
+    // (b) Per lane, drain the result due this cycle, then enter the
+    // beat accepted in (a) into the delay line, due kPipelineLatency
+    // cycles from now. A k-NN beat (still where publish() put it) is
+    // evaluated in place into its entry now, so the lane's
+    // accumulators see beats in acceptance order; a ray beat carries
+    // only its packet beat, which its packet evaluates. Then
     // occupancy-driven repacking at fetch boundaries, before new
     // fetches are issued for the packets involved.
     for (size_t l = 0; l < lanes_.size(); ++l) {
@@ -861,7 +876,8 @@ RtUnit::advance(uint64_t cycle)
             Lane::Pending &entry = lane.push();
             entry.due = now_ + kPipelineLatency;
             entry.packet = taken[l];
-            nativeEval(*accepted[l], lane.acc, entry.out, box_width_);
+            if (knnMode())
+                nativeEval(lane.in, lane.acc, entry.out);
         }
     }
     changed = compactPackets() || changed;

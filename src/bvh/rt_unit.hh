@@ -93,6 +93,12 @@ struct RtUnitConfig
  *  @throws std::invalid_argument naming the offending knob. */
 void validate(const RtUnitConfig &cfg);
 
+/** Reject a datapath whose box width is not core::kBoxesPerOp, the
+ *  arity of the BVH the unit traverses: a narrower op would never test
+ *  the last children, and a wider one would test boxes no node has.
+ *  @throws std::invalid_argument naming box_width. */
+void validate(const core::DatapathConfig &dp);
+
 /** Per-run statistics. */
 struct RtUnitStats
 {
@@ -206,8 +212,8 @@ class RtUnit : public pipeline::Component
     /** The lanes implement `dp.config()`; `dp` itself is only read
      *  for its configuration and never ticked (its activity() and
      *  stages() stay zero).
-     *  @throws std::invalid_argument when validate(cfg) rejects the
-     *  configuration. */
+     *  @throws std::invalid_argument when validate(cfg) or
+     *  validate(dp.config()) rejects the configuration. */
     RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
            const RtUnitConfig &cfg = {});
 
@@ -372,7 +378,9 @@ class RtUnit : public pipeline::Component
      *  @return the beat's slot and the packet beat taken (default in
      *  k-NN mode), which ride the delay line beside its result. */
     InflightBeat acceptLane(size_t l);
-    /** Step (b): a lane produced `out` for the beat `packet` names. */
+    /** Step (b): the beat `packet` names drained from its lane. `out`
+     *  is a k-NN beat's result; a ray beat carries none, and its
+     *  packet evaluates it. */
     void drainLane(const core::DatapathOutput &out,
                    const InflightBeat &packet);
     /** Step (c): the work item slot `i` fetches (valid in NeedFetch). */
@@ -502,7 +510,6 @@ class RtUnit : public pipeline::Component
     void publishPacket();
 
     const Bvh4 &bvh_;
-    unsigned box_width_; ///< the lanes' DatapathConfig::box_width
     RtUnitConfig cfg_;
     std::unique_ptr<MemoryModel> mem_;
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
@@ -626,18 +633,22 @@ class RtUnit : public pipeline::Component
      * chain. The unit's consumer side is always ready, so that chain
      * never back-pressures: every offered beat is accepted and its
      * result leaves exactly kPipelineLatency cycles later. The lane
-     * therefore keeps only the timing (a delay line of due cycles) and
-     * computes each value once, at acceptance, with core::nativeEval
-     * and the lane's own accumulators, straight into its delay-line
-     * entry. Lanes are in order and stages 9 and 10 hold separate
-     * registers, so every accumulator sees its beats in the same order
-     * as in the chain.
+     * therefore keeps only the timing (a delay line of due cycles).
+     * A ray beat carries no operands, only its packet beat: its packet
+     * tests a node's boxes when the fetch arrives and a triangle when
+     * the beat drains, and neither operand changes in between. A k-NN
+     * beat is evaluated once, at acceptance, with core::nativeEval and
+     * the lane's own accumulators, straight into its delay-line entry.
+     * Lanes are in order and stages 9 and 10 hold separate registers,
+     * so every accumulator sees its beats in the same order as in the
+     * chain.
      */
     struct Lane
     {
         /** The slot of this cycle's offer, or kNoOffer (publish). */
         size_t offer = kNoOffer;
-        core::DatapathInput in; ///< the offered beat, written in place
+        core::Opcode op = core::Opcode::RayBox; ///< the offer's opcode
+        core::DatapathInput in; ///< the offered k-NN beat, in place
         core::DistanceAccumulators acc;
         KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)
 
@@ -647,8 +658,8 @@ class RtUnit : public pipeline::Component
         struct Pending
         {
             uint64_t due = 0;
-            core::DatapathOutput out;
-            InflightBeat packet; ///< the beat's packet slot (ray runs)
+            InflightBeat packet; ///< the beat's slot and packet beat
+            core::DatapathOutput out; ///< a k-NN beat's result
         };
         std::array<Pending, core::kPipelineLatency> line;
         unsigned head = 0;

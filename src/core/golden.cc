@@ -13,100 +13,44 @@
 #include <cmath>
 #include <utility>
 
-#include "core/quadsort.hh"
-
 namespace rayflex::core::golden
 {
 
 using namespace rayflex::fp;
 
+SlabRay::SlabRay(const Ray &ray)
+    : t_beg(fromBits(ray.t_beg)), t_end(fromBits(ray.t_end)),
+      nan(std::isnan(t_beg) | std::isnan(t_end))
+{
+    for (int d = 0; d < 3; ++d) {
+        org[d] = fromBits(ray.origin[d]);
+        inv[d] = fromBits(ray.inv_dir[d]);
+    }
+}
+
+Box4::Box4(const Box *boxes)
+{
+    for (int d = 0; d < 3; ++d) {
+        lo[d] = F32x4{fromBits(boxes[0].lo[d]), fromBits(boxes[1].lo[d]),
+                      fromBits(boxes[2].lo[d]), fromBits(boxes[3].lo[d])};
+        hi[d] = F32x4{fromBits(boxes[0].hi[d]), fromBits(boxes[1].hi[d]),
+                      fromBits(boxes[2].hi[d]), fromBits(boxes[3].hi[d])};
+    }
+}
+
+std::array<SortRecord<uint8_t>, kBoxesPerOp>
+quadSortSlots(const Slab4 &s)
+{
+    const M32x4 key = s.key();
+    std::array<SortRecord<uint8_t>, kBoxesPerOp> recs;
+    for (size_t b = 0; b < kBoxesPerOp; ++b)
+        recs[b] = {F32(key[b]), static_cast<uint8_t>(b)};
+    sortNetworkUnrolled<kBoxesPerOp>(recs, HostGreater{});
+    return recs;
+}
+
 namespace
 {
-
-/** minProp's select, `a > b ? b : a`: the hardware comparator + mux
- *  for operands that are not NaN. */
-inline float
-selMin(float a, float b)
-{
-    return a > b ? b : a;
-}
-
-/** maxProp's select, `a < b ? b : a`, for operands that are not NaN. */
-inline float
-selMax(float a, float b)
-{
-    return a < b ? b : a;
-}
-
-/** The ray fields a slab test reads, as host floats, converted once
- *  per beat. */
-struct SlabRay
-{
-    float org[3], inv[3];
-    float t_beg, t_end;
-    bool nan; ///< t_beg or t_end is NaN
-
-    explicit SlabRay(const Ray &ray)
-        : t_beg(fromBits(ray.t_beg)), t_end(fromBits(ray.t_end)),
-          nan(std::isnan(t_beg) | std::isnan(t_end))
-    {
-        for (int d = 0; d < 3; ++d) {
-            org[d] = fromBits(ray.origin[d]);
-            inv[d] = fromBits(ray.inv_dir[d]);
-        }
-    }
-};
-
-/** One box's slab distances, and whether a NaN reached them. */
-struct Slab
-{
-    float near, far;
-    bool nan;
-
-    bool hit() const { return !nan & (near <= far); }
-};
-
-/**
- * The slab test of stages 2-4, branch-free. The hardware's min/max
- * propagate a NaN operand (minProp/maxProp); here the folds are plain
- * selects in the same operand order, which agree with them whenever no
- * operand is NaN, and a NaN anywhere sets one flag instead. A NaN near
- * or far distance is a miss in both models, so the flag is all the
- * verdict needs.
- */
-inline Slab
-slab(const SlabRay &r, const Box &box)
-{
-    float near_d[3], far_d[3];
-    bool nan = r.nan;
-    for (int d = 0; d < 3; ++d) {
-        // Same op order as stages 2-4: translate, multiply, swap.
-        const float t0 = (fromBits(box.lo[d]) - r.org[d]) * r.inv[d];
-        const float t1 = (fromBits(box.hi[d]) - r.org[d]) * r.inv[d];
-        nan |= std::isnan(t0) | std::isnan(t1);
-        near_d[d] = selMin(t0, t1);
-        far_d[d] = selMax(t0, t1);
-    }
-    const float near =
-        selMax(selMax(near_d[0], near_d[1]), selMax(near_d[2], r.t_beg));
-    const float far =
-        selMin(selMin(far_d[0], far_d[1]), selMin(far_d[2], r.t_end));
-    return {near, far, nan};
-}
-
-/** Slot b's stage-10 sort record: its entry distance on a hit, else
- *  +inf. A hit's distance is never NaN, and the host `>` orders every
- *  other key exactly as stage 10's fp::gtF32 does. */
-inline SortRecord<uint8_t>
-boxRecord(const SlabRay &r, const Box &box, size_t b, bool &hit)
-{
-    const Slab s = slab(r, box);
-    hit = s.hit();
-    // hit ? near : +inf, through a mask: no branch on the verdict.
-    const F32 on_hit = -F32(hit);
-    return {(toBits(s.near) & on_hit) | (kPosInf & ~on_hit),
-            static_cast<uint8_t>(b)};
-}
 
 /** Slots [from, kMaxBoxesPerOp) of a BoxResult: misses keyed +inf in
  *  slot order. */
@@ -132,29 +76,14 @@ writeSorted(const std::array<SortRecord<uint8_t>, N> &recs, size_t n,
     }
 }
 
-/** rayBoxN at a width fixed at compile time: the slab tests and the
- *  sort network unrolled. */
-template <size_t W>
-void
-rayBoxUnrolled(const SlabRay &r,
-               const std::array<Box, kMaxBoxesPerOp> &boxes, BoxResult &out)
-{
-    std::array<SortRecord<uint8_t>, W> recs;
-    [&]<size_t... b>(std::index_sequence<b...>) {
-        ((recs[b] = boxRecord(r, boxes[b], b, out.hit[b])), ...);
-    }(std::make_index_sequence<W>{});
-    sortNetworkUnrolled<W>(recs, HostGreater{});
-    writeSorted(recs, W, out);
-    missFrom(W, out);
-}
-
 } // namespace
 
 BoxHit
 rayBox(const Ray &ray, const Box &box)
 {
-    const Slab s = slab(SlabRay(ray), box);
-    return {s.hit(), s.nan ? kDefaultNaN : toBits(s.near)};
+    const Box four[kBoxesPerOp] = {box, box, box, box};
+    const Slab4 s = slab4(SlabRay(ray), Box4(four));
+    return {s.hit()[0] != 0, s.nan[0] ? kDefaultNaN : toBits(s.near[0])};
 }
 
 void
@@ -163,12 +92,25 @@ rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
 {
     const SlabRay r(ray);
     if (width == kBoxesPerOp) {
-        rayBoxUnrolled<kBoxesPerOp>(r, boxes, out);
+        const Slab4 s = slab4(r, Box4(boxes.data()));
+        const M32x4 hit = s.hit();
+        for (size_t b = 0; b < kBoxesPerOp; ++b)
+            out.hit[b] = hit[b] != 0;
+        writeSorted(quadSortSlots(s), kBoxesPerOp, out);
+        missFrom(kBoxesPerOp, out);
         return;
     }
+    // Four slots per slab test; the slots of the last group at or past
+    // the width are computed and dropped.
     std::array<SortRecord<uint8_t>, kMaxBoxesPerOp> recs;
-    for (size_t b = 0; b < width; ++b)
-        recs[b] = boxRecord(r, boxes[b], b, out.hit[b]);
+    for (size_t base = 0; base < width; base += kBoxesPerOp) {
+        const Slab4 s = slab4(r, Box4(&boxes[base]));
+        const M32x4 hit = s.hit(), key = s.key();
+        for (size_t b = base; b < std::min<size_t>(width, base + kBoxesPerOp); ++b) {
+            out.hit[b] = hit[b - base] != 0;
+            recs[b] = {F32(key[b - base]), static_cast<uint8_t>(b)};
+        }
+    }
     sortNetwork(recs, width, HostGreater{});
     writeSorted(recs, width, out);
     missFrom(width, out);

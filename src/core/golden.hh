@@ -18,10 +18,12 @@
 #define RAYFLEX_CORE_GOLDEN_HH
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "core/io_spec.hh"
+#include "core/quadsort.hh"
 
 namespace rayflex::core::golden
 {
@@ -33,15 +35,122 @@ struct BoxHit
     F32 t_near = 0; ///< entry distance (meaningful when hit)
 };
 
+/** Four binary32 lanes, one per child slot of a 4-wide node. A GCC/Clang
+ *  vector extension type: the slab test below is one 4-wide operation
+ *  on any target, with no intrinsics and no target flags. */
+typedef float F32x4 __attribute__((vector_size(16)));
+/** A lane mask of F32x4: all ones where the lane's predicate holds. */
+typedef int32_t M32x4 __attribute__((vector_size(16)));
+
+/** Per lane, `a` where `m` is set, else `b`: a mask blend, so signed
+ *  zeros and NaN payloads pass through unchanged. Blending on a
+ *  compare of the same operands, as in slab4's selects, compiles to
+ *  one min or max instruction where the target has one that keeps the
+ *  select's operand order (SSE's minps/maxps). */
+inline F32x4
+blend(M32x4 m, F32x4 a, F32x4 b)
+{
+    return m ? a : b;
+}
+
+/** `x` in every lane. */
+inline F32x4
+splat(float x)
+{
+    return F32x4{x, x, x, x};
+}
+
+/** A ray's slab-test operands as host floats: its slab form, converted
+ *  once per ray. */
+struct SlabRay
+{
+    float org[3] = {}, inv[3] = {};
+    float t_beg = 0, t_end = 0;
+    bool nan = false; ///< t_beg or t_end is NaN
+
+    SlabRay() = default;
+    explicit SlabRay(const Ray &ray);
+};
+
+/** Four boxes in slab form: each corner coordinate of the four slots
+ *  as one vector, converted once per node. */
+struct Box4
+{
+    F32x4 lo[3], hi[3];
+
+    /** Slots 0..3 from boxes[0..3]. */
+    explicit Box4(const Box *boxes);
+};
+
+/** One ray's slab test against four boxes, per slot. */
+struct Slab4
+{
+    F32x4 near; ///< entry distance
+    F32x4 far;  ///< exit distance
+    M32x4 nan;  ///< all ones where a NaN reached the slot's test
+
+    /** All ones where the slot hits: no NaN and near <= far. */
+    M32x4 hit() const { return ~nan & (near <= far); }
+    /** Stage 10's sort key per slot, as F32 bits: the entry distance
+     *  on a hit, else +inf. A hit's distance is never NaN, and the host
+     *  `>` orders every other key exactly as stage 10's fp::gtF32. */
+    M32x4
+    key() const
+    {
+        return (M32x4)blend(hit(), near,
+                            splat(std::numeric_limits<float>::infinity()));
+    }
+};
+
+/**
+ * The slab test of stages 2-4 for one ray against four boxes, as one
+ * 4-wide operation with no branch on the data. The hardware's min/max
+ * propagate a NaN operand (minProp/maxProp); here the folds are mask
+ * blends in the operand order of the selects `a > b ? b : a` and
+ * `a < b ? b : a`, which agree with them whenever no operand is NaN,
+ * and a NaN anywhere in a slot's test sets that slot's lane of one
+ * mask instead. A NaN near or far distance is a miss in both models,
+ * so the mask is all the verdict needs. The one slab body of the
+ * golden model: rayBox, rayBoxN and a packet's node visit run it.
+ */
+inline Slab4
+slab4(const SlabRay &r, const Box4 &b)
+{
+    const auto selMin = [](F32x4 a, F32x4 c) { return blend(a > c, c, a); };
+    const auto selMax = [](F32x4 a, F32x4 c) { return blend(a < c, c, a); };
+    F32x4 near_d[3], far_d[3];
+    const int32_t ray_nan = -int32_t(r.nan);
+    M32x4 nan = {ray_nan, ray_nan, ray_nan, ray_nan};
+    for (int d = 0; d < 3; ++d) {
+        // Same op order as stages 2-4: translate, multiply, swap.
+        const F32x4 org = splat(r.org[d]), inv = splat(r.inv[d]);
+        const F32x4 t0 = (b.lo[d] - org) * inv;
+        const F32x4 t1 = (b.hi[d] - org) * inv;
+        nan |= (t0 != t0) | (t1 != t1);
+        near_d[d] = selMin(t0, t1);
+        far_d[d] = selMax(t0, t1);
+    }
+    return {selMax(selMax(near_d[0], near_d[1]),
+                   selMax(near_d[2], splat(r.t_beg))),
+            selMin(selMin(far_d[0], far_d[1]),
+                   selMin(far_d[2], splat(r.t_end))),
+            nan};
+}
+
+/** The four slots of a slab test as stage 10's sort records (key(),
+ *  slot), sorted by the QuadSort network on the host `>`: the
+ *  datapath's child order, misses last. */
+std::array<SortRecord<uint8_t>, kBoxesPerOp> quadSortSlots(const Slab4 &s);
+
 /** Golden slab ray-box test in FP32 with hardware NaN semantics. A NaN
  *  anywhere in the test is a miss with t_near = kDefaultNaN. */
 BoxHit rayBox(const Ray &ray, const Box &box);
 
 /** Golden multi-box test plus the stage-10 sort, written into every
  *  field of `out`. Slots at index >= width are reported as misses with
- *  +inf keys. The slab test and the sort network run without a branch
- *  on the data: a NaN slab is one flag that makes the slot a miss, and
- *  the compare-exchanges are selects. */
+ *  +inf keys. The slab tests run four slots at a time through slab4,
+ *  and the sort network's compare-exchanges are selects, so nothing
+ *  branches on the data. */
 void rayBoxN(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes,
              unsigned width, BoxResult &out);
 

@@ -420,6 +420,24 @@ functionalEval(const DatapathInput &in, DistanceAccumulators &acc,
 }
 
 void
+nativeTriangle(const Ray &ray, const Triangle &tri, TriangleResult &out)
+{
+    golden::rayTriangle(ray, tri, out);
+    if (isNaNF32(out.t_num) || isNaNF32(out.t_den) ||
+        isNaNF32(out.uvw[0]) || isNaNF32(out.uvw[1]) ||
+        isNaNF32(out.uvw[2])) {
+        // A triangle beat reads neither the accumulators nor the box
+        // width.
+        DatapathInput in;
+        in.op = Opcode::RayTriangle;
+        in.ray = ray;
+        in.tri = tri;
+        DistanceAccumulators acc;
+        out = functionalEval(in, acc).tri;
+    }
+}
+
+void
 nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
            DatapathOutput &out, unsigned box_width)
 {
@@ -441,11 +459,7 @@ nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
         golden::rayBoxN(in.ray, in.boxes, box_width, out.box);
         break;
       case Opcode::RayTriangle:
-        golden::rayTriangle(in.ray, in.tri, out.tri);
-        if (isNaNF32(out.tri.t_num) || isNaNF32(out.tri.t_den) ||
-            isNaNF32(out.tri.uvw[0]) || isNaNF32(out.tri.uvw[1]) ||
-            isNaNF32(out.tri.uvw[2]))
-            out = functionalEval(in, acc, box_width);
+        nativeTriangle(in.ray, in.tri, out.tri);
         break;
       case Opcode::Euclidean: {
         // Stage 10's accumulation, one host add into the register.

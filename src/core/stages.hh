@@ -132,6 +132,12 @@ DatapathOutput functionalEval(const DatapathInput &in,
 void nativeEval(const DatapathInput &in, DistanceAccumulators &acc,
                 DatapathOutput &out, unsigned box_width = kBoxesPerOp);
 
+/** nativeEval of one ray-triangle beat, straight from its operands:
+ *  golden::rayTriangle, re-evaluated with functionalEval when an
+ *  output is NaN. Writes every field of `out`. */
+void nativeTriangle(const Ray &ray, const Triangle &tri,
+                    TriangleResult &out);
+
 /** nativeEval, returning the result. */
 inline DatapathOutput
 nativeEval(const DatapathInput &in, DistanceAccumulators &acc,

@@ -84,6 +84,21 @@ WorkloadGen::triangle(float s)
                         v[1][2], v[2][0], v[2][1], v[2][2]);
 }
 
+F32
+WorkloadGen::specialValue()
+{
+    const uint64_t r = rng_();
+    const bool neg = r & 1;
+    const uint32_t frac = uint32_t(r >> 8) % 0x7FFFFFu;
+    switch ((r >> 1) % 8) {
+      case 0: return fp::packF32(neg, 0, 0);
+      case 1: return fp::packF32(neg, 0, 1 + frac);
+      case 2: return fp::packF32(neg, 0xFF, 0);
+      case 3: return fp::packF32(neg, 0xFF, 1 + frac);
+      default: return fp::packF32(neg, 119 + uint32_t(r >> 40) % 16, frac);
+    }
+}
+
 DatapathInput
 WorkloadGen::rayBoxOp(uint64_t tag)
 {

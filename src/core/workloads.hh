@@ -69,6 +69,11 @@ class WorkloadGen
     /** A random triangle with vertices in [-s,s]^3. */
     Triangle triangle(float s = 10.0f);
 
+    /** One special binary32 operand: ±0, a subnormal, ±inf, a NaN
+     *  (quiet or signaling, random payload and sign) or, half the
+     *  time, a normal of magnitude 2^-8..2^7. */
+    F32 specialValue();
+
     /** A ray-box input beat with four random boxes; roughly half the
      *  rays are aimed at one of the boxes so hits are frequent. */
     DatapathInput rayBoxOp(uint64_t tag = 0);

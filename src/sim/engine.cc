@@ -33,6 +33,8 @@ namespace rayflex::sim
 Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 {
     bvh::validate(cfg_.rt);
+    if (cfg_.model == ExecutionModel::CycleAccurate)
+        bvh::validate(cfg_.dp);
     // The executor sets each batch's traversal mode from the per-run
     // any-hit flag, so a mode set here would be silently dropped.
     if (cfg_.rt.mode != bvh::TraversalMode::Closest)

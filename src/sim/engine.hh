@@ -146,9 +146,10 @@ class Engine
 {
   public:
     /** @throws std::invalid_argument when bvh::validate rejects
-     *  cfg.rt (a configuration that could never retire a ray), or when
-     *  cfg.rt.mode is not Closest (the engine would ignore it; pass
-     *  any_hit to run()). */
+     *  cfg.rt (a configuration that could never retire a ray) or, under
+     *  the CycleAccurate model, cfg.dp (a box width the RT units cannot
+     *  traverse with), or when cfg.rt.mode is not Closest (the engine
+     *  would ignore it; pass any_hit to run()). */
     explicit Engine(const EngineConfig &cfg = {});
 
     /** Trace every ray against the BVH and merge the statistics.

@@ -434,34 +434,10 @@ TEST(NativeEval, InPlaceIntoDirtyDestinationMatchesFunctional)
     EXPECT_GT(fallbacks, 0u) << "the NaN fallback never ran";
 }
 
-namespace
-{
-
-/** One binary32 field for a box beat: ±0, a subnormal, ±inf, a NaN
- *  (quiet or signaling, random payload and sign) or, half the time, a
- *  normal of magnitude 2^-8..2^7. */
-rayflex::fp::F32
-specialValue(WorkloadGen &gen)
-{
-    using rayflex::fp::packF32;
-    const uint64_t r = gen.engine()();
-    const bool neg = r & 1;
-    const uint32_t frac = uint32_t(r >> 8) % 0x7FFFFFu;
-    switch ((r >> 1) % 8) {
-      case 0: return packF32(neg, 0, 0);
-      case 1: return packF32(neg, 0, 1 + frac);
-      case 2: return packF32(neg, 0xFF, 0);
-      case 3: return packF32(neg, 0xFF, 1 + frac);
-      default: return packF32(neg, 119 + uint32_t(r >> 40) % 16, frac);
-    }
-}
-
-} // namespace
-
 TEST(NativeEval, SpecialValueBoxBeatsMatchFunctional)
 {
     // Every field a box beat reads (origin, inv_dir, t_beg, t_end and
-    // both corners of every box) is drawn from specialValue, at every
+    // both corners of every box) is drawn from specialValue(), at every
     // box width. NaNs enter as inputs, not only through 0 * inf or
     // inf - inf, so this pins the native kernel's one NaN flag: a NaN
     // anywhere in a slot's slab test is a miss keyed +inf.
@@ -484,7 +460,7 @@ TEST(NativeEval, SpecialValueBoxBeatsMatchFunctional)
         }
         bool nan = false;
         for (rayflex::fp::F32 *f : fields) {
-            *f = specialValue(gen);
+            *f = gen.specialValue();
             nan = nan || isNaNF32(*f);
         }
         nan_inputs += nan;

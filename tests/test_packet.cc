@@ -13,6 +13,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <string>
+
 #include "bvh/packet.hh"
 #include "bvh/scene.hh"
 #include "core/raygen.hh"
@@ -376,4 +381,106 @@ TEST(PacketTraversal, PacketizedRenderPassesMatchScalar)
             bitIdentical(rep.bounce_hits[i], ref.bounce_hits[i])) << i;
     }
     EXPECT_GT(rep.unit.packet.packets_formed, 0u);
+}
+
+TEST(PacketTraversal, NodeVisitSlabMatchesGoldenAndFunctional)
+{
+    // A packet visits a node with one 4-wide slab test per live lane
+    // against the node's four child boxes. Per lane and slot, the
+    // visit's hit flag and entry-distance bits must equal the box beat
+    // the lane would issue, through golden::rayBoxN and functionalEval,
+    // at every packet width; so must each slot's nearest entry distance
+    // (taken in lane order) and, at width 1, the QuadSort order. Every
+    // field the slab reads (origin, inv_dir, t_beg, t_end and both
+    // corners of every child) is a special value: ±0, subnormals, ±inf
+    // and NaN payloads, which pin the blends' tie order and the NaN
+    // mask. Some slots are empty (emptySlotBox()) and some rays have
+    // t_end = +inf.
+    WorkloadGen gen(0x7151);
+    const auto special = [&] { return fp::fromBits(gen.specialValue()); };
+    size_t hits = 0, zero_entries = 0, nan_rays = 0;
+    for (int trial = 0; trial < 1200; ++trial) {
+        const unsigned width = 1 + unsigned(trial) % 8;
+        Bvh4 bvh;
+        bvh.nodes.resize(1);
+        bvh.tris.resize(1); // admit() needs a scene to traverse
+        std::array<Box, kMaxBoxesPerOp> boxes{};
+        for (size_t c = 0; c < 4; ++c) {
+            WideNode::Child &child = bvh.nodes[0].child[c];
+            if (gen.engine()() % 6 == 0) {
+                boxes[c] = emptySlotBox(); // child stays Kind::Empty
+                continue;
+            }
+            child.kind = WideNode::Kind::Leaf;
+            child.count = 1;
+            child.bounds.lo = {special(), special(), special()};
+            child.bounds.hi = {special(), special(), special()};
+            boxes[c] = child.bounds.toIoBox();
+        }
+        std::deque<PendingRay> queue;
+        for (unsigned r = 0; r < width; ++r) {
+            Ray ray;
+            for (int d = 0; d < 3; ++d) {
+                ray.origin[d] = gen.specialValue();
+                ray.inv_dir[d] = gen.specialValue();
+            }
+            ray.t_beg = gen.specialValue();
+            ray.t_end = r % 4 == 3 ? fp::kPosInf : gen.specialValue();
+            nan_rays += fp::isNaNF32(ray.t_beg) || fp::isNaNF32(ray.t_end);
+            queue.push_back({ray, r, 0});
+        }
+        const std::deque<PendingRay> rays = queue;
+
+        PacketStats stats;
+        PacketTraversal p(bvh, width, TraversalMode::Closest, &stats);
+        ASSERT_EQ(p.admit(queue), width);
+        ASSERT_TRUE(p.needsFetch());
+        ASSERT_FALSE(p.fetchIsLeaf());
+        p.fetchIssued();
+        p.fetchArrived();
+        const PacketTraversal::NodeVisit &v = p.nodeVisit();
+
+        std::array<float, 4> nearest;
+        nearest.fill(std::numeric_limits<float>::infinity());
+        for (unsigned r = 0; r < width; ++r) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " width " +
+                         std::to_string(width) + " lane " +
+                         std::to_string(r));
+            const BoxResult g =
+                golden::rayBoxN(rays[r].ray, boxes, unsigned(kBoxesPerOp));
+            DatapathInput in;
+            in.op = Opcode::RayBox;
+            in.ray = rays[r].ray;
+            in.boxes = boxes;
+            DistanceAccumulators acc;
+            ASSERT_EQ(functionalEval(in, acc).box, g);
+            for (size_t c = 0; c < 4; ++c) {
+                ASSERT_EQ(bool((v.hit[c] >> r) & 1), g.hit[c]) << "slot " << c;
+                if (!g.hit[c])
+                    continue;
+                const size_t at = size_t(
+                    std::find(g.order.begin(), g.order.end(), c) -
+                    g.order.begin());
+                ASSERT_EQ(toBits(v.entry[r][c]), g.sorted_dist[at])
+                    << "slot " << c;
+                const float d = fp::fromBits(g.sorted_dist[at]);
+                nearest[c] = d < nearest[c] ? d : nearest[c];
+                ++hits;
+                zero_entries += d == 0.0f;
+            }
+            if (width == 1) {
+                for (size_t k = 0; k < 4; ++k)
+                    ASSERT_EQ(v.order[k], g.order[k]) << "position " << k;
+            }
+        }
+        for (size_t c = 0; c < 4; ++c) {
+            if (v.hit[c]) {
+                ASSERT_EQ(toBits(v.nearest[c]), toBits(nearest[c]))
+                    << "trial " << trial << " slot " << c;
+            }
+        }
+    }
+    EXPECT_GT(hits, 0u) << "no slot hit";
+    EXPECT_GT(zero_entries, 0u) << "no ±0 entry distance";
+    EXPECT_GT(nan_rays, 0u) << "no NaN extent was drawn";
 }

@@ -367,26 +367,28 @@ TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
     // Zero ray-buffer entries can never retire a ray: the config is
     // rejected when the engine or the unit is built, naming the knob,
     // instead of spinning to the cycle budget. The small budget keeps a regression from hanging.
+    // So is a box width other than the BVH's arity: a narrower op never
+    // tests the last children (wrong hits), and a wider one tests
+    // boxes past the node's four.
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 8);
 
     const auto expectRejected = [&](const sim::EngineConfig &cfg,
-                                    const char *knob) {
+                                    const std::string &knob) {
         try {
             sim::Engine engine(cfg);
             engine.run(bvh, rays);
-            ADD_FAILURE() << knob << " = 0 was accepted";
+            ADD_FAILURE() << knob << " was accepted";
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
                 << e.what();
         } catch (const std::exception &e) {
-            ADD_FAILURE() << knob << " = 0 threw the wrong error: "
-                          << e.what();
+            ADD_FAILURE() << knob << " threw the wrong error: " << e.what();
         }
         core::RayFlexDatapath dp(cfg.dp);
         try {
             RtUnit unit(bvh, dp, cfg.rt);
-            ADD_FAILURE() << "RtUnit accepted " << knob << " = 0";
+            ADD_FAILURE() << "RtUnit accepted " << knob;
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
                 << e.what();
@@ -400,6 +402,13 @@ TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
     sim::EngineConfig no_entries = cfg;
     no_entries.rt.ray_buffer_entries = 0;
     expectRejected(no_entries, "ray_buffer_entries");
+
+    for (unsigned w : {1u, 2u, 6u, 8u}) {
+        SCOPED_TRACE("box_width " + std::to_string(w));
+        sim::EngineConfig wide = cfg;
+        wide.dp.box_width = w;
+        expectRejected(wide, "box_width");
+    }
 }
 
 TEST(SimEngine, RtModeOnAnEngineConfigIsRejectedAtConstruction)
