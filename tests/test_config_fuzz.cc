@@ -1,12 +1,18 @@
 /**
  * @file
- * Randomized differential test over the RT unit's knob space.
+ * Randomized differential test over the RT unit's knob space and its
+ * inputs.
  *
  * A fixed number of seeded random configurations (packet width and
  * compaction, issue width, ray-buffer size, MSHRs, fetch bandwidth,
  * memory backend and L1 geometry, chip units x L2 mode and L2
  * geometry, any-hit, k-NN, streaming, tracing) run small ray or k-NN
- * workloads, and each is checked against five oracles:
+ * workloads. Three more knobs draw the inputs: the scene (sphere plus
+ * soup, a tie-heavy torus, a soup with duplicated and coplanar
+ * triangles), the rays (camera and random, plus axis-aligned
+ * directions, empty extents and origins on the root box's faces) and
+ * the k-NN input (k = 3, duplicated points with k >= n, k = 0). Each
+ * config is checked against five oracles:
  *   1. cycle-accurate hits (or neighbor lists) equal the Functional
  *      model's;
  *   2. the reports at 1 and 3 workers are identical;
@@ -25,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -58,6 +65,9 @@ enum Knob : size_t {
     kKnn,
     kStream,
     kTrace,
+    kScene,
+    kRays,
+    kKnnInput,
     kNumKnobs,
 };
 
@@ -74,7 +84,9 @@ struct KnobSpec
  *  Geometry draws include zero and non-power-of-two values, which the
  *  memory models tolerate (a zero dimension caches nothing). k-NN takes
  *  precedence over streaming, which takes precedence over a plain
- *  engine ray run. */
+ *  engine ray run. scene, rays and knn_input select the inputs
+ *  (fuzzScene, fuzzRays, checkKnn); value 0 of each is the original
+ *  input set. */
 const std::array<KnobSpec, kNumKnobs> kSpecs{{
     {"packet_width", {1, 2, 4, 8}},
     {"compact_below", {0, 1, 2, 4}},
@@ -94,6 +106,9 @@ const std::array<KnobSpec, kNumKnobs> kSpecs{{
     {"knn", {0, 1}},
     {"stream", {0, 1}},
     {"trace", {0, 1}},
+    {"scene", {0, 1, 2}},
+    {"rays", {0, 1}},
+    {"knn_input", {0, 1, 2}},
 }};
 
 using Config = std::array<unsigned, kNumKnobs>;
@@ -168,20 +183,53 @@ engineConfig(const Config &c, unsigned threads)
     return cfg;
 }
 
+/** The scene of knob value `scene`: 0 a sphere plus a soup; 1 the
+ *  tie-heavy torus, whose shared vertices and 8-triangle leaves give
+ *  many equal-t hits; 2 a soup with a duplicate of half its triangles
+ *  (same vertices, new ids) and a fan of overlapping coplanar
+ *  triangles. */
 const Bvh4 &
-fuzzScene()
+fuzzScene(unsigned scene)
 {
-    static const Bvh4 bvh = [] {
+    static const std::array<Bvh4, 3> scenes = [] {
         auto tris = makeSphere({0, 0, 0}, 2.0f, 6, 8);
         auto soup = makeSoup(60, 5.0f, 0.8f, 23, uint32_t(tris.size()));
         tris.insert(tris.end(), soup.begin(), soup.end());
-        return buildBvh4(std::move(tris));
+
+        BuildParams big_leaves;
+        big_leaves.max_leaf_size = 8;
+
+        auto dup = makeSoup(40, 4.0f, 1.2f, 29);
+        for (uint32_t i = 0; i < 20; ++i) {
+            SceneTriangle t = dup[i];
+            t.id = 40 + i;
+            dup.push_back(t);
+        }
+        for (uint32_t i = 0; i < 12; ++i) {
+            const float a = 0.5236f * float(i), b = a + 1.0f;
+            const Vec3 rim_a{3 * std::cos(a), 0.5f, 3 * std::sin(a)};
+            const Vec3 rim_b{3 * std::cos(b), 0.5f, 3 * std::sin(b)};
+            // Both windings, so the fan faces rays from either side.
+            if (i % 2)
+                dup.push_back({{0, 0.5f, 0}, rim_a, rim_b, 60 + i});
+            else
+                dup.push_back({{0, 0.5f, 0}, rim_b, rim_a, 60 + i});
+        }
+        return std::array<Bvh4, 3>{
+            buildBvh4(std::move(tris)),
+            buildBvh4(makeTorus({0, 0, 0}, 2.5f, 0.8f, 24, 16), big_leaves),
+            buildBvh4(std::move(dup))};
     }();
-    return bvh;
+    return scenes[scene];
 }
 
+/** The rays of knob value `rays` on `bvh`: 0 camera and random rays;
+ *  1 those plus axis-aligned rays (an infinite inverse on two axes)
+ *  from the eye and the root box's centre, camera rays with an empty
+ *  extent (t_end = 0), rays from each root-box face's centre, inward
+ *  and along the face, and rays through scene vertices. */
 std::vector<core::Ray>
-fuzzRays()
+fuzzRays(const Bvh4 &bvh, unsigned kind)
 {
     Camera cam;
     cam.eye = {0.5f, 1.0f, 8.0f};
@@ -194,6 +242,36 @@ fuzzRays()
     core::WorkloadGen gen(77);
     for (int i = 0; i < 24; ++i)
         rays.push_back(gen.ray(6.0f));
+    if (kind == 0)
+        return rays;
+
+    const Aabb &box = bvh.root_bounds;
+    const Vec3 mid = box.centre();
+    const auto ray = [&](Vec3 o, Vec3 d, float t_end) {
+        rays.push_back(core::makeRay(o.x, o.y, o.z, d.x, d.y, d.z, 0.0f,
+                                     t_end));
+    };
+    for (int axis = 0; axis < 3; ++axis)
+        for (const float sign : {1.0f, -1.0f}) {
+            Vec3 d;
+            (axis == 0 ? d.x : axis == 1 ? d.y : d.z) = sign;
+            ray(cam.eye, d, 100.0f);
+            ray(mid, d, 100.0f);
+            // The face this direction leaves through: a ray from its
+            // centre back inward, and one along the face.
+            Vec3 face = mid;
+            (axis == 0 ? face.x : axis == 1 ? face.y : face.z) =
+                sign > 0 ? box.hi[axis] : box.lo[axis];
+            ray(face, d * -1.0f, 100.0f);
+            const Vec3 along{d.z, d.x, d.y};
+            ray(face, along, 100.0f);
+        }
+    for (unsigned x = 0; x < cam.width; x += 2)
+        rays.push_back(cam.primaryRay(x, cam.height / 2, 0.0f));
+    // Rays from the eye through 16 vertices: each hits every triangle
+    // sharing its vertex at one t.
+    for (size_t i = 0; i < bvh.tris.size(); i += bvh.tris.size() / 16 + 1)
+        ray(cam.eye, bvh.tris[i].v0 - cam.eye, 2.0f);
     return rays;
 }
 
@@ -218,15 +296,34 @@ checkSlots(const RtUnitStats &u, unsigned issue_width)
     return "";
 }
 
+/** The k-NN oracles on knob value `knn_input`: 0 a 90-point 8-D cloud
+ *  with k = 3; 1 a 12-point cloud with every point duplicated under a
+ *  new id and k >= n (every point is a neighbor, and equal distances
+ *  order by id); 2 the 90-point cloud with k = 0. */
 std::string
 checkKnn(const Config &c)
 {
-    const KnnIndex index = buildKnnIndex(makePointCloud(90, 8, 4, 5));
+    std::vector<DataPoint> cloud =
+        makePointCloud(c[kKnnInput] == 1 ? 12 : 90, 8, 4, 5);
+    const size_t n = cloud.size();
+    if (c[kKnnInput] == 1)
+        for (size_t i = 0; i < n; ++i) {
+            DataPoint twin = cloud[i];
+            twin.id = uint32_t(n + i);
+            cloud.push_back(std::move(twin));
+        }
+    const KnnIndex index = buildKnnIndex(cloud);
     std::vector<KnnQuery> queries;
-    for (DataPoint &p : makePointCloud(20, 8, 4, 6))
-        queries.push_back({std::move(p.coords), 3,
-                           queries.size() % 3 == 2 ? KnnMetric::Cosine
-                                                   : KnnMetric::Euclidean});
+    for (DataPoint &p : makePointCloud(20, 8, 4, 6)) {
+        const size_t q = queries.size();
+        // k >= n: every other query asks for more points than exist.
+        const uint32_t k = c[kKnnInput] == 0   ? 3
+                           : c[kKnnInput] == 2 ? 0
+                                               : uint32_t(cloud.size() + q % 2 * 5);
+        queries.push_back({std::move(p.coords), k,
+                           q % 3 == 2 ? KnnMetric::Cosine
+                                      : KnnMetric::Euclidean});
+    }
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
@@ -249,7 +346,7 @@ checkKnn(const Config &c)
 std::vector<sim::RenderJob>
 fuzzJobs(const Config &c)
 {
-    const std::vector<core::Ray> rays = fuzzRays();
+    const std::vector<core::Ray> rays = fuzzRays(fuzzScene(c[kScene]), c[kRays]);
     std::vector<sim::RenderJob> jobs;
     for (uint64_t j = 0; j < 3; ++j) {
         sim::RenderJob job;
@@ -272,7 +369,7 @@ checkStream(const Config &c)
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
     const sim::Engine functional(fcfg);
-    const Bvh4 &bvh = fuzzScene();
+    const Bvh4 &bvh = fuzzScene(c[kScene]);
     const sim::StreamReport one = sim::StreamingService::run(
         sim::Engine(engineConfig(c, 1)), bvh, fuzzJobs(c), scfg);
     const sim::StreamReport three = sim::StreamingService::run(
@@ -313,8 +410,8 @@ checkStream(const Config &c)
 std::string
 checkRays(const Config &c)
 {
-    const Bvh4 &bvh = fuzzScene();
-    const std::vector<core::Ray> rays = fuzzRays();
+    const Bvh4 &bvh = fuzzScene(c[kScene]);
+    const std::vector<core::Ray> rays = fuzzRays(bvh, c[kRays]);
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
