@@ -5,7 +5,6 @@
 #include "bvh/knn.hh"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 namespace rayflex::bvh
@@ -13,6 +12,7 @@ namespace rayflex::bvh
 
 using core::DatapathInput;
 using core::Opcode;
+using core::golden::knnCloser;
 using fp::toBits;
 
 KnnIndex
@@ -103,43 +103,106 @@ knnBoxLowerBound(const Aabb &box, const float *query, size_t dims)
     return lb;
 }
 
-void
-KnnTopK::offer(float score, uint32_t id)
+namespace
 {
-    if (k_ == 0)
+
+/** The frontier's min-heap order: true when `a` is visited after
+ *  `b`. */
+bool
+visitedAfter(const KnnFrontierItem &a, const KnnFrontierItem &b)
+{
+    return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
+}
+
+} // namespace
+
+float
+knnScore(const core::DatapathOutput &out)
+{
+    return out.op == Opcode::Euclidean
+               ? fp::fromBits(out.euclidean_accumulator)
+               : core::golden::knnAngularScore(
+                     fp::fromBits(out.angular_dot_product),
+                     fp::fromBits(out.angular_norm));
+}
+
+void
+KnnWalk::start(const KnnIndex &index, KnnQuery query, KnnStats &stats)
+{
+    index_ = &index;
+    query_ = std::move(query);
+    best_.clear();
+    frontier_.clear();
+    seq_ = 0;
+    if (index.points.empty() || query_.k == 0 || index.bvh.nodes.empty())
         return;
-    KnnNeighbor cand{score, id};
-    if (heap_.size() < k_) {
-        heap_.push_back(cand);
-        std::push_heap(heap_.begin(), heap_.end(),
-                       core::golden::knnCloser);
-        return;
+    frontier_.push_back({0.0, false, 0, 0, seq_++});
+    stats.frontier_peak = std::max<uint64_t>(stats.frontier_peak, 1);
+}
+
+bool
+KnnWalk::next(KnnFrontierItem &item, KnnStats &stats)
+{
+    if (frontier_.empty())
+        return false;
+    std::pop_heap(frontier_.begin(), frontier_.end(), visitedAfter);
+    item = frontier_.back();
+    frontier_.pop_back();
+    if (!prunable(item.lb))
+        return true;
+    // Heap-ordered frontier: once the best remaining item is prunable,
+    // so is everything behind it.
+    stats.pruned += 1 + frontier_.size();
+    frontier_.clear();
+    return false;
+}
+
+void
+KnnWalk::expand(uint32_t node, KnnStats &stats)
+{
+    ++stats.nodes_visited;
+    const bool bound = query_.metric == KnnMetric::Euclidean;
+    for (const WideNode::Child &c : index_->bvh.nodes[node].child) {
+        if (c.kind == WideNode::Kind::Empty)
+            continue;
+        const double lb =
+            bound ? knnBoxLowerBound(c.bounds, point(), index_->dims)
+                  : 0.0;
+        if (prunable(lb)) {
+            ++stats.pruned;
+            continue;
+        }
+        frontier_.push_back({lb, c.kind == WideNode::Kind::Leaf, c.index,
+                             c.count, seq_++});
+        std::push_heap(frontier_.begin(), frontier_.end(),
+                       visitedAfter);
     }
-    if (core::golden::knnCloser(cand, heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(),
-                      core::golden::knnCloser);
-        heap_.back() = cand;
-        std::push_heap(heap_.begin(), heap_.end(),
-                       core::golden::knnCloser);
+    stats.frontier_peak =
+        std::max<uint64_t>(stats.frontier_peak, frontier_.size());
+}
+
+void
+KnnWalk::offer(uint32_t tri, float score)
+{
+    const KnnNeighbor cand{score,
+                           index_->points[index_->bvh.tris[tri].id].id};
+    if (best_.size() < query_.k) {
+        best_.push_back(cand);
+        std::push_heap(best_.begin(), best_.end(), knnCloser);
+    } else if (knnCloser(cand, best_.front())) {
+        std::pop_heap(best_.begin(), best_.end(), knnCloser);
+        best_.back() = cand;
+        std::push_heap(best_.begin(), best_.end(), knnCloser);
     }
 }
 
 std::vector<KnnNeighbor>
-KnnTopK::sorted() const
+KnnWalk::neighbors() const
 {
-    std::vector<KnnNeighbor> out = heap_;
-    std::sort(out.begin(), out.end(), core::golden::knnCloser);
+    std::vector<KnnNeighbor> out = best_;
+    std::sort(out.begin(), out.end(), knnCloser);
     return out;
 }
-
-namespace
-{
-
-using Frontier =
-    std::priority_queue<KnnFrontierItem, std::vector<KnnFrontierItem>,
-                        KnnFrontierAfter>;
-
-} // namespace
 
 KnnResult
 KnnTraversal::search(const KnnQuery &query)
@@ -148,83 +211,32 @@ KnnTraversal::search(const KnnQuery &query)
         query.point.size() != index_.dims)
         throw std::invalid_argument("knn: query dimension mismatch");
 
-    KnnTopK topk;
-    topk.reset(query.k);
     ++stats_.queries;
-    if (index_.points.empty() || query.k == 0)
-        return {};
-
-    const bool prune = query.metric == KnnMetric::Euclidean;
-    const float *q = query.point.data();
+    KnnWalk walk;
+    walk.start(index_, query, stats_);
     const size_t beats = knnBeatsPerJob(index_.dims, query.metric);
     DatapathInput beat; // every candidate's beats are written here
-
-    Frontier frontier;
-    uint64_t seq = 0;
-    if (!index_.bvh.nodes.empty())
-        frontier.push({0.0, false, 0, 0, seq++});
-
-    auto note_peak = [&] {
-        if (frontier.size() > stats_.frontier_peak)
-            stats_.frontier_peak = frontier.size();
-    };
-    note_peak();
-
-    while (!frontier.empty()) {
-        KnnFrontierItem item = frontier.top();
-        frontier.pop();
-        if (prune && topk.full() &&
-            knnPrunable(item.lb, topk.radius())) {
-            // The frontier is ordered by lower bound: once the best
-            // remaining item is prunable, so is everything behind it.
-            stats_.pruned += 1 + frontier.size();
-            break;
-        }
+    core::DatapathOutput out{};
+    KnnFrontierItem item;
+    while (walk.next(item, stats_)) {
         if (!item.is_leaf) {
-            ++stats_.nodes_visited;
-            const WideNode &node = index_.bvh.nodes[item.index];
-            for (const WideNode::Child &c : node.child) {
-                if (c.kind == WideNode::Kind::Empty)
-                    continue;
-                double lb =
-                    prune ? knnBoxLowerBound(c.bounds, q, index_.dims)
-                          : 0.0;
-                if (prune && topk.full() &&
-                    knnPrunable(lb, topk.radius())) {
-                    ++stats_.pruned;
-                    continue;
-                }
-                frontier.push({lb,
-                               c.kind == WideNode::Kind::Leaf,
-                               c.index, c.count, seq++});
-            }
-            note_peak();
+            walk.expand(item.index, stats_);
             continue;
         }
         ++stats_.leaves_visited;
-        for (uint32_t t = item.index; t < item.index + item.count;
-             ++t) {
-            const DataPoint &p =
-                index_.points[index_.bvh.tris[t].id];
+        for (uint32_t t = item.index; t < item.index + item.count; ++t) {
+            const DataPoint &p = index_.points[index_.bvh.tris[t].id];
             ++stats_.candidates;
             stats_.distance_beats += beats;
-            core::DatapathOutput out{};
             for (size_t b = 0; b < beats; ++b) {
-                knnWriteBeat(q, p.coords.data(), index_.dims,
+                knnWriteBeat(walk.point(), p.coords.data(), index_.dims,
                              query.metric, p.id, b, beat);
                 out = core::nativeEval(beat, acc_);
             }
-            float score =
-                query.metric == KnnMetric::Euclidean
-                    ? fp::fromBits(out.euclidean_accumulator)
-                    : core::golden::knnAngularScore(
-                          fp::fromBits(out.angular_dot_product),
-                          fp::fromBits(out.angular_norm));
-            topk.offer(score, p.id);
+            walk.offer(t, knnScore(out));
         }
     }
-
-    return {topk.sorted()};
+    return {walk.neighbors()};
 }
 
 } // namespace rayflex::bvh

@@ -15,13 +15,15 @@
  *     coordinates, so the unmodified builder, validator and the RT
  *     unit's synthetic node/leaf address map all apply verbatim; a
  *     leaf "triangle" is one 48-byte candidate record.
- *   * KnnTraversal — the functional engine: best-first node visits
- *     ordered by a point-to-box lower bound, a search radius that
- *     shrinks as better neighbors arrive, and candidate distances
- *     evaluated through core::nativeEval — exactly the arithmetic
- *     the pipelined datapath implements. bvh::RtUnit runs the same
- *     algorithm cycle-accurately (see RtUnit's k-NN constructor) and
- *     returns bit-identical results.
+ *   * KnnWalk — one query's best-first walk: node visits ordered by a
+ *     point-to-box lower bound and a search radius that shrinks as
+ *     better neighbors arrive. It is written once and driven by both
+ *     models.
+ *   * KnnTraversal — the functional engine: a KnnWalk whose candidate
+ *     distances are evaluated through core::nativeEval — exactly the
+ *     arithmetic the pipelined datapath implements. bvh::RtUnit drives
+ *     the same walk cycle-accurately (see RtUnit's k-NN constructor)
+ *     and returns bit-identical results.
  *
  * Exactness contract: pruning only ever skips a subtree whose 3-D
  * lower bound (a true lower bound of every member's full-dimension
@@ -192,9 +194,7 @@ knnPrunable(double lb, float radius)
 /** One frontier entry of the best-first walk: a subtree (or leaf) and
  *  its lower bound. The insertion sequence number breaks lower-bound
  *  ties, so the visit order — and with it every statistic — is a pure
- *  function of the query, never of container internals. Shared by the
- *  functional KnnTraversal and the cycle-accurate RtUnit so the two
- *  walks cannot diverge structurally. */
+ *  function of the query, never of container internals. */
 struct KnnFrontierItem
 {
     double lb = 0.0;
@@ -204,59 +204,78 @@ struct KnnFrontierItem
     uint64_t seq = 0;
 };
 
-/** Min-heap comparator: true when `a` is visited after `b`. */
-struct KnnFrontierAfter
-{
-    bool
-    operator()(const KnnFrontierItem &a, const KnnFrontierItem &b) const
-    {
-        return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
-    }
-};
+/** The score of a distance job from the output of its final beat (the
+ *  one with the accumulator-reset echo): the squared Euclidean
+ *  distance, or core::golden::knnAngularScore of the cosine
+ *  accumulators. */
+float knnScore(const core::DatapathOutput &out);
 
-/** Bounded best-k set ordered by (score, id). The kept set is a pure
- *  function of the offered multiset — offer order never matters —
- *  which is what keeps out-of-order candidate completion in the
- *  cycle-accurate unit bit-identical to the sequential scan. */
-class KnnTopK
+/**
+ * One query's best-first walk over a KnnIndex: its frontier, its top-k
+ * set and the prune rule. The functional KnnTraversal and the RT unit's
+ * k-NN scheduler both drive it, so the two models pop, expand, prune
+ * and count alike; they differ only in when a candidate's score
+ * reaches the top-k set (at once, or when its last beat drains), which
+ * moves the radius a pop or an expansion prunes against.
+ */
+class KnnWalk
 {
   public:
-    KnnTopK() = default;
+    /** Start `query` over `index`: the root on the frontier, unless
+     *  the index is empty or k == 0, in which case there is nothing to
+     *  visit. The caller checks the query's dimension. */
+    void start(const KnnIndex &index, KnnQuery query, KnnStats &stats);
 
-    /** Start a query keeping the best `k`. */
-    void
-    reset(size_t k)
-    {
-        k_ = k;
-        heap_.clear();
-    }
+    /** Pop the next subtree or leaf to visit into `item`, in (lower
+     *  bound, push order) order. Under the Euclidean metric, once the
+     *  best remaining item cannot beat the radius, neither can any
+     *  behind it: all are counted pruned and dropped.
+     *  @return false when nothing is left to visit. */
+    bool next(KnnFrontierItem &item, KnnStats &stats);
 
-    void offer(float score, uint32_t id);
+    /** Visit internal node `node`: push each child the radius cannot
+     *  prune (by knnBoxLowerBound, Euclidean only), count the rest
+     *  pruned, and raise frontier_peak. */
+    void expand(uint32_t node, KnnStats &stats);
 
-    bool full() const { return heap_.size() >= k_; }
+    /** Offer leaf candidate `tri` (an index into the BVH's triangles)
+     *  at `score` to the best k, ordered by (score, id). The kept set is
+     *  a pure function of the offered multiset — offer order never
+     *  matters — which is what keeps out-of-order candidate completion
+     *  in the cycle-accurate unit bit-identical to the sequential
+     *  scan. */
+    void offer(uint32_t tri, float score);
 
-    /** Current k-th best score: the shrinking search radius. +inf
-     *  until k candidates have been seen. */
-    float
-    radius() const
-    {
-        return full() && k_ > 0
-                   ? heap_.front().score
-                   : std::numeric_limits<float>::infinity();
-    }
-
-    /** The kept neighbors sorted ascending by (score, id). */
-    std::vector<KnnNeighbor> sorted() const;
+    const float *point() const { return query_.point.data(); }
+    KnnMetric metric() const { return query_.metric; }
+    /** The neighbors found so far, sorted ascending by (score, id). */
+    std::vector<KnnNeighbor> neighbors() const;
 
   private:
-    size_t k_ = 0;
-    std::vector<KnnNeighbor> heap_; ///< max-heap on (score, id)
+    /** True when an item at lower bound `lb` cannot hold a neighbor
+     *  better than the current k-th best: the search radius, which
+     *  shrinks as better neighbors arrive. */
+    bool
+    prunable(double lb) const
+    {
+        return query_.metric == KnnMetric::Euclidean && query_.k > 0 &&
+               best_.size() >= query_.k &&
+               knnPrunable(lb, best_.front().score);
+    }
+
+    const KnnIndex *index_ = nullptr;
+    KnnQuery query_;
+    std::vector<KnnNeighbor> best_; ///< max-heap on (score, id)
+    /** Min-heap of unvisited subtrees and leaves, in visit order. */
+    std::vector<KnnFrontierItem> frontier_;
+    uint64_t seq_ = 0; ///< frontier tie-break sequence
 };
 
 /**
- * The functional k-NN engine: same node visits, same pruning bound and
- * bit-identical scores as the cycle-accurate RT unit, without timing.
- * Statistics accumulate over all queries since construction.
+ * The functional k-NN engine: the RT unit's walk (KnnWalk) and
+ * bit-identical scores, without timing. Each leaf's candidates are
+ * scored as soon as it is visited. Statistics accumulate over all
+ * queries since construction.
  */
 class KnnTraversal
 {

@@ -13,24 +13,30 @@
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. Two schedulers fill the ray buffer
- * under one cycle loop: the packet/wavefront scheduler
- * (RtUnitConfig::packet, bvh/packet.hh) groups coherent rays into
- * packets that share a traversal stack and one BVH fetch per visited
- * node, optionally repacking divergence-thinned packets
- * (PacketConfig::compact_below) — a packet of width 1 is the scalar
- * one-ray-per-slot schedule — and the k-NN scheduler walks a KnnIndex
- * per query. This is the model used to measure datapath utilization,
- * memory sensitivity and rays/cycle on real scenes.
+ * to one beat per lane per cycle. This is the model used to measure
+ * datapath utilization, memory sensitivity and rays/cycle on real
+ * scenes.
+ *
+ * The unit is one core under one of two schedulers. The core is the
+ * lanes and their delay lines, the MSHR file, the memory queue, the
+ * slot lists with their parking, slot attribution and the dead-cycle
+ * rule (nextEvent/skipTo); its cycle loop is a template over the
+ * scheduler, which the constructor picks (rt_unit.cc defines both): the
+ * packet scheduler groups coherent rays into packets
+ * (RtUnitConfig::packet, bvh/packet.hh) that share a traversal stack
+ * and one BVH fetch per visited node — a packet of width 1 is the
+ * scalar one-ray-per-slot schedule — and the k-NN scheduler runs one
+ * KnnWalk per query (bvh/knn.hh), the walk the functional KnnTraversal
+ * runs too.
  */
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
 
 #include <array>
 #include <bit>
-#include <deque>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bvh/knn.hh"
@@ -221,34 +227,36 @@ class RtUnit : public pipeline::Component
      * k-NN mode: the unit walks `index` for submitKnn() queries
      * instead of tracing rays. Same memory system (shared L1, MSHR
      * file, optional chip-level L2 via attachSharedL2) and the same
-     * synthetic address map over index.bvh; node expansion and the
-     * best-first frontier live in the unit while every candidate
+     * synthetic address map over index.bvh; each query's best-first
+     * walk (KnnWalk) expands nodes host-side while every candidate
      * distance is evaluated as Euclidean/cosine beats through the
-     * datapath lanes. The packet scheduler does not apply to k-NN
-     * queries (a query is its own traversal; PacketConfig is accepted
-     * and ignored). The index must outlive the unit.
+     * datapath lanes. Packets do not apply to k-NN queries (a query is
+     * its own traversal; PacketConfig is accepted and ignored). The
+     * index must outlive the unit.
      * @throws std::invalid_argument when `dp` was not built with an
      *         extended DatapathConfig (the distance opcodes are
      *         missing otherwise).
      */
     RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
            const RtUnitConfig &cfg = {});
+    ~RtUnit() override;
 
-    /** Queue a k-NN query (k-NN mode only); the result appears at
-     *  knnResults()[query_id]. */
+    /** Queue a k-NN query; the result appears at
+     *  knnResults()[query_id].
+     *  @throws std::logic_error on a unit built over a Bvh4;
+     *  std::invalid_argument when the query's dimension is not the
+     *  index's. */
     void submitKnn(const KnnQuery &query, uint32_t query_id);
 
-    /** k-NN results in query-id order (parallel to submissions). */
-    const std::vector<KnnResult> &
-    knnResults() const
-    {
-        return knn_results_;
-    }
+    /** k-NN results in query-id order (parallel to submissions).
+     *  @throws std::bad_variant_access on a ray unit. */
+    const std::vector<KnnResult> &knnResults() const;
 
     /** Queue a ray for traversal; results appear in results(). `job`
      *  tags the submission stream the ray belongs to (bvh::PendingRay)
      *  — it never changes scheduling or results, only the cross-job
-     *  attribution of shared packet fetches. */
+     *  attribution of shared packet fetches.
+     *  @throws std::logic_error on a unit built over a KnnIndex. */
     void submit(const core::Ray &ray, uint32_t ray_id,
                 uint32_t job = 0);
 
@@ -301,8 +309,9 @@ class RtUnit : public pipeline::Component
     std::string stallReport() const;
 
     /** Results in ray-id order (parallel to submissions). In
-     *  TraversalMode::Any only the `hit` flag is meaningful. */
-    const std::vector<HitRecord> &results() const { return results_; }
+     *  TraversalMode::Any only the `hit` flag is meaningful.
+     *  @throws std::bad_variant_access on a k-NN unit. */
+    const std::vector<HitRecord> &results() const;
 
     void publish(uint64_t cycle) override;
     void advance(uint64_t cycle) override;
@@ -356,182 +365,6 @@ class RtUnit : public pipeline::Component
         uint64_t queue_until = 0;
     };
 
-    // ----- the one cycle loop (advance) and its scheduler hooks -----
-
-    /** A packet beat inside a lane, with its packet slot. */
-    struct InflightBeat
-    {
-        size_t slot = 0;
-        PacketBeat beat;
-    };
-
-    /** Ray-buffer slots of the active scheduler. */
-    size_t slotCount() const;
-    /** Lifecycle state of slot `i`, read from its packet or query. */
-    EntryState slotState(size_t i) const;
-    /** Record slot `i`'s state and whether it has a beat to offer in
-     *  the slot lists. Every hook that can change a slot calls this
-     *  for it, so the per-cycle loop reads the lists, never the
-     *  packets or queries themselves. */
-    void refreshSlot(size_t i);
-    /** Step (a): lane `l` accepted the beat publish() offered it.
-     *  @return the beat's slot and the packet beat taken (default in
-     *  k-NN mode), which ride the delay line beside its result. */
-    InflightBeat acceptLane(size_t l);
-    /** Step (b): the beat `packet` names drained from its lane. `out`
-     *  is a k-NN beat's result; a ray beat carries none, and its
-     *  packet evaluates it. */
-    void drainLane(const core::DatapathOutput &out,
-                   const InflightBeat &packet);
-    /** Step (c): the work item slot `i` fetches (valid in NeedFetch). */
-    WorkItem fetchItem(size_t i) const;
-    /** Step (c): slot `i`'s fetch left for memory. */
-    void fetchIssued(size_t i);
-    /** Step (c): slot `i`'s fetch returned. */
-    void fetchArrived(size_t i);
-    /** Step (d): admit queued rays or queries into free slots. */
-    void refill();
-
-    /** Exclusive cause of the idle issue slots of cycle `t` (the
-     *  non-Issued buckets of obs::Slot), from the unit's current state.
-     *  All idle slots of one cycle share one cause, so step (a)
-     *  classifies lazily once per cycle, and skipTo() charges a run of
-     *  dead cycles with it. `until` receives the first cycle after `t`
-     *  at which the cause changes with no state change (a phase
-     *  boundary of the gating fetch), or kNever. */
-    obs::Slot classifyIdle(uint64_t t, uint64_t &until) const;
-    /** Step-(c) MSHR retirement (residency trace sample + refusal
-     *  count re-arm). */
-    void retireMshrs();
-    /** The synthetic address of a work item's fetch. */
-    uint64_t fetchAddr(const WorkItem &w) const;
-    /** Route one fetch of `addr` through the MSHR file (when enabled)
-     *  or straight to the L1. @return true when the fetch left the
-     *  slot (allocated or merged); false on MSHR-full or when this
-     *  cycle's one L1 request is taken, leaving the slot in
-     *  NeedFetch. */
-    bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
-                    bool &issued);
-    /** Step (c): walk the NeedFetch slots and issue their fetches;
-     *  sets `changed` on an issue, merge or compaction hold. */
-    void issueFetches(bool &changed);
-
-    // ----- k-NN mode (constructed over a KnnIndex) -----
-
-    /** One in-flight k-NN query: its own best-first frontier, fetch
-     *  target, pending candidate jobs and top-k set. */
-    struct KnnEntry
-    {
-        EntryState state = EntryState::Idle;
-        uint32_t query_id = 0;
-        uint32_t k = 0;
-        KnnMetric metric = KnnMetric::Euclidean;
-        std::vector<float> point;
-        KnnTopK topk;
-        /** Min-heap (KnnFrontierAfter) of unvisited subtrees. */
-        std::vector<KnnFrontierItem> frontier;
-        uint64_t seq = 0; ///< frontier tie-break sequence
-        WorkItem fetch;   ///< fetch target (entry_t unused)
-        /** Fetched-leaf candidates not yet started: the triangle range
-         *  [cand_next, cand_end) of the leaf, which is contiguous. */
-        uint32_t cand_next = 0;
-        uint32_t cand_end = 0;
-        /** Candidates started on a lane, score not yet drained. */
-        uint32_t inflight_cands = 0;
-        /** All frontier/pending work exhausted; waiting on inflight
-         *  scores (EntryState::Idle plus this flag would be ambiguous
-         *  with a free slot, hence the extra state). */
-        bool draining = false;
-    };
-
-    /** A candidate streaming down one lane: publishKnn() writes its
-     *  next beat into the lane's input each cycle (knnWriteBeat). The
-     *  lane is locked to the candidate from the first accepted beat
-     *  until the last beat is accepted, so two same-kind jobs never
-     *  interleave within one lane's accumulator. */
-    struct KnnLaneJob
-    {
-        size_t slot = 0;      ///< the query's entry slot
-        uint32_t tri = 0;     ///< the candidate (triangle index)
-        size_t next_beat = 0; ///< beats accepted so far
-        size_t beats = 0;     ///< beats of the job
-
-        /** Every beat accepted (or none claimed): the lane is free. */
-        bool free() const { return next_beat == beats; }
-        /** Some but not all beats accepted. */
-        bool streaming() const { return next_beat > 0 && !free(); }
-    };
-
-    /** A queued query waiting for a free entry slot. */
-    struct PendingKnn
-    {
-        KnnQuery query;
-        uint32_t query_id = 0;
-    };
-
-    bool knnMode() const { return knn_index_ != nullptr; }
-    void publishKnn();
-    /** Step (a) for k-NN: start or continue a candidate on lane `l`. */
-    void acceptKnnBeat(size_t l);
-    /** Pop the next non-prunable frontier item into the fetch target
-     *  (state NeedFetch), or mark the entry draining. */
-    void popKnnFrontier(KnnEntry &e);
-    /** Host-side expansion of a fetched node: push surviving children
-     *  onto the frontier. */
-    void expandKnnNode(KnnEntry &e);
-    void handleKnnResult(const core::DatapathOutput &out);
-    void finishKnnQuery(KnnEntry &e);
-    /** Finish a draining entry once its last in-flight score landed. */
-    void
-    maybeFinishKnn(KnnEntry &e)
-    {
-        if (e.draining && e.inflight_cands == 0)
-            finishKnnQuery(e);
-    }
-
-    const KnnIndex *knn_index_ = nullptr;
-    std::vector<KnnEntry> knn_entries_;
-    std::deque<PendingKnn> pending_knn_;
-    std::vector<KnnResult> knn_results_;
-
-    // ----- the packet scheduler (every ray run) -----
-
-    /** Packet observability — PacketStats and the Packet* trace events
-     *  — covers packets of two or more rays. A width-1 packet shares
-     *  nothing, so it reports all-zero PacketStats and no Packet*
-     *  events. */
-    bool packetObserved() const { return cfg_.packet.width > 1; }
-    void drainCompleted(PacketTraversal &p);
-    /** @return true when any packet absorbed another. */
-    bool compactPackets();
-    /** Step (c): true when packet `i` defers its fetch inside the
-     *  repacking window (counting the cycle). */
-    bool holdForCompaction(size_t i);
-    void publishPacket();
-
-    const Bvh4 &bvh_;
-    RtUnitConfig cfg_;
-    std::unique_ptr<MemoryModel> mem_;
-    MshrFile mshrs_;        ///< outstanding-request file (may be off)
-    uint64_t tri_base_ = 0; ///< triangle region base address
-
-    /** Repacking window: cycles a below-threshold packet defers its
-     *  next fetch waiting for a compaction partner to reach a fetch
-     *  boundary, before giving up and continuing alone. Sized to the
-     *  order of one fetch round-trip, so a thinned packet can catch a
-     *  partner that is still waiting on memory. */
-    static constexpr unsigned kCompactWaitCycles = 16;
-
-    std::vector<PacketTraversal> packets_; ///< ray slots
-    /** Per-packet repacking-window progress. */
-    std::vector<unsigned> compact_hold_;
-    std::deque<PendingRay> pending_rays_;
-    /** In-flight fetches in issue order. */
-    std::vector<MemRequest> mem_queue_;
-    /** The earliest done_cycle in mem_queue_ (kNever when empty): no
-     *  fetch retires before it. */
-    uint64_t mem_next_done_ = kNever;
-
     /** A set of slot indices, walked in ascending slot order. */
     class SlotSet
     {
@@ -582,6 +415,121 @@ class RtUnit : public pipeline::Component
 
         std::vector<uint64_t> words_;
     };
+
+    /** A lane with no offer this cycle (Lane::offer). */
+    static constexpr size_t kNoOffer = ~size_t(0);
+    /**
+     * One issue lane, in place of a RayFlexDatapath's eleven-stage skid
+     * chain. The unit's consumer side is always ready, so that chain
+     * never back-pressures: every offered beat is accepted and its
+     * result leaves exactly kPipelineLatency cycles later. The lane
+     * therefore keeps only the timing: a delay line of due cycles. What
+     * a beat carries is its scheduler's: the scheduler keeps it at the
+     * beat's position in the line (push() returns it) in its own
+     * `inflight` table. Lanes are in order, so a scheduler's per-lane
+     * state sees its beats in the same order as in the chain.
+     */
+    struct Lane
+    {
+        /** The slot of this cycle's offer, or kNoOffer (publish). */
+        size_t offer = kNoOffer;
+        core::Opcode op = core::Opcode::RayBox; ///< the offer's opcode
+
+        /** Due cycles of the beats in flight, in issue order: a ring of
+         *  at most kPipelineLatency entries (one accept per cycle,
+         *  drained on its due cycle before that cycle's accept
+         *  enters). */
+        std::array<uint64_t, core::kPipelineLatency> due{};
+        unsigned head = 0;
+        unsigned size = 0;
+
+        /** True when the oldest beat drains at `cycle`. */
+        bool dueAt(uint64_t cycle) const { return size && due[head] == cycle; }
+        void
+        pop()
+        {
+            head = (head + 1) % core::kPipelineLatency;
+            --size;
+        }
+        /** Append a beat due at `cycle`. @return its position. */
+        unsigned
+        push(uint64_t cycle)
+        {
+            const unsigned at = (head + size++) % core::kPipelineLatency;
+            due[at] = cycle;
+            return at;
+        }
+    };
+
+    /** The ray scheduler: packets (bvh/packet.hh). */
+    class PacketScheduler;
+    /** The k-NN scheduler: one KnnWalk per slot. */
+    class KnnScheduler;
+    using Scheduler = std::variant<PacketScheduler, KnnScheduler>;
+
+    /** The core over `bvh`; `index` selects the k-NN scheduler. */
+    RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
+           const RtUnitConfig &cfg, const KnnIndex *index);
+
+    // ----- the one cycle loop, instantiated per scheduler -----
+
+    /** advance() under scheduler `s`. */
+    template <class S> void step(S &s);
+    /** Record slot `i`'s state, fetch target and whether it has a beat
+     *  to offer in the slot lists. Called after every hook that can
+     *  change a slot, so the per-cycle loop reads the lists, never the
+     *  packets or queries themselves. It also unparks the slot. */
+    template <class S> void refreshSlot(const S &s, size_t i);
+    /** Step (c): walk the NeedFetch slots and issue their fetches;
+     *  sets `changed` on an issue, merge or compaction hold. */
+    template <class S> void issueFetches(S &s, bool &changed);
+
+    /** Exclusive cause of the idle issue slots of cycle `t` (the
+     *  non-Issued buckets of obs::Slot), from the unit's current state.
+     *  All idle slots of one cycle share one cause, so step (a)
+     *  classifies lazily once per cycle, and skipTo() charges a run of
+     *  dead cycles with it. `until` receives the first cycle after `t`
+     *  at which the cause changes with no state change (a phase
+     *  boundary of the gating fetch), or kNever. */
+    obs::Slot classifyIdle(uint64_t t, uint64_t &until) const;
+    /** Step-(c) MSHR retirement (residency trace sample + refusal
+     *  count re-arm). */
+    void retireMshrs();
+    /** The synthetic address of a work item's fetch. */
+    uint64_t fetchAddr(const WorkItem &w) const;
+    /** Route one fetch of `addr` through the MSHR file (when enabled)
+     *  or straight to the L1. @return true when the fetch left the
+     *  slot (allocated or merged); false on MSHR-full or when this
+     *  cycle's one L1 request is taken, leaving the slot in
+     *  NeedFetch. */
+    bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
+                    bool &issued);
+    /** Packet observability — PacketStats and the Packet* trace events
+     *  — covers packets of two or more rays. A width-1 packet shares
+     *  nothing, so it reports all-zero PacketStats and no Packet*
+     *  events; a k-NN unit has no packets (its PacketConfig is
+     *  dropped). */
+    bool packetObserved() const { return cfg_.packet.width > 1; }
+    /** Emit one trace event stamped with this cycle and unit. */
+    void
+    emit(obs::TraceEvent event, uint64_t a, uint64_t b) const
+    {
+        if (trace_)
+            trace_->record({now_, trace_unit_, event, a, b});
+    }
+
+    const Bvh4 &bvh_;
+    RtUnitConfig cfg_;
+    std::unique_ptr<MemoryModel> mem_;
+    MshrFile mshrs_;        ///< outstanding-request file (may be off)
+    uint64_t tri_base_ = 0; ///< triangle region base address
+
+    /** In-flight fetches in issue order. */
+    std::vector<MemRequest> mem_queue_;
+    /** The earliest done_cycle in mem_queue_ (kNever when empty): no
+     *  fetch retires before it. */
+    uint64_t mem_next_done_ = kNever;
+
     /** The slot lists, kept by refreshSlot() at each slot's state
      *  changes (admit, fetch issue and arrival, beat accept, result
      *  drain, compaction absorb): each slot's state, the slots in each
@@ -593,15 +541,11 @@ class RtUnit : public pipeline::Component
     std::vector<EntryState> slot_state_;
     std::array<SlotSet, kEntryStates> in_state_; ///< by EntryState
     SlotSet offerable_;
-    std::vector<HitRecord> results_;
     size_t outstanding_ = 0;
     uint64_t now_ = 0;
     RtUnitStats stats_;
     obs::TraceSink *trace_ = nullptr; ///< borrowed; null = disabled
     unsigned trace_unit_ = 0;         ///< unit id stamped on events
-    /** Last emitted PacketOccupancy sample (~0 = none yet), so the
-     *  counter track only records changes. */
-    uint64_t trace_occupancy_last_ = ~uint64_t(0);
     /** Fetches a full MSHR file refused in this cycle's issue loop;
      *  read by the next cycle's idle classification. */
     unsigned mshr_refusals_ = 0;
@@ -625,66 +569,13 @@ class RtUnit : public pipeline::Component
      *  event on it, and an MSHR allocation erases the slots of its
      *  address, which may now merge. */
     SlotSet parked_;
-
-    /** A lane with no offer this cycle (Lane::offer). */
-    static constexpr size_t kNoOffer = ~size_t(0);
-    /**
-     * One issue lane, in place of a RayFlexDatapath's eleven-stage skid
-     * chain. The unit's consumer side is always ready, so that chain
-     * never back-pressures: every offered beat is accepted and its
-     * result leaves exactly kPipelineLatency cycles later. The lane
-     * therefore keeps only the timing (a delay line of due cycles).
-     * A ray beat carries no operands, only its packet beat: its packet
-     * tests a node's boxes when the fetch arrives and a triangle when
-     * the beat drains, and neither operand changes in between. A k-NN
-     * beat is evaluated once, at acceptance, with core::nativeEval and
-     * the lane's own accumulators, straight into its delay-line entry.
-     * Lanes are in order and stages 9 and 10 hold separate registers,
-     * so every accumulator sees its beats in the same order as in the
-     * chain.
-     */
-    struct Lane
-    {
-        /** The slot of this cycle's offer, or kNoOffer (publish). */
-        size_t offer = kNoOffer;
-        core::Opcode op = core::Opcode::RayBox; ///< the offer's opcode
-        core::DatapathInput in; ///< the offered k-NN beat, in place
-        core::DistanceAccumulators acc;
-        KnnLaneJob knn; ///< the candidate streaming down (k-NN mode)
-
-        /** Results in flight, in issue order: a ring of at most
-         *  kPipelineLatency entries (one accept per cycle, drained on
-         *  its due cycle before that cycle's accept enters). */
-        struct Pending
-        {
-            uint64_t due = 0;
-            InflightBeat packet; ///< the beat's slot and packet beat
-            core::DatapathOutput out; ///< a k-NN beat's result
-        };
-        std::array<Pending, core::kPipelineLatency> line;
-        unsigned head = 0;
-        unsigned size = 0;
-
-        /** The entry due at `cycle`, or nullptr. */
-        const Pending *
-        dueAt(uint64_t cycle) const
-        {
-            return size && line[head].due == cycle ? &line[head] : nullptr;
-        }
-        void
-        pop()
-        {
-            head = (head + 1) % core::kPipelineLatency;
-            --size;
-        }
-        /** Append an entry and return it for the caller to fill. */
-        Pending &
-        push()
-        {
-            return line[(head + size++) % core::kPipelineLatency];
-        }
-    };
     std::vector<Lane> lanes_;
+
+    /** The scheduler the constructor chose, defined in rt_unit.cc.
+     *  Dispatched once per publish(), advance() and beginRun(); the
+     *  cycle loop and every hook under it are compiled per
+     *  scheduler. */
+    std::unique_ptr<Scheduler> sched_;
 };
 
 } // namespace rayflex::bvh
