@@ -148,8 +148,10 @@ KnnWalk::next(KnnFrontierItem &item, KnnStats &stats)
     std::pop_heap(frontier_.begin(), frontier_.end(), visitedAfter);
     item = frontier_.back();
     frontier_.pop_back();
-    if (!prunable(item.lb))
+    if (!prunable(item.lb)) {
+        ++(item.is_leaf ? stats.leaves_visited : stats.nodes_visited);
         return true;
+    }
     // Heap-ordered frontier: once the best remaining item is prunable,
     // so is everything behind it.
     stats.pruned += 1 + frontier_.size();
@@ -160,7 +162,6 @@ KnnWalk::next(KnnFrontierItem &item, KnnStats &stats)
 void
 KnnWalk::expand(uint32_t node, KnnStats &stats)
 {
-    ++stats.nodes_visited;
     const bool bound = query_.metric == KnnMetric::Euclidean;
     for (const WideNode::Child &c : index_->bvh.nodes[node].child) {
         if (c.kind == WideNode::Kind::Empty)
@@ -223,7 +224,6 @@ KnnTraversal::search(const KnnQuery &query)
             walk.expand(item.index, stats_);
             continue;
         }
-        ++stats_.leaves_visited;
         for (uint32_t t = item.index; t < item.index + item.count; ++t) {
             const DataPoint &p = index_.points[index_.bvh.tris[t].id];
             ++stats_.candidates;

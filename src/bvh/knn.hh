@@ -227,13 +227,13 @@ class KnnWalk
     void start(const KnnIndex &index, KnnQuery query, KnnStats &stats);
 
     /** Pop the next subtree or leaf to visit into `item`, in (lower
-     *  bound, push order) order. Under the Euclidean metric, once the
-     *  best remaining item cannot beat the radius, neither can any
-     *  behind it: all are counted pruned and dropped.
-     *  @return false when nothing is left to visit. */
+     *  bound, push order) order, and count the visit. Under the
+     *  Euclidean metric, once the best remaining item cannot beat the
+     *  radius, neither can any behind it: all are counted pruned and
+     *  dropped. @return false when nothing is left to visit. */
     bool next(KnnFrontierItem &item, KnnStats &stats);
 
-    /** Visit internal node `node`: push each child the radius cannot
+    /** Expand internal node `node`: push each child the radius cannot
      *  prune (by knnBoxLowerBound, Euclidean only), count the rest
      *  pruned, and raise frontier_peak. */
     void expand(uint32_t node, KnnStats &stats);

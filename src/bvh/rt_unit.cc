@@ -1,7 +1,7 @@
 /**
  * @file
- * Cycle-level RT-unit implementation: the core, then its two
- * schedulers.
+ * Cycle-level RT-unit implementation: the two schedulers, then the
+ * core.
  *
  * Per cycle the unit (a) drives up to issue_width beats into the
  * datapath lanes from ready slots, (b) drains one datapath result per
@@ -13,10 +13,8 @@
  * core::kPipelineLatency cycles after its lane accepts it
  * (RtUnit::Lane).
  *
- * step() is the one cycle loop, a template over the scheduler:
- * advance() dispatches the variant once and the loop calls the
- * scheduler's hooks (see the scheduler list in rt_unit.hh) directly.
- * The loop does the slot accounting, MSHR retirement,
+ * step() is the one cycle loop, a template over the scheduler whose
+ * hooks it calls. It does the slot accounting, MSHR retirement,
  * completion-ordered fill and fetch issue itself, and refreshes a
  * slot's lists after each per-slot hook. A ray run's slots are
  * PacketTraversal packets (bvh/packet.hh) — a packet in NeedFetch
@@ -29,8 +27,8 @@
  * the lanes as distance beats.
  *
  * The loop reads slot states from lists kept at each slot's
- * transitions (refreshSlot): the state of every slot, the slots in
- * each state and the slots with a beat to offer. publish(), the
+ * transitions (refreshSlot): the state of every slot and the slots in
+ * each state, Ready being the slots with a beat to offer. publish(), the
  * fetch-issue walk, compaction, refill() and classifyIdle() walk or
  * test those lists, so a slot with nothing to do is never touched.
  *
@@ -123,7 +121,7 @@ prepared(RtUnitConfig cfg, const core::DatapathConfig &dp, bool knn)
 // ----- the schedulers --------------------------------------------------
 //
 // A scheduler owns the slots' contents and answers the core's hooks:
-// slots(), state(i), offers(i, st) and fetchItem(i) describe slot i;
+// slots(), state(i) and fetchItem(i) describe slot i;
 // begin() resets per-run state; publish() sets the lanes' offers;
 // accept(lane) and drain(beat) are steps (a) and (b), and compact() runs
 // after (b); holdFetch(i), fetchIssued(i) and fetchArrived(i) serve step
@@ -164,7 +162,6 @@ class RtUnit::PacketScheduler
     }
 
     size_t slots() const { return packets_.size(); }
-
     EntryState
     state(size_t i) const
     {
@@ -173,25 +170,19 @@ class RtUnit::PacketScheduler
             return EntryState::Idle;
         if (p.needsFetch())
             return EntryState::NeedFetch;
-        return p.issueReady() ? EntryState::InFlight : EntryState::Fetching;
+        if (!p.issueReady())
+            return EntryState::Fetching;
+        return p.issuableCount() ? EntryState::Ready : EntryState::InFlight;
     }
-
-    bool
-    offers(size_t i, EntryState st) const
-    {
-        return st == EntryState::InFlight && packets_[i].issuableCount() > 0;
-    }
-
     WorkItem
     fetchItem(size_t i) const
     {
         const PacketTraversal &p = packets_[i];
         return {p.fetchIsLeaf(), p.fetchIndex(), p.fetchCount()};
     }
-
     void begin() { occupancy_last_ = ~uint64_t(0); }
 
-    /** Offer up to issue_width beats from the offerable packets in slot
+    /** Offer up to issue_width beats from the Ready packets in slot
      *  order (first-ready; round-robin would be fairer, first-ready is
      *  sufficient for utilization studies); one packet with several
      *  pending beats may fill several lanes in one cycle — the
@@ -200,11 +191,10 @@ class RtUnit::PacketScheduler
     publish()
     {
         std::vector<Lane> &lanes = unit_.lanes_;
-        const SlotSet &offerable = unit_.offerable_;
+        const SlotSet &ready = unit_.in_state_[size_t(EntryState::Ready)];
         size_t lane = 0;
-        for (size_t i = offerable.next(0);
-             i != SlotSet::npos && lane < lanes.size();
-             i = offerable.next(i + 1)) {
+        for (size_t i = ready.next(0);
+             i != SlotSet::npos && lane < lanes.size(); i = ready.next(i + 1)) {
             const PacketTraversal &p = packets_[i];
             const size_t end =
                 std::min(lanes.size(), lane + p.issuableCount());
@@ -307,7 +297,6 @@ class RtUnit::PacketScheduler
         packets_[i].fetchIssued();
         compact_hold_[i] = 0;
     }
-
     void fetchArrived(size_t i) { packets_[i].fetchArrived(); }
 
     /** Admit queued rays into the Idle slots, then sample the packet
@@ -402,14 +391,13 @@ class RtUnit::KnnScheduler
     static constexpr const char *kItems = "queries";
 
     KnnScheduler(RtUnit &unit, const KnnIndex &index)
-        : inflight(unit.lanes_.size()), unit_(unit), index_(index),
+        : index(index), inflight(unit.lanes_.size()), unit_(unit),
           entries_(unit.cfg_.ray_buffer_entries), lanes_(unit.lanes_.size())
     {
     }
 
     size_t slots() const { return entries_.size(); }
     EntryState state(size_t i) const { return entries_[i].state; }
-    bool offers(size_t, EntryState st) const { return st == EntryState::ReadyTri; }
     WorkItem fetchItem(size_t i) const { return entries_[i].fetch; }
     void begin() { lanes_.assign(lanes_.size(), KnnLane{}); }
 
@@ -422,27 +410,26 @@ class RtUnit::KnnScheduler
     void
     publish()
     {
-        // Claims advance one cursor over offerable entries and their
-        // pending candidates: every entry before it is fully claimed
-        // this cycle.
-        const SlotSet &offerable = unit_.offerable_;
-        size_t i = offerable.next(0);
+        // Claims advance one cursor over Ready entries and their pending
+        // candidates: every entry before it is fully claimed this cycle.
+        const SlotSet &ready = unit_.in_state_[size_t(EntryState::Ready)];
+        size_t i = ready.next(0);
         uint32_t cand = i != SlotSet::npos ? entries_[i].cand_next : 0;
         for (size_t l = 0; l < lanes_.size(); ++l) {
             KnnLane &lane = lanes_[l];
             Job &job = lane.job;
             if (job.free()) {
                 while (i != SlotSet::npos && cand == entries_[i].cand_end)
-                    if ((i = offerable.next(i + 1)) != SlotSet::npos)
+                    if ((i = ready.next(i + 1)) != SlotSet::npos)
                         cand = entries_[i].cand_next;
                 if (i == SlotSet::npos)
                     continue;
                 job = {i, cand++, 0,
-                       knnBeatsPerJob(index_.dims, entries_[i].walk.metric())};
+                       knnBeatsPerJob(index.dims, entries_[i].walk.metric())};
             }
             const KnnWalk &walk = entries_[job.slot].walk;
-            const DataPoint &p = index_.points[index_.bvh.tris[job.tri].id];
-            knnWriteBeat(walk.point(), p.coords.data(), index_.dims,
+            const DataPoint &p = index.points[index.bvh.tris[job.tri].id];
+            knnWriteBeat(walk.point(), p.coords.data(), index.dims,
                          walk.metric(), job.tri, job.next_beat, lane.in);
             unit_.lanes_[l].offer = job.slot;
             unit_.lanes_[l].op = lane.in.op;
@@ -471,12 +458,11 @@ class RtUnit::KnnScheduler
             if (e.cand_next == e.cand_end)
                 nextFetch(e);
         }
-        nativeEval(kl.in, kl.acc, out_);
-        // Every beat of a job produces an output; only the final beat
-        // (reset echo set) carries the fully accumulated distance.
-        const bool last = out_.op == Opcode::Euclidean ? out_.euclidean_reset
-                                                       : out_.angular_reset;
-        return {kl.job.slot, kl.job.tri, last, last ? knnScore(out_) : 0.0f};
+        // Every beat of a job produces an output; only the last one
+        // carries the fully accumulated distance.
+        const DatapathOutput out = nativeEval(kl.in, kl.acc);
+        const bool last = kl.job.free();
+        return {kl.job.slot, kl.job.tri, last, last ? knnScore(out) : 0.0f};
     }
 
     void
@@ -499,10 +485,9 @@ class RtUnit::KnnScheduler
     {
         Entry &e = entries_[i];
         if (e.fetch.is_leaf) {
-            ++unit_.stats_.knn.leaves_visited;
             e.cand_next = e.fetch.index;
             e.cand_end = e.fetch.index + e.fetch.count;
-            e.state = EntryState::ReadyTri;
+            e.state = EntryState::Ready;
             return;
         }
         // Node expansion (the double-precision box lower bound) is
@@ -522,13 +507,13 @@ class RtUnit::KnnScheduler
     {
         const SlotSet &idle = unit_.in_state_[size_t(EntryState::Idle)];
         bool admitted = false;
-        for (size_t i = idle.next(0); i != SlotSet::npos && !pending_.empty();
+        for (size_t i = idle.next(0); i != SlotSet::npos && !pending.empty();
              i = idle.next(i + 1)) {
             Entry &e = entries_[i];
-            e.query_id = pending_.front().second;
-            e.walk.start(index_, std::move(pending_.front().first),
+            e.query_id = pending.front().second;
+            e.walk.start(index, std::move(pending.front().first),
                          unit_.stats_.knn);
-            pending_.pop_front();
+            pending.pop_front();
             nextFetch(e);
             unit_.refreshSlot(*this, i);
             admitted = true;
@@ -536,24 +521,17 @@ class RtUnit::KnnScheduler
         return admitted;
     }
 
-    /** Queue a query; its result lands in results[id]. */
-    void
-    submit(const KnnQuery &query, uint32_t id)
-    {
-        if (!index_.points.empty() && query.point.size() != index_.dims)
-            throw std::invalid_argument("knn: query dimension mismatch");
-        pending_.emplace_back(query, id);
-        if (results.size() <= id)
-            results.resize(id + 1);
-    }
-
+    const KnnIndex &index;
     std::vector<std::array<Beat, kPipelineLatency>> inflight;
-    std::vector<KnnResult> results; ///< by query id
+    std::deque<std::pair<KnnQuery, uint32_t>> pending; ///< (query, id)
+    std::vector<KnnResult> results;                    ///< by query id
 
   private:
     /** One in-flight query: its walk, fetch target and candidates. */
     struct Entry
     {
+        /** InFlight once the walk is exhausted: the query waits on its
+         *  in-flight scores. */
         EntryState state = EntryState::Idle;
         uint32_t query_id = 0;
         KnnWalk walk;
@@ -564,10 +542,6 @@ class RtUnit::KnnScheduler
         uint32_t cand_end = 0;
         /** Candidates started on a lane, score not yet drained. */
         uint32_t inflight_cands = 0;
-        /** The walk is exhausted; waiting on inflight scores
-         *  (EntryState::Idle plus this flag would be ambiguous with a
-         *  free slot, hence the extra state). */
-        bool draining = false;
     };
 
     /** A candidate streaming down one lane: publish() writes its next
@@ -609,7 +583,6 @@ class RtUnit::KnnScheduler
         // No work left to fetch; the query finishes once every started
         // candidate's score has drained from the pipeline.
         e.state = EntryState::InFlight;
-        e.draining = true;
         maybeFinish(e);
     }
 
@@ -617,23 +590,18 @@ class RtUnit::KnnScheduler
     void
     maybeFinish(Entry &e)
     {
-        if (!e.draining || e.inflight_cands > 0)
+        if (e.state != EntryState::InFlight || e.inflight_cands > 0)
             return;
         results[e.query_id] = KnnResult{e.walk.neighbors()};
         ++unit_.stats_.knn.queries;
         --unit_.outstanding_;
         e.state = EntryState::Idle;
-        e.draining = false;
     }
 
     RtUnit &unit_;
-    const KnnIndex &index_;
     std::vector<Entry> entries_;
-    std::deque<std::pair<KnnQuery, uint32_t>> pending_; ///< (query, id)
     std::vector<KnnLane> lanes_;
-    DatapathOutput out_; ///< a beat's result, scratch
 };
-
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg)
@@ -687,7 +655,7 @@ RtUnit::retireMshrs()
  * Step (a) calls this before accepting any lane, and advance() runs
  * only while work is outstanding, so the answer is the same whichever
  * lane triggers the lazy evaluation and "no work at all" reduces to
- * the last fallback. ReadyTri counts as in-datapath work next to
+ * the last fallback. Ready counts as in-datapath work next to
  * InFlight, as do beats still riding a lane (the lanes hold them
  * outside the slots; a lane streaming a k-NN candidate accepted a beat
  * last cycle, so it holds one). skipTo() passes cycles before every
@@ -724,22 +692,11 @@ RtUnit::classifyIdle(uint64_t t, uint64_t &until) const
     }
     if (!in_state_[size_t(EntryState::NeedFetch)].empty())
         return obs::Slot::StallL1Miss; // waiting on issue bandwidth
-    bool in_datapath = !in_state_[size_t(EntryState::ReadyTri)].empty() ||
+    bool in_datapath = !in_state_[size_t(EntryState::Ready)].empty() ||
                        !in_state_[size_t(EntryState::InFlight)].empty();
     for (const Lane &l : lanes_)
         in_datapath = in_datapath || l.size;
     return in_datapath ? obs::Slot::StallDrain : obs::Slot::IdleNoWork;
-}
-
-/** The synthetic address map, shared by both schedulers: the whole
- *  leaf for leaf work, one wide node otherwise. The address doubles as
- *  the MSHR merge key — each node and leaf has a unique base
- *  address. */
-uint64_t
-RtUnit::fetchAddr(const WorkItem &w) const
-{
-    return w.is_leaf ? tri_base_ + uint64_t(w.index) * kTriStrideBytes
-                     : uint64_t(w.index) * kNodeStrideBytes;
 }
 
 /** Route one slot's fetch to memory: straight to the L1 when the MSHR
@@ -754,9 +711,9 @@ RtUnit::fetchAddr(const WorkItem &w) const
  *  classifyIdle() attributes stalled slots against. A refusal parks the
  *  slot unless a trace sink wants the event of every retry. */
 bool
-RtUnit::issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
-                   bool &issued)
+RtUnit::issueFetch(size_t slot, bool &issued)
 {
+    const auto &[w, addr] = fetch_[slot];
     const uint32_t bytes =
         w.is_leaf ? w.count * kTriStrideBytes : kNodeStrideBytes;
     const bool mshr = mshrs_.enabled();
@@ -823,15 +780,17 @@ RtUnit::refreshSlot(const S &s, size_t i)
         kept = st;
     }
     parked_.erase(i);
-    if (st == EntryState::NeedFetch) {
-        FetchTarget &f = fetch_[i];
-        f.item = s.fetchItem(i);
-        f.addr = fetchAddr(f.item);
-    }
-    if (s.offers(i, st))
-        offerable_.insert(i);
-    else
-        offerable_.erase(i);
+    if (st != EntryState::NeedFetch)
+        return;
+    // The synthetic address map, shared by both schedulers: the whole
+    // leaf for leaf work, one wide node otherwise. The address doubles
+    // as the MSHR merge key — each node and leaf has a unique base
+    // address.
+    FetchTarget &f = fetch_[i];
+    f.item = s.fetchItem(i);
+    f.addr = f.item.is_leaf
+                 ? tri_base_ + uint64_t(f.item.index) * kTriStrideBytes
+                 : uint64_t(f.item.index) * kNodeStrideBytes;
 }
 
 /** The fetch-issue walk over the NeedFetch slots, in slot order. No
@@ -865,8 +824,7 @@ RtUnit::issueFetches(S &s, bool &changed)
             changed = true;
             continue;
         }
-        const FetchTarget &f = fetch_[i];
-        if (!issueFetch(i, f.item, f.addr, issued))
+        if (!issueFetch(i, issued))
             continue;
         s.fetchIssued(i);
         refreshSlot(s, i);
@@ -1046,9 +1004,19 @@ RtUnit::SlotSet::countFrom(size_t i) const
 const char *
 RtUnit::stateName(EntryState st)
 {
-    static constexpr const char *kNames[kEntryStates] = {
-        "Idle", "NeedFetch", "Fetching", "ReadyTri", "InFlight"};
-    return kNames[size_t(st)];
+    switch (st) {
+    case EntryState::Idle:
+        return "Idle";
+    case EntryState::NeedFetch:
+        return "NeedFetch";
+    case EntryState::Fetching:
+        return "Fetching";
+    case EntryState::Ready:
+        return "Ready";
+    case EntryState::InFlight:
+        return "InFlight";
+    }
+    return "?"; // unreachable: every state has a case above
 }
 
 std::string
@@ -1087,7 +1055,6 @@ RtUnit::beginRun()
             slot_state_.assign(slots, EntryState::Idle);
             for (SlotSet &set : in_state_)
                 set.assign(slots);
-            offerable_.assign(slots);
             parked_.assign(slots);
             for (size_t i = 0; i < slots; ++i) {
                 in_state_[size_t(EntryState::Idle)].insert(i);
@@ -1145,7 +1112,11 @@ RtUnit::submitKnn(const KnnQuery &query, uint32_t query_id)
         throw std::logic_error(
             "RtUnit::submitKnn: unit was not constructed over a "
             "KnnIndex");
-    s->submit(query, query_id);
+    if (!s->index.points.empty() && query.point.size() != s->index.dims)
+        throw std::invalid_argument("knn: query dimension mismatch");
+    s->pending.emplace_back(query, query_id);
+    if (s->results.size() <= query_id)
+        s->results.resize(query_id + 1);
     ++outstanding_;
 }
 

@@ -13,21 +13,17 @@
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. This is the model used to measure
- * datapath utilization, memory sensitivity and rays/cycle on real
- * scenes.
- *
- * The unit is one core under one of two schedulers. The core is the
- * lanes and their delay lines, the MSHR file, the memory queue, the
- * slot lists with their parking, slot attribution and the dead-cycle
- * rule (nextEvent/skipTo); its cycle loop is a template over the
- * scheduler, which the constructor picks (rt_unit.cc defines both): the
- * packet scheduler groups coherent rays into packets
- * (RtUnitConfig::packet, bvh/packet.hh) that share a traversal stack
- * and one BVH fetch per visited node — a packet of width 1 is the
- * scalar one-ray-per-slot schedule — and the k-NN scheduler runs one
- * KnnWalk per query (bvh/knn.hh), the walk the functional KnnTraversal
- * runs too.
+ * to one beat per lane per cycle. That is one core (lanes, MSHR file,
+ * memory queue, slot lists, slot attribution, dead-cycle skipping)
+ * whose cycle loop is a template over one of two schedulers, both
+ * defined in rt_unit.cc: the packet/wavefront scheduler
+ * (RtUnitConfig::packet, bvh/packet.hh) groups coherent rays into
+ * packets that share a traversal stack and one BVH fetch per visited
+ * node, optionally repacking divergence-thinned packets
+ * (PacketConfig::compact_below) — a packet of width 1 is the scalar
+ * one-ray-per-slot schedule — and the k-NN scheduler runs one KnnWalk
+ * (bvh/knn.hh) per query. This is the model used to measure datapath
+ * utilization, memory sensitivity and rays/cycle on real scenes.
  */
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
@@ -328,15 +324,13 @@ class RtUnit : public pipeline::Component
     void skipTo(uint64_t cycle) override;
 
   private:
-    /** Lifecycle of a ray-buffer slot, shared by both schedulers (a
-     *  packet reports its issue phase as InFlight; ReadyTri is a k-NN
-     *  query's fetched leaf). */
+    /** Lifecycle of a ray-buffer slot, shared by both schedulers. */
     enum class EntryState : uint8_t {
         Idle,        ///< slot free
         NeedFetch,   ///< next node known, fetch not yet issued
         Fetching,    ///< waiting on node memory
-        ReadyTri,    ///< leaf data present, candidate beats pending
-        InFlight,    ///< beat inside the datapath
+        Ready,       ///< fetched data present, a beat to offer
+        InFlight,    ///< beats inside the datapath, none to offer
     };
     static constexpr size_t kEntryStates = size_t(EntryState::InFlight) + 1;
     /** The state's name, as stallReport() prints it. */
@@ -461,9 +455,7 @@ class RtUnit : public pipeline::Component
         }
     };
 
-    /** The ray scheduler: packets (bvh/packet.hh). */
     class PacketScheduler;
-    /** The k-NN scheduler: one KnnWalk per slot. */
     class KnnScheduler;
     using Scheduler = std::variant<PacketScheduler, KnnScheduler>;
 
@@ -475,8 +467,8 @@ class RtUnit : public pipeline::Component
 
     /** advance() under scheduler `s`. */
     template <class S> void step(S &s);
-    /** Record slot `i`'s state, fetch target and whether it has a beat
-     *  to offer in the slot lists. Called after every hook that can
+    /** Record slot `i`'s state and fetch target (work item and
+     *  address) in the slot lists. Called after every hook that can
      *  change a slot, so the per-cycle loop reads the lists, never the
      *  packets or queries themselves. It also unparks the slot. */
     template <class S> void refreshSlot(const S &s, size_t i);
@@ -495,15 +487,12 @@ class RtUnit : public pipeline::Component
     /** Step-(c) MSHR retirement (residency trace sample + refusal
      *  count re-arm). */
     void retireMshrs();
-    /** The synthetic address of a work item's fetch. */
-    uint64_t fetchAddr(const WorkItem &w) const;
-    /** Route one fetch of `addr` through the MSHR file (when enabled)
-     *  or straight to the L1. @return true when the fetch left the
-     *  slot (allocated or merged); false on MSHR-full or when this
-     *  cycle's one L1 request is taken, leaving the slot in
+    /** Route slot `slot`'s fetch (fetch_[slot]) through the MSHR file
+     *  (when enabled) or straight to the L1. @return true when the
+     *  fetch left the slot (allocated or merged); false on MSHR-full or
+     *  when this cycle's one L1 request is taken, leaving the slot in
      *  NeedFetch. */
-    bool issueFetch(size_t slot, const WorkItem &w, uint64_t addr,
-                    bool &issued);
+    bool issueFetch(size_t slot, bool &issued);
     /** Packet observability — PacketStats and the Packet* trace events
      *  — covers packets of two or more rays. A width-1 packet shares
      *  nothing, so it reports all-zero PacketStats and no Packet*
@@ -532,15 +521,14 @@ class RtUnit : public pipeline::Component
 
     /** The slot lists, kept by refreshSlot() at each slot's state
      *  changes (admit, fetch issue and arrival, beat accept, result
-     *  drain, compaction absorb): each slot's state, the slots in each
-     *  state, and the slots with a beat to offer (a packet with
-     *  issuable beats, a k-NN query with a fetched leaf). publish()
-     *  walks `offerable_`, the fetch-issue loop and compaction walk the
-     *  NeedFetch set, refill() the Idle set, and classifyIdle() tests
-     *  the sets for emptiness. */
+     *  drain, compaction absorb): each slot's state and the slots in
+     *  each state. publish() walks the Ready set (a packet with
+     *  issuable beats, a k-NN query with a fetched leaf), the
+     *  fetch-issue loop and compaction walk the NeedFetch set, refill()
+     *  the Idle set, and classifyIdle() tests the sets for
+     *  emptiness. */
     std::vector<EntryState> slot_state_;
     std::array<SlotSet, kEntryStates> in_state_; ///< by EntryState
-    SlotSet offerable_;
     size_t outstanding_ = 0;
     uint64_t now_ = 0;
     RtUnitStats stats_;
@@ -571,10 +559,9 @@ class RtUnit : public pipeline::Component
     SlotSet parked_;
     std::vector<Lane> lanes_;
 
-    /** The scheduler the constructor chose, defined in rt_unit.cc.
-     *  Dispatched once per publish(), advance() and beginRun(); the
-     *  cycle loop and every hook under it are compiled per
-     *  scheduler. */
+    /** The scheduler the constructor chose (both are defined in
+     *  rt_unit.cc), dispatched once per publish(), advance() and
+     *  beginRun(). */
     std::unique_ptr<Scheduler> sched_;
 };
 

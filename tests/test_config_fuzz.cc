@@ -316,10 +316,13 @@ checkKnn(const Config &c)
     std::vector<KnnQuery> queries;
     for (DataPoint &p : makePointCloud(20, 8, 4, 6)) {
         const size_t q = queries.size();
-        // k >= n: every other query asks for more points than exist.
-        const uint32_t k = c[kKnnInput] == 0   ? 3
-                           : c[kKnnInput] == 2 ? 0
-                                               : uint32_t(cloud.size() + q % 2 * 5);
+        // Input 1 asks for every point, and on every other query for
+        // more points than exist.
+        uint32_t k = 3;
+        if (c[kKnnInput] == 1)
+            k = uint32_t(cloud.size() + q % 2 * 5);
+        else if (c[kKnnInput] == 2)
+            k = 0;
         queries.push_back({std::move(p.coords), k,
                            q % 3 == 2 ? KnnMetric::Cosine
                                       : KnnMetric::Euclidean});
@@ -346,7 +349,8 @@ checkKnn(const Config &c)
 std::vector<sim::RenderJob>
 fuzzJobs(const Config &c)
 {
-    const std::vector<core::Ray> rays = fuzzRays(fuzzScene(c[kScene]), c[kRays]);
+    const std::vector<core::Ray> rays =
+        fuzzRays(fuzzScene(c[kScene]), c[kRays]);
     std::vector<sim::RenderJob> jobs;
     for (uint64_t j = 0; j < 3; ++j) {
         sim::RenderJob job;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bvh/knn.hh"
+#include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "core/datapath.hh"
 #include "core/golden.hh"
@@ -332,6 +333,26 @@ TEST(KnnCycle, RequiresExtendedDatapath)
         std::invalid_argument);
 }
 
+TEST(KnnCycle, SubmitOfTheOtherQueryKindIsRejectedAtTheCall)
+{
+    // A unit serves the query kind it was built over: a ray on a k-NN
+    // unit, or a query on a ray unit, throws at submission instead of
+    // being queued and never admitted.
+    const KnnIndex index = buildKnnIndex(makePointCloud(8, 4, 2, 3));
+    core::RayFlexDatapath dp(core::kExtendedUnified);
+    RtUnit knn_unit(index, dp);
+    EXPECT_THROW(knn_unit.submit(core::makeRay(0, 0, 0, 0, 0, 1, 0, 10), 0),
+                 std::logic_error);
+    RtUnit ray_unit(index.bvh, dp);
+    EXPECT_THROW(
+        ray_unit.submitKnn(makeQueries(1, 4, 1, KnnMetric::Euclidean, 4)[0],
+                           0),
+        std::logic_error);
+    // Neither rejected submission is outstanding: both units finish.
+    EXPECT_EQ(knn_unit.run().knn.queries, 0u);
+    EXPECT_EQ(ray_unit.run().rays_completed, 0u);
+}
+
 // ------------------------------------------------------------------
 // Engine determinism contract for the new query kind
 // ------------------------------------------------------------------
@@ -383,6 +404,13 @@ TEST(KnnEngine, WorkerCountInvarianceAcrossMemoryKnobs)
                 << " issue=" << kn.issue << " threads=" << threads;
             if (threads == 1) {
                 ref = rep;
+                if (kn.packet > 1) {
+                    // PacketConfig is inert for k-NN: the whole unit
+                    // record equals the same knobs at packet width 1.
+                    cfg.rt.packet.width = 1;
+                    EXPECT_EQ(sim::Engine(cfg).runKnn(index, queries).unit,
+                              rep.unit);
+                }
                 continue;
             }
             // Results AND merged statistics are bit-identical at
