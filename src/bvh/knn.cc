@@ -116,16 +116,6 @@ visitedAfter(const KnnFrontierItem &a, const KnnFrontierItem &b)
 
 } // namespace
 
-float
-knnScore(const core::DatapathOutput &out)
-{
-    return out.op == Opcode::Euclidean
-               ? fp::fromBits(out.euclidean_accumulator)
-               : core::golden::knnAngularScore(
-                     fp::fromBits(out.angular_dot_product),
-                     fp::fromBits(out.angular_norm));
-}
-
 void
 KnnWalk::start(const KnnIndex &index, KnnQuery query, KnnStats &stats)
 {

@@ -208,7 +208,15 @@ struct KnnFrontierItem
  *  one with the accumulator-reset echo): the squared Euclidean
  *  distance, or core::golden::knnAngularScore of the cosine
  *  accumulators. */
-float knnScore(const core::DatapathOutput &out);
+inline float
+knnScore(const core::DatapathOutput &out)
+{
+    return out.op == core::Opcode::Euclidean
+               ? fp::fromBits(out.euclidean_accumulator)
+               : core::golden::knnAngularScore(
+                     fp::fromBits(out.angular_dot_product),
+                     fp::fromBits(out.angular_norm));
+}
 
 /**
  * One query's best-first walk over a KnnIndex: its frontier, its top-k

@@ -460,9 +460,9 @@ class RtUnit::KnnScheduler
         }
         // Every beat of a job produces an output; only the last one
         // carries the fully accumulated distance.
-        const DatapathOutput out = nativeEval(kl.in, kl.acc);
+        nativeEval(kl.in, kl.acc, out_);
         const bool last = kl.job.free();
-        return {kl.job.slot, kl.job.tri, last, last ? knnScore(out) : 0.0f};
+        return {kl.job.slot, kl.job.tri, last, last ? knnScore(out_) : 0.0f};
     }
 
     void
@@ -601,6 +601,7 @@ class RtUnit::KnnScheduler
     RtUnit &unit_;
     std::vector<Entry> entries_;
     std::vector<KnnLane> lanes_;
+    DatapathOutput out_; ///< a beat's result, evaluated in place
 };
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
