@@ -221,7 +221,7 @@ KnnTraversal::search(const KnnQuery &query)
             for (size_t b = 0; b < beats; ++b) {
                 knnWriteBeat(walk.point(), p.coords.data(), index_.dims,
                              query.metric, p.id, b, beat);
-                out = core::nativeEval(beat, acc_);
+                core::nativeEval(beat, acc_, out);
             }
             walk.offer(t, knnScore(out));
         }

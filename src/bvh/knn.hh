@@ -41,7 +41,6 @@
 #define RAYFLEX_BVH_KNN_HH
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "bvh/builder.hh"
