@@ -22,7 +22,10 @@ Checks, in order:
 Optional coverage gates (for CI smoke runs): --expect-counter NAME
 requires at least one counter ('C') event whose name starts with NAME,
 and --min-events bounds the total from below, so an accidentally-empty
-trace cannot pass.
+trace cannot pass. The exporter's counter tracks are packet_occupancy[uN]
+(live packet lanes), mshr_residency[uN] (MSHR entries in flight),
+mshr_refusals[uN] (fetches the full MSHR file refused that cycle, one
+sample per change) and l2_bank_queue[bN] (requests queued at an L2 bank).
 
 Usage:
     check_trace.py TRACE.json [--expect-counter NAME]... [--min-events N]

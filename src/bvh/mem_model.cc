@@ -214,7 +214,7 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
     // Single-server bank queue: service starts when the bank frees.
     const uint64_t start = std::max(arrival, bank.free_at);
     st.queue_stalls += start - arrival;
-    bank.free_at = start + cfg_.bank_cycles_per_request;
+    bank.free_at = start + kL2BankCyclesPerRequest;
     *queue_out = unsigned(start - arrival);
     if (trace_) {
         trace_->record({arrival, uint32_t(bank_idx),
@@ -224,15 +224,12 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
                         obs::TraceEvent::BankDequeue, unit, 0});
         // Queue depth at this arrival: requests the bank has accepted
         // but not started by then (service is one request every
-        // bank_cycles_per_request cycles, so the backlog is the lead
+        // kL2BankCyclesPerRequest cycles, so the backlog is the lead
         // of free_at over the clock in service quanta).
         const uint64_t lead =
             bank.free_at > arrival ? bank.free_at - arrival : 0;
-        const uint64_t depth =
-            cfg_.bank_cycles_per_request
-                ? (lead + cfg_.bank_cycles_per_request - 1) /
-                      cfg_.bank_cycles_per_request
-                : lead;
+        const uint64_t depth = (lead + kL2BankCyclesPerRequest - 1) /
+                               kL2BankCyclesPerRequest;
         trace_->record({arrival, uint32_t(bank_idx),
                         obs::TraceEvent::BankQueueDepth, depth, 0});
     }
@@ -277,13 +274,13 @@ SharedL2::fill(uint64_t addr, uint32_t bytes, uint64_t now,
     AccessBreakdown worst_bd;
     for (uint64_t line = first; line <= last; ++line) {
         // Ring distance between the unit's stop and the line's bank,
-        // paid in hop_latency cycles on the request AND response path.
+        // paid in kL2HopLatency cycles on the request AND response path.
         const size_t bank_idx = size_t(line % n_banks);
         const size_t d = stop > bank_idx ? stop - bank_idx
                                          : bank_idx - stop;
         const size_t hops = std::min(d, n_banks - d);
         stats_[bank_idx].hops += 2 * hops;
-        const uint64_t ride = uint64_t(hops) * cfg_.hop_latency;
+        const uint64_t ride = uint64_t(hops) * kL2HopLatency;
         const uint64_t arrival = now + ride;
         unsigned queue = 0, service = 0;
         const unsigned at_bank =

@@ -332,6 +332,14 @@ struct L2Stats
     friend bool operator==(const L2Stats &, const L2Stats &) = default;
 };
 
+/** Cycles per interconnect hop between a unit's ring stop and an L2
+ *  bank's; charged on both the request and the response path. */
+inline constexpr unsigned kL2HopLatency = 1;
+/** L2 bank occupancy per serviced request: a bank accepts a new request
+ *  at most once every this many cycles; later arrivals queue
+ *  (L2Stats::queue_stalls counts the waited cycles). */
+inline constexpr unsigned kL2BankCyclesPerRequest = 1;
+
 /** Geometry and timing of the chip-level SharedL2 tier. */
 struct L2Config
 {
@@ -343,13 +351,6 @@ struct L2Config
     unsigned hit_latency = 8;
     /** Cycles from bank service start to data for a DRAM fill. */
     unsigned miss_latency = 80;
-    /** Cycles per interconnect hop between a unit's ring stop and a
-     *  bank's; charged on both the request and the response path. */
-    unsigned hop_latency = 1;
-    /** Bank occupancy per serviced request: a bank accepts a new
-     *  request at most once every this many cycles; later arrivals
-     *  queue (L2Stats::queue_stalls counts the waited cycles). */
-    unsigned bank_cycles_per_request = 1;
 
     /** Total capacity across all banks; 0 for any degenerate
      *  dimension (a zero-capacity L2 is legal: every fill misses). */
@@ -402,7 +403,7 @@ inline constexpr L2Config kProbeL2_128KiB{
  * set-associative LRU array (an LruSets, like NodeCache) with a
  * single-server service queue. Units and banks sit on a ring: a
  * request from unit u to bank b pays
- * min(|u%B - b|, B - |u%B - b|) hops each way at hop_latency cycles
+ * min(|u%B - b|, B - |u%B - b|) hops each way at kL2HopLatency cycles
  * per hop. A fill that misses the array goes to DRAM and is recorded
  * in-flight; a second lookup of the same line while the fill is
  * outstanding MERGES onto it (completing no earlier than the fill,

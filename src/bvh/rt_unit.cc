@@ -57,8 +57,9 @@
  * earliest lane due cycle or fetch completion, so nextEvent() reports
  * that cycle and skipTo() charges the cycles in between in bulk (the
  * refusals, and the idle slots split at the gating fetch's phase
- * boundaries with the same classifyIdle()). A traced run neither parks
- * nor skips: its events are emitted cycle by cycle.
+ * boundaries with the same classifyIdle()). A trace only observes this
+ * schedule; the tests compare it with a walk that neither parks nor
+ * skips (sim::BatchExecutor's reference walk).
  */
 #include "bvh/rt_unit.hh"
 
@@ -146,7 +147,7 @@ class RtUnit::PacketScheduler
     };
     static constexpr const char *kItems = "rays";
 
-    explicit PacketScheduler(RtUnit &unit)
+    PacketScheduler(RtUnit &unit, TraversalMode mode)
         : inflight(unit.lanes_.size()), unit_(unit)
     {
         const RtUnitConfig &cfg = unit.cfg_;
@@ -156,7 +157,7 @@ class RtUnit::PacketScheduler
             std::max(1u, cfg.ray_buffer_entries / cfg.packet.width);
         packets_.reserve(slots);
         for (unsigned i = 0; i < slots; ++i)
-            packets_.emplace_back(unit.bvh_, cfg.packet.width, cfg.mode,
+            packets_.emplace_back(unit.bvh_, cfg.packet.width, mode,
                                   &unit.stats_.packet);
         compact_hold_.assign(slots, 0);
     }
@@ -605,21 +606,22 @@ class RtUnit::KnnScheduler
 };
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-               const RtUnitConfig &cfg)
-    : RtUnit(bvh, dp.config(), cfg, nullptr)
+               const RtUnitConfig &cfg, TraversalMode mode)
+    : RtUnit(bvh, dp.config(), cfg, mode, nullptr)
 {
 }
 
 RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg)
-    : RtUnit(index.bvh, dp.config(), cfg, &index)
+    : RtUnit(index.bvh, dp.config(), cfg, TraversalMode::Closest, &index)
 {
 }
 
 // The lanes implement dp's configuration; the datapath itself is never
 // ticked (see Lane).
 RtUnit::RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
-               const RtUnitConfig &cfg, const KnnIndex *index)
+               const RtUnitConfig &cfg, TraversalMode mode,
+               const KnnIndex *index)
     : pipeline::Component("rt-unit"), bvh_(bvh),
       cfg_(prepared(cfg, dp, index != nullptr)),
       mem_(makeMemoryModel(cfg_.mem_backend, cfg_.mem_latency, cfg_.cache)),
@@ -629,7 +631,7 @@ RtUnit::RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
       sched_(index ? std::make_unique<Scheduler>(
                          std::in_place_type<KnnScheduler>, *this, *index)
                    : std::make_unique<Scheduler>(
-                         std::in_place_type<PacketScheduler>, *this))
+                         std::in_place_type<PacketScheduler>, *this, mode))
 {
 }
 
@@ -710,7 +712,7 @@ RtUnit::classifyIdle(uint64_t t, uint64_t &until) const
  *  lock-step chip clock; single-unit backends ignore it. The access's phase breakdown
  *  becomes absolute boundaries on the queued request — what
  *  classifyIdle() attributes stalled slots against. A refusal parks the
- *  slot unless a trace sink wants the event of every retry. */
+ *  slot. */
 bool
 RtUnit::issueFetch(size_t slot, bool &issued)
 {
@@ -735,9 +737,7 @@ RtUnit::issueFetch(size_t slot, bool &issued)
     if (mshr && mshrs_.full()) {
         ++stats_.mshr.stalls_full;
         ++mshr_refusals_;
-        if (trace_)
-            emit(obs::TraceEvent::MshrStallFull, addr, uint64_t(slot));
-        else
+        if (park_)
             parked_.insert(slot);
         return false; // back-pressure: slot retries next cycle
     }
@@ -832,6 +832,10 @@ RtUnit::issueFetches(S &s, bool &changed)
         changed = true;
         if (!full && mshrs_.enabled() && mshrs_.full())
             fileFull(i + 1);
+    }
+    if (mshr_refusals_ != refusals_sampled_) {
+        refusals_sampled_ = mshr_refusals_;
+        emit(obs::TraceEvent::MshrRefusals, mshr_refusals_, 0);
     }
 }
 
@@ -954,7 +958,7 @@ RtUnit::nextEvent(uint64_t cycle) const
 {
     if (done())
         return kNever;
-    if (live_ || trace_)
+    if (live_)
         return cycle;
     // Every lane result due and every fetch complete by now_ was
     // handled in the dead cycle, so the earliest remaining one lies
@@ -1046,6 +1050,7 @@ RtUnit::beginRun()
     stats_ = {};
     mshrs_.reset();
     mshr_refusals_ = 0;
+    refusals_sampled_ = 0;
     live_ = true;
     for (Lane &l : lanes_)
         l = Lane{};

@@ -44,6 +44,11 @@
 #include "obs/trace.hh"
 #include "pipeline/component.hh"
 
+namespace rayflex::sim
+{
+class BatchExecutor;
+}
+
 namespace rayflex::bvh
 {
 
@@ -56,7 +61,6 @@ struct RtUnitConfig
     unsigned ray_buffer_entries = 32; ///< rays concurrently in flight
     /** Node fetch latency, cycles (MemBackend::FixedLatency). */
     unsigned mem_latency = 20;
-    TraversalMode mode = TraversalMode::Closest;
 
     /** Datapath issue lanes, 1..kMaxIssueWidth. The unit issues up to
      *  this many beats per cycle, one per lane. Each lane is a delay
@@ -213,11 +217,12 @@ class RtUnit : public pipeline::Component
   public:
     /** The lanes implement `dp.config()`; `dp` itself is only read
      *  for its configuration and never ticked (its activity() and
-     *  stages() stay zero).
+     *  stages() stay zero). Every ray of the unit is traced in `mode`.
      *  @throws std::invalid_argument when validate(cfg) or
      *  validate(dp.config()) rejects the configuration. */
     RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-           const RtUnitConfig &cfg = {});
+           const RtUnitConfig &cfg = {},
+           TraversalMode mode = TraversalMode::Closest);
 
     /**
      * k-NN mode: the unit walks `index` for submitKnn() queries
@@ -269,7 +274,8 @@ class RtUnit : public pipeline::Component
     /** Emit cycle-stamped fetch/MSHR/packet events to `sink` as unit
      *  `unit_id` (nullptr — the default state — disables emission; the
      *  seam idiom of obs/trace.hh). Borrowed, not owned. Call before
-     *  run()/beginRun(); tracing never changes timing or counters. */
+     *  run()/beginRun(); a sink only observes, never changing the
+     *  schedule, timing or counters. */
     void
     attachTrace(obs::TraceSink *sink, unsigned unit_id)
     {
@@ -311,9 +317,8 @@ class RtUnit : public pipeline::Component
 
     void publish(uint64_t cycle) override;
     void advance(uint64_t cycle) override;
-    /** `cycle` while the last advance() changed any state or a trace
-     *  sink is attached (a traced run never skips); otherwise the
-     *  earliest lane due cycle or fetch completion (an MSHR entry
+    /** `cycle` while the last advance() changed any state; otherwise
+     *  the earliest lane due cycle or fetch completion (an MSHR entry
      *  completes with its allocating request); kNever once done, or
      *  when nothing is left to wait on. */
     uint64_t nextEvent(uint64_t cycle) const override;
@@ -461,7 +466,9 @@ class RtUnit : public pipeline::Component
 
     /** The core over `bvh`; `index` selects the k-NN scheduler. */
     RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
-           const RtUnitConfig &cfg, const KnnIndex *index);
+           const RtUnitConfig &cfg, TraversalMode mode,
+           const KnnIndex *index);
+    friend class sim::BatchExecutor; ///< clears park_ (reference walk)
 
     // ----- the one cycle loop, instantiated per scheduler -----
 
@@ -472,8 +479,9 @@ class RtUnit : public pipeline::Component
      *  change a slot, so the per-cycle loop reads the lists, never the
      *  packets or queries themselves. It also unparks the slot. */
     template <class S> void refreshSlot(const S &s, size_t i);
-    /** Step (c): walk the NeedFetch slots and issue their fetches;
-     *  sets `changed` on an issue, merge or compaction hold. */
+    /** Step (c): walk the NeedFetch slots and issue their fetches,
+     *  then sample the MSHR refusals; sets `changed` on an issue, merge
+     *  or compaction hold. */
     template <class S> void issueFetches(S &s, bool &changed);
 
     /** Exclusive cause of the idle issue slots of cycle `t` (the
@@ -537,6 +545,9 @@ class RtUnit : public pipeline::Component
     /** Fetches a full MSHR file refused in this cycle's issue loop;
      *  read by the next cycle's idle classification. */
     unsigned mshr_refusals_ = 0;
+    /** The last MshrRefusals sample (0 before the first): the counter
+     *  track records changes only, so it stays exact over skips. */
+    unsigned refusals_sampled_ = 0;
     /** Whether the last advance() changed any state: a lane accept or
      *  drain, a compaction absorb or hold, a fetch retire, issue or
      *  merge, an MSHR allocation or retire, or a refill admission. */
@@ -550,13 +561,14 @@ class RtUnit : public pipeline::Component
         uint64_t addr = 0;
     };
     std::vector<FetchTarget> fetch_;
-    /** NeedFetch slots a full MSHR file refused (untraced runs only)
-     *  whose address is not in flight: while the file stays full, a
-     *  retry would be refused again, so the issue walk counts them
-     *  without asking the file. refreshSlot() erases a slot on any
-     *  event on it, and an MSHR allocation erases the slots of its
-     *  address, which may now merge. */
+    /** NeedFetch slots a full MSHR file refused whose address is not
+     *  in flight: while the file stays full, a retry would be refused
+     *  again, so the issue walk counts them without asking the file.
+     *  refreshSlot() erases a slot on any event on it, and an MSHR
+     *  allocation erases the slots of its address, which may now
+     *  merge. Only the tests' every-cycle reference walk clears park_. */
     SlotSet parked_;
+    bool park_ = true;
     std::vector<Lane> lanes_;
 
     /** The scheduler the constructor chose (both are defined in

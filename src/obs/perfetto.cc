@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 namespace rayflex::obs
 {
@@ -122,11 +123,9 @@ writeChromeTrace(std::ostream &os,
         case TraceEvent::FetchIssue:
         case TraceEvent::FetchFill:
         case TraceEvent::MshrAlloc:
-        case TraceEvent::MshrMerge:
-        case TraceEvent::MshrStallFull: {
+        case TraceEvent::MshrMerge: {
             static const char *const names[] = {
-                "fetch_issue", "fetch_fill", "mshr_alloc", "mshr_merge",
-                "mshr_stall_full"};
+                "fetch_issue", "fetch_fill", "mshr_alloc", "mshr_merge"};
             e.pid = kPidUnits;
             e.tid = unitTrack(r.unit);
             e.json = instant(kPidUnits, e.tid, e.ts,
@@ -134,14 +133,22 @@ writeChromeTrace(std::ostream &os,
                              r.b);
             break;
         }
+        case TraceEvent::MshrRefusals:
         case TraceEvent::MshrResidency:
+        case TraceEvent::PacketOccupancy: {
+            const auto [name, key] =
+                r.event == TraceEvent::MshrRefusals
+                    ? std::pair{"mshr_refusals", "refused"}
+                : r.event == TraceEvent::MshrResidency
+                    ? std::pair{"mshr_residency", "entries"}
+                    : std::pair{"packet_occupancy", "lanes"};
             e.pid = kPidUnits;
             e.tid = unitTrack(r.unit);
             e.json = counter(kPidUnits, e.tid, e.ts,
-                             "mshr_residency[u" +
-                                 std::to_string(r.unit) + "]",
-                             "entries", r.a);
+                             name + ("[u" + std::to_string(r.unit) + "]"),
+                             key, r.a);
             break;
+        }
         case TraceEvent::PacketForm:
         case TraceEvent::PacketCompact:
         case TraceEvent::PacketRetire: {
@@ -161,14 +168,6 @@ writeChromeTrace(std::ostream &os,
                         r.b);
             break;
         }
-        case TraceEvent::PacketOccupancy:
-            e.pid = kPidUnits;
-            e.tid = unitTrack(r.unit);
-            e.json = counter(kPidUnits, e.tid, e.ts,
-                             "packet_occupancy[u" +
-                                 std::to_string(r.unit) + "]",
-                             "lanes", r.a);
-            break;
         case TraceEvent::BankEnqueue:
         case TraceEvent::BankDequeue:
             e.pid = kPidL2;

@@ -23,7 +23,9 @@
  *
  *   FetchIssue / FetchFill    unit = RT unit   a = address   b = slot
  *   MshrAlloc                 unit = RT unit   a = address   b = residency
- *   MshrMerge / MshrStallFull unit = RT unit   a = address   b = slot
+ *   MshrMerge                 unit = RT unit   a = address   b = slot
+ *   MshrRefusals (counter)    unit = RT unit   a = fetches the full MSHR
+ *                                                  file refused that cycle
  *   MshrResidency (counter)   unit = RT unit   a = entries in flight
  *   PacketForm                unit = RT unit   a = slot      b = lanes
  *   PacketCompact             unit = RT unit   a = donor     b = recipient
@@ -52,7 +54,7 @@ enum class TraceEvent : uint8_t {
     FetchFill,
     MshrAlloc,
     MshrMerge,
-    MshrStallFull,
+    MshrRefusals, ///< counter sample: fetches refused this cycle
     MshrResidency, ///< counter sample: MSHR entries in flight
     // Packet scheduler
     PacketForm,
@@ -102,8 +104,6 @@ class VectorTraceSink final : public TraceSink
 {
   public:
     void record(const TraceRecord &r) override { events_.push_back(r); }
-
-    const std::vector<TraceRecord> &events() const { return events_; }
 
     /** Move the collected records out (end of a batch). */
     std::vector<TraceRecord>

@@ -35,12 +35,6 @@ Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
     bvh::validate(cfg_.rt);
     if (cfg_.model == ExecutionModel::CycleAccurate)
         bvh::validate(cfg_.dp);
-    // The executor sets each batch's traversal mode from the per-run
-    // any-hit flag, so a mode set here would be silently dropped.
-    if (cfg_.rt.mode != bvh::TraversalMode::Closest)
-        throw std::invalid_argument(
-            "EngineConfig::rt.mode is ignored by the engine; pass "
-            "any_hit to Engine::run");
     resolved_threads_ = cfg.threads;
     if (resolved_threads_ == 0) {
         resolved_threads_ = std::thread::hardware_concurrency();

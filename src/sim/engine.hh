@@ -148,8 +148,7 @@ class Engine
     /** @throws std::invalid_argument when bvh::validate rejects
      *  cfg.rt (a configuration that could never retire a ray) or, under
      *  the CycleAccurate model, cfg.dp (a box width the RT units cannot
-     *  traverse with), or when cfg.rt.mode is not Closest (the engine
-     *  would ignore it; pass any_hit to run()). */
+     *  traverse with). */
     explicit Engine(const EngineConfig &cfg = {});
 
     /** Trace every ray against the BVH and merge the statistics.

@@ -39,6 +39,12 @@ struct RayFamily
     const bvh::Bvh4 &target;
     bvh::TraversalMode mode;
 
+    std::unique_ptr<bvh::RtUnit>
+    unit(core::RayFlexDatapath &dp, const bvh::RtUnitConfig &rt) const
+    {
+        return std::make_unique<bvh::RtUnit>(target, dp, rt, mode);
+    }
+
     static void
     submit(bvh::RtUnit &u, const Ref &r, uint32_t id)
     {
@@ -52,13 +58,18 @@ struct RayFamily
     }
 };
 
-/** The k-NN query family (the traversal mode does not apply). */
+/** The k-NN query family. */
 struct KnnFamily
 {
     using Ref = KnnBatchRef;
 
     const bvh::KnnIndex &target;
-    bvh::TraversalMode mode;
+
+    std::unique_ptr<bvh::RtUnit>
+    unit(core::RayFlexDatapath &dp, const bvh::RtUnitConfig &rt) const
+    {
+        return std::make_unique<bvh::RtUnit>(target, dp, rt);
+    }
 
     static void
     submit(bvh::RtUnit &u, const Ref &r, uint32_t id)
@@ -95,15 +106,15 @@ BatchExecutor::runUnits(const Family &family,
     const unsigned units =
         cfg_.chip.active() ? std::clamp(cfg_.chip.units, 1u, kMaxChipUnits)
                            : 1u;
-    bvh::RtUnitConfig rt = cfg_.rt;
-    rt.mode = family.mode;
 
     // The units' lanes only read the datapath's configuration.
     core::RayFlexDatapath dp(cfg_.dp);
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
     us.reserve(units);
-    for (unsigned u = 0; u < units; ++u)
-        us.push_back(std::make_unique<bvh::RtUnit>(family.target, dp, rt));
+    for (unsigned u = 0; u < units; ++u) {
+        us.push_back(family.unit(dp, cfg_.rt));
+        us.back()->park_ = !every_cycle_;
+    }
 
     std::unique_ptr<bvh::SharedL2> shared;
     std::vector<std::unique_ptr<bvh::SharedL2>> priv;
@@ -152,12 +163,14 @@ BatchExecutor::runUnits(const Family &family,
     // shared L2 keeps no clock: it is evaluated when a fetch reaches
     // it). A step that finds no future event leaves the batch unable
     // to finish, and the watchdog below fires at once instead of at
-    // the budget.
+    // the budget. The reference walk ticks every cycle.
     const uint64_t budget = cfg_.max_cycles_per_batch;
     uint64_t evaluated = 0;
     while (!all_done() && sim.cycle() < budget) {
         ++evaluated;
-        if (!sim.step(budget))
+        if (every_cycle_)
+            sim.tick();
+        else if (!sim.step(budget))
             break;
     }
     for (unsigned u = 0; u < units; ++u) {
@@ -209,7 +222,7 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
             "constructed over a KnnIndex");
 
     if (cfg_.model == ExecutionModel::CycleAccurate)
-        return runUnits(KnnFamily{*knn_index_, cfg_.rt.mode}, refs, n);
+        return runUnits(KnnFamily{*knn_index_}, refs, n);
 
     BatchResult res;
     bvh::KnnTraversal trav(*knn_index_);

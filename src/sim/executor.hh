@@ -130,8 +130,8 @@ struct BatchResult
     uint64_t sim_cycles = 0;
     /** Lock-step ticks the host evaluated for this batch
      *  (CycleAccurate): sim_cycles minus the dead cycles jumped over
-     *  (pipeline::Simulator::step). Equal to sim_cycles with tracing
-     *  on, which never skips. A host-side count, not a modeled one. */
+     *  (pipeline::Simulator::step), traced or not. A host-side count,
+     *  not a modeled one. */
     uint64_t evaluated_cycles = 0;
 
     /** Cycle-stamped events of this batch (ExecutorConfig::trace, on
@@ -162,8 +162,8 @@ struct ExecutorConfig
      *  starts each batch cold, so the cached backend keeps the
      *  determinism contract. issue_width, mshrs and packet default to
      *  the single-issue, unbounded, compaction-off schedule bit-for-bit
-     *  and never change hit records. `rt.mode` is overridden per batch
-     *  from executeBatch()'s any_hit. */
+     *  and never change hit records. The traversal mode is
+     *  executeBatch()'s any_hit. */
     bvh::RtUnitConfig rt;
 
     /** Per-batch datapath configuration (CycleAccurate). */
@@ -182,7 +182,8 @@ struct ExecutorConfig
 
     /** Collect deterministic event traces (obs/trace.hh) into
      *  BatchResult::trace. CycleAccurate only; off (the default) costs
-     *  nothing and leaves every counter bit-identical. Events from a
+     *  nothing, and every counter, hit and cycle is bit-identical either
+     *  way (the sink never changes the schedule). Events from a
      *  Private-L2 chip's banks are not collected (their per-unit bank
      *  ids would alias on one track); the Shared L2 is. */
     bool trace = false;
@@ -230,6 +231,8 @@ class BatchExecutor
     const ExecutorConfig &config() const { return cfg_; }
 
   private:
+    friend struct EveryCycleWalk; ///< sets every_cycle_ (tests only)
+
     /** The one cycle-accurate batch loop, generic over the query
      *  family (ray or k-NN; see executor.cc). */
     template <typename Family>
@@ -240,6 +243,8 @@ class BatchExecutor
     const bvh::Bvh4 &bvh_;
     const bvh::KnnIndex *knn_index_ = nullptr;
     ExecutorConfig cfg_;
+    /** The tests' reference walk: tick every cycle, never park. */
+    bool every_cycle_ = false;
 };
 
 } // namespace rayflex::sim

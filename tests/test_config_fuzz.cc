@@ -9,20 +9,24 @@
  * geometry, any-hit, k-NN, streaming, tracing) run small ray or k-NN
  * workloads. Three more knobs draw the inputs: the scene (sphere plus
  * soup, a tie-heavy torus, a soup with duplicated and coplanar
- * triangles), the rays (camera and random, plus axis-aligned
- * directions, empty extents and origins on the root box's faces) and
- * the k-NN input (k = 3, duplicated points with k >= n, k = 0). Each
- * config is checked against five oracles:
+ * triangles), the rays (a camera framed on the scene and random rays
+ * aimed into its root box, plus axis-aligned directions, empty extents
+ * and origins on the root box's faces) and the k-NN input (k = 3,
+ * duplicated points with k >= n, k = 0). Each config is checked against
+ * five oracles:
  *   1. cycle-accurate hits (or neighbor lists) equal the Functional
  *      model's;
  *   2. the reports at 1 and 3 workers are identical;
  *   3. slots.total() == cycles * issue_width;
  *   4. sum(beats_by_op) == datapath_beats;
- *   5. the report with the trace knob flipped is identical (unit
- *      stats, hits or neighbor lists, simulated cycles or makespan and
- *      job latencies). A traced unit neither parks refused fetches nor
- *      skips dead cycles, so this pins the bulk accounting of skipped
- *      cycles to the cycle-by-cycle path across the knob space.
+ *   5. the run equals its batches replayed on the every-cycle
+ *      reference walk (tests/every_cycle_walk.hh) with a trace sink
+ *      attached: unit stats, hits or neighbor lists, makespan and job
+ *      completions, and on a traced config the trace itself. The
+ *      reference neither parks refused fetches nor skips dead cycles,
+ *      so this pins the model's bulk accounting of skipped cycles and
+ *      its parking to the cycle-by-cycle path across the knob space,
+ *      and shows that attaching a sink changes nothing.
  * The run is bounded by a config count, not wall clock, so it is
  * deterministic. A failing config is shrunk — knobs reset to their
  * defaults one at a time while the failure persists — and printed as
@@ -37,6 +41,7 @@
 #include <string>
 
 #include "bvh/scene.hh"
+#include "every_cycle_walk.hh"
 #include "sim/engine.hh"
 #include "sim/stream.hh"
 
@@ -223,34 +228,46 @@ fuzzScene(unsigned scene)
     return scenes[scene];
 }
 
-/** The rays of knob value `rays` on `bvh`: 0 camera and random rays;
- *  1 those plus axis-aligned rays (an infinite inverse on two axes)
- *  from the eye and the root box's centre, camera rays with an empty
- *  extent (t_end = 0), rays from each root-box face's centre, inward
- *  and along the face, and rays through scene vertices. */
+/** The rays of knob value `rays` on `bvh`: 0 the 24 rays of a 6x4
+ *  camera framed on the scene and 24 rays from random origins, each
+ *  aimed at a random point of the middle half of the root box (most
+ *  of both hit: ConfigFuzz.OriginalRaysHitEveryScene); 1 those plus
+ *  axis-aligned rays (an infinite inverse on two axes) from the eye and
+ *  the root box's centre, camera rays with an empty extent (t_end = 0),
+ *  rays from each root-box face's centre, inward and along the face,
+ *  and rays through scene vertices. */
 std::vector<core::Ray>
 fuzzRays(const Bvh4 &bvh, unsigned kind)
 {
     Camera cam;
     cam.eye = {0.5f, 1.0f, 8.0f};
+    cam.fov_deg = 30.0f;
     cam.width = 6;
     cam.height = 4;
     std::vector<core::Ray> rays;
     for (unsigned y = 0; y < cam.height; ++y)
         for (unsigned x = 0; x < cam.width; ++x)
             rays.push_back(cam.primaryRay(x, y, 100.0f));
-    core::WorkloadGen gen(77);
-    for (int i = 0; i < 24; ++i)
-        rays.push_back(gen.ray(6.0f));
-    if (kind == 0)
-        return rays;
 
     const Aabb &box = bvh.root_bounds;
-    const Vec3 mid = box.centre();
     const auto ray = [&](Vec3 o, Vec3 d, float t_end) {
         rays.push_back(core::makeRay(o.x, o.y, o.z, d.x, d.y, d.z, 0.0f,
                                      t_end));
     };
+    const Vec3 mid = box.centre();
+    const Vec3 half = (box.hi - box.lo) * 0.5f;
+    core::WorkloadGen gen(77);
+    for (int i = 0; i < 24; ++i) {
+        const Vec3 o{gen.uniform(-6.0f, 6.0f), gen.uniform(-6.0f, 6.0f),
+                     gen.uniform(-6.0f, 6.0f)};
+        const Vec3 target{mid.x + half.x * gen.uniform(-0.5f, 0.5f),
+                          mid.y + half.y * gen.uniform(-0.5f, 0.5f),
+                          mid.z + half.z * gen.uniform(-0.5f, 0.5f)};
+        ray(o, target - o, 100.0f);
+    }
+    if (kind == 0)
+        return rays;
+
     for (int axis = 0; axis < 3; ++axis)
         for (const float sign : {1.0f, -1.0f}) {
             Vec3 d;
@@ -275,12 +292,28 @@ fuzzRays(const Bvh4 &bvh, unsigned kind)
     return rays;
 }
 
-/** The config with its trace knob flipped (oracle 5). */
-Config
-traceFlipped(Config c)
+/** Oracle 5's executor over `target` (a Bvh4 or a KnnIndex): the
+ *  config's batches on the every-cycle reference walk, traced. */
+template <class Target>
+sim::BatchExecutor
+referenceWalk(const Target &target, const Config &c)
 {
-    c[kTrace] ^= 1u;
-    return c;
+    sim::ExecutorConfig cfg = engineConfig(c, 1);
+    cfg.trace = true;
+    return sim::EveryCycleWalk::on(sim::BatchExecutor(target, cfg));
+}
+
+/** A traced run's events without the job timeline's, which a replay of
+ *  its batches does not produce. */
+std::vector<obs::TraceRecord>
+batchEvents(const std::vector<obs::TraceRecord> &trace)
+{
+    std::vector<obs::TraceRecord> out;
+    for (const obs::TraceRecord &r : trace)
+        if (r.event != obs::TraceEvent::JobSubmit &&
+            r.event != obs::TraceEvent::JobComplete)
+            out.push_back(r);
+    return out;
 }
 
 /** Oracles 3 and 4 on one merged stats record. */
@@ -339,10 +372,18 @@ checkKnn(const Config &c)
         return "k-NN results differ from the Functional model";
     if (three.results != one.results || !(three.unit == one.unit))
         return "k-NN report differs between 1 and 3 workers";
-    const sim::KnnReport flipped =
-        sim::Engine(engineConfig(traceFlipped(c), 1)).runKnn(index, queries);
-    if (flipped.results != one.results || !(flipped.unit == one.unit))
-        return "k-NN report differs with the trace knob flipped";
+    const sim::BatchExecutor walk = referenceWalk(index, c);
+    std::vector<KnnResult> results(queries.size());
+    RtUnitStats unit;
+    for (const core::BatchRange &r :
+         core::sliceBatches(queries.size(), engineConfig(c, 1).batch_size)) {
+        std::vector<sim::KnnBatchRef> refs;
+        for (size_t i = r.begin; i < r.end; ++i)
+            refs.push_back({&queries[i], &results[i]});
+        unit.merge(walk.executeKnnBatch(refs.data(), refs.size()).unit);
+    }
+    if (results != one.results || !(unit == one.unit))
+        return "k-NN report differs from the every-cycle reference walk";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 
@@ -394,20 +435,44 @@ checkStream(const Config &c)
             three.jobs[j].latency != one.jobs[j].latency ||
             three.jobs[j].batches != one.jobs[j].batches)
             return "stream job report differs between 1 and 3 workers";
-    const sim::StreamReport flipped = sim::StreamingService::run(
-        sim::Engine(engineConfig(traceFlipped(c), 1)), bvh, fuzzJobs(c),
-        scfg);
-    if (!(flipped.unit == one.unit) ||
-        flipped.makespan_ticks != one.makespan_ticks ||
-        flipped.p50_job_latency != one.p50_job_latency ||
-        flipped.p99_job_latency != one.p99_job_latency)
-        return "stream report differs with the trace knob flipped";
-    for (size_t j = 0; j < one.jobs.size(); ++j)
-        if (flipped.jobs[j].hits != one.jobs[j].hits ||
-            flipped.jobs[j].latency != one.jobs[j].latency ||
-            flipped.jobs[j].completion_tick != one.jobs[j].completion_tick)
-            return "stream job report differs with the trace knob "
-                   "flipped";
+    // The plan replayed on the reference walk, laid out on the
+    // service's timeline: a batch starts once the previous one drained
+    // and its jobs have arrived. fuzzJobs() is in (arrival, id) order.
+    const std::vector<sim::RenderJob> jobs = fuzzJobs(c);
+    const sim::BatchExecutor walk = referenceWalk(bvh, c);
+    std::vector<std::vector<HitRecord>> hits;
+    std::vector<uint64_t> completion;
+    for (const sim::RenderJob &job : jobs) {
+        hits.emplace_back(job.rays.size());
+        completion.push_back(job.arrival_tick);
+    }
+    RtUnitStats unit;
+    std::vector<obs::TraceRecord> trace;
+    uint64_t end = 0;
+    const std::vector<sim::PlannedBatch> plans =
+        sim::BatchScheduler(scfg).plan(jobs);
+    for (size_t bi = 0; bi < plans.size(); ++bi) {
+        const sim::PlannedBatch &b = plans[bi];
+        std::vector<sim::BatchRayRef> refs;
+        for (const auto &[j, ri] : b.rays)
+            refs.push_back({&jobs[j].rays[ri], &hits[j][ri], j});
+        const sim::BatchResult r =
+            walk.executeBatch(refs.data(), refs.size(), b.any_hit);
+        unit.merge(r.unit);
+        const uint64_t start = std::max(end, b.ready_tick);
+        sim::spliceBatchTrace(trace, r, bi, b.rays.size(), start);
+        end = start + r.sim_cycles;
+        for (const auto &[j, ri] : b.rays)
+            completion[j] = end;
+    }
+    if (!(unit == one.unit) || end != one.makespan_ticks ||
+        (c[kTrace] && trace != batchEvents(one.trace)))
+        return "stream report differs from the every-cycle reference walk";
+    for (size_t j = 0; j < jobs.size(); ++j)
+        if (hits[j] != one.jobs[j].hits ||
+            completion[j] != one.jobs[j].completion_tick)
+            return "stream job report differs from the every-cycle "
+                   "reference walk";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 
@@ -430,10 +495,27 @@ checkRays(const Config &c)
     if (three.hits != one.hits || !(three.unit == one.unit) ||
         three.trace != one.trace)
         return "report differs between 1 and 3 workers";
-    const sim::EngineReport flipped =
-        sim::Engine(engineConfig(traceFlipped(c), 1)).run(bvh, rays, any_hit);
-    if (flipped.hits != one.hits || !(flipped.unit == one.unit))
-        return "report differs with the trace knob flipped";
+    const sim::BatchExecutor walk = referenceWalk(bvh, c);
+    std::vector<HitRecord> hits(rays.size());
+    RtUnitStats unit;
+    std::vector<obs::TraceRecord> trace;
+    uint64_t end = 0;
+    const std::vector<core::BatchRange> batches =
+        core::sliceBatches(rays.size(), engineConfig(c, 1).batch_size);
+    for (size_t bi = 0; bi < batches.size(); ++bi) {
+        const core::BatchRange &b = batches[bi];
+        std::vector<sim::BatchRayRef> refs;
+        for (size_t i = b.begin; i < b.end; ++i)
+            refs.push_back({&rays[i], &hits[i]});
+        const sim::BatchResult r =
+            walk.executeBatch(refs.data(), refs.size(), any_hit);
+        unit.merge(r.unit);
+        sim::spliceBatchTrace(trace, r, bi, b.size(), end);
+        end += r.sim_cycles;
+    }
+    if (hits != one.hits || !(unit == one.unit) ||
+        (c[kTrace] && trace != one.trace))
+        return "report differs from the every-cycle reference walk";
     return checkSlots(one.unit, c[kIssueWidth]);
 }
 
@@ -506,4 +588,24 @@ TEST(ConfigFuzz, ShrinkKeepsOnlyTheKnobsAFailureNeeds)
     EXPECT_NE(text.find("issue_width=8\n"), std::string::npos);
     EXPECT_NE(text.find("cache=1\n"), std::string::npos);
     EXPECT_EQ(check(defaults()), "");
+}
+
+TEST(ConfigFuzz, OriginalRaysHitEveryScene)
+{
+    // Most configs trace the original rays, and a miss compares empty
+    // hit records in oracle 1: on every scene, at least a third of the
+    // camera rays and half of the aimed rays hit (12, 12 and 9 camera
+    // rays and 12, 16 and 16 aimed ones do).
+    for (unsigned scene = 0; scene < 3; ++scene) {
+        SCOPED_TRACE("scene " + std::to_string(scene));
+        const Bvh4 &bvh = fuzzScene(scene);
+        const std::vector<core::Ray> rays = fuzzRays(bvh, 0);
+        ASSERT_EQ(rays.size(), 48u);
+        Traverser trav(bvh);
+        unsigned camera = 0, aimed = 0;
+        for (size_t i = 0; i < rays.size(); ++i)
+            (i < 24 ? camera : aimed) += trav.closestHit(rays[i]).hit;
+        EXPECT_GE(camera, 8u);
+        EXPECT_GE(aimed, 12u);
+    }
 }

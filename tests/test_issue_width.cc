@@ -12,8 +12,9 @@
  * retirement occupancy, scheduler-stat parity between the scalar path
  * and one-occupancy packets, the 1/2/8-worker determinism sweep
  * with every new knob enabled at once, and dead-cycle skipping and
- * refused-fetch parking (fewer evaluated cycles, every counter equal to
- * the traced run's, which ticks every cycle).
+ * refused-fetch parking (fewer evaluated cycles, traced or not, and
+ * every counter, hit and trace equal to the every-cycle reference
+ * walk's, which neither parks nor skips).
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "bvh/scene.hh"
 #include "core/raygen.hh"
 #include "core/workloads.hh"
+#include "every_cycle_walk.hh"
 #include "sim/engine.hh"
 
 using namespace rayflex;
@@ -438,151 +440,129 @@ TEST(MultiIssue, IssueWidthIsClampedToTheSupportedRange)
         ASSERT_TRUE(bitIdentical(o.hits[i], ref.hits[i])) << i;
 }
 
-TEST(DeadCycles, LatencyBoundBatchEvaluatesUnderHalfItsCycles)
-{
-    // A long flat fetch latency and a two-ray buffer leave the unit
-    // waiting on memory in most cycles. The untraced batch jumps over
-    // those dead cycles and charges them in bulk; the traced batch
-    // ticks every cycle. Both report the same stats and hits.
-    Bvh4 bvh = testScene();
-    std::vector<Ray> rays = testRays(bvh, 16);
-    rays.erase(rays.begin(), rays.end() - 32);
-
-    sim::ExecutorConfig cfg;
-    cfg.rt.mem_latency = 200;
-    cfg.rt.ray_buffer_entries = 2;
-    const auto execute = [&](std::vector<HitRecord> &hits) {
-        hits.assign(rays.size(), {});
-        std::vector<sim::BatchRayRef> refs;
-        for (size_t i = 0; i < rays.size(); ++i)
-            refs.push_back({&rays[i], &hits[i]});
-        return sim::BatchExecutor(bvh, cfg).executeBatch(
-            refs.data(), refs.size(), false);
-    };
-    std::vector<HitRecord> hits, traced_hits;
-    const sim::BatchResult fast = execute(hits);
-    cfg.trace = true;
-    const sim::BatchResult traced = execute(traced_hits);
-
-    EXPECT_LT(2 * fast.evaluated_cycles, fast.sim_cycles)
-        << fast.evaluated_cycles << " of " << fast.sim_cycles;
-    EXPECT_EQ(traced.evaluated_cycles, traced.sim_cycles);
-    EXPECT_EQ(fast.sim_cycles, traced.sim_cycles);
-    EXPECT_EQ(fast.unit, traced.unit);
-    for (size_t i = 0; i < rays.size(); ++i)
-        ASSERT_TRUE(bitIdentical(hits[i], traced_hits[i])) << i;
-}
-
-TEST(DeadCycles, ParkedRefusalsEqualTheTracedStallEvents)
-{
-    // One MSHR behind four lanes starves the k-NN slots: most fetch
-    // retries are refused. Untraced, a refused slot parks and skipped
-    // cycles charge their refusals in bulk; traced, every refused
-    // retry of every cycle emits one MshrStallFull event. The untraced
-    // count must equal the traced events.
-    const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
-    std::vector<KnnQuery> queries;
-    for (DataPoint &p : makePointCloud(16, 8, 4, 6))
-        queries.push_back({std::move(p.coords), 4});
-
-    sim::ExecutorConfig cfg;
-    cfg.dp = core::kExtendedUnified;
-    cfg.rt.mem_backend = MemBackend::NodeCache;
-    cfg.rt.cache = kProbeCache4KiB;
-    cfg.rt.issue_width = 4;
-    cfg.rt.mshrs = 1;
-    const auto execute = [&](std::vector<KnnResult> &results) {
-        results.assign(queries.size(), {});
-        std::vector<sim::KnnBatchRef> refs;
-        for (size_t i = 0; i < queries.size(); ++i)
-            refs.push_back({&queries[i], &results[i]});
-        return sim::BatchExecutor(index, cfg).executeKnnBatch(
-            refs.data(), refs.size());
-    };
-    std::vector<KnnResult> results, traced_results;
-    const sim::BatchResult fast = execute(results);
-    cfg.trace = true;
-    const sim::BatchResult traced = execute(traced_results);
-
-    const auto events = std::count_if(
-        traced.trace.begin(), traced.trace.end(),
-        [](const obs::TraceRecord &r) {
-            return r.event == obs::TraceEvent::MshrStallFull;
-        });
-    EXPECT_GT(fast.unit.mshr.stalls_full, 0u);
-    EXPECT_EQ(fast.unit.mshr.stalls_full, uint64_t(events));
-    EXPECT_EQ(fast.unit, traced.unit);
-    EXPECT_EQ(results, traced_results);
-    EXPECT_LT(fast.evaluated_cycles, fast.sim_cycles);
-    EXPECT_EQ(traced.evaluated_cycles, traced.sim_cycles);
-}
-
-TEST(DeadCycles, CompactionUnderMshrStarvationMatchesTheTracedRun)
-{
-    // Divergent fans through narrow packets that repack, a one- or
-    // two-entry MSHR file and a small ray buffer: slots park on
-    // refused fetches, donors of a repack go idle and refill at the
-    // root while other packets' fetches are in flight. Every counter
-    // and hit must equal the traced run's, which neither parks nor
-    // skips.
-    Bvh4 bvh = testScene();
-    std::vector<Ray> rays = fanRays(24, 8);
-    for (unsigned width : {2u, 4u})
-        for (unsigned mshrs : {1u, 2u}) {
-            sim::EngineConfig cfg;
-            cfg.threads = 1;
-            cfg.batch_size = 0;
-            cfg.rt.mem_backend = MemBackend::NodeCache;
-            cfg.rt.cache = kProbeCache4KiB;
-            cfg.rt.packet.width = width;
-            cfg.rt.packet.compact_below = width;
-            cfg.rt.ray_buffer_entries = 4 * width;
-            cfg.rt.issue_width = 2;
-            cfg.rt.mshrs = mshrs;
-            const sim::EngineReport fast = sim::Engine(cfg).run(bvh, rays);
-            cfg.trace = true;
-            const sim::EngineReport traced =
-                sim::Engine(cfg).run(bvh, rays);
-            ASSERT_GT(fast.unit.packet.compactions, 0u);
-            ASSERT_GT(fast.unit.mshr.stalls_full, 0u);
-            EXPECT_EQ(fast.unit, traced.unit)
-                << "width " << width << ", mshrs " << mshrs;
-            for (size_t i = 0; i < rays.size(); ++i)
-                ASSERT_TRUE(bitIdentical(fast.hits[i], traced.hits[i]))
-                    << i;
-        }
-}
-
 namespace
 {
 
-/** Run `rays` as one batch untraced and traced and require the same
- *  unit counters and hits. The untraced run skips dead cycles and
- *  charges parked refusals in bulk; the traced run ticks and walks
- *  every cycle. @return the untraced result. */
+/** One batch of `rays` on `cfg`, on the model or (`reference`) on the
+ *  every-cycle reference walk. */
 sim::BatchResult
-expectTracedTwin(const Bvh4 &bvh, const std::vector<Ray> &rays,
-                 sim::ExecutorConfig cfg, bool any_hit)
+rayBatch(const Bvh4 &bvh, const std::vector<Ray> &rays, bool any_hit,
+         const sim::ExecutorConfig &cfg, bool reference,
+         std::vector<HitRecord> &hits)
 {
-    const auto execute = [&](std::vector<HitRecord> &hits) {
-        hits.assign(rays.size(), {});
-        std::vector<sim::BatchRayRef> refs;
-        for (size_t i = 0; i < rays.size(); ++i)
-            refs.push_back({&rays[i], &hits[i]});
-        return sim::BatchExecutor(bvh, cfg).executeBatch(
-            refs.data(), refs.size(), any_hit);
-    };
-    std::vector<HitRecord> hits, traced_hits;
-    cfg.trace = false;
-    const sim::BatchResult fast = execute(hits);
-    cfg.trace = true;
-    const sim::BatchResult traced = execute(traced_hits);
-    EXPECT_EQ(fast.unit, traced.unit);
-    EXPECT_EQ(fast.sim_cycles, traced.sim_cycles);
-    EXPECT_EQ(fast.unit.rays_completed, rays.size());
+    hits.assign(rays.size(), {});
+    std::vector<sim::BatchRayRef> refs;
     for (size_t i = 0; i < rays.size(); ++i)
-        EXPECT_TRUE(bitIdentical(hits[i], traced_hits[i])) << i;
-    return fast;
+        refs.push_back({&rays[i], &hits[i]});
+    const sim::BatchExecutor model(bvh, cfg);
+    const sim::BatchExecutor exec =
+        reference ? sim::EveryCycleWalk::on(model) : model;
+    return exec.executeBatch(refs.data(), refs.size(), any_hit);
+}
+
+/** One batch of k-NN `queries`, as rayBatch. */
+sim::BatchResult
+knnBatch(const KnnIndex &index, const std::vector<KnnQuery> &queries,
+         const sim::ExecutorConfig &cfg, bool reference,
+         std::vector<KnnResult> &results)
+{
+    results.assign(queries.size(), {});
+    std::vector<sim::KnnBatchRef> refs;
+    for (size_t i = 0; i < queries.size(); ++i)
+        refs.push_back({&queries[i], &results[i]});
+    const sim::BatchExecutor model(index, cfg);
+    const sim::BatchExecutor exec =
+        reference ? sim::EveryCycleWalk::on(model) : model;
+    return exec.executeKnnBatch(refs.data(), refs.size());
+}
+
+void
+expectSameOutputs(const std::vector<HitRecord> &a,
+                  const std::vector<HitRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(bitIdentical(a[i], b[i])) << i;
+}
+
+void
+expectSameOutputs(const std::vector<KnnResult> &a,
+                  const std::vector<KnnResult> &b)
+{
+    EXPECT_TRUE(a == b);
+}
+
+/** Run one batch three ways: on the model untraced and traced, and on
+ *  the every-cycle reference walk, traced. `batch(cfg, reference, out)`
+ *  runs it. All three must report the same unit counters, outputs and
+ *  simulated cycles, and the two traces must be equal. The model
+ *  evaluates the same cycles traced or not; the reference evaluates
+ *  every cycle. @return the traced model run. */
+template <class Out, class Batch>
+sim::BatchResult
+expectOneSchedule(sim::ExecutorConfig cfg, const Batch &batch)
+{
+    std::vector<Out> out, traced_out, ref_out;
+    cfg.trace = false;
+    const sim::BatchResult fast = batch(cfg, false, out);
+    cfg.trace = true;
+    const sim::BatchResult traced = batch(cfg, false, traced_out);
+    const sim::BatchResult ref = batch(cfg, true, ref_out);
+    EXPECT_EQ(fast.unit, ref.unit);
+    EXPECT_EQ(traced.unit, ref.unit);
+    EXPECT_EQ(fast.sim_cycles, ref.sim_cycles);
+    EXPECT_EQ(traced.sim_cycles, ref.sim_cycles);
+    EXPECT_EQ(fast.evaluated_cycles, traced.evaluated_cycles);
+    EXPECT_EQ(ref.evaluated_cycles, ref.sim_cycles);
+    EXPECT_TRUE(traced.trace == ref.trace)
+        << traced.trace.size() << " vs " << ref.trace.size() << " events";
+    expectSameOutputs(out, ref_out);
+    expectSameOutputs(traced_out, ref_out);
+    return traced;
+}
+
+/** expectOneSchedule over one ray batch. */
+sim::BatchResult
+expectOneRaySchedule(const Bvh4 &bvh, const std::vector<Ray> &rays,
+                     const sim::ExecutorConfig &cfg, bool any_hit)
+{
+    const sim::BatchResult r = expectOneSchedule<HitRecord>(
+        cfg, [&](const sim::ExecutorConfig &c, bool reference,
+                 std::vector<HitRecord> &hits) {
+            return rayBatch(bvh, rays, any_hit, c, reference, hits);
+        });
+    EXPECT_EQ(r.unit.rays_completed, rays.size());
+    return r;
+}
+
+/** expectOneSchedule over one k-NN batch. */
+sim::BatchResult
+expectOneKnnSchedule(const KnnIndex &index,
+                     const std::vector<KnnQuery> &queries,
+                     const sim::ExecutorConfig &cfg)
+{
+    const sim::BatchResult r = expectOneSchedule<KnnResult>(
+        cfg, [&](const sim::ExecutorConfig &c, bool reference,
+                 std::vector<KnnResult> &results) {
+            return knnBatch(index, queries, c, reference, results);
+        });
+    EXPECT_EQ(r.unit.knn.queries, queries.size());
+    return r;
+}
+
+/** Unit `unit`'s MshrRefusals track integrated over the batch's
+ *  cycles: each sample holds until the next one or the batch's end. */
+uint64_t
+integratedRefusals(const sim::BatchResult &r, uint32_t unit)
+{
+    uint64_t sum = 0, value = 0, since = 0;
+    for (const obs::TraceRecord &e : r.trace)
+        if (e.event == obs::TraceEvent::MshrRefusals && e.unit == unit) {
+            sum += value * (e.cycle - since);
+            value = e.a;
+            since = e.cycle;
+        }
+    return sum + value * (r.sim_cycles - since);
 }
 
 /** The schedule counters a slot-list change would move, against the
@@ -599,13 +579,86 @@ expectSchedule(const RtUnitStats &u, uint64_t cycles, uint64_t beats,
 
 } // namespace
 
-TEST(DeadCycles, SlotListsMatchTheTracedWalk)
+TEST(DeadCycles, LatencyBoundBatchEvaluatesUnderHalfItsCycles)
+{
+    // A long flat fetch latency and a two-ray buffer leave the unit
+    // waiting on memory in most cycles. The model jumps over those dead
+    // cycles and charges them in bulk, traced or not; the reference
+    // walk ticks every cycle. All report the same stats and hits.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 16);
+    rays.erase(rays.begin(), rays.end() - 32);
+
+    sim::ExecutorConfig cfg;
+    cfg.rt.mem_latency = 200;
+    cfg.rt.ray_buffer_entries = 2;
+    const sim::BatchResult r = expectOneRaySchedule(bvh, rays, cfg, false);
+    EXPECT_LT(2 * r.evaluated_cycles, r.sim_cycles)
+        << r.evaluated_cycles << " of " << r.sim_cycles;
+}
+
+TEST(DeadCycles, ParkedRefusalsEqualTheRefusalSamples)
+{
+    // One MSHR behind four lanes starves the k-NN slots: most fetch
+    // retries are refused. The model parks a refused slot and charges
+    // a skipped cycle's refusals in bulk; the reference walk asks the
+    // file on every retry of every cycle. The trace samples the
+    // refusals once per change, so its track integrates to the count
+    // and stays small.
+    const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(16, 8, 4, 6))
+        queries.push_back({std::move(p.coords), 4});
+
+    sim::ExecutorConfig cfg;
+    cfg.dp = core::kExtendedUnified;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.issue_width = 4;
+    cfg.rt.mshrs = 1;
+    const sim::BatchResult r = expectOneKnnSchedule(index, queries, cfg);
+    EXPECT_GT(r.unit.mshr.stalls_full, 0u);
+    EXPECT_EQ(integratedRefusals(r, 0), r.unit.mshr.stalls_full);
+    EXPECT_LT(r.trace.size(), 10000u);
+    EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+}
+
+TEST(DeadCycles, CompactionUnderMshrStarvationMatchesTheReferenceWalk)
+{
+    // Divergent fans through narrow packets that repack, a one- or
+    // two-entry MSHR file and a small ray buffer: slots park on
+    // refused fetches, donors of a repack go idle and refill at the
+    // root while other packets' fetches are in flight. Every counter
+    // and hit must equal the reference walk's, which neither parks nor
+    // skips.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = fanRays(24, 8);
+    for (unsigned width : {2u, 4u})
+        for (unsigned mshrs : {1u, 2u}) {
+            SCOPED_TRACE("width " + std::to_string(width) + ", mshrs " +
+                         std::to_string(mshrs));
+            sim::ExecutorConfig cfg;
+            cfg.rt.mem_backend = MemBackend::NodeCache;
+            cfg.rt.cache = kProbeCache4KiB;
+            cfg.rt.packet.width = width;
+            cfg.rt.packet.compact_below = width;
+            cfg.rt.ray_buffer_entries = 4 * width;
+            cfg.rt.issue_width = 2;
+            cfg.rt.mshrs = mshrs;
+            const sim::BatchResult r =
+                expectOneRaySchedule(bvh, rays, cfg, true);
+            EXPECT_GT(r.unit.packet.compactions, 0u);
+            EXPECT_GT(r.unit.mshr.stalls_full, 0u);
+        }
+}
+
+TEST(DeadCycles, SlotListsMatchTheReferenceWalk)
 {
     // The unit keeps each slot's state, the NeedFetch and Idle sets and
     // the offerable set up to date at the slot's transitions.
     // Each case drives one transition that must update the lists; its
-    // untraced run must equal the traced twin, and its schedule the
-    // one the unit produced when it rescanned every slot every cycle
+    // runs must equal the reference walk's, and its schedule the one
+    // the unit produced when it rescanned every slot every cycle
     // (counters captured from that tree).
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 64);
@@ -626,7 +679,8 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
     cfg.rt.issue_width = 4;
     cfg.rt.mshrs = 4;
     expectSchedule(
-        expectTracedTwin(occluders, testRays(occluders, 0), cfg, true).unit,
+        expectOneRaySchedule(occluders, testRays(occluders, 0), cfg, true)
+            .unit,
         12413, 9647, 659, 0);
 
     // A compaction absorb moves a donor out of NeedFetch while the one
@@ -639,7 +693,7 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
         c.rt.issue_width = 2;
         c.rt.mshrs = 1;
         const sim::BatchResult r =
-            expectTracedTwin(bvh, fanRays(24, 8), c, true);
+            expectOneRaySchedule(bvh, fanRays(24, 8), c, true);
         EXPECT_EQ(r.unit.packet.compactions, 45u);
         expectSchedule(r.unit, 16081, 2267, 660, 30436);
         EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
@@ -650,7 +704,8 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
     // cycle, four slots of eight rays.
     {
         const Bvh4 empty = buildBvh4({});
-        const sim::BatchResult r = expectTracedTwin(empty, rays, cfg, false);
+        const sim::BatchResult r =
+            expectOneRaySchedule(empty, rays, cfg, false);
         EXPECT_EQ(r.unit.cycles, (rays.size() + 31) / 32);
     }
 
@@ -660,8 +715,8 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
         c.rt.packet.width = 1;
         c.rt.issue_width = 2;
         c.rt.mshrs = 2;
-        expectSchedule(expectTracedTwin(bvh, rays, c, false).unit, 19292,
-                       4904, 1872, 461911);
+        expectSchedule(expectOneRaySchedule(bvh, rays, c, false).unit,
+                       19292, 4904, 1872, 461911);
     }
 
     // k-NN under one MSHR, both metrics: the same lists hold the
@@ -680,22 +735,8 @@ TEST(DeadCycles, SlotListsMatchTheTracedWalk)
     kc.rt.ray_buffer_entries = 8;
     kc.rt.issue_width = 2;
     kc.rt.mshrs = 1;
-    const auto execute = [&](std::vector<KnnResult> &results) {
-        results.assign(queries.size(), {});
-        std::vector<sim::KnnBatchRef> refs;
-        for (size_t i = 0; i < queries.size(); ++i)
-            refs.push_back({&queries[i], &results[i]});
-        return sim::BatchExecutor(index, kc).executeKnnBatch(
-            refs.data(), refs.size());
-    };
-    std::vector<KnnResult> results, traced_results;
-    const sim::BatchResult fast = execute(results);
-    kc.trace = true;
-    const sim::BatchResult traced = execute(traced_results);
-    expectSchedule(fast.unit, 27995, 4800, 914, 139588);
-    EXPECT_EQ(fast.unit.knn.queries, queries.size());
-    EXPECT_EQ(fast.unit, traced.unit);
-    EXPECT_EQ(results, traced_results);
+    expectSchedule(expectOneKnnSchedule(index, queries, kc).unit, 27995,
+                   4800, 914, 139588);
 }
 
 TEST(DeadCycles, AbsorbRecipientIsUnparked)
@@ -705,8 +746,8 @@ TEST(DeadCycles, AbsorbRecipientIsUnparked)
     // in most cycles, so a packet whose repacking window ran out parks
     // on its refused fetch. When it then absorbs a donor, its window
     // restarts, and the issue walk must ask it to hold again rather
-    // than count it refused. The untraced run, which parks, must equal
-    // its traced twin, which never does.
+    // than count it refused. The model, which parks, must equal the
+    // reference walk, which never does.
     Bvh4 bvh = testScene();
     sim::ExecutorConfig cfg;
     cfg.rt.mem_latency = 200;
@@ -716,7 +757,7 @@ TEST(DeadCycles, AbsorbRecipientIsUnparked)
     cfg.rt.issue_width = 2;
     cfg.rt.mshrs = 1;
     const sim::BatchResult r =
-        expectTracedTwin(bvh, fanRays(24, 8), cfg, false);
+        expectOneRaySchedule(bvh, fanRays(24, 8), cfg, false);
     EXPECT_GT(r.unit.packet.compactions, 0u);
     EXPECT_GT(r.unit.mshr.stalls_full, 0u);
     EXPECT_LT(r.evaluated_cycles, r.sim_cycles);

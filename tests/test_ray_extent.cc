@@ -129,12 +129,10 @@ TEST(RayExtent, RtUnitHonorsLowerBound)
 TEST(RayExtent, RtUnitAnyHitModeHonorsLowerBound)
 {
     Bvh4 bvh = twoSlabScene();
-    RtUnitConfig cfg;
-    cfg.mode = TraversalMode::Any;
 
     {
         RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp, {}, TraversalMode::Any);
         unit.submit(shadowStyleRay(), 0);
         unit.run();
         // Occluded, and the record carries only the flag.
@@ -142,7 +140,7 @@ TEST(RayExtent, RtUnitAnyHitModeHonorsLowerBound)
     }
     {
         RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp, {}, TraversalMode::Any);
         unit.submit(withExtent(shadowStyleRay(), 2.0f, 3.0f), 0);
         unit.run();
         EXPECT_EQ(unit.results()[0], HitRecord{});

@@ -411,24 +411,6 @@ TEST(SimEngine, ConfigsThatCannotProgressAreRejectedAtConstruction)
     }
 }
 
-TEST(SimEngine, RtModeOnAnEngineConfigIsRejectedAtConstruction)
-{
-    // The engine sets each batch's traversal mode from the per-run
-    // any-hit flag, so rt.mode = Any would silently return closest-hit
-    // records. The constructor rejects it and points to any_hit.
-    sim::EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.rt.mode = TraversalMode::Any;
-    try {
-        sim::Engine engine(cfg);
-        ADD_FAILURE() << "rt.mode = Any was accepted";
-    } catch (const std::invalid_argument &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("rt.mode"), std::string::npos) << what;
-        EXPECT_NE(what.find("any_hit"), std::string::npos) << what;
-    }
-}
-
 TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)
 {
     // Acceptance sweep: >= 10k random shadow-style rays (epsilon lower
