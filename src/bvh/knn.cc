@@ -106,13 +106,29 @@ knnBoxLowerBound(const Aabb &box, const float *query, size_t dims)
 namespace
 {
 
+// The heaps' orders are function objects, not function pointers, so
+// std::push_heap/pop_heap inline every comparison.
+
 /** The frontier's min-heap order: true when `a` is visited after
  *  `b`. */
-bool
-visitedAfter(const KnnFrontierItem &a, const KnnFrontierItem &b)
+struct VisitedAfter
 {
-    return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
-}
+    bool
+    operator()(const KnnFrontierItem &a, const KnnFrontierItem &b) const
+    {
+        return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
+    }
+};
+
+/** The top-k max-heap order, core::golden::knnCloser. */
+struct Closer
+{
+    bool
+    operator()(const KnnNeighbor &a, const KnnNeighbor &b) const
+    {
+        return knnCloser(a, b);
+    }
+};
 
 } // namespace
 
@@ -135,7 +151,7 @@ KnnWalk::next(KnnFrontierItem &item, KnnStats &stats)
 {
     if (frontier_.empty())
         return false;
-    std::pop_heap(frontier_.begin(), frontier_.end(), visitedAfter);
+    std::pop_heap(frontier_.begin(), frontier_.end(), VisitedAfter{});
     item = frontier_.back();
     frontier_.pop_back();
     if (!prunable(item.lb)) {
@@ -165,8 +181,7 @@ KnnWalk::expand(uint32_t node, KnnStats &stats)
         }
         frontier_.push_back({lb, c.kind == WideNode::Kind::Leaf, c.index,
                              c.count, seq_++});
-        std::push_heap(frontier_.begin(), frontier_.end(),
-                       visitedAfter);
+        std::push_heap(frontier_.begin(), frontier_.end(), VisitedAfter{});
     }
     stats.frontier_peak =
         std::max<uint64_t>(stats.frontier_peak, frontier_.size());
@@ -179,11 +194,11 @@ KnnWalk::offer(uint32_t tri, float score)
                            index_->points[index_->bvh.tris[tri].id].id};
     if (best_.size() < query_.k) {
         best_.push_back(cand);
-        std::push_heap(best_.begin(), best_.end(), knnCloser);
+        std::push_heap(best_.begin(), best_.end(), Closer{});
     } else if (knnCloser(cand, best_.front())) {
-        std::pop_heap(best_.begin(), best_.end(), knnCloser);
+        std::pop_heap(best_.begin(), best_.end(), Closer{});
         best_.back() = cand;
-        std::push_heap(best_.begin(), best_.end(), knnCloser);
+        std::push_heap(best_.begin(), best_.end(), Closer{});
     }
 }
 
@@ -191,7 +206,7 @@ std::vector<KnnNeighbor>
 KnnWalk::neighbors() const
 {
     std::vector<KnnNeighbor> out = best_;
-    std::sort(out.begin(), out.end(), knnCloser);
+    std::sort(out.begin(), out.end(), Closer{});
     return out;
 }
 

@@ -49,15 +49,25 @@
  * slot the full file refused parks: its address is not in flight, so
  * while the file stays full its retry is counted as refused without
  * consulting the file, and once the file is full in a cycle's issue
- * walk the parked slots still ahead are counted in one popcount. Any
- * event on the slot, or an allocation of its address, unparks it. A
- * cycle that changed no state — no lane accepted or drained, no
- * fetch retired, issued or merged, no MSHR entry allocated or freed,
- * no slot refilled, no compaction hold or absorb — repeats until the
- * earliest lane due cycle or fetch completion, so nextEvent() reports
- * that cycle and skipTo() charges the cycles in between in bulk (the
- * refusals, and the idle slots split at the gating fetch's phase
- * boundaries with the same classifyIdle()). A trace only observes this
+ * walk the parked slots still ahead are counted in one popcount. A
+ * change of the slot's state or fetch address, a compaction absorb into
+ * its packet, or an allocation of its address unparks it. A cycle that
+ * changes no state — no lane accepts or drains, no fetch retires,
+ * issues or merges, no MSHR entry is allocated or freed, no slot
+ * refills, no compaction holds or absorbs — repeats until the earliest
+ * lane due cycle or fetch completion. Such a cycle is found without
+ * evaluating it: after a dead cycle, every later one repeats it; after
+ * a live cycle, nextEvent() tests whether the next one is provably
+ * quiet (quietAt: nothing to offer, nothing due, nothing to admit, and
+ * every NeedFetch slot refused by the full file). Either way
+ * nextEvent() reports the next event and skipTo() charges the cycles
+ * in between in bulk: a quiet successor first, as step() would
+ * (chargeQuietCycle: its idle slots take the live cycle's refusal
+ * count, then it refuses and parks every NeedFetch slot), then the
+ * repeats (the refusals, and the idle slots split at the gating
+ * fetch's phase boundaries with the same classifyIdle()). The quiet
+ * test runs in nextEvent(), not at the end of every live step, so a
+ * busy unit pays only its first check. A trace only observes this
  * schedule; the tests compare it with a walk that neither parks nor
  * skips (sim::BatchExecutor's reference walk).
  */
@@ -123,7 +133,8 @@ prepared(RtUnitConfig cfg, const core::DatapathConfig &dp, bool knn)
 //
 // A scheduler owns the slots' contents and answers the core's hooks:
 // slots(), state(i) and fetchItem(i) describe slot i;
-// begin() resets per-run state; publish() sets the lanes' offers;
+// begin() resets per-run state; publish() sets the lanes' offers, and
+// streaming() says whether a lane will offer with no slot Ready;
 // accept(lane) and drain(beat) are steps (a) and (b), and compact() runs
 // after (b); holdFetch(i), fetchIssued(i) and fetchArrived(i) serve step
 // (c), and refill() step (d). A lane carries the scheduler's Beat (with
@@ -182,6 +193,8 @@ class RtUnit::PacketScheduler
         return {p.fetchIsLeaf(), p.fetchIndex(), p.fetchCount()};
     }
     void begin() { occupancy_last_ = ~uint64_t(0); }
+    /** A packet lane offers only from a Ready slot. */
+    bool streaming() const { return false; }
 
     /** Offer up to issue_width beats from the Ready packets in slot
      *  order (first-ready; round-robin would be fairer, first-ready is
@@ -260,9 +273,11 @@ class RtUnit::PacketScheduler
                     live + ql > unit_.cfg_.packet.width)
                     continue;
                 p.absorb(q);
-                // The recipient's hold window restarts, so it is
-                // unparked too: the issue walk must ask it to hold
-                // again.
+                // The recipient's hold window restarts while it stays
+                // in NeedFetch, so it is unparked here: the issue walk
+                // must ask it to hold again. The donor goes Idle, which
+                // unparks it.
+                unit_.parked_.erase(i);
                 unit_.refreshSlot(*this, i);
                 unit_.refreshSlot(*this, j);
                 absorbed = true;
@@ -401,6 +416,14 @@ class RtUnit::KnnScheduler
     EntryState state(size_t i) const { return entries_[i].state; }
     WorkItem fetchItem(size_t i) const { return entries_[i].fetch; }
     void begin() { lanes_.assign(lanes_.size(), KnnLane{}); }
+    /** A lane locked to a job offers its next beat whatever the slot
+     *  states. */
+    bool
+    streaming() const
+    {
+        return std::any_of(lanes_.begin(), lanes_.end(),
+                           [](const KnnLane &l) { return !l.job.free(); });
+    }
 
     /** Each lane first finishes the candidate it is streaming (all
      *  beats of one job stay on one lane, in order, so the lane's
@@ -760,10 +783,7 @@ RtUnit::issueFetch(size_t slot, bool &issued)
                     req.queue_until);
     ++stats_.mshr.allocations;
     // A slot parked on this address can merge now.
-    for (size_t j = parked_.next(0); j != SlotSet::npos;
-         j = parked_.next(j + 1))
-        if (fetch_[j].addr == addr)
-            parked_.erase(j);
+    parked_.eraseIf([&](size_t j) { return fetch_[j].addr == addr; });
     emit(obs::TraceEvent::MshrAlloc, addr, mshrs_.inflightCount());
     emit(obs::TraceEvent::MshrResidency, mshrs_.inflightCount(), 0);
     return true;
@@ -779,28 +799,37 @@ RtUnit::refreshSlot(const S &s, size_t i)
         in_state_[size_t(kept)].erase(i);
         in_state_[size_t(st)].insert(i);
         kept = st;
+        parked_.erase(i);
     }
-    parked_.erase(i);
     if (st != EntryState::NeedFetch)
         return;
     // The synthetic address map, shared by both schedulers: the whole
     // leaf for leaf work, one wide node otherwise. The address doubles
     // as the MSHR merge key — each node and leaf has a unique base
-    // address.
+    // address. A slot that keeps its state and target (a k-NN query's
+    // score draining while it waits to fetch) stays parked: its retry
+    // would be refused as before.
     FetchTarget &f = fetch_[i];
     f.item = s.fetchItem(i);
-    f.addr = f.item.is_leaf
-                 ? tri_base_ + uint64_t(f.item.index) * kTriStrideBytes
-                 : uint64_t(f.item.index) * kNodeStrideBytes;
+    const uint64_t addr =
+        f.item.is_leaf ? tri_base_ + uint64_t(f.item.index) * kTriStrideBytes
+                       : uint64_t(f.item.index) * kNodeStrideBytes;
+    if (addr != f.addr) {
+        f.addr = addr;
+        parked_.erase(i);
+    }
 }
 
 /** The fetch-issue walk over the NeedFetch slots, in slot order. No
  *  entry retires during the walk, so once the MSHR file is full (at
  *  the start or after an allocation) it stays full: every parked slot
  *  from there on is refused, counted in one popcount, and the walk
- *  visits only the unparked slots (to merge or be refused and park). A
- *  parked slot never holds for compaction: its hold was declined when
- *  it parked, and only an event that refreshes the slot restarts it. */
+ *  visits only the unparked slots (to merge or be refused and park).
+ *  Once this cycle's one L1 request has gone, a parked slot left in the
+ *  walk can neither allocate nor merge (its address is not in flight),
+ *  so the walk skips the parked slots then too. A parked slot never
+ *  holds for compaction: its hold was declined when it parked, and
+ *  only an event that refreshes the slot restarts it. */
 template <class S>
 void
 RtUnit::issueFetches(S &s, bool &changed)
@@ -816,9 +845,10 @@ RtUnit::issueFetches(S &s, bool &changed)
     };
     if (mshrs_.enabled() && mshrs_.full())
         fileFull(0);
-    for (size_t i = full ? need.nextNotIn(0, parked_) : need.next(0);
-         i != SlotSet::npos;
-         i = full ? need.nextNotIn(i + 1, parked_) : need.next(i + 1)) {
+    const auto from = [&](size_t i) {
+        return full || issued ? need.nextNotIn(i, parked_) : need.next(i);
+    };
+    for (size_t i = from(0); i != SlotSet::npos; i = from(i + 1)) {
         if (!mshrs_.enabled() && issued)
             break;
         if (s.holdFetch(i)) {
@@ -833,10 +863,70 @@ RtUnit::issueFetches(S &s, bool &changed)
         if (!full && mshrs_.enabled() && mshrs_.full())
             fileFull(i + 1);
     }
+    sampleRefusals();
+}
+
+void
+RtUnit::sampleRefusals()
+{
     if (mshr_refusals_ != refusals_sampled_) {
         refusals_sampled_ = mshr_refusals_;
         emit(obs::TraceEvent::MshrRefusals, mshr_refusals_, 0);
     }
+}
+
+bool
+RtUnit::quietAt(uint64_t t) const
+{
+    // Nothing to accept: lanes offer from Ready slots. Nothing to drain
+    // or retire (an MSHR entry retires with its allocating request).
+    if (!in_state_[size_t(EntryState::Ready)].empty() || mem_next_done_ <= t)
+        return false;
+    for (const Lane &l : lanes_)
+        if (l.dueAt(t))
+            return false;
+    // Nothing else to accept (a k-NN lane offers while it streams a
+    // job), and nothing to admit.
+    const bool busy = std::visit(
+        [this](const auto &s) {
+            return s.streaming() ||
+                   (!s.pending.empty() &&
+                    !in_state_[size_t(EntryState::Idle)].empty());
+        },
+        *sched_);
+    if (busy)
+        return false;
+    // Nothing to issue, merge, hold or absorb: a parked slot's address
+    // is never in flight, so only the unparked ones are looked up.
+    const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
+    if (need.empty())
+        return true;
+    if (!mshrs_.enabled() || !mshrs_.full() || cfg_.packet.compact_below)
+        return false;
+    for (size_t i = need.nextNotIn(0, parked_); i != SlotSet::npos;
+         i = need.nextNotIn(i + 1, parked_))
+        if (mshrs_.lookup(fetch_[i].addr))
+            return false;
+    return true;
+}
+
+void
+RtUnit::chargeQuietCycle()
+{
+    ++now_;
+    ++stats_.cycles;
+    uint64_t until;
+    stats_.slots[classifyIdle(now_, until)] += lanes_.size();
+    // retireMshrs() re-arms the count, and the issue walk refuses every
+    // NeedFetch slot: the parked ones by popcount, the rest by asking
+    // the file, parking them.
+    const SlotSet &need = in_state_[size_t(EntryState::NeedFetch)];
+    mshr_refusals_ = unsigned(need.countFrom(0));
+    stats_.mshr.stalls_full += mshr_refusals_;
+    if (park_)
+        parked_.insertAll(need);
+    sampleRefusals();
+    live_ = false;
 }
 
 template <class S>
@@ -958,11 +1048,11 @@ RtUnit::nextEvent(uint64_t cycle) const
 {
     if (done())
         return kNever;
-    if (live_)
+    if (live_ && !quietAt(cycle))
         return cycle;
     // Every lane result due and every fetch complete by now_ was
-    // handled in the dead cycle, so the earliest remaining one lies
-    // ahead.
+    // handled, and a quiet `cycle` has none due, so the earliest
+    // remaining one lies ahead.
     uint64_t next = mem_next_done_;
     for (const Lane &l : lanes_)
         if (l.size)
@@ -975,6 +1065,10 @@ RtUnit::skipTo(uint64_t cycle)
 {
     if (done())
         return;
+    // nextEvent() lets the clock jump past a live cycle only onto its
+    // quiet successor.
+    if (live_)
+        chargeQuietCycle();
     const uint64_t n = cycle - now_ - 1;
     stats_.cycles += n;
     stats_.mshr.stalls_full += uint64_t(mshr_refusals_) * n;
@@ -985,13 +1079,6 @@ RtUnit::skipTo(uint64_t cycle)
         stats_.slots[cause] += (end - t) * lanes_.size();
         t = end;
     }
-}
-
-bool
-RtUnit::SlotSet::empty() const
-{
-    return std::all_of(words_.begin(), words_.end(),
-                       [](uint64_t w) { return w == 0; });
 }
 
 size_t

@@ -317,15 +317,18 @@ class RtUnit : public pipeline::Component
 
     void publish(uint64_t cycle) override;
     void advance(uint64_t cycle) override;
-    /** `cycle` while the last advance() changed any state; otherwise
+    /** `cycle` when it may change state: the last advance() changed
+     *  some state and `cycle` is not provably quiet (quietAt). Otherwise
      *  the earliest lane due cycle or fetch completion (an MSHR entry
      *  completes with its allocating request); kNever once done, or
      *  when nothing is left to wait on. */
     uint64_t nextEvent(uint64_t cycle) const override;
-    /** Charge the dead cycles before `cycle` in bulk: each repeats the
-     *  last one, so cycles, the MSHR refusals and the idle slots
-     *  (split at the gating fetch's phase boundaries) scale with their
-     *  number. A finished unit is charged nothing. */
+    /** Charge the cycles before `cycle` in bulk. After a live cycle the
+     *  first of them is its quiet successor, charged as step() would
+     *  evaluate it (chargeQuietCycle); every other one repeats the
+     *  last, so cycles, the MSHR refusals and the idle slots (split at
+     *  the gating fetch's phase boundaries) scale with their number. A
+     *  finished unit is charged nothing. */
     void skipTo(uint64_t cycle) override;
 
   private:
@@ -373,7 +376,37 @@ class RtUnit : public pipeline::Component
         void assign(size_t slots) { words_.assign((slots + 63) / 64, 0); }
         void insert(size_t i) { words_[i / 64] |= uint64_t(1) << (i % 64); }
         void erase(size_t i) { words_[i / 64] &= ~(uint64_t(1) << (i % 64)); }
-        bool empty() const;
+        bool
+        empty() const
+        {
+            for (uint64_t w : words_)
+                if (w)
+                    return false;
+            return true;
+        }
+        /** Add every member of `other`, a set of the same size. */
+        void
+        insertAll(const SlotSet &other)
+        {
+            for (size_t w = 0; w < words_.size(); ++w)
+                words_[w] |= other.words_[w];
+        }
+        /** Erase every member `i` for which drop(i) holds, in one pass
+         *  over the words. */
+        template <class Drop>
+        void
+        eraseIf(Drop drop)
+        {
+            for (size_t w = 0; w < words_.size(); ++w) {
+                uint64_t gone = 0;
+                for (uint64_t bits = words_[w]; bits; bits &= bits - 1) {
+                    const int b = std::countr_zero(bits);
+                    if (drop(w * 64 + size_t(b)))
+                        gone |= uint64_t(1) << b;
+                }
+                words_[w] &= ~gone;
+            }
+        }
         /** The smallest member >= i, or npos. It reads the current
          *  members, so a walk `for (i = next(0); i != npos; i =
          *  next(i + 1))` may erase or insert members as it goes and
@@ -477,12 +510,28 @@ class RtUnit : public pipeline::Component
     /** Record slot `i`'s state and fetch target (work item and
      *  address) in the slot lists. Called after every hook that can
      *  change a slot, so the per-cycle loop reads the lists, never the
-     *  packets or queries themselves. It also unparks the slot. */
+     *  packets or queries themselves. It unparks the slot when its
+     *  state or fetch address changed. */
     template <class S> void refreshSlot(const S &s, size_t i);
     /** Step (c): walk the NeedFetch slots and issue their fetches,
      *  then sample the MSHR refusals; sets `changed` on an issue, merge
      *  or compaction hold. */
     template <class S> void issueFetches(S &s, bool &changed);
+    /** Whether cycle `t`, the successor of a live cycle, is provably
+     *  quiet: step() would accept, drain, retire, issue, merge, hold,
+     *  absorb and admit nothing in it. Cheapest check first: no slot
+     *  Ready; no lane result or fetch due; no lane streaming a job and
+     *  no refill possible (the scheduler's); and every NeedFetch slot
+     *  refused (the MSHR file is on and full, compaction is off, and no
+     *  unparked slot's address is in flight). */
+    bool quietAt(uint64_t t) const;
+    /** Evaluate cycle now_ + 1, which quietAt() vouched for, as step()
+     *  would: its idle slots take the live cycle's refusal count, then
+     *  it refuses and parks every NeedFetch slot and samples the new
+     *  count. */
+    void chargeQuietCycle();
+    /** Emit an MshrRefusals sample when the count changed. */
+    void sampleRefusals();
 
     /** Exclusive cause of the idle issue slots of cycle `t` (the
      *  non-Issued buckets of obs::Slot), from the unit's current state.
@@ -548,9 +597,10 @@ class RtUnit : public pipeline::Component
     /** The last MshrRefusals sample (0 before the first): the counter
      *  track records changes only, so it stays exact over skips. */
     unsigned refusals_sampled_ = 0;
-    /** Whether the last advance() changed any state: a lane accept or
-     *  drain, a compaction absorb or hold, a fetch retire, issue or
-     *  merge, an MSHR allocation or retire, or a refill admission. */
+    /** Whether the last evaluated cycle changed any state: a lane
+     *  accept or drain, a compaction absorb or hold, a fetch retire,
+     *  issue or merge, an MSHR allocation or retire, or a refill
+     *  admission. */
     bool live_ = true;
     /** A NeedFetch slot's work item and its address, recorded by
      *  refreshSlot(), so the fetch-issue walk reads them here instead
@@ -564,9 +614,11 @@ class RtUnit : public pipeline::Component
     /** NeedFetch slots a full MSHR file refused whose address is not
      *  in flight: while the file stays full, a retry would be refused
      *  again, so the issue walk counts them without asking the file.
-     *  refreshSlot() erases a slot on any event on it, and an MSHR
-     *  allocation erases the slots of its address, which may now
-     *  merge. Only the tests' every-cycle reference walk clears park_. */
+     *  refreshSlot() erases a slot whose state or fetch address
+     *  changed, a compaction absorb erases its recipient (whose hold
+     *  window restarts), and an MSHR allocation
+     *  erases the slots of its address, which may now merge. Only the
+     *  tests' every-cycle reference walk clears park_. */
     SlotSet parked_;
     bool park_ = true;
     std::vector<Lane> lanes_;

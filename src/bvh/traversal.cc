@@ -78,7 +78,7 @@ Traverser::closestHit(const core::Ray &ray)
         const WideNode &node = bvh_.nodes[idx];
         ++stats_.nodes_visited;
 
-        DatapathOutput out = nativeEval(boxBeat(ray, node), acc_);
+        nativeEval(boxBeat(ray, node), acc_, out_);
         ++stats_.box_ops;
 
         // Children arrive sorted by entry distance; push in reverse so
@@ -86,12 +86,12 @@ Traverser::closestHit(const core::Ray &ray)
         std::array<uint8_t, 4> hit_slots{};
         int n_hits = 0;
         for (int i = 0; i < 4; ++i) {
-            uint8_t slot = out.box.order[i];
-            if (!out.box.hit[slot])
+            uint8_t slot = out_.box.order[i];
+            if (!out_.box.hit[slot])
                 continue;
             // Prune children beyond the best hit found so far.
             if (best.hit &&
-                fromBits(out.box.sorted_dist[i]) > best.t)
+                fromBits(out_.box.sorted_dist[i]) > best.t)
                 continue;
             hit_slots[n_hits++] = slot;
         }
@@ -105,18 +105,18 @@ Traverser::closestHit(const core::Ray &ray)
                     tin.op = Opcode::RayTriangle;
                     tin.ray = ray;
                     tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = nativeEval(tin, acc_);
+                    nativeEval(tin, acc_, out_);
                     ++stats_.tri_ops;
-                    auto d = triDistance(tout);
+                    auto d = triDistance(out_);
                     if (d && *d >= t_min && *d <= t_max &&
                         replacesBest(*d, bvh_.tris[t].id, best)) {
                         best.hit = true;
                         best.t = *d;
                         best.triangle_id = bvh_.tris[t].id;
-                        float u = fromBits(tout.tri.uvw[0]);
-                        float v = fromBits(tout.tri.uvw[1]);
-                        float w = fromBits(tout.tri.uvw[2]);
-                        float den = fromBits(tout.tri.t_den);
+                        float u = fromBits(out_.tri.uvw[0]);
+                        float v = fromBits(out_.tri.uvw[1]);
+                        float w = fromBits(out_.tri.uvw[2]);
+                        float den = fromBits(out_.tri.t_den);
                         best.u = u / den;
                         best.v = v / den;
                         best.w = w / den;
@@ -145,10 +145,12 @@ Traverser::anyHit(const core::Ray &ray)
         const WideNode &node = bvh_.nodes[idx];
         ++stats_.nodes_visited;
 
-        DatapathOutput out = nativeEval(boxBeat(ray, node), acc_);
+        nativeEval(boxBeat(ray, node), acc_, out_);
         ++stats_.box_ops;
+        // The triangle beats below reuse out_.
+        const std::array<bool, kMaxBoxesPerOp> hit = out_.box.hit;
         for (int i = 0; i < 4; ++i) {
-            if (!out.box.hit[i])
+            if (!hit[i])
                 continue;
             const auto &c = node.child[i];
             if (c.kind == WideNode::Kind::Internal) {
@@ -159,9 +161,9 @@ Traverser::anyHit(const core::Ray &ray)
                     tin.op = Opcode::RayTriangle;
                     tin.ray = ray;
                     tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = nativeEval(tin, acc_);
+                    nativeEval(tin, acc_, out_);
                     ++stats_.tri_ops;
-                    auto d = triDistance(tout);
+                    auto d = triDistance(out_);
                     if (d && *d >= t_min && *d <= t_max)
                         return true;
                 }
@@ -178,12 +180,13 @@ Traverser::bruteForceClosest(const core::Ray &ray) const
     const float t_min = fromBits(ray.t_beg);
     const float t_max = fromBits(ray.t_end);
     core::DistanceAccumulators acc;
+    DatapathOutput out; // every beat's result, evaluated in place
     for (const SceneTriangle &tri : bvh_.tris) {
         DatapathInput in;
         in.op = Opcode::RayTriangle;
         in.ray = ray;
         in.tri = tri.toIoTriangle();
-        DatapathOutput out = nativeEval(in, acc);
+        nativeEval(in, acc, out);
         auto d = triDistance(out);
         if (d && *d >= t_min && *d <= t_max &&
             replacesBest(*d, tri.id, best)) {

@@ -110,6 +110,9 @@ class Traverser
     const Bvh4 &bvh_;
     TraversalStats stats_;
     core::DistanceAccumulators acc_; // unused by box/tri beats
+    /** Every beat's result, evaluated in place (nativeEval writes
+     *  every field). */
+    core::DatapathOutput out_;
 };
 
 /** An always-miss box for padding empty child slots: +inf corners make

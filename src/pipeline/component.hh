@@ -105,7 +105,8 @@ class Simulator
      * Tick once, then jump the clock over the cycles in which no
      * component can change state: to the earliest nextEvent(), but no
      * further than cycle `limit`, charging the jumped cycles through
-     * skipTo().
+     * skipTo(). Polling stops at the first component that may change
+     * state in the next cycle: no jump is possible then.
      * @return false when no component will ever change state again
      *         (every later cycle would repeat the last one).
      */
@@ -114,8 +115,11 @@ class Simulator
     {
         tick();
         uint64_t next = Component::kNever;
-        for (Component *c : components_)
+        for (Component *c : components_) {
             next = std::min(next, c->nextEvent(cycle_));
+            if (next == cycle_)
+                return true;
+        }
         if (next == Component::kNever)
             return false;
         next = std::min(next, limit);

@@ -620,7 +620,10 @@ TEST(DeadCycles, ParkedRefusalsEqualTheRefusalSamples)
     EXPECT_GT(r.unit.mshr.stalls_full, 0u);
     EXPECT_EQ(integratedRefusals(r, 0), r.unit.mshr.stalls_full);
     EXPECT_LT(r.trace.size(), 10000u);
-    EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+    // Evaluating every cycle that followed a live one (no quiet test)
+    // took 4,906 of these cycles.
+    EXPECT_EQ(r.sim_cycles, 40928u);
+    EXPECT_EQ(r.evaluated_cycles, 3055u);
 }
 
 TEST(DeadCycles, CompactionUnderMshrStarvationMatchesTheReferenceWalk)
@@ -761,4 +764,89 @@ TEST(DeadCycles, AbsorbRecipientIsUnparked)
     EXPECT_GT(r.unit.packet.compactions, 0u);
     EXPECT_GT(r.unit.mshr.stalls_full, 0u);
     EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+}
+
+TEST(DeadCycles, QuietCycleRefusesWhatRefillAdmitted)
+{
+    // Two query slots behind one MSHR, each query's walk a few nodes
+    // deep: when a query finishes, refill admits the next one into its
+    // slot after the live cycle's issue walk, while the other slot's
+    // fetch holds the file. The cycle after is quiet, and refuses one
+    // slot more than the live cycle did. The model charges it without
+    // evaluating it; the reference walk evaluates it.
+    const KnnIndex index = buildKnnIndex(makePointCloud(120, 8, 4, 11));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(24, 8, 4, 12))
+        queries.push_back({std::move(p.coords), 2});
+
+    sim::ExecutorConfig cfg;
+    cfg.dp = core::kExtendedUnified;
+    cfg.rt.mem_latency = 40;
+    cfg.rt.ray_buffer_entries = 2;
+    cfg.rt.mshrs = 1;
+    const sim::BatchResult r = expectOneKnnSchedule(index, queries, cfg);
+    EXPECT_GT(r.unit.mshr.stalls_full, 0u);
+    EXPECT_EQ(integratedRefusals(r, 0), r.unit.mshr.stalls_full);
+    EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+}
+
+TEST(DeadCycles, QuietUnitBesideALiveOneIsAdvanced)
+{
+    // Four k-NN units on one shared L2, one MSHR each: a unit whose
+    // next cycle is quiet ticks on with the others while any of them
+    // is live, and is charged in bulk only when all of them can skip.
+    const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(32, 8, 4, 6))
+        queries.push_back({std::move(p.coords), 4});
+
+    sim::ExecutorConfig cfg;
+    cfg.dp = core::kExtendedUnified;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.issue_width = 2;
+    cfg.rt.ray_buffer_entries = 4;
+    cfg.rt.mshrs = 1;
+    cfg.chip.units = 4;
+    cfg.chip.l2 = sim::L2Mode::Shared;
+    cfg.chip.l2cfg = kProbeL2_128KiB;
+    const sim::BatchResult r = expectOneKnnSchedule(index, queries, cfg);
+    EXPECT_GT(r.unit.mshr.stalls_full, 0u);
+    for (uint32_t u = 0; u < 4; ++u)
+        EXPECT_GT(integratedRefusals(r, u), 0u) << "unit " << u;
+    EXPECT_LT(r.evaluated_cycles, r.sim_cycles);
+}
+
+TEST(DeadCycles, KnnSearchBatchesSkipQuietCycles)
+{
+    // The repository benchmark's knn_search workload at seed 1: 256
+    // 16-D queries (one in eight cosine) over 1000 points, in four
+    // batches of 64 on one unit (issue 4, 8 MSHRs, 4 KiB node cache).
+    // Evaluating every cycle after a live one took 357,155 of the
+    // 664,290 cycles.
+    const KnnIndex index = buildKnnIndex(makePointCloud(1000, 16, 8, 42));
+    std::vector<KnnQuery> queries;
+    size_t q = 0;
+    for (DataPoint &p : makePointCloud(256, 16, 32, 1))
+        queries.push_back({std::move(p.coords), 8,
+                           q++ % 8 == 7 ? KnnMetric::Cosine
+                                        : KnnMetric::Euclidean});
+
+    sim::ExecutorConfig cfg;
+    cfg.dp = core::kExtendedUnified;
+    cfg.rt.mem_backend = MemBackend::NodeCache;
+    cfg.rt.cache = kProbeCache4KiB;
+    cfg.rt.issue_width = 4;
+    cfg.rt.mshrs = 8;
+    uint64_t sim_cycles = 0, evaluated = 0;
+    for (size_t b = 0; b < queries.size(); b += 64) {
+        const std::vector<KnnQuery> batch(queries.begin() + b,
+                                          queries.begin() + b + 64);
+        std::vector<KnnResult> out;
+        const sim::BatchResult r = knnBatch(index, batch, cfg, false, out);
+        sim_cycles += r.sim_cycles;
+        evaluated += r.evaluated_cycles;
+    }
+    EXPECT_EQ(sim_cycles, 664290u);
+    EXPECT_LE(evaluated, 251000u);
 }
