@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_scene.hh"
 #include "bvh/scene.hh"
 #include "core/raygen.hh"
 #include "sim/engine.hh"
@@ -36,42 +37,10 @@
 using namespace rayflex;
 using namespace rayflex::bvh;
 using namespace rayflex::core;
+using namespace rayflex::bench;
 
 namespace
 {
-
-/** The shared bench scene (bench_sim_engine's): rolling terrain with
- *  an embedded sphere, ~2.4k triangles. */
-const Bvh4 &
-benchScene()
-{
-    static Bvh4 bvh = [] {
-        auto tris = makeTerrain(20.0f, 32, 0.5f, 11);
-        uint32_t id = uint32_t(tris.size());
-        auto sphere = makeSphere({0, 2.0f, 0}, 2.0f, 16, 24, id);
-        tris.insert(tris.end(), sphere.begin(), sphere.end());
-        return buildBvh4(std::move(tris));
-    }();
-    return bvh;
-}
-
-std::vector<Ray>
-benchRays(unsigned side)
-{
-    const Bvh4 &bvh = benchScene();
-    Camera cam;
-    Vec3 c = bvh.root_bounds.centre();
-    Vec3 ext = bvh.root_bounds.hi - bvh.root_bounds.lo;
-    cam.look_at = c;
-    cam.eye = c + Vec3{0.4f * ext.x, 0.5f * ext.y, 1.3f * ext.z};
-    cam.width = side;
-    cam.height = side;
-    std::vector<Ray> rays;
-    for (unsigned y = 0; y < side; ++y)
-        for (unsigned x = 0; x < side; ++x)
-            rays.push_back(cam.primaryRay(x, y, 1000.0f));
-    return rays;
-}
 
 struct Point
 {

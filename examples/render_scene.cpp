@@ -7,16 +7,18 @@
  * describe, and its report; a comparison is two invocations.
  */
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "bvh/builder.hh"
 #include "bvh/scene.hh"
 #include "obs/perfetto.hh"
+#include "sim/config.hh"
 #include "sim/passes.hh"
 #include "sim/stream.hh"
 #include "synth/chip_cost.hh"
@@ -48,98 +50,129 @@ buildScene(const std::string &name)
     return tris;
 }
 
-/** The command line. issue and chip are 0 when not given. */
-struct Options
+/** A preset: a run key naming a layer of EngineConfig settings, its
+ *  value in [lo, hi]. */
+struct Preset
 {
-    unsigned width = 160, height = 120, threads = 0, ao = 0;
-    std::string scene = "mixed", out = "render.ppm", trace;
-    unsigned cache = 0, packet = 1, issue = 0, chip = 0, stream = 0;
-    bool run = false; ///< any run key was given
+    const char *name;
+    unsigned lo, hi;
+    void (*apply)(sim::EngineConfig &, unsigned);
 };
 
-/** The Options that key=value arguments describe. */
+/** The presets, in the order their layers apply; a table key
+ *  (sim/config.hh) given by name applies after them all. */
+const Preset kPresets[] = {
+    {"cache", 0, 1,
+     [](sim::EngineConfig &c, unsigned on) {
+         if (on) { // else the flat 20-cycle fetch
+             c.rt.mem_backend = MemBackend::NodeCache;
+             c.rt.cache = kProbeCache4KiB;
+         }
+     }},
+    {"packet", 1, kMaxPacketWidth,
+     [](sim::EngineConfig &c, unsigned w) {
+         c.rt.packet.width = w; // a W-wide slot holds W rays
+         c.rt.ray_buffer_entries *= w;
+     }},
+    {"issue", 1, kMaxIssueWidth,
+     [](sim::EngineConfig &c, unsigned n) {
+         c.rt.issue_width = n;
+         c.rt.mshrs = 8;
+     }},
+    {"chip", 1, sim::kMaxChipUnits,
+     [](sim::EngineConfig &c, unsigned n) {
+         c.threads = 1; // one batch, so one chip serves the whole frame
+         c.batch_size = 0;
+         c.chip.units = n;
+         c.chip.l2 = sim::L2Mode::Shared;
+         c.chip.l2cfg = kProbeL2_128KiB;
+     }},
+};
+
+/** The command line. */
+struct Options
+{
+    unsigned width = 160, height = 120, ao = 0;
+    std::string scene = "mixed", out = "render.ppm", trace;
+    bool stream = false;
+    sim::EngineConfig render; ///< the functional engine of the image
+    sim::EngineConfig run;    ///< the configured cycle-accurate run's
+    bool configured = false;  ///< any run key was given
+};
+
+/** The Options that key=value arguments describe: the render keys
+ *  width, height, scene (sphere|torus|terrain|mixed), out (the PPM),
+ *  threads (0: all) and ao (rays per hit pixel), then the run keys:
+ *  the presets, stream, trace (a Chrome JSON path) and any table key. */
 Options
 parseArgs(int argc, char **argv)
 {
-    const auto badInput = [](const std::string &msg) {
-        fprintf(stderr, "render_scene: %s\n", msg.c_str());
-        std::exit(2);
-    };
     Options o;
-    // A key sets a number in [lo, hi], or a text.
-    struct Key
-    {
-        const char *name;
-        unsigned *num;
-        std::string *text;
-        unsigned lo, hi;
-        bool run;
-    };
-    const Key keys[] = {
-        {"width", &o.width, nullptr, 1, UINT_MAX, false},
-        {"height", &o.height, nullptr, 1, UINT_MAX, false},
-        {"scene", nullptr, &o.scene, 0, 0, false}, // sphere|torus|terrain
-        {"out", nullptr, &o.out, 0, 0, false},     // the PPM
-        {"threads", &o.threads, nullptr, 0, UINT_MAX, false}, // 0: all
-        {"ao", &o.ao, nullptr, 0, UINT_MAX, false}, // rays per hit pixel
-        {"cache", &o.cache, nullptr, 0, 1, true},
-        {"packet", &o.packet, nullptr, 1, kMaxPacketWidth, true},
-        {"issue", &o.issue, nullptr, 1, kMaxIssueWidth, true},
-        {"chip", &o.chip, nullptr, 1, sim::kMaxChipUnits, true},
-        {"stream", &o.stream, nullptr, 0, 1, true},
-        {"trace", nullptr, &o.trace, 0, 0, true}, // Chrome JSON path
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const size_t eq = arg.find('=');
-        const std::string key = arg.substr(0, eq);
-        const Key *k =
-            std::find_if(std::begin(keys), std::end(keys),
-                         [&](const Key &c) { return key == c.name; });
-        if (eq == std::string::npos || k == std::end(keys))
-            badInput("unknown key '" + key + "' (expected key=value)");
-        const std::string val = arg.substr(eq + 1);
-        const char *end = val.data() + val.size();
-        unsigned v = 0;
-        const auto [p, ec] = std::from_chars(val.data(), end, v);
-        if (k->text)
-            *k->text = val;
-        else if (ec != std::errc() || p != end || v < k->lo || v > k->hi)
-            badInput(key + " must be an integer in " +
-                     std::to_string(k->lo) + ".." + std::to_string(k->hi) +
-                     ", got '" + val + "'");
-        else
-            *k->num = v;
-        o.run |= k->run;
+    o.render.batch_size = 2048;
+    o.render.model = sim::ExecutionModel::Functional;
+    std::optional<unsigned> preset[std::size(kPresets)];
+    std::vector<std::string> keys; // table keys, in argument order
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const size_t eq = arg.find('=');
+            if (eq == std::string::npos)
+                throw std::invalid_argument("expected key=value, got '" +
+                                            arg + "'");
+            const std::string key = arg.substr(0, eq);
+            const std::string val = arg.substr(eq + 1);
+            const auto number = [&](unsigned lo, unsigned hi) {
+                return unsigned(sim::parseNumber(key, val, lo, hi));
+            };
+            if (key == "width") {
+                o.width = number(1, UINT_MAX);
+            } else if (key == "height") {
+                o.height = number(1, UINT_MAX);
+            } else if (key == "threads") {
+                o.render.threads = number(0, UINT_MAX);
+            } else if (key == "ao") {
+                o.ao = number(0, UINT_MAX);
+            } else if (key == "scene") {
+                o.scene = val;
+            } else if (key == "out") {
+                o.out = val;
+            } else {
+                o.configured = true;
+                const Preset *p = std::find_if(
+                    std::begin(kPresets), std::end(kPresets),
+                    [&](const Preset &q) { return key == q.name; });
+                if (key == "stream")
+                    o.stream = number(0, 1);
+                else if (key == "trace")
+                    o.trace = val;
+                else if (p != std::end(kPresets))
+                    preset[p - kPresets] = number(p->lo, p->hi);
+                else
+                    keys.push_back(arg);
+            }
+        }
+        o.run = o.render;
+        o.run.model = sim::ExecutionModel::CycleAccurate;
+        o.run.trace = !o.trace.empty();
+        for (size_t i = 0; i < std::size(kPresets); ++i)
+            if (preset[i])
+                kPresets[i].apply(o.run, *preset[i]);
+        for (const std::string &k : keys)
+            sim::setConfigKey(o.run, k);
+    } catch (const std::invalid_argument &e) {
+        fprintf(stderr, "render_scene: %s\n", e.what());
+        std::exit(2);
     }
     return o;
 }
 
-/** Run `primary` on the configuration the run keys describe, layered
- *  on the render's engine configuration `cfg`, and print the report. */
+/** Run `primary` on the configured run's engine and print the
+ *  report. */
 void
-runAndReport(const Options &o, sim::EngineConfig cfg, const Bvh4 &bvh,
+runAndReport(const Options &o, const Bvh4 &bvh,
              const std::vector<Ray> &primary)
 {
-    cfg.model = sim::ExecutionModel::CycleAccurate;
-    cfg.trace = !o.trace.empty();
-    if (o.cache) { // else the flat 20-cycle fetch
-        cfg.rt.mem_backend = MemBackend::NodeCache;
-        cfg.rt.cache = kProbeCache4KiB;
-    }
-    cfg.rt.packet.width = o.packet; // a W-wide slot holds W rays
-    cfg.rt.ray_buffer_entries *= o.packet;
-    if (o.issue) {
-        cfg.rt.issue_width = o.issue;
-        cfg.rt.mshrs = 8;
-    }
-    if (o.chip) { // one batch, so one chip serves the whole frame
-        cfg.threads = 1;
-        cfg.batch_size = 0;
-        cfg.chip.units = o.chip;
-        cfg.chip.l2 = sim::L2Mode::Shared;
-        cfg.chip.l2cfg = kProbeL2_128KiB;
-    }
+    const sim::EngineConfig &cfg = o.run;
     const sim::Engine engine(cfg);
     sim::StreamReport stream; // filled with stream=1
     sim::EngineReport batch;  // filled without it
@@ -163,25 +196,25 @@ runAndReport(const Options &o, sim::EngineConfig cfg, const Bvh4 &bvh,
            o.stream ? "stream (frame + 4 probe jobs)" : "primary batch",
            double(u.cycles) / n, double(u.slots.memoryStallSlots()) / n,
            double(u.mem_requests) / n);
-    if (o.cache)
+    if (cfg.rt.mem_backend == MemBackend::NodeCache)
         printf("  cache: %.1f%% hit rate (%llu hits / %llu misses / "
                "%llu evictions)\n",
                100.0 * u.mem.hitRate(), (unsigned long long)u.mem.hits,
                (unsigned long long)u.mem.misses,
                (unsigned long long)u.mem.evictions);
-    if (o.packet > 1)
+    if (cfg.rt.packet.width > 1)
         printf("  packet: %.2f fetches/ray shared, %llu packets, avg "
                "occupancy %.2f/%u per node visit\n",
                double(u.packet.fetches_shared) / n,
                (unsigned long long)u.packet.packets_formed,
-               u.packet.avgOccupancy(), o.packet);
-    if (o.issue)
+               u.packet.avgOccupancy(), cfg.rt.packet.width);
+    if (cfg.rt.issue_width > 1 || cfg.rt.mshrs > 0)
         printf("  issue: %.2f beats/cycle, %llu MSHR merges, %llu "
                "stalls-full\n",
                u.utilization(), (unsigned long long)u.mshr.merges,
                (unsigned long long)u.mshr.stalls_full);
     const L2Stats l2 = u.l2Total(); // all-zero off a chip
-    if (o.chip)
+    if (cfg.chip.active())
         printf("  chip: %.1f rays/kcycle, %.1f%% L2 hit rate, %.2f "
                "cross-unit merges/ray, %.2f bank-queue stalls/ray\n",
                1000.0 * n / double(u.chip_cycles), 100.0 * l2.hitRate(),
@@ -251,14 +284,9 @@ main(int argc, char **argv)
     pcfg.ao_samples = o.ao;
     pcfg.ao_radius = 0.25f * length(ext);
 
-    sim::EngineConfig ecfg;
-    ecfg.threads = o.threads;
-    ecfg.batch_size = 2048;
-    ecfg.model = sim::ExecutionModel::Functional;
-
     // Primary closest-hit, shadow any-hit and optional AO passes.
     sim::PassesReport passes =
-        sim::renderPasses(sim::Engine(ecfg), bvh, pcfg);
+        sim::renderPasses(sim::Engine(o.render), bvh, pcfg);
 
     // ---- resolve to the image ----
     std::ofstream f(o.out, std::ios::binary);
@@ -313,8 +341,8 @@ main(int argc, char **argv)
            double(st.tri_ops) / double(rays),
            1455.0 / (double(st.box_ops + st.tri_ops) / double(rays)));
 
-    if (o.run)
-        runAndReport(o, ecfg, bvh,
+    if (o.configured)
+        runAndReport(o, bvh,
                      RayGen::primaryRays(pcfg.camera, pcfg.t_max));
     return 0;
 }

@@ -91,6 +91,9 @@ struct RtUnitConfig
      *  across the member rays. Hit records are bit-identical either
      *  way. */
     PacketConfig packet;
+
+    friend bool operator==(const RtUnitConfig &,
+                           const RtUnitConfig &) = default;
 };
 
 /** Reject a configuration under which no ray can ever retire:

@@ -110,6 +110,9 @@ struct DatapathConfig
             s += "-norounding";
         return s;
     }
+
+    friend bool operator==(const DatapathConfig &,
+                           const DatapathConfig &) = default;
 };
 
 /** The four configurations evaluated in Figures 7-9. */

@@ -55,6 +55,9 @@ struct EngineConfig : ExecutorConfig
      *  unit of work distribution, so changing `threads` never changes
      *  any result. 0 means one batch for the whole workload. */
     size_t batch_size = 1024;
+
+    friend bool operator==(const EngineConfig &,
+                           const EngineConfig &) = default;
 };
 
 /** Aggregate result of an engine run. */

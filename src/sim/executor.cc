@@ -195,16 +195,12 @@ BatchExecutor::runUnits(const Family &family,
         res.unit.chip_cycles = ticks;
     res.sim_cycles = ticks;
     res.evaluated_cycles = evaluated;
-    if (shared) {
+    if (shared)
         res.unit.l2_banks = shared->bankStats();
-    } else {
-        for (const auto &p : priv) {
-            const std::vector<bvh::L2Stats> &bs = p->bankStats();
-            if (res.unit.l2_banks.size() < bs.size())
-                res.unit.l2_banks.resize(bs.size());
-            for (size_t b = 0; b < bs.size(); ++b)
-                res.unit.l2_banks[b].merge(bs[b]);
-        }
+    for (const auto &p : priv) { // private banks merge bank-by-bank
+        bvh::RtUnitStats banks;
+        banks.l2_banks = p->bankStats();
+        res.unit.merge(banks);
     }
 
     for (size_t k = 0; k < n; ++k)

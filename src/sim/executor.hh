@@ -87,6 +87,8 @@ struct ChipConfig
     {
         return units > 1 || l2 != L2Mode::Off;
     }
+
+    friend bool operator==(const ChipConfig &, const ChipConfig &) = default;
 };
 
 /** One ray of a batch, by reference: where to read the ray, where to
@@ -187,6 +189,9 @@ struct ExecutorConfig
      *  Private-L2 chip's banks are not collected (their per-unit bank
      *  ids would alias on one track); the Shared L2 is. */
     bool trace = false;
+
+    friend bool operator==(const ExecutorConfig &,
+                           const ExecutorConfig &) = default;
 };
 
 /**

@@ -30,7 +30,10 @@
  * The run is bounded by a config count, not wall clock, so it is
  * deterministic. A failing config is shrunk — knobs reset to their
  * defaults one at a time while the failure persists — and printed as
- * key=value lines.
+ * two lines: the engine config as sim::describe tokens, which
+ * render_scene accepts verbatim (`render_scene width=16 height=12
+ * <line>` replays its timing on a frame), then the input knobs as
+ * name=value.
  */
 #include <gtest/gtest.h>
 
@@ -42,6 +45,7 @@
 
 #include "bvh/scene.hh"
 #include "every_cycle_walk.hh"
+#include "sim/config.hh"
 #include "sim/engine.hh"
 #include "sim/stream.hh"
 
@@ -51,21 +55,52 @@ using namespace rayflex::bvh;
 namespace
 {
 
-enum Knob : size_t {
-    kPacketWidth,
-    kCompactBelow,
-    kIssueWidth,
-    kRayBuffer,
-    kMshrs,
-    kCache,
-    kCacheLine,
-    kCacheSets,
-    kCacheWays,
-    kChipUnits,
-    kL2,
-    kL2Banks,
-    kL2Sets,
-    kL2Ways,
+/** A knob and its values; values[0] is the default. */
+template <class Value>
+struct KnobSpec
+{
+    const char *name;
+    std::vector<Value> values;
+};
+
+/** The engine knobs: config-table keys (sim/config.hh), drawn on
+ *  kBase. compact_below is clamped to the packet width by the unit.
+ *  The rt.cache keys shape the L1 under the node-cache backend and the
+ *  chip.l2cfg keys the L2 when chip.l2 is not off; their defaults
+ *  give kProbeCache4KiB and kProbeL2_128KiB. Geometry draws include
+ *  zero and non-power-of-two values, which the memory models tolerate
+ *  (a zero dimension caches nothing). */
+const std::vector<KnobSpec<std::string>> kKeys{
+    {"rt.packet.width", {"1", "2", "4", "8"}},
+    {"rt.packet.compact_below", {"0", "1", "2", "4"}},
+    {"rt.issue_width", {"1", "2", "3", "4", "8"}},
+    {"rt.ray_buffer_entries", {"32", "1", "3", "8", "64"}},
+    {"rt.mshrs", {"0", "1", "2", "8"}},
+    {"rt.mem_backend", {"fixed-latency", "node-cache"}},
+    {"rt.cache.line_bytes", {"64", "0", "16", "48", "128"}},
+    {"rt.cache.sets", {"16", "0", "1", "5", "64"}},
+    {"rt.cache.ways", {"4", "0", "1", "3", "8"}},
+    {"chip.units", {"1", "2", "4"}},
+    {"chip.l2", {"off", "shared", "private"}},
+    {"chip.l2cfg.banks", {"4", "0", "1", "3", "8"}},
+    {"chip.l2cfg.sets", {"64", "0", "1", "7", "256"}},
+    {"chip.l2cfg.ways", {"8", "0", "1", "2", "16"}},
+};
+
+/** The engine config every draw starts from. */
+const sim::EngineConfig kBase = [] {
+    sim::EngineConfig cfg;
+    cfg.batch_size = 16;
+    cfg.max_cycles_per_batch = 2000000;
+    return cfg;
+}();
+
+/** The input and family knobs, drawn after the engine knobs. k-NN
+ *  takes precedence over streaming, which takes precedence over a
+ *  plain engine ray run. scene, rays and knn_input select the inputs
+ *  (fuzzScene, fuzzRays, checkKnn); value 0 of each is the original
+ *  input set. */
+enum Input : size_t {
     kAnyHit,
     kKnn,
     kStream,
@@ -73,40 +108,10 @@ enum Knob : size_t {
     kScene,
     kRays,
     kKnnInput,
-    kNumKnobs,
+    kNumInputs,
 };
 
-struct KnobSpec
-{
-    const char *name;
-    std::vector<unsigned> values; ///< values[0] is the default
-};
-
-/** The knob space. compact_below is drawn as a value and clamped to
- *  the packet width by the unit; l2 indexes sim::L2Mode. The cache_*
- *  knobs shape the L1 when cache == 1 and the l2_* knobs the L2 when
- *  l2 != 0; their defaults are kProbeCache4KiB and kProbeL2_128KiB.
- *  Geometry draws include zero and non-power-of-two values, which the
- *  memory models tolerate (a zero dimension caches nothing). k-NN takes
- *  precedence over streaming, which takes precedence over a plain
- *  engine ray run. scene, rays and knn_input select the inputs
- *  (fuzzScene, fuzzRays, checkKnn); value 0 of each is the original
- *  input set. */
-const std::array<KnobSpec, kNumKnobs> kSpecs{{
-    {"packet_width", {1, 2, 4, 8}},
-    {"compact_below", {0, 1, 2, 4}},
-    {"issue_width", {1, 2, 3, 4, 8}},
-    {"ray_buffer_entries", {32, 1, 3, 8, 64}},
-    {"mshrs", {0, 1, 2, 8}},
-    {"cache", {0, 1}},
-    {"cache_line", {64, 0, 16, 48, 128}},
-    {"cache_sets", {16, 0, 1, 5, 64}},
-    {"cache_ways", {4, 0, 1, 3, 8}},
-    {"chip_units", {1, 2, 4}},
-    {"l2", {0, 1, 2}},
-    {"l2_banks", {4, 0, 1, 3, 8}},
-    {"l2_sets", {64, 0, 1, 7, 256}},
-    {"l2_ways", {8, 0, 1, 2, 16}},
+const std::array<KnobSpec<unsigned>, kNumInputs> kInputs{{
     {"any_hit", {0, 1}},
     {"knn", {0, 1}},
     {"stream", {0, 1}},
@@ -116,14 +121,29 @@ const std::array<KnobSpec, kNumKnobs> kSpecs{{
     {"knn_input", {0, 1, 2}},
 }};
 
-using Config = std::array<unsigned, kNumKnobs>;
+/** A base engine config plus drawn key values, and the input knobs. */
+struct Config
+{
+    sim::EngineConfig engine = kBase;
+    std::array<unsigned, kNumInputs> input{};
+
+    friend bool operator==(const Config &, const Config &) = default;
+};
+
+void
+setKey(Config &c, const KnobSpec<std::string> &k, const std::string &v)
+{
+    sim::setConfigKey(c.engine, std::string(k.name) + "=" + v);
+}
 
 Config
 defaults()
 {
     Config c;
-    for (size_t k = 0; k < kNumKnobs; ++k)
-        c[k] = kSpecs[k].values[0];
+    for (const KnobSpec<std::string> &k : kKeys)
+        setKey(c, k, k.values[0]);
+    for (size_t i = 0; i < kNumInputs; ++i)
+        c.input[i] = kInputs[i].values[0];
     return c;
 }
 
@@ -141,51 +161,39 @@ Config
 randomConfig(uint64_t &state)
 {
     Config c;
-    for (size_t k = 0; k < kNumKnobs; ++k) {
-        const std::vector<unsigned> &v = kSpecs[k].values;
-        c[k] = v[nextRandom(state) % v.size()];
+    for (const KnobSpec<std::string> &k : kKeys)
+        setKey(c, k, k.values[nextRandom(state) % k.values.size()]);
+    for (size_t i = 0; i < kNumInputs; ++i) {
+        const std::vector<unsigned> &v = kInputs[i].values;
+        c.input[i] = v[nextRandom(state) % v.size()];
     }
     return c;
 }
 
+/** The config `c` runs on `threads` workers: its engine knobs, the
+ *  trace knob, and under k-NN the extended datapath (the baseline
+ *  lacks the distance opcodes). */
+sim::EngineConfig
+engineAt(const Config &c, unsigned threads)
+{
+    sim::EngineConfig cfg = c.engine;
+    cfg.threads = threads;
+    cfg.trace = c.input[kTrace] != 0;
+    if (c.input[kKnn])
+        cfg.dp = core::kExtendedUnified;
+    return cfg;
+}
+
+/** The failure print: the engine line render_scene accepts, then the
+ *  input knobs. */
 std::string
 describe(const Config &c)
 {
     std::ostringstream os;
-    for (size_t k = 0; k < kNumKnobs; ++k)
-        os << kSpecs[k].name << "=" << c[k] << "\n";
-    return os.str();
-}
-
-sim::EngineConfig
-engineConfig(const Config &c, unsigned threads)
-{
-    sim::EngineConfig cfg;
-    cfg.threads = threads;
-    cfg.batch_size = 16;
-    cfg.trace = c[kTrace] != 0;
-    cfg.max_cycles_per_batch = 2000000;
-    cfg.rt.packet.width = c[kPacketWidth];
-    cfg.rt.packet.compact_below = c[kCompactBelow];
-    cfg.rt.issue_width = c[kIssueWidth];
-    cfg.rt.ray_buffer_entries = c[kRayBuffer];
-    cfg.rt.mshrs = c[kMshrs];
-    if (c[kCache]) {
-        cfg.rt.mem_backend = MemBackend::NodeCache;
-        cfg.rt.cache = kProbeCache4KiB;
-        cfg.rt.cache.line_bytes = c[kCacheLine];
-        cfg.rt.cache.sets = c[kCacheSets];
-        cfg.rt.cache.ways = c[kCacheWays];
-    }
-    cfg.chip.units = c[kChipUnits];
-    cfg.chip.l2 = sim::L2Mode(c[kL2]);
-    cfg.chip.l2cfg = kProbeL2_128KiB;
-    cfg.chip.l2cfg.banks = c[kL2Banks];
-    cfg.chip.l2cfg.sets = c[kL2Sets];
-    cfg.chip.l2cfg.ways = c[kL2Ways];
-    if (c[kKnn])
-        cfg.dp = core::kExtendedUnified;
-    return cfg;
+    os << sim::describe(engineAt(c, 0)) << "\n";
+    for (size_t i = 0; i < kNumInputs; ++i)
+        os << (i ? " " : "") << kInputs[i].name << "=" << c.input[i];
+    return os.str() + "\n";
 }
 
 /** The scene of knob value `scene`: 0 a sphere plus a soup; 1 the
@@ -298,7 +306,7 @@ template <class Target>
 sim::BatchExecutor
 referenceWalk(const Target &target, const Config &c)
 {
-    sim::ExecutorConfig cfg = engineConfig(c, 1);
+    sim::ExecutorConfig cfg = engineAt(c, 1);
     cfg.trace = true;
     return sim::EveryCycleWalk::on(sim::BatchExecutor(target, cfg));
 }
@@ -337,9 +345,9 @@ std::string
 checkKnn(const Config &c)
 {
     std::vector<DataPoint> cloud =
-        makePointCloud(c[kKnnInput] == 1 ? 12 : 90, 8, 4, 5);
+        makePointCloud(c.input[kKnnInput] == 1 ? 12 : 90, 8, 4, 5);
     const size_t n = cloud.size();
-    if (c[kKnnInput] == 1)
+    if (c.input[kKnnInput] == 1)
         for (size_t i = 0; i < n; ++i) {
             DataPoint twin = cloud[i];
             twin.id = uint32_t(n + i);
@@ -352,9 +360,9 @@ checkKnn(const Config &c)
         // Input 1 asks for every point, and on every other query for
         // more points than exist.
         uint32_t k = 3;
-        if (c[kKnnInput] == 1)
+        if (c.input[kKnnInput] == 1)
             k = uint32_t(cloud.size() + q % 2 * 5);
-        else if (c[kKnnInput] == 2)
+        else if (c.input[kKnnInput] == 2)
             k = 0;
         queries.push_back({std::move(p.coords), k,
                            q % 3 == 2 ? KnnMetric::Cosine
@@ -365,9 +373,9 @@ checkKnn(const Config &c)
     fcfg.threads = 1;
     const sim::KnnReport ref = sim::Engine(fcfg).runKnn(index, queries);
     const sim::KnnReport one =
-        sim::Engine(engineConfig(c, 1)).runKnn(index, queries);
+        sim::Engine(engineAt(c, 1)).runKnn(index, queries);
     const sim::KnnReport three =
-        sim::Engine(engineConfig(c, 3)).runKnn(index, queries);
+        sim::Engine(engineAt(c, 3)).runKnn(index, queries);
     if (one.results != ref.results)
         return "k-NN results differ from the Functional model";
     if (three.results != one.results || !(three.unit == one.unit))
@@ -376,7 +384,7 @@ checkKnn(const Config &c)
     std::vector<KnnResult> results(queries.size());
     RtUnitStats unit;
     for (const core::BatchRange &r :
-         core::sliceBatches(queries.size(), engineConfig(c, 1).batch_size)) {
+         core::sliceBatches(queries.size(), c.engine.batch_size)) {
         std::vector<sim::KnnBatchRef> refs;
         for (size_t i = r.begin; i < r.end; ++i)
             refs.push_back({&queries[i], &results[i]});
@@ -384,20 +392,20 @@ checkKnn(const Config &c)
     }
     if (results != one.results || !(unit == one.unit))
         return "k-NN report differs from the every-cycle reference walk";
-    return checkSlots(one.unit, c[kIssueWidth]);
+    return checkSlots(one.unit, c.engine.rt.issue_width);
 }
 
 std::vector<sim::RenderJob>
 fuzzJobs(const Config &c)
 {
     const std::vector<core::Ray> rays =
-        fuzzRays(fuzzScene(c[kScene]), c[kRays]);
+        fuzzRays(fuzzScene(c.input[kScene]), c.input[kRays]);
     std::vector<sim::RenderJob> jobs;
     for (uint64_t j = 0; j < 3; ++j) {
         sim::RenderJob job;
         job.id = j;
         job.arrival_tick = 150 * j;
-        job.any_hit = c[kAnyHit] && j % 2 == 1;
+        job.any_hit = c.input[kAnyHit] && j % 2 == 1;
         for (size_t i = j; i < rays.size(); i += 3)
             job.rays.push_back(rays[i]);
         jobs.push_back(std::move(job));
@@ -414,11 +422,11 @@ checkStream(const Config &c)
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
     const sim::Engine functional(fcfg);
-    const Bvh4 &bvh = fuzzScene(c[kScene]);
+    const Bvh4 &bvh = fuzzScene(c.input[kScene]);
     const sim::StreamReport one = sim::StreamingService::run(
-        sim::Engine(engineConfig(c, 1)), bvh, fuzzJobs(c), scfg);
+        sim::Engine(engineAt(c, 1)), bvh, fuzzJobs(c), scfg);
     const sim::StreamReport three = sim::StreamingService::run(
-        sim::Engine(engineConfig(c, 3)), bvh, fuzzJobs(c), scfg);
+        sim::Engine(engineAt(c, 3)), bvh, fuzzJobs(c), scfg);
     for (const sim::RenderJob &job : fuzzJobs(c)) {
         const sim::JobReport *jr = one.job(job.id);
         if (!jr ||
@@ -466,30 +474,30 @@ checkStream(const Config &c)
             completion[j] = end;
     }
     if (!(unit == one.unit) || end != one.makespan_ticks ||
-        (c[kTrace] && trace != batchEvents(one.trace)))
+        (c.input[kTrace] && trace != batchEvents(one.trace)))
         return "stream report differs from the every-cycle reference walk";
     for (size_t j = 0; j < jobs.size(); ++j)
         if (hits[j] != one.jobs[j].hits ||
             completion[j] != one.jobs[j].completion_tick)
             return "stream job report differs from the every-cycle "
                    "reference walk";
-    return checkSlots(one.unit, c[kIssueWidth]);
+    return checkSlots(one.unit, c.engine.rt.issue_width);
 }
 
 std::string
 checkRays(const Config &c)
 {
-    const Bvh4 &bvh = fuzzScene(c[kScene]);
-    const std::vector<core::Ray> rays = fuzzRays(bvh, c[kRays]);
+    const Bvh4 &bvh = fuzzScene(c.input[kScene]);
+    const std::vector<core::Ray> rays = fuzzRays(bvh, c.input[kRays]);
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
     fcfg.threads = 1;
-    const bool any_hit = c[kAnyHit] != 0;
+    const bool any_hit = c.input[kAnyHit] != 0;
     const sim::EngineReport ref = sim::Engine(fcfg).run(bvh, rays, any_hit);
     const sim::EngineReport one =
-        sim::Engine(engineConfig(c, 1)).run(bvh, rays, any_hit);
+        sim::Engine(engineAt(c, 1)).run(bvh, rays, any_hit);
     const sim::EngineReport three =
-        sim::Engine(engineConfig(c, 3)).run(bvh, rays, any_hit);
+        sim::Engine(engineAt(c, 3)).run(bvh, rays, any_hit);
     if (one.hits != ref.hits)
         return "hits differ from the Functional model";
     if (three.hits != one.hits || !(three.unit == one.unit) ||
@@ -501,7 +509,7 @@ checkRays(const Config &c)
     std::vector<obs::TraceRecord> trace;
     uint64_t end = 0;
     const std::vector<core::BatchRange> batches =
-        core::sliceBatches(rays.size(), engineConfig(c, 1).batch_size);
+        core::sliceBatches(rays.size(), c.engine.batch_size);
     for (size_t bi = 0; bi < batches.size(); ++bi) {
         const core::BatchRange &b = batches[bi];
         std::vector<sim::BatchRayRef> refs;
@@ -514,9 +522,9 @@ checkRays(const Config &c)
         end += r.sim_cycles;
     }
     if (hits != one.hits || !(unit == one.unit) ||
-        (c[kTrace] && trace != one.trace))
+        (c.input[kTrace] && trace != one.trace))
         return "report differs from the every-cycle reference walk";
-    return checkSlots(one.unit, c[kIssueWidth]);
+    return checkSlots(one.unit, c.engine.rt.issue_width);
 }
 
 /** Every oracle on one config; the first violated one, or "". */
@@ -524,9 +532,9 @@ std::string
 check(const Config &c)
 {
     try {
-        if (c[kKnn])
+        if (c.input[kKnn])
             return checkKnn(c);
-        return c[kStream] ? checkStream(c) : checkRays(c);
+        return c.input[kStream] ? checkStream(c) : checkRays(c);
     } catch (const std::exception &e) {
         return std::string("threw: ") + e.what();
     }
@@ -538,16 +546,32 @@ template <typename Fails>
 Config
 shrink(Config c, const Fails &fails)
 {
-    const Config def = defaults();
-    for (size_t k = 0; k < kNumKnobs; ++k) {
-        if (c[k] == def[k])
-            continue;
-        Config t = c;
-        t[k] = def[k];
-        if (fails(t))
+    const auto keep = [&](const Config &t) {
+        if (!(t == c) && fails(t))
             c = t;
+    };
+    for (const KnobSpec<std::string> &k : kKeys) {
+        Config t = c;
+        setKey(t, k, k.values[0]);
+        keep(t);
+    }
+    for (size_t i = 0; i < kNumInputs; ++i) {
+        Config t = c;
+        t.input[i] = kInputs[i].values[0];
+        keep(t);
     }
     return c;
+}
+
+/** The engine config a describe() line's tokens build. */
+sim::EngineConfig
+parse(const std::string &line)
+{
+    sim::EngineConfig cfg;
+    std::istringstream is(line);
+    for (std::string token; is >> token;)
+        sim::setConfigKey(cfg, token);
+    return cfg;
 }
 
 } // namespace
@@ -571,23 +595,75 @@ TEST(ConfigFuzz, RandomKnobsKeepEveryOracle)
 
 TEST(ConfigFuzz, ShrinkKeepsOnlyTheKnobsAFailureNeeds)
 {
-    // A synthetic failure that needs issue_width > 2 and the cache:
-    // every other knob of a random failing config shrinks to default.
+    // A synthetic failure that needs an issue width above 2 and the node
+    // cache: every other knob of a random failing config shrinks to its
+    // default.
     const auto fails = [](const Config &t) {
-        return t[kIssueWidth] > 2 && t[kCache] == 1;
+        return t.engine.rt.issue_width > 2 &&
+               t.engine.rt.mem_backend == MemBackend::NodeCache;
     };
     uint64_t state = 7;
     Config c = randomConfig(state);
-    c[kIssueWidth] = 8;
-    c[kCache] = 1;
     Config want = defaults();
-    want[kIssueWidth] = 8;
-    want[kCache] = 1;
-    EXPECT_EQ(shrink(c, fails), want);
-    const std::string text = describe(want);
-    EXPECT_NE(text.find("issue_width=8\n"), std::string::npos);
-    EXPECT_NE(text.find("cache=1\n"), std::string::npos);
+    for (Config *t : {&c, &want}) {
+        sim::setConfigKey(t->engine, "rt.issue_width=8");
+        sim::setConfigKey(t->engine, "rt.mem_backend=node-cache");
+    }
+    EXPECT_TRUE(shrink(c, fails) == want) << describe(shrink(c, fails));
+    // The engine line is the one render_scene_replays_fuzz_config
+    // (CMakeLists.txt) replays; it parses back into the same config.
+    const std::string line =
+        "rt.issue_width=8 rt.mem_backend=node-cache rt.cache.sets=16 "
+        "chip.l2cfg.sets=64 max_cycles_per_batch=2000000 batch_size=16";
+    EXPECT_EQ(describe(want), line + "\nany_hit=0 knn=0 stream=0 trace=0 "
+                                     "scene=0 rays=0 knn_input=0\n");
+    EXPECT_TRUE(parse(line) == want.engine);
     EXPECT_EQ(check(defaults()), "");
+}
+
+TEST(ConfigTable, DescribeParsesBackIntoTheSameConfig)
+{
+    EXPECT_EQ(sim::describe(sim::EngineConfig{}), "");
+    EXPECT_TRUE(parse("") == sim::EngineConfig{});
+    // Every key at both ends of its range, and at each value name.
+    for (const sim::ConfigKey &k : sim::configKeys()) {
+        std::vector<std::string> values = k.values;
+        if (values.empty())
+            values = {std::to_string(k.lo), std::to_string(k.hi)};
+        for (const std::string &v : values) {
+            sim::EngineConfig cfg;
+            sim::setConfigKey(cfg, std::string(k.name) + "=" + v);
+            EXPECT_EQ(k.get(cfg), v);
+            EXPECT_TRUE(parse(sim::describe(cfg)) == cfg)
+                << sim::describe(cfg);
+        }
+    }
+    // The fuzzer's draws.
+    uint64_t state = 20261016;
+    for (int n = 0; n < 120; ++n) {
+        const Config c = randomConfig(state);
+        EXPECT_TRUE(parse(sim::describe(c.engine)) == c.engine)
+            << "config " << n << ": " << sim::describe(c.engine);
+    }
+}
+
+TEST(ConfigTable, RejectsABadTokenByKey)
+{
+    for (const std::string token :
+         {"bogus=1", "rt.issue_width=9", "rt.ray_buffer_entries=0",
+          "chip.l2=bogus", "rt.mshrs=eight", "rt.mshrs=-1", "dp",
+          "dp=baseline-unified-w6", "batch_size="}) {
+        const std::string key = token.substr(0, token.find('='));
+        sim::EngineConfig cfg;
+        try {
+            sim::setConfigKey(cfg, token);
+            ADD_FAILURE() << token << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << token << ": " << e.what();
+        }
+        EXPECT_TRUE(cfg == sim::EngineConfig{}) << token;
+    }
 }
 
 TEST(ConfigFuzz, OriginalRaysHitEveryScene)
