@@ -7,6 +7,7 @@
  * describe, and its report; a comparison is two invocations.
  */
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,10 @@ using namespace rayflex::core;
 
 namespace
 {
+
+/** The scenes buildScene knows, as the `scene` key spells them. */
+constexpr std::array<const char *, 4> kScenes{"sphere", "torus", "terrain",
+                                              "mixed"};
 
 std::vector<SceneTriangle>
 buildScene(const std::string &name)
@@ -133,6 +138,14 @@ parseArgs(int argc, char **argv)
             } else if (key == "ao") {
                 o.ao = number(0, UINT_MAX);
             } else if (key == "scene") {
+                if (std::find(kScenes.begin(), kScenes.end(), val) ==
+                    kScenes.end()) {
+                    std::string msg = "scene must be one of ";
+                    for (const char *n : kScenes)
+                        msg += std::string(n) +
+                               (n == kScenes.back() ? "; " : ", ");
+                    throw std::invalid_argument(msg + "got '" + val + "'");
+                }
                 o.scene = val;
             } else if (key == "out") {
                 o.out = val;

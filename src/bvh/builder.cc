@@ -4,6 +4,8 @@
  */
 #include "bvh/builder.hh"
 
+#include "bvh/traversal.hh"
+
 #include <algorithm>
 #include <array>
 #include <functional>
@@ -237,7 +239,26 @@ struct Collapser
     }
 };
 
+/** The per-node slab-form box table of a finished tree. */
+void
+convertBoxes(Bvh4 &out)
+{
+    out.boxes.reserve(out.nodes.size());
+    for (const WideNode &n : out.nodes)
+        out.boxes.push_back(n.box4());
+}
+
 } // namespace
+
+core::golden::Box4
+WideNode::box4() const
+{
+    std::array<core::Box, 4> b;
+    for (size_t c = 0; c < b.size(); ++c)
+        b[c] = child[c].kind == Kind::Empty ? emptySlotBox()
+                                            : child[c].bounds.toIoBox();
+    return core::golden::Box4(b.data());
+}
 
 size_t
 Bvh4::childCount() const
@@ -271,6 +292,7 @@ buildBvh4(std::vector<SceneTriangle> tris, const BuildParams &params)
     Bvh4 out;
     if (tris.empty()) {
         out.nodes.push_back({});
+        convertBoxes(out);
         return out;
     }
     Builder b(params, tris);
@@ -288,11 +310,13 @@ buildBvh4(std::vector<SceneTriangle> tris, const BuildParams &params)
         wn.child[0].index = b.nodes[root].first;
         wn.child[0].count = b.nodes[root].count;
         out.nodes.push_back(wn);
+        convertBoxes(out);
         return out;
     }
 
     Collapser c{b.nodes, out};
     c.collapse(root);
+    convertBoxes(out);
     return out;
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bvh/aabb.hh"
+#include "core/golden.hh"
 
 namespace rayflex::bvh
 {
@@ -39,6 +40,10 @@ struct WideNode
     };
 
     std::array<Child, 4> child{};
+
+    /** The four child boxes in slab form, empty slots as
+     *  emptySlotBox(): the operands of a packet's node visit. */
+    core::golden::Box4 box4() const;
 };
 
 /** The 4-wide BVH over a triangle set. */
@@ -47,6 +52,17 @@ struct Bvh4
     std::vector<WideNode> nodes;        ///< node 0 is the root
     std::vector<SceneTriangle> tris;    ///< leaf triangles, reordered
     Aabb root_bounds;
+    /** nodes[i].box4() per node, converted once by buildBvh4. */
+    std::vector<core::golden::Box4> boxes;
+
+    /** Node `i`'s child boxes in slab form: from `boxes` when it holds
+     *  one per node, else converted from the node (a tree assembled by
+     *  hand rather than by buildBvh4). */
+    core::golden::Box4
+    box4(uint32_t i) const
+    {
+        return boxes.size() == nodes.size() ? boxes[i] : nodes[i].box4();
+    }
 
     /** Number of non-empty child slots across all nodes. */
     size_t childCount() const;

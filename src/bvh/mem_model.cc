@@ -2,10 +2,11 @@
  * @file
  * LruSets, NodeCache and SharedL2 implementations.
  *
- * Line indexing uses plain division/modulo rather than bit shifts, so
- * line_bytes, sets and banks need not be powers of two; any positive
- * geometry is a valid cache and any zero dimension degenerates to a
- * cache that misses every access without ever holding a line.
+ * Line indexing divides through Divisor: a shift or mask when
+ * line_bytes, sets or banks is a power of two, plain division/modulo
+ * otherwise, so any positive geometry is a valid cache and any zero
+ * dimension degenerates to a cache that misses every access without
+ * ever holding a line.
  */
 #include "bvh/mem_model.hh"
 
@@ -15,45 +16,50 @@ namespace rayflex::bvh
 {
 
 LruSets::LruSets(uint32_t sets, uint32_t ways)
-    : sets_(sets), ways_(ways), lines_(size_t(sets) * ways)
+    : sets_(sets), ways_(ways), tags_(size_t(sets) * ways),
+      ages_(size_t(sets) * ways)
 {
 }
 
 void
 LruSets::reset()
 {
-    lines_.assign(lines_.size(), Line{});
+    std::fill(tags_.begin(), tags_.end(), 0);
+    std::fill(ages_.begin(), ages_.end(), 0);
     tick_ = 0;
 }
 
 LruSets::Touch
 LruSets::touch(uint64_t line)
 {
-    Line *set = lines_.data() + size_t(line % sets_) * ways_;
+    const size_t base = size_t(sets_.mod(line)) * ways_;
+    uint64_t *tag = tags_.data() + base;
+    uint64_t *age = ages_.data() + base;
     ++tick_;
 
-    Line *victim = set;
+    // Victim preference: first invalid way (age 0), else the least
+    // recently used one; ties (only invalid ways tie) break toward the
+    // lowest way index.
+    uint32_t victim = 0;
+    uint64_t oldest = age[0];
     for (uint32_t w = 0; w < ways_; ++w) {
-        Line &l = set[w];
-        if (l.valid && l.tag == line) {
-            l.last_used = tick_;
+        if (tag[w] == line && age[w] != 0) {
+            age[w] = tick_;
             return Touch::Hit;
         }
-        // Victim preference: first invalid way, else the least recently
-        // used one; ties break toward the lowest way index.
-        if (!victim->valid)
-            continue;
-        if (!l.valid || l.last_used < victim->last_used)
-            victim = &l;
+        const bool older = age[w] < oldest;
+        victim = older ? w : victim;
+        oldest = older ? age[w] : oldest;
     }
 
-    const Touch done = victim->valid ? Touch::Evict : Touch::Fill;
-    *victim = {line, tick_, true};
+    const Touch done = age[victim] ? Touch::Evict : Touch::Fill;
+    tag[victim] = line;
+    age[victim] = tick_;
     return done;
 }
 
 NodeCache::NodeCache(const NodeCacheConfig &cfg)
-    : cfg_(cfg), lines_(cfg.sets, cfg.ways)
+    : cfg_(cfg), line_bytes_(cfg.line_bytes), lines_(cfg.sets, cfg.ways)
 {
 }
 
@@ -118,8 +124,8 @@ NodeCache::access(uint64_t addr, uint32_t bytes, uint64_t now,
             bd->l1 = lat;
         return lat;
     }
-    const uint64_t first = addr / cfg_.line_bytes;
-    const uint64_t last = (addr + bytes - 1) / cfg_.line_bytes;
+    const uint64_t first = line_bytes_.div(addr);
+    const uint64_t last = line_bytes_.div(addr + bytes - 1);
     if (next_) {
         // Chip mode: missed L1 lines fill in parallel through the L2's
         // banks, so the access costs the slowest fill, not the sum.
@@ -153,7 +159,9 @@ NodeCache::access(uint64_t addr, uint32_t bytes, uint64_t now,
     return lat;
 }
 
-SharedL2::SharedL2(const L2Config &cfg) : cfg_(cfg)
+SharedL2::SharedL2(const L2Config &cfg)
+    : cfg_(cfg), line_bytes_(cfg.line_bytes),
+      banks_of_(cfg.banks ? cfg.banks : 1)
 {
     const size_t n_banks = cfg_.banks ? cfg_.banks : 1;
     banks_.assign(n_banks, Bank{LruSets(cfg_.sets, cfg_.ways), {}, 0});
@@ -181,10 +189,9 @@ SharedL2::totals() const
 }
 
 unsigned
-SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
-                   unsigned *queue_out, unsigned *fill_out)
+SharedL2::fillLine(uint64_t line, size_t bank_idx, uint64_t arrival,
+                   unsigned unit, unsigned *queue_out, unsigned *fill_out)
 {
-    const size_t bank_idx = size_t(line % banks_.size());
     Bank &bank = banks_[bank_idx];
     L2Stats &st = stats_[bank_idx];
 
@@ -263,10 +270,9 @@ SharedL2::fill(uint64_t addr, uint32_t bytes, uint64_t now,
         bytes = 1;
     // Unaddressable lines: the whole range is one DRAM-class fill keyed
     // by its base address.
-    const uint64_t first =
-        cfg_.line_bytes ? addr / cfg_.line_bytes : addr;
+    const uint64_t first = cfg_.line_bytes ? line_bytes_.div(addr) : addr;
     const uint64_t last =
-        cfg_.line_bytes ? (addr + bytes - 1) / cfg_.line_bytes : addr;
+        cfg_.line_bytes ? line_bytes_.div(addr + bytes - 1) : addr;
 
     const size_t n_banks = banks_.size();
     const size_t stop = size_t(unit) % n_banks; ///< unit's ring stop
@@ -275,7 +281,7 @@ SharedL2::fill(uint64_t addr, uint32_t bytes, uint64_t now,
     for (uint64_t line = first; line <= last; ++line) {
         // Ring distance between the unit's stop and the line's bank,
         // paid in kL2HopLatency cycles on the request AND response path.
-        const size_t bank_idx = size_t(line % n_banks);
+        const size_t bank_idx = size_t(banks_of_.mod(line));
         const size_t d = stop > bank_idx ? stop - bank_idx
                                          : bank_idx - stop;
         const size_t hops = std::min(d, n_banks - d);
@@ -284,7 +290,7 @@ SharedL2::fill(uint64_t addr, uint32_t bytes, uint64_t now,
         const uint64_t arrival = now + ride;
         unsigned queue = 0, service = 0;
         const unsigned at_bank =
-            fillLine(line, arrival, unit, &queue, &service);
+            fillLine(line, bank_idx, arrival, unit, &queue, &service);
         const unsigned total = unsigned(ride + at_bank + ride);
         if (total >= worst) {
             // >= so a zero-latency fill still yields a breakdown.

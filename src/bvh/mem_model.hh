@@ -52,6 +52,7 @@
 #define RAYFLEX_BVH_MEM_MODEL_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -254,6 +255,32 @@ class MshrFile
     uint64_t generation_ = 1;
 };
 
+/** x / d and x % d for a divisor fixed at construction: a shift and a
+ *  mask when d is a power of two, the plain operators otherwise. A zero
+ *  divisor may be held but not divided by. */
+class Divisor
+{
+  public:
+    explicit Divisor(uint64_t d)
+        : d_(d), shift_(std::has_single_bit(d) ? std::countr_zero(d) : -1)
+    {
+    }
+    uint64_t
+    div(uint64_t x) const
+    {
+        return shift_ >= 0 ? x >> shift_ : x / d_;
+    }
+    uint64_t
+    mod(uint64_t x) const
+    {
+        return shift_ >= 0 ? x & (d_ - 1) : x % d_;
+    }
+
+  private:
+    uint64_t d_;
+    int shift_;
+};
+
 /**
  * Set-associative line array with LRU replacement: the one policy
  * behind NodeCache and every SharedL2 bank. A touch looks the line up
@@ -262,6 +289,12 @@ class MshrFile
  * the lowest way index, so replacement is a pure function of the touch
  * sequence. The geometry must be non-zero; callers handle zero-capacity
  * caches before touching.
+ *
+ * Tags and ages live in separate arrays, and one pass over a set finds
+ * either the hit or the victim: an invalid way has age 0 and every
+ * valid way a distinct positive age (the clock value of its last
+ * touch), so the victim is the first way of least age. A power-of-two
+ * set count picks the set with a mask (Divisor).
  */
 class LruSets
 {
@@ -279,18 +312,16 @@ class LruSets
     void reset();
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
-        uint64_t last_used = 0; ///< LRU clock value of the last touch
-        bool valid = false;
-    };
-
-    uint32_t sets_;
+    Divisor sets_;
     uint32_t ways_;
-    std::vector<Line> lines_; ///< sets * ways, set-major
-    uint64_t tick_ = 0;       ///< LRU clock
+    /** Per way, sets * ways set-major: the full line index
+     *  (addr / line_bytes) and the LRU clock value of its last touch
+     *  (0: invalid). */
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> ages_;
+    uint64_t tick_ = 0; ///< LRU clock
 };
+
 
 /** Per-run counters of one SharedL2 bank (or of a whole L2 when the
  *  per-bank vectors are summed). All fields are sums of uint64 counts,
@@ -464,13 +495,16 @@ class SharedL2
         uint64_t free_at = 0; ///< next cycle the bank can start service
     };
 
-    /** Fill one line; @return cycles from `arrival` (at the bank) to
-     *  data at the bank, excluding interconnect. `queue_out`/`fill_out`
-     *  receive the queue-wait / service split of that latency. */
-    unsigned fillLine(uint64_t line, uint64_t arrival, unsigned unit,
-                      unsigned *queue_out, unsigned *fill_out);
+    /** Fill one line at bank `bank_idx` (its line % banks); @return
+     *  cycles from `arrival` (at the bank) to data at the bank,
+     *  excluding interconnect. `queue_out`/`fill_out` receive the
+     *  queue-wait / service split of that latency. */
+    unsigned fillLine(uint64_t line, size_t bank_idx, uint64_t arrival,
+                      unsigned unit, unsigned *queue_out, unsigned *fill_out);
 
     L2Config cfg_;
+    Divisor line_bytes_; ///< cfg_.line_bytes
+    Divisor banks_of_;   ///< banks_.size()
     std::vector<Bank> banks_;
     std::vector<L2Stats> stats_; ///< one entry per bank
     obs::TraceSink *trace_ = nullptr; ///< borrowed; null = disabled
@@ -636,6 +670,7 @@ class NodeCache final : public MemoryModel
     bool touchLine(uint64_t line);
 
     NodeCacheConfig cfg_;
+    Divisor line_bytes_; ///< cfg_.line_bytes
     LruSets lines_;
     CacheStats stats_;
     SharedL2 *next_ = nullptr; ///< borrowed chip-level tier, if any

@@ -6,16 +6,18 @@
  * stack, applying the one-ray pruning rule per lane (a lane whose best
  * hit already beats the item's entry distance is masked off, not the
  * whole item); the unit fetches the node or leaf once for the surviving
- * mask; fetchArrived() expands the item into datapath beats (one
- * ray-box beat per active lane, or one ray-triangle beat per
- * (triangle, active lane) pair, triangle-major so each lane sees the
- * leaf in leaf order) and, for a node, tests every active lane's ray
- * against the four child boxes at once; handleResult() folds results
- * back as the beats drain, evaluating triangle beats there;
- * completeItem() turns the node visit into child items (mask = lanes
- * whose slab test hit the child, pushed farthest-first by minimum
- * entry distance, or in the datapath's order at width 1) and retires
- * lanes whose pending work dropped to zero.
+ * mask; fetchArrived() evaluates the item — a node's four child boxes
+ * against every active lane's ray at once, or a leaf's triangles
+ * against every active lane's ray in leaf order — and sets the beat
+ * cursor over its datapath beats (one ray-box beat per active lane, or
+ * one ray-triangle beat per (triangle, active lane) pair,
+ * triangle-major so each lane sees the leaf in leaf order); takeBeat()
+ * walks the cursor, retireOnHit() retires an any-hit lane when its
+ * first hit's beat drains and prunes its later beats; once the last
+ * beat drains, completeItem() turns the node visit into child items
+ * (mask = lanes whose slab test hit the child, pushed farthest-first by
+ * minimum entry distance, or in the datapath's order at width 1) and
+ * retires lanes whose pending work dropped to zero.
  *
  * All decisions are pure functions of the admitted rays and the BVH:
  * no clocks, no host pointers, no randomness — the packet inherits the
@@ -33,6 +35,7 @@ namespace rayflex::bvh
 
 using namespace rayflex::core;
 using fp::fromBits;
+using fp::toBits;
 
 PacketTraversal::PacketTraversal(const Bvh4 &bvh, unsigned width,
                                  TraversalMode mode, PacketStats *stats)
@@ -53,14 +56,20 @@ PacketTraversal::admit(std::deque<PendingRay> &queue)
         ln = Lane{};
         ln.ray = pr.ray;
         ln.slab = golden::SlabRay(pr.ray);
+        ln.tri = golden::TriRay(pr.ray);
         ln.ray_id = pr.ray_id;
         ln.job = pr.job;
         ln.t_beg = fromBits(pr.ray.t_beg);
         ln.t_max = fromBits(pr.ray.t_end);
+        prune_t_[n_lanes_] = std::numeric_limits<float>::infinity();
         ++n_lanes_;
     }
+    retired_ = 0;
     if (n_lanes_ == 0)
         return 0;
+    one_job_ = true;
+    for (unsigned r = 1; r < n_lanes_; ++r)
+        one_job_ = one_job_ && lanes_[r].job == lanes_[0].job;
 
     if (bvh_.tris.empty()) {
         // Nothing to traverse: every lane completes with a miss, the
@@ -79,7 +88,7 @@ PacketTraversal::admit(std::deque<PendingRay> &queue)
     root.mask = (1u << n_lanes_) - 1u; // n_lanes_ <= kMaxPacketWidth
     for (unsigned r = 0; r < n_lanes_; ++r) {
         root.entry[r] = 0.0f;
-        lanes_[r].pending = 1;
+        pending_[r] = 1;
     }
     stack_.clear();
     stack_.push_back(root);
@@ -90,23 +99,17 @@ PacketTraversal::admit(std::deque<PendingRay> &queue)
 void
 PacketTraversal::retireLane(unsigned lane, const HitRecord &rec)
 {
-    unsigned occupancy = 0;
-    for (unsigned r = 0; r < n_lanes_; ++r)
-        if (!lanes_[r].retired)
-            ++occupancy; // includes `lane` (not yet marked)
-    stats_->occupancy_at_retire += occupancy;
+    stats_->occupancy_at_retire += liveLanes(); // includes `lane`
     ++stats_->rays_retired;
-    lanes_[lane].retired = true;
+    retired_ |= 1u << lane;
     completed_.emplace_back(lanes_[lane].ray_id, rec);
 }
 
 void
 PacketTraversal::dropLaneFromItem(unsigned lane)
 {
-    Lane &ln = lanes_[lane];
-    --ln.pending;
-    if (ln.pending == 0 && !ln.retired)
-        retireLane(lane, ln.best);
+    if (--pending_[lane] == 0 && !(retired_ & (1u << lane)))
+        retireLane(lane, lanes_[lane].best);
 }
 
 void
@@ -120,27 +123,29 @@ PacketTraversal::popNext()
             n_lanes_ = 0;
             return;
         }
-        Item it = stack_.back();
-        stack_.pop_back();
-        uint32_t live = 0;
-        for (unsigned r = 0; r < n_lanes_; ++r) {
-            if (!(it.mask & (1u << r)))
-                continue;
-            Lane &ln = lanes_[r];
-            // The one-ray pruning rule, applied per lane: a retired or
-            // pruned lane leaves the item; the item survives for the
-            // rest.
-            if (ln.retired || (ln.best.hit && it.entry[r] > ln.best.t))
-                dropLaneFromItem(r);
-            else
-                live |= 1u << r;
+        const Item &it = stack_.back();
+        // The one-ray pruning rule, applied per lane: a retired or
+        // pruned lane leaves the item; the item survives for the rest.
+        // A lane's decision reads only its own state, so the lanes to
+        // drop are found first and dropped in lane order.
+        uint32_t drop = it.mask & retired_;
+        for (uint32_t m = it.mask & ~retired_; m; m &= m - 1) {
+            const unsigned r = unsigned(std::countr_zero(m));
+            if (it.entry[r] > prune_t_[r])
+                drop |= 1u << r;
         }
-        if (live == 0)
-            continue; // pruned packet-wide: no fetch, no beats
-        cur_ = it;
-        live_ = live;
-        state_ = State::NeedFetch;
-        return;
+        const uint32_t live = it.mask & ~drop;
+        if (live != 0) {
+            cur_ = it;
+            live_ = live;
+            state_ = State::NeedFetch;
+        }
+        stack_.pop_back();
+        for (uint32_t m = drop; m; m &= m - 1)
+            dropLaneFromItem(unsigned(std::countr_zero(m)));
+        if (live != 0)
+            return;
+        // Pruned packet-wide: no fetch, no beats; pop the next item.
     }
 }
 
@@ -153,6 +158,8 @@ PacketTraversal::fetchIssued()
     ++stats_->node_visits;
     stats_->active_ray_visits += active;
     stats_->fetches_shared += active - 1; // fetches scalar would issue
+    if (one_job_)
+        return;
     // Attribute the shared fetches: the lowest active lane "owns" the
     // fetch, and every other active lane from a DIFFERENT job shares
     // it across a job boundary. Pure accounting — the fetch itself is
@@ -169,33 +176,94 @@ PacketTraversal::fetchArrived()
 {
     assert(state_ == State::Fetching);
     state_ = State::Issue;
-    pending_.clear();
-    next_ = 0;
-    if (cur_.is_leaf) {
-        // Triangle-major: each lane sees the leaf's triangles in leaf
-        // order, exactly as a lone ray does.
-        for (uint32_t t = cur_.index; t < cur_.index + cur_.count; ++t)
-            for (unsigned r = 0; r < n_lanes_; ++r)
-                if (live_ & (1u << r))
-                    pending_.push_back({uint8_t(r), t});
-    } else {
-        for (unsigned r = 0; r < n_lanes_; ++r)
-            if (live_ & (1u << r))
-                pending_.push_back({uint8_t(r), 0});
+    row_mask_ = live_;
+    beat_lanes_ = live_;
+    row_ = cur_.index;
+    assert(!cur_.is_leaf || cur_.count > 0);
+    rows_left_ = cur_.is_leaf ? cur_.count - 1 : 0;
+    if (cur_.is_leaf)
+        visitLeaf();
+    else
         visitNode();
+}
+
+void
+PacketTraversal::visitLeaf()
+{
+    // Triangle-major: each lane sees the leaf's triangles in leaf
+    // order, exactly as a lone ray does, so a closest-hit lane's best
+    // record ends where beat-by-beat folding would leave it. An
+    // any-hit lane stops at its first in-extent hit. Each triangle is
+    // tested against four live lanes at a time (golden::rayTriangle4;
+    // a short group repeats its first lane), and a lane whose result
+    // holds a NaN takes core::nativeTriangle's functional path.
+    const bool any = mode_ == TraversalMode::Any;
+    if (any)
+        first_hit_.fill(kNoHit);
+    uint32_t todo = live_;
+    for (uint32_t t = cur_.index; t < cur_.index + cur_.count && todo; ++t) {
+        const SceneTriangle &tri = bvh_.tris[t];
+        const float tv[3][3] = {{tri.v0.x, tri.v0.y, tri.v0.z},
+                                {tri.v1.x, tri.v1.y, tri.v1.z},
+                                {tri.v2.x, tri.v2.y, tri.v2.z}};
+        for (uint32_t m = todo; m;) {
+            std::array<unsigned, 4> group;
+            std::array<const golden::TriRay *, 4> rays;
+            unsigned n = 0;
+            for (; n < 4 && m; ++n, m &= m - 1) {
+                group[n] = unsigned(std::countr_zero(m));
+                rays[n] = &lanes_[group[n]].tri;
+            }
+            for (unsigned k = n; k < 4; ++k)
+                rays[k] = rays[0];
+            const golden::Tri4 q = golden::rayTriangle4(rays, tv);
+            const golden::M32x4 nan = q.nan();
+            for (unsigned k = 0; k < n; ++k) {
+                const unsigned r = group[k];
+                Lane &ln = lanes_[r];
+                TriangleResult res;
+                if (nan[k]) {
+                    nativeTriangle(ln.ray, tri.toIoTriangle(), res);
+                } else {
+                    res.hit = q.hit[k] != 0;
+                    res.t_num = toBits(q.t_num[k]);
+                    res.t_den = toBits(q.det[k]);
+                    res.uvw = {toBits(q.u[k]), toBits(q.v[k]),
+                               toBits(q.w[k])};
+                }
+                if (!res.hit)
+                    continue;
+                const float den = fromBits(res.t_den);
+                if (den == 0.0f)
+                    continue;
+                const float th = fromBits(res.t_num) / den;
+                if (!(th >= ln.t_beg && th <= ln.t_max &&
+                      replacesBest(th, tri.id, ln.best)))
+                    continue;
+                if (any) {
+                    // Its beat retires the lane when it drains (the
+                    // any-hit contract: the record carries only the
+                    // flag).
+                    first_hit_[r] = t;
+                    todo &= ~(1u << r);
+                    continue;
+                }
+                ln.best.hit = true;
+                ln.best.t = th;
+                prune_t_[r] = th;
+                ln.best.triangle_id = tri.id;
+                ln.best.u = fromBits(res.uvw[0]) / den;
+                ln.best.v = fromBits(res.uvw[1]) / den;
+                ln.best.w = fromBits(res.uvw[2]) / den;
+            }
+        }
     }
 }
 
 void
 PacketTraversal::visitNode()
 {
-    const WideNode &node = bvh_.nodes[cur_.index];
-    std::array<Box, 4> boxes;
-    for (size_t c = 0; c < boxes.size(); ++c)
-        boxes[c] = node.child[c].kind == WideNode::Kind::Empty
-                       ? emptySlotBox()
-                       : node.child[c].bounds.toIoBox();
-    const golden::Box4 box4(boxes.data());
+    const golden::Box4 box4 = bvh_.box4(cur_.index);
 
     // One 4-wide slab test per live lane, inverted into per-slot
     // tables: the lanes that hit each child, and the nearest of their
@@ -203,9 +271,8 @@ PacketTraversal::visitNode()
     // nearer one.
     visit_.hit = {};
     visit_.nearest = golden::splat(std::numeric_limits<float>::infinity());
-    for (unsigned r = 0; r < n_lanes_; ++r) {
-        if (!(live_ & (1u << r)))
-            continue;
+    for (uint32_t m = live_; m; m &= m - 1) {
+        const unsigned r = unsigned(std::countr_zero(m));
         const golden::Slab4 s = golden::slab4(lanes_[r].slab, box4);
         const golden::M32x4 hit = s.hit();
         visit_.entry[r] = s.near;
@@ -221,76 +288,36 @@ PacketTraversal::visitNode()
     }
 }
 
-void
-PacketTraversal::pruneDeadBeats()
-{
-    // Beats for lanes retired mid-leaf (any-hit) are never issued.
-    // Pruning the whole queue (not just the front) never changes the
-    // issued-beat sequence — dead beats would be skipped on their way
-    // to the front anyway — and keeps issuableCount() dense for the
-    // multi-issue offer loop.
-    pending_.erase(std::remove_if(pending_.begin() + std::ptrdiff_t(next_),
-                                  pending_.end(),
-                                  [this](const PacketBeat &b) {
-                                      return lanes_[b.lane].retired;
-                                  }),
-                   pending_.end());
-}
-
 PacketBeat
 PacketTraversal::takeBeat()
 {
-    assert(next_ < pending_.size());
-    ++outstanding_;
-    return pending_[next_++];
+    assert(row_mask_ != 0);
+    PacketBeat b;
+    b.lane = uint8_t(std::countr_zero(row_mask_));
+    b.retires = cur_.is_leaf && mode_ == TraversalMode::Any &&
+                first_hit_[b.lane] == row_;
+    row_mask_ &= row_mask_ - 1;
+    nextRow();
+    return b;
 }
 
 void
-PacketTraversal::handleResult(const PacketBeat &beat)
+PacketTraversal::retireOnHit(unsigned lane)
 {
-    assert(outstanding_ > 0);
-    --outstanding_;
-    const PacketBeat &b = beat;
-    Lane &ln = lanes_[b.lane];
-
-    // A box beat's result is already in visit_; a triangle beat of a
-    // lane that retired mid-leaf (any-hit) is dropped unevaluated.
-    if (cur_.is_leaf && !ln.retired) {
-        const SceneTriangle &tri = bvh_.tris[b.tri];
-        TriangleResult res;
-        nativeTriangle(ln.ray, tri.toIoTriangle(), res);
-        if (res.hit) {
-            float den = fromBits(res.t_den);
-            if (den != 0.0f) {
-                float t = fromBits(res.t_num) / den;
-                if (t >= ln.t_beg && t <= ln.t_max &&
-                    replacesBest(t, tri.id, ln.best)) {
-                    if (mode_ == TraversalMode::Any) {
-                        // First in-extent hit retires the lane; the
-                        // record carries only the flag (the any-hit
-                        // contract).
-                        HitRecord occluded;
-                        occluded.hit = true;
-                        retireLane(b.lane, occluded);
-                        pruneDeadBeats();
-                    } else {
-                        ln.best.hit = true;
-                        ln.best.t = t;
-                        ln.best.triangle_id = tri.id;
-                        float u = fromBits(res.uvw[0]);
-                        float v = fromBits(res.uvw[1]);
-                        float w = fromBits(res.uvw[2]);
-                        ln.best.u = u / den;
-                        ln.best.v = v / den;
-                        ln.best.w = w / den;
-                    }
-                }
-            }
-        }
-    }
-
-    if (next_ == pending_.size() && outstanding_ == 0)
-        completeItem();
+    HitRecord occluded;
+    occluded.hit = true;
+    retireLane(lane, occluded);
+    // Beats for a lane retired mid-leaf are never issued. Pruning every
+    // row (not just the current one) never changes the issued-beat
+    // sequence — dead beats would be skipped on their way to the front
+    // anyway — and keeps pendingBeats() dense for the multi-issue
+    // offer loop.
+    const uint32_t keep = ~(1u << lane);
+    row_mask_ &= keep;
+    beat_lanes_ &= keep;
+    if (beat_lanes_ == 0)
+        rows_left_ = 0;
+    nextRow();
 }
 
 void
@@ -300,20 +327,15 @@ PacketTraversal::completeItem()
         mergeBoxResults();
     // The item is done for every lane that was testing it; lanes left
     // with no pending work retire out of the packet independently.
-    for (unsigned r = 0; r < n_lanes_; ++r)
-        if (live_ & (1u << r))
-            dropLaneFromItem(r);
+    for (uint32_t m = live_; m; m &= m - 1)
+        dropLaneFromItem(unsigned(std::countr_zero(m)));
     popNext();
 }
 
 unsigned
 PacketTraversal::liveLanes() const
 {
-    unsigned n = 0;
-    for (unsigned r = 0; r < n_lanes_; ++r)
-        if (!lanes_[r].retired)
-            ++n;
-    return n;
+    return unsigned(std::popcount(~retired_ & ((1u << n_lanes_) - 1u)));
 }
 
 void
@@ -325,10 +347,7 @@ PacketTraversal::scrubRetiredLanes()
     // the bits eagerly is equivalent — and required before a retired
     // lane's slot is handed to an absorbed lane, or stale masks would
     // apply old work items to the new occupant.
-    uint32_t retired = 0;
-    for (unsigned r = 0; r < n_lanes_; ++r)
-        if (lanes_[r].retired)
-            retired |= 1u << r;
+    const uint32_t retired = retired_;
     if (retired == 0)
         return;
     for (Item &it : stack_)
@@ -353,22 +372,31 @@ PacketTraversal::absorb(PacketTraversal &donor)
     remap.fill(-1);
     unsigned next_free = 0;
     auto claimSlot = [&]() -> unsigned {
-        while (next_free < n_lanes_ && !lanes_[next_free].retired)
+        while (next_free < n_lanes_ && !(retired_ & (1u << next_free)))
             ++next_free;
         const unsigned slot = next_free++;
         assert(slot < width_);
         return slot;
     };
     for (unsigned r = 0; r < donor.n_lanes_; ++r) {
-        if (donor.lanes_[r].retired)
+        if (donor.retired_ & (1u << r))
             continue;
         const unsigned slot = claimSlot();
         remap[r] = int(slot);
         lanes_[slot] = donor.lanes_[r];
+        pending_[slot] = donor.pending_[r];
+        prune_t_[slot] = donor.prune_t_[r];
+        retired_ &= ~(1u << slot);
         if (slot >= n_lanes_)
             n_lanes_ = slot + 1;
         ++stats_->lanes_repacked;
     }
+    const uint32_t live = ~retired_ & ((1u << n_lanes_) - 1u);
+    one_job_ = true;
+    for (uint32_t m = live; m; m &= m - 1)
+        one_job_ = one_job_ &&
+                   lanes_[std::countr_zero(m)].job ==
+                       lanes_[std::countr_zero(live)].job;
 
     // Translate the donor's pending work into this packet's lane
     // numbering: its stack bottom-to-top, then its current (nearest)
@@ -425,8 +453,7 @@ PacketTraversal::absorb(PacketTraversal &donor)
     place(donor.cur_, donor.live_);
 
     donor.stack_.clear();
-    donor.pending_.clear();
-    donor.next_ = 0;
+    donor.row_mask_ = donor.beat_lanes_ = donor.rows_left_ = 0;
     donor.n_lanes_ = 0;
     donor.state_ = State::Idle;
 }
@@ -479,11 +506,10 @@ PacketTraversal::mergeBoxResults()
         it.index = child.index;
         it.count = it.is_leaf ? child.count : 0;
         it.mask = visit_.hit[slot];
-        for (unsigned r = 0; r < n_lanes_; ++r) {
-            if (it.mask & (1u << r)) {
-                it.entry[r] = visit_.entry[r][slot];
-                ++lanes_[r].pending;
-            }
+        for (uint32_t m = it.mask; m; m &= m - 1) {
+            const unsigned r = unsigned(std::countr_zero(m));
+            it.entry[r] = visit_.entry[r][slot];
+            ++pending_[r];
         }
     }
 }

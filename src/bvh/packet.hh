@@ -12,12 +12,18 @@
  * visiting a node issues one ray-box beat per active ray (SIMD-style
  * multi-ray AABB beats, pipelined back-to-back), and a leaf issues the
  * usual ray-triangle beats per (triangle, active ray) pair. The beats
- * carry only timing: a node visit is evaluated once, when its fetch
- * arrives, as one 4-wide slab test per active ray against the node's
- * four child boxes (core::golden::slab4), and a triangle beat is
- * evaluated when its result drains, from the lane's ray and the BVH's
- * triangle. Neither operand can change in between: a packet stays in
- * its issue phase until every beat has drained.
+ * carry only timing: an item is evaluated once, when its fetch
+ * arrives. A node visit is one 4-wide slab test per active ray against
+ * the node's four child boxes (core::golden::slab4); a leaf visit tests
+ * every active ray against each triangle in leaf order, where a
+ * closest-hit lane folds its hits into its best record and an any-hit
+ * lane records its first in-extent hit. Neither operand can change in
+ * between: a packet stays in its issue phase until every beat has
+ * drained. The beats themselves are counters: a row mask, a lane mask
+ * and the rows left say which (triangle, lane) beats are still to
+ * issue, and only an any-hit lane's first hit changes the packet when
+ * its beat drains (the lane retires there and its later beats are
+ * pruned).
  *
  * A width-1 packet is the scalar schedule — one independent ray per
  * ray-buffer slot, a full node fetch per ray — under two rules keyed
@@ -46,6 +52,7 @@
 #ifndef RAYFLEX_BVH_PACKET_HH
 #define RAYFLEX_BVH_PACKET_HH
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <utility>
@@ -77,15 +84,15 @@ struct PendingRay
 };
 
 /** One datapath beat of a packet's current work item: which member
- *  lane it tests and, for leaf items, which triangle. The RT unit
- *  holds the accepted beat in its per-datapath-lane in-flight queue
- *  and hands it back to handleResult() when it drains, so result
- *  routing never depends on cross-lane arrival order (the multi-issue
- *  datapath drains several lanes per cycle). */
+ *  lane it tests and whether its drain retires that lane (an any-hit
+ *  lane's first in-extent hit). The RT unit holds the accepted beat in
+ *  its per-datapath-lane in-flight queue and reads it back when it
+ *  drains, so result routing never depends on cross-lane arrival order
+ *  (the multi-issue datapath drains several lanes per cycle). */
 struct PacketBeat
 {
     uint8_t lane = 0;
-    uint32_t tri = 0; ///< triangle index (leaf items only)
+    bool retires = false; ///< drain calls retireOnHit(lane)
 };
 
 /** Packet-mode configuration of the RT unit. */
@@ -180,9 +187,9 @@ struct PacketStats
  * PacketConfig::width rays. The RT unit owns a vector of these and
  * drives them through four service points — memory
  * (needsFetch/fetchIssued/fetchArrived), datapath issue
- * (issuableCount/beatOp/takeBeat, up to issue_width beats per
- * cycle), datapath drain (handleResult) and refill (admit) — and reads
- * the packet's state only after one of them changed it. Between work
+ * (pendingBeats/beatOp/takeBeat, up to issue_width beats per cycle),
+ * datapath drain (retireOnHit/completeItem) and refill (admit) — and
+ * reads the packet's state only after one of them changed it. Between work
  * items (compactable()) a divergence-thinned packet can absorb()
  * another's surviving lanes, so the beat slots divergence emptied are
  * recovered instead of riding along dead.
@@ -190,7 +197,11 @@ struct PacketStats
  * The class is a pure function of the admitted rays and the shared BVH
  * (no clocks, no host pointers in decisions), which is what lets the
  * engine keep its bit-identical-across-worker-counts contract in
- * packet mode.
+ * packet mode. Its issue phase keeps no beat counts of its own: the
+ * unit counts the item's beats issued and outstanding (from
+ * pendingBeats() at fetch arrival) and calls back only for the drains
+ * that change the packet — an any-hit lane's first hit (retireOnHit)
+ * and the item's last beat (completeItem).
  */
 class PacketTraversal
 {
@@ -217,27 +228,29 @@ class PacketTraversal
     uint32_t fetchCount() const { return cur_.count; }
     /** The fetch left for memory; counts the visit into PacketStats. */
     void fetchIssued();
-    /** The fetch returned; builds the beat list for the datapath. A
-     *  node is visited here: every live lane's ray is tested against
-     *  its four child boxes, into nodeVisit(). */
+    /** The fetch returned: the item is evaluated here and its beats
+     *  become pending. A node visit tests every live lane's ray against
+     *  its four child boxes, into nodeVisit(); a leaf visit tests every
+     *  live lane's ray against each triangle in leaf order, four lanes
+     *  at a time (core::golden::rayTriangle4, or core::nativeTriangle
+     *  for a lane whose result holds a NaN), into the lane's best record
+     *  (closest-hit) or its first in-extent hit, acted on when that
+     *  beat drains (any-hit). */
     void fetchArrived();
 
     // ---- datapath service ----------------------------------------------
     /** True when the packet is in its issue phase (fetched data
      *  present; beats pending and/or results outstanding). */
     bool issueReady() const { return state_ == State::Issue; }
-    /** Beats the unit may offer this cycle. The multi-issue unit
-     *  offers pending beats 0..N-1 to its N datapath lanes in one
-     *  cycle — SIMD-style back-to-back member-lane beats. Rule (a): a
-     *  width-1 packet keeps one beat in flight, so its leaf serializes
-     *  on each triangle result. */
-    size_t
-    issuableCount() const
+    /** Beats of the current item not yet taken: one per live lane for
+     *  a node, one per (triangle, live lane) for a leaf. The unit
+     *  counts them down as it takes beats and re-reads them after
+     *  retireOnHit(). */
+    uint32_t
+    pendingBeats() const
     {
-        const size_t pending = pending_.size() - next_;
-        if (width_ == 1)
-            return outstanding_ == 0 && pending ? 1 : 0;
-        return pending;
+        return uint32_t(std::popcount(row_mask_)) +
+               rows_left_ * uint32_t(std::popcount(beat_lanes_));
     }
     /** The opcode of the current item's beats. */
     core::Opcode
@@ -246,22 +259,27 @@ class PacketTraversal
         return cur_.is_leaf ? core::Opcode::RayTriangle
                             : core::Opcode::RayBox;
     }
-    /** The first pending beat was accepted by a datapath lane: count
-     *  it outstanding. A cycle's offers are a prefix of the pending
-     *  beats and every offer is accepted, so the unit takes them front
-     *  first. @return the beat, which rides the lane's delay line
+    /** The next pending beat was accepted by a datapath lane. Beats go
+     *  triangle-major (a leaf's row per triangle, its live lanes in
+     *  ascending order), so each lane sees the leaf in leaf order; a
+     *  cycle's offers are a prefix of the pending beats and every
+     *  offer is accepted, so the unit takes them front first. Only an
+     *  any-hit beat can change the packet when it drains, so the unit
+     *  takes beats from any-hit packets only and counts the rest
+     *  itself. @return the beat, which rides the lane's delay line
      *  beside its result. */
     PacketBeat takeBeat();
-    /** One beat's result drained: fold it back into the packet. `beat`
-     *  is the value takeBeat() returned when the beat was accepted —
-     *  the lane's delay line carries it, so routing is explicit rather
-     *  than inferred from arrival order. A box beat counts the visit
-     *  down; a triangle beat is evaluated here, for a lane still live,
-     *  with core::nativeTriangle. */
-    void handleResult(const PacketBeat &beat);
+    /** An any-hit lane's first in-extent hit drained (a beat whose
+     *  `retires` is set): the lane retires with the occluded flag and
+     *  its beats not yet taken are pruned, never issued. */
+    void retireOnHit(unsigned lane);
+    /** Every beat of the current item was taken and has drained: turn
+     *  a node visit into child items, retire the lanes whose pending
+     *  work ran out, and pop the next item. */
+    void completeItem();
 
     /** One node visit's slab results, written when the node's fetch
-     *  arrives and read when its last box beat drains. */
+     *  arrives and read when its last box beat drains (completeItem). */
     struct NodeVisit
     {
         /** Per child slot, the live lanes whose ray hit its box. */
@@ -328,50 +346,76 @@ class PacketTraversal
     {
         core::Ray ray;
         core::golden::SlabRay slab; ///< the ray's slab form
+        core::golden::TriRay tri;   ///< the ray's triangle-test form
         uint32_t ray_id = 0;
         uint32_t job = 0; ///< submission stream (stats only)
         HitRecord best;
         float t_beg = 0;
         float t_max = 0;
-        bool retired = false; ///< result recorded (lane is dead)
-        uint32_t pending = 0; ///< stack items (+ current) naming it
     };
 
     void popNext();
-    void completeItem();
     /** Test every live lane's ray against the current node's four
      *  child boxes into visit_ (one 4-wide slab test per lane). */
     void visitNode();
+    /** Test every live lane's ray against the current leaf's
+     *  triangles, in leaf order (closest-hit: fold into best; any-hit:
+     *  record the first in-extent hit in first_hit_). */
+    void visitLeaf();
     /** Push the visited node's hit children as stack items. */
     void mergeBoxResults();
-    /** Drop every pending beat whose lane has retired; such beats are
-     *  never issued. Only an any-hit lane retires while its leaf still
-     *  has beats pending, so handleResult() calls this after one does. */
-    void pruneDeadBeats();
+    /** Step the beat cursor to the next row once the current one is
+     *  fully taken. */
+    void
+    nextRow()
+    {
+        if (row_mask_ == 0 && rows_left_ != 0) {
+            row_mask_ = beat_lanes_;
+            ++row_;
+            --rows_left_;
+        }
+    }
     void dropLaneFromItem(unsigned lane);
     void retireLane(unsigned lane, const HitRecord &rec);
     /** Clear retired lanes out of this packet's stack masks (and
      *  cur_), so their lane slots can be re-used by absorbed lanes. */
     void scrubRetiredLanes();
 
+    // The issue-phase beat cursor first: takeBeat() touches nothing
+    // else. Rows are the leaf's triangles (a node item has one row);
+    // the beats not yet taken are row_mask_'s lanes in row row_, then
+    // beat_lanes_'s lanes in each of the rows_left_ rows after it.
+    uint32_t row_mask_ = 0;   ///< lanes of row row_ not yet taken
+    uint32_t beat_lanes_ = 0; ///< lanes with beats in the later rows
+    uint32_t rows_left_ = 0;  ///< rows after row row_
+    uint32_t row_ = 0;        ///< current row: triangle index of a leaf
+    /** Any-hit leaf: per lane, the triangle of its first in-extent hit
+     *  (kNoHit when none); its beat retires the lane. */
+    std::array<uint32_t, kMaxPacketWidth> first_hit_{};
+    static constexpr uint32_t kNoHit = ~uint32_t(0);
+
     const Bvh4 &bvh_;
     unsigned width_;
     TraversalMode mode_;
     PacketStats *stats_;
+    /** Every admitted lane carries the same job tag, so no shared fetch
+     *  crosses a job boundary (fetchIssued skips the attribution). */
+    bool one_job_ = true;
 
     State state_ = State::Idle;
     std::vector<Item> stack_; ///< shared stack, nearest on top
     Item cur_;                ///< item being fetched/tested
     uint32_t live_ = 0;       ///< cur_'s mask minus retired/pruned lanes
-    std::array<Lane, kMaxPacketWidth> lanes_;
     unsigned n_lanes_ = 0;
+    /** Lanes whose result is recorded (dead lanes), among n_lanes_. */
+    uint32_t retired_ = 0;
+    /** Per lane, the stack items (+ current) naming it. */
+    std::array<uint32_t, kMaxPacketWidth> pending_{};
+    /** Per lane, the entry distance beyond which it prunes an item:
+     *  its best hit's t, or +inf before a hit. */
+    std::array<float, kMaxPacketWidth> prune_t_{};
+    std::array<Lane, kMaxPacketWidth> lanes_;
 
-    /** The current item's beats; those from next_ on are not yet
-     *  issued. */
-    std::vector<PacketBeat> pending_;
-    size_t next_ = 0;
-    unsigned outstanding_ = 0; ///< accepted beats not yet resolved
-                               ///< (held in the unit's delay lines)
     NodeVisit visit_;
 
     std::vector<std::pair<uint32_t, HitRecord>> completed_;

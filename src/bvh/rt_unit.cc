@@ -135,18 +135,24 @@ prepared(RtUnitConfig cfg, const core::DatapathConfig &dp, bool knn)
 // slots(), state(i) and fetchItem(i) describe slot i;
 // begin() resets per-run state; publish() sets the lanes' offers, and
 // streaming() says whether a lane will offer with no slot Ready;
-// accept(lane) and drain(beat) are steps (a) and (b), and compact() runs
-// after (b); holdFetch(i), fetchIssued(i) and fetchArrived(i) serve step
-// (c), and refill() step (d). A lane carries the scheduler's Beat (with
-// its `slot`), kept in inflight[lane][its delay-line position]; kItems
-// names the work in stallReport(). The core refreshes a slot's lists
-// after each per-slot hook.
+// accept(lane, beat) and drain(beat) are steps (a) and (b), and
+// compact() runs after (b); holdFetch(i), fetchIssued(i) and
+// fetchArrived(i) serve step (c), and refill() step (d). A lane carries
+// the scheduler's Beat (with its `slot`), kept in inflight[lane][its
+// delay-line position]; kItems names the work in stallReport(). The
+// core refreshes a slot's lists after each per-slot hook; accept and
+// drain return whether the slot's state may have changed, and the core
+// refreshes it only then.
 
 /** The ray scheduler: packets of PacketConfig::width rays
  *  (bvh/packet.hh), optionally repacked below
  *  PacketConfig::compact_below. A ray beat carries no operands: its
- *  packet tests a node's boxes when the fetch arrives and a triangle
- *  when the beat drains, and neither operand changes in between. */
+ *  packet tests a node's boxes or a leaf's triangles when the fetch
+ *  arrives, and no operand changes before the item's last beat drains.
+ *  The scheduler counts each packet's beats pending and outstanding
+ *  itself, so accepting a beat is a count (an any-hit packet's cursor
+ *  also moves) and so is a drain, unless it ends the item or retires
+ *  an any-hit lane. */
 class RtUnit::PacketScheduler
 {
   public:
@@ -159,7 +165,8 @@ class RtUnit::PacketScheduler
     static constexpr const char *kItems = "rays";
 
     PacketScheduler(RtUnit &unit, TraversalMode mode)
-        : inflight(unit.lanes_.size()), unit_(unit)
+        : inflight(unit.lanes_.size()), unit_(unit),
+          width_(unit.cfg_.packet.width), any_hit_(mode == TraversalMode::Any)
     {
         const RtUnitConfig &cfg = unit.cfg_;
         // The ray buffer holds the same number of rays at every width;
@@ -171,6 +178,7 @@ class RtUnit::PacketScheduler
             packets_.emplace_back(unit.bvh_, cfg.packet.width, mode,
                                   &unit.stats_.packet);
         compact_hold_.assign(slots, 0);
+        beats_.assign(slots, Beats{});
     }
 
     size_t slots() const { return packets_.size(); }
@@ -184,7 +192,7 @@ class RtUnit::PacketScheduler
             return EntryState::NeedFetch;
         if (!p.issueReady())
             return EntryState::Fetching;
-        return p.issuableCount() ? EntryState::Ready : EntryState::InFlight;
+        return issuable(beats_[i]) ? EntryState::Ready : EntryState::InFlight;
     }
     WorkItem
     fetchItem(size_t i) const
@@ -209,10 +217,9 @@ class RtUnit::PacketScheduler
         size_t lane = 0;
         for (size_t i = ready.next(0);
              i != SlotSet::npos && lane < lanes.size(); i = ready.next(i + 1)) {
-            const PacketTraversal &p = packets_[i];
-            const size_t end =
-                std::min(lanes.size(), lane + p.issuableCount());
-            const Opcode op = p.beatOp();
+            const Beats &c = beats_[i];
+            const size_t end = std::min(lanes.size(), lane + issuable(c));
+            const Opcode op = c.op;
             for (; lane < end; ++lane) {
                 lanes[lane].offer = i;
                 lanes[lane].op = op;
@@ -220,22 +227,45 @@ class RtUnit::PacketScheduler
         }
     }
 
-    Beat
-    accept(size_t lane)
+    /** Count the offered beat taken. Only an any-hit beat can retire
+     *  its lane when it drains, so only an any-hit packet's cursor is
+     *  walked (takeBeat); a closest-hit beat carries its slot alone.
+     *  The slot leaves Ready when its last pending beat goes, and at
+     *  width 1 with every beat (rule (a)). */
+    bool
+    accept(size_t lane, Beat &b)
     {
         const size_t slot = unit_.lanes_[lane].offer;
-        return {slot, packets_[slot].takeBeat()};
+        Beats &c = beats_[slot];
+        --c.pending;
+        ++c.outstanding;
+        b = {slot, any_hit_ ? packets_[slot].takeBeat() : PacketBeat{}};
+        return c.pending == 0 || width_ == 1;
     }
 
-    /** The beat taken at acceptance names the result's packet, member
-     *  lane and triangle. A result can complete the packet's current
-     *  item, push children and retire lanes whose work ran out. */
-    void
+    /** The beat taken at acceptance names the result's packet and
+     *  member lane. Most drains only count down: the packet is touched
+     *  when the beat retires an any-hit lane (which prunes its later
+     *  beats) or is the item's last, which completes the item, pushes
+     *  children and retires lanes whose work ran out. A width-1 packet
+     *  offers its next beat once the previous one drained (rule (a)),
+     *  so each of its drains changes its state. */
+    bool
     drain(const Beat &b)
     {
+        Beats &c = beats_[b.slot];
+        --c.outstanding;
+        if (!b.beat.retires && (c.pending || c.outstanding))
+            return width_ == 1;
         PacketTraversal &p = packets_[b.slot];
-        p.handleResult(b.beat);
+        if (b.beat.retires) {
+            p.retireOnHit(b.beat.lane);
+            c.pending = p.pendingBeats();
+        }
+        if (c.pending == 0 && c.outstanding == 0)
+            p.completeItem();
         drainCompleted(p);
+        return true;
     }
 
     /** Occupancy-driven compaction (packet.compact_below > 0): pair
@@ -313,7 +343,13 @@ class RtUnit::PacketScheduler
         packets_[i].fetchIssued();
         compact_hold_[i] = 0;
     }
-    void fetchArrived(size_t i) { packets_[i].fetchArrived(); }
+    void
+    fetchArrived(size_t i)
+    {
+        PacketTraversal &p = packets_[i];
+        p.fetchArrived();
+        beats_[i] = {p.pendingBeats(), 0, p.beatOp()};
+    }
 
     /** Admit queued rays into the Idle slots, then sample the packet
      *  occupancy counter: live lanes across all packet slots, emitted
@@ -360,6 +396,28 @@ class RtUnit::PacketScheduler
      *  partner that is still waiting on memory. */
     static constexpr unsigned kCompactWaitCycles = 16;
 
+    /** A packet's beat counts in its issue phase: beats not yet taken
+     *  and beats taken but not drained, and their opcode. */
+    struct Beats
+    {
+        uint32_t pending = 0;
+        uint32_t outstanding = 0;
+        Opcode op = Opcode::RayBox;
+    };
+
+    /** Beats a packet may offer this cycle. The multi-issue unit offers
+     *  pending beats 0..N-1 to its N datapath lanes in one cycle —
+     *  SIMD-style back-to-back member-lane beats. Rule (a): a width-1
+     *  packet keeps one beat in flight, so its leaf serializes on each
+     *  triangle result. */
+    uint32_t
+    issuable(const Beats &c) const
+    {
+        if (width_ == 1)
+            return c.outstanding == 0 && c.pending ? 1 : 0;
+        return c.pending;
+    }
+
     /** Move a packet's retired rays into the results. */
     void
     drainCompleted(PacketTraversal &p)
@@ -379,7 +437,10 @@ class RtUnit::PacketScheduler
     }
 
     RtUnit &unit_;
+    unsigned width_;
+    bool any_hit_;
     std::vector<PacketTraversal> packets_; ///< ray slots
+    std::vector<Beats> beats_;             ///< per packet slot
     /** Per-packet repacking-window progress. */
     std::vector<unsigned> compact_hold_;
     /** Last emitted PacketOccupancy sample (~0 = none yet), so the
@@ -469,35 +530,41 @@ class RtUnit::KnnScheduler
      *  entry's front; once an entry's leaf work has fully issued it
      *  moves on to the next frontier item (the next fetch overlaps the
      *  in-flight scores). */
-    Beat
-    accept(size_t lane)
+    bool
+    accept(size_t lane, Beat &b)
     {
         ++unit_.stats_.knn.distance_beats;
         KnnLane &kl = lanes_[lane];
+        bool moved = false; ///< the entry moved on to its next fetch
         if (kl.job.next_beat++ == 0) {
             Entry &e = entries_[kl.job.slot];
             ++e.cand_next;
             ++e.inflight_cands;
             ++unit_.stats_.knn.candidates;
-            if (e.cand_next == e.cand_end)
+            if (e.cand_next == e.cand_end) {
                 nextFetch(e);
+                moved = true;
+            }
         }
         // Every beat of a job produces an output; only the last one
         // carries the fully accumulated distance.
         nativeEval(kl.in, kl.acc, out_);
         const bool last = kl.job.free();
-        return {kl.job.slot, kl.job.tri, last, last ? knnScore(out_) : 0.0f};
+        b = {kl.job.slot, kl.job.tri, last, last ? knnScore(out_) : 0.0f};
+        return moved;
     }
 
-    void
+    /** Only a job's last beat carries a score; it can finish a
+     *  draining entry. */
+    bool
     drain(const Beat &b)
     {
         if (!b.last)
-            return;
+            return false;
         Entry &e = entries_[b.slot];
         e.walk.offer(b.tri, b.score);
         --e.inflight_cands;
-        maybeFinish(e);
+        return maybeFinish(e);
     }
 
     bool compact() { return false; }
@@ -610,16 +677,18 @@ class RtUnit::KnnScheduler
         maybeFinish(e);
     }
 
-    /** Finish a draining entry once its last in-flight score landed. */
-    void
+    /** Finish a draining entry once its last in-flight score landed.
+     *  @return whether it finished. */
+    bool
     maybeFinish(Entry &e)
     {
         if (e.state != EntryState::InFlight || e.inflight_cands > 0)
-            return;
+            return false;
         results[e.query_id] = KnnResult{e.walk.neighbors()};
         ++unit_.stats_.knn.queries;
         --unit_.outstanding_;
         e.state = EntryState::Idle;
+        return true;
     }
 
     RtUnit &unit_;
@@ -962,10 +1031,8 @@ RtUnit::step(S &s)
         }
     }
     for (size_t l = 0; l < lanes_.size(); ++l)
-        if (accepted[l]) {
-            taken[l] = s.accept(l);
+        if (accepted[l] && s.accept(l, taken[l]))
             refreshSlot(s, lanes_[l].offer);
-        }
 
     // (b) Per lane, drain the beat due this cycle, then enter the beat
     // accepted in (a) into the delay line, due kPipelineLatency cycles
@@ -975,8 +1042,8 @@ RtUnit::step(S &s)
         Lane &lane = lanes_[l];
         if (lane.dueAt(now_)) {
             const typename S::Beat &b = s.inflight[l][lane.head];
-            s.drain(b);
-            refreshSlot(s, b.slot);
+            if (s.drain(b))
+                refreshSlot(s, b.slot);
             lane.pop();
             changed = true;
         }

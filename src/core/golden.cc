@@ -41,11 +41,36 @@ Box4::Box4(const Box *boxes)
 std::array<SortRecord<uint8_t>, kBoxesPerOp>
 quadSortSlots(const Slab4 &s)
 {
+    // Each slot travels the network as one word: its key's order above
+    // (the F32 bits mapped so that unsigned order is the host `<`,
+    // with -0 folded onto +0 so the two stay equal; keys are never
+    // NaN), its slot below. A comparator exchanges two words when the
+    // upper half of the first is strictly greater — the host `>` on
+    // the keys — so equal keys never swap, as in compareExchange.
     const M32x4 key = s.key();
+    std::array<uint64_t, kBoxesPerOp> w;
+    for (size_t b = 0; b < kBoxesPerOp; ++b) {
+        uint32_t u = uint32_t(key[b]);
+        u = u == 0x80000000u ? 0 : u;
+        u = u & 0x80000000u ? ~u : u | 0x80000000u;
+        w[b] = uint64_t(u) << 32 | b;
+    }
+    constexpr SortNetworkList net = kSortNetworks[kBoxesPerOp];
+    [&]<size_t... c>(std::index_sequence<c...>) {
+        const auto exchange = [&](uint64_t &a, uint64_t &z) {
+            const uint64_t m = -uint64_t((a >> 32) > (z >> 32));
+            const uint64_t x = (a ^ z) & m;
+            a ^= x;
+            z ^= x;
+        };
+        (exchange(w[net.ce[c].a], w[net.ce[c].b]), ...);
+    }(std::make_index_sequence<net.count>{});
+    // The key bits, -0 included, come back from the slot.
     std::array<SortRecord<uint8_t>, kBoxesPerOp> recs;
-    for (size_t b = 0; b < kBoxesPerOp; ++b)
-        recs[b] = {F32(key[b]), static_cast<uint8_t>(b)};
-    sortNetworkUnrolled<kBoxesPerOp>(recs, HostGreater{});
+    for (size_t k = 0; k < kBoxesPerOp; ++k) {
+        const uint8_t slot = uint8_t(w[k]);
+        recs[k] = {F32(key[slot]), slot};
+    }
     return recs;
 }
 
@@ -151,6 +176,49 @@ rayTriangle(const Ray &ray, const Triangle &tri, TriangleResult &out)
     // are false on NaN.
     out.hit = (u >= 0.0f) & (vv >= 0.0f) & (w >= 0.0f) & (det > 0.0f) &
               (t_num >= 0.0f);
+}
+
+TriRay::TriRay(const Ray &ray) : k{ray.kx, ray.ky, ray.kz}
+{
+    for (int d = 0; d < 3; ++d) {
+        org[d] = fromBits(ray.origin[k[d]]);
+        shear[d] = fromBits(ray.shear[d]);
+    }
+}
+
+Tri4
+rayTriangle4(const std::array<const TriRay *, 4> &r, const float (&tri)[3][3])
+{
+    // Lane l reads ray r[l]; a vertex coordinate is gathered along
+    // each lane's own permuted axis.
+    const auto lanes = [&](auto f) {
+        return F32x4{f(*r[0]), f(*r[1]), f(*r[2]), f(*r[3])};
+    };
+    const F32x4 sx = lanes([](const TriRay &t) { return t.shear[0]; });
+    const F32x4 sy = lanes([](const TriRay &t) { return t.shear[1]; });
+    const F32x4 sz = lanes([](const TriRay &t) { return t.shear[2]; });
+    F32x4 x[3], y[3], z[3];
+    for (int i = 0; i < 3; ++i) {
+        // Translate, then shear and scale (same op order as
+        // rayTriangle and stages 3-4).
+        F32x4 v[3];
+        for (int a = 0; a < 3; ++a)
+            v[a] = lanes([&](const TriRay &t) { return tri[i][t.k[a]]; }) -
+                   lanes([&](const TriRay &t) { return t.org[a]; });
+        x[i] = v[0] - sx * v[2];
+        y[i] = v[1] - sy * v[2];
+        z[i] = sz * v[2];
+    }
+    Tri4 out;
+    out.u = x[2] * y[1] - y[2] * x[1];
+    out.v = x[0] * y[2] - y[0] * x[2];
+    out.w = x[1] * y[0] - y[1] * x[0];
+    out.det = (out.u + out.v) + out.w;
+    out.t_num = (out.u * z[0] + out.v * z[1]) + out.w * z[2];
+    const F32x4 zero = splat(0.0f);
+    out.hit = (out.u >= zero) & (out.v >= zero) & (out.w >= zero) &
+              (out.det > zero) & (out.t_num >= zero);
+    return out;
 }
 
 F32

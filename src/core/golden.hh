@@ -78,6 +78,7 @@ struct Box4
 {
     F32x4 lo[3], hi[3];
 
+    Box4() = default;
     /** Slots 0..3 from boxes[0..3]. */
     explicit Box4(const Box *boxes);
 };
@@ -174,6 +175,42 @@ rayBox4(const Ray &ray, const std::array<Box, kMaxBoxesPerOp> &boxes)
 /** Golden watertight ray-triangle test in FP32, written into every
  *  field of `out`. */
 void rayTriangle(const Ray &ray, const Triangle &tri, TriangleResult &out);
+
+/** A ray's triangle-test operands as host floats, its origin read
+ *  along its permuted axes (kx, ky, kz): converted once per ray. */
+struct TriRay
+{
+    float org[3] = {};   ///< origin[kx], origin[ky], origin[kz]
+    float shear[3] = {}; ///< Sx, Sy, Sz
+    uint8_t k[3] = {0, 1, 2}; ///< kx, ky, kz
+
+    TriRay() = default;
+    explicit TriRay(const Ray &ray);
+};
+
+/** rayTriangle's results for four rays, one per lane, as host floats:
+ *  the barycentric numerators, t_den (det) and t_num, and the hit
+ *  mask. */
+struct Tri4
+{
+    F32x4 u, v, w, det, t_num;
+    M32x4 hit;
+
+    /** All ones where a NaN reached a result: there nativeTriangle
+     *  takes the functional path, not rayTriangle's. */
+    M32x4
+    nan() const
+    {
+        return (u != u) | (v != v) | (w != w) | (det != det) |
+               (t_num != t_num);
+    }
+};
+
+/** rayTriangle for the rays `r[0..3]` against one triangle, its
+ *  vertices `tri` as host floats, as 4-wide operations in the same
+ *  operation order: each lane is bit-identical to rayTriangle's. */
+Tri4 rayTriangle4(const std::array<const TriRay *, 4> &r,
+                  const float (&tri)[3][3]);
 
 /** rayTriangle, returning the result. */
 inline TriangleResult

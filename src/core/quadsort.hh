@@ -166,19 +166,6 @@ sortNetwork(std::array<SortRecord<Payload>, N> &r, size_t n,
         compareExchange(r[net.ce[c].a], r[net.ce[c].b], greater);
 }
 
-/** sortNetwork for a width fixed at compile time: the same comparators
- *  of kSortNetworks[n], unrolled. */
-template <size_t n, typename Payload, size_t N, typename Greater>
-inline void
-sortNetworkUnrolled(std::array<SortRecord<Payload>, N> &r, Greater greater)
-{
-    static_assert(n <= N, "sortNetworkUnrolled: more inputs than records");
-    constexpr SortNetworkList net = kSortNetworks[n];
-    [&]<size_t... c>(std::index_sequence<c...>) {
-        (compareExchange(r[net.ce[c].a], r[net.ce[c].b], greater), ...);
-    }(std::make_index_sequence<net.count>{});
-}
-
 /** Number of compare-exchange units in the n-input Batcher network
  *  (used by the synthesis model to cost non-default node widths).
  *  @throws std::invalid_argument when n > kMaxSortInputs. */

@@ -22,6 +22,21 @@ const std::array<const char *, 3> kL2Names{"off", "shared", "private"};
 constexpr std::array<core::DatapathConfig, 4> kPaperDatapaths{
     core::kBaselineUnified, core::kBaselineDisjoint,
     core::kExtendedUnified, core::kExtendedDisjoint};
+const std::array<const char *, 3> kRegisterPolicyNames{
+    core::registerPolicyName(core::RegisterPolicy::DisjointPerOp),
+    core::registerPolicyName(core::RegisterPolicy::SharedUnionAligned),
+    core::registerPolicyName(core::RegisterPolicy::SharedUnionWorstCase)};
+
+/** The paper configuration `dp` belongs to: its extended and disjoint
+ *  choices, every other field at its default. */
+core::DatapathConfig
+paperBase(const core::DatapathConfig &dp)
+{
+    core::DatapathConfig base;
+    base.extended = dp.extended;
+    base.disjoint = dp.disjoint;
+    return base;
+}
 
 constexpr uint64_t kMaxLatency = 1000000;
 
@@ -71,10 +86,16 @@ configKeys()
                   kPaperDatapaths.size() - 1,
                   {kPaperDatapaths[0].name(), kPaperDatapaths[1].name(),
                    kPaperDatapaths[2].name(), kPaperDatapaths[3].name()},
-                  [](const EngineConfig &c) { return c.dp.name(); },
+                  [](const EngineConfig &c) { return paperBase(c.dp).name(); },
                   [](EngineConfig &c, uint64_t v) {
-                      c.dp = kPaperDatapaths[v];
+                      c.dp.extended = kPaperDatapaths[v].extended;
+                      c.dp.disjoint = kPaperDatapaths[v].disjoint;
                   }},
+        RAYFLEX_NUMBER_KEY(dp.perturb_squarers, 0, 1),
+        RAYFLEX_NUMBER_KEY(dp.box_width, 1, core::kMaxBoxesPerOp),
+        RAYFLEX_ENUM_KEY(dp.register_policy, core::RegisterPolicy,
+                         kRegisterPolicyNames),
+        RAYFLEX_NUMBER_KEY(dp.skip_intermediate_rounding, 0, 1),
         RAYFLEX_NUMBER_KEY(chip.units, 1, kMaxChipUnits),
         RAYFLEX_ENUM_KEY(chip.l2, L2Mode, kL2Names),
         RAYFLEX_NUMBER_KEY(chip.l2cfg.line_bytes, 0, 4096),

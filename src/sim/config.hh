@@ -8,9 +8,13 @@
  * `batch_size`), declared once in configKeys() with the inclusive
  * range the parser accepts. An enum key takes a value name instead of
  * a number: `rt.mem_backend` (fixed-latency, node-cache), `chip.l2`
- * (off, shared, private) and `dp`, one of the four paper
- * configurations by core::DatapathConfig::name(). Defaults are
- * EngineConfig{}'s, so the table has no default column.
+ * (off, shared, private), `dp`, one of the four paper configurations
+ * by core::DatapathConfig::name() (it sets `extended` and `disjoint`),
+ * and `dp.register_policy` (core::registerPolicyName). The other
+ * datapath fields are keys beside `dp` (`dp.box_width`,
+ * `dp.perturb_squarers`, `dp.skip_intermediate_rounding`), so every
+ * DatapathConfig has a text form. Defaults are EngineConfig{}'s, so
+ * the table has no default column.
  *
  * `threads`, `trace` and `model` are not keys: the determinism
  * contracts make the first two result-invariant, and each front-end

@@ -647,6 +647,49 @@ TEST(ConfigTable, DescribeParsesBackIntoTheSameConfig)
     }
 }
 
+TEST(ConfigTable, EveryBenchDatapathRoundTrips)
+{
+    // The datapaths bench_width and the ablation benches build in C++:
+    // each has a text form that parses back into the same config.
+    using namespace core;
+    std::vector<DatapathConfig> dps;
+    for (unsigned w : {2u, 4u, 6u, 8u}) { // bench_width
+        DatapathConfig dp = kBaselineUnified;
+        dp.box_width = w;
+        dps.push_back(dp);
+    }
+    for (const DatapathConfig &base :
+         {kBaselineUnified, kBaselineDisjoint, kExtendedUnified,
+          kExtendedDisjoint})
+        for (RegisterPolicy pol :
+             {RegisterPolicy::DisjointPerOp, RegisterPolicy::SharedUnionAligned,
+              RegisterPolicy::SharedUnionWorstCase}) { // registers
+            DatapathConfig dp = base;
+            dp.register_policy = pol;
+            dps.push_back(dp);
+        }
+    for (const DatapathConfig &base :
+         {kBaselineUnified, kExtendedUnified, kExtendedDisjoint}) {
+        DatapathConfig dp = base; // rounding
+        dp.skip_intermediate_rounding = true;
+        dps.push_back(dp);
+    }
+    DatapathConfig perturbed = kExtendedDisjoint; // squarer
+    perturbed.perturb_squarers = true;
+    dps.push_back(perturbed);
+    for (const DatapathConfig &dp : dps) {
+        sim::EngineConfig cfg;
+        cfg.dp = dp;
+        EXPECT_TRUE(parse(sim::describe(cfg)) == cfg)
+            << dp.name() << ": " << sim::describe(cfg);
+    }
+    sim::EngineConfig cfg;
+    cfg.dp = perturbed;
+    cfg.dp.box_width = 6;
+    EXPECT_EQ(sim::describe(cfg),
+              "dp=extended-disjoint dp.perturb_squarers=1 dp.box_width=6");
+}
+
 TEST(ConfigTable, RejectsABadTokenByKey)
 {
     for (const std::string token :

@@ -475,6 +475,67 @@ TEST(NativeEval, SpecialValueBoxBeatsMatchFunctional)
     EXPECT_GT(nan_inputs, 0u) << "no NaN was drawn";
 }
 
+TEST(NativeEval, RayTriangle4MatchesScalarLaneByLane)
+{
+    // golden::rayTriangle4 tests four rays against one triangle as
+    // 4-wide operations; every lane must equal golden::rayTriangle bit
+    // for bit, or flag the NaN for which nativeTriangle leaves the
+    // golden model. Random and adversarial operands, then origins,
+    // shears and vertices drawn from specialValue().
+    WorkloadGen gen(0x7A14);
+    size_t hits = 0, nan_lanes = 0;
+    for (int i = 0; i < 6000; ++i) {
+        std::array<DatapathInput, 4> ops;
+        for (int l = 0; l < 4; ++l) {
+            ops[size_t(l)] = i % 3 == 1
+                                 ? gen.adversarialRayTriangleOp(uint64_t(i))
+                                 : gen.rayTriangleOp(uint64_t(i));
+            if (i % 3 == 2)
+                for (int d = 0; d < 3; ++d) {
+                    ops[size_t(l)].ray.origin[d] = gen.specialValue();
+                    ops[size_t(l)].ray.shear[d] = gen.specialValue();
+                }
+        }
+        Triangle tri = ops[0].tri;
+        if (i % 3 == 2)
+            for (auto &v : tri.v)
+                for (rayflex::fp::F32 &c : v)
+                    c = gen.specialValue();
+        float tv[3][3];
+        for (int v = 0; v < 3; ++v)
+            for (int d = 0; d < 3; ++d)
+                tv[v][d] = fromBits(tri.v[size_t(v)][size_t(d)]);
+        std::array<golden::TriRay, 4> rays;
+        std::array<const golden::TriRay *, 4> ptrs;
+        for (size_t l = 0; l < 4; ++l) {
+            rays[l] = golden::TriRay(ops[l].ray);
+            ptrs[l] = &rays[l];
+        }
+        const golden::Tri4 q = golden::rayTriangle4(ptrs, tv);
+        const golden::M32x4 nan = q.nan();
+        for (int l = 0; l < 4; ++l) {
+            const TriangleResult g =
+                golden::rayTriangle(ops[size_t(l)].ray, tri);
+            const bool g_nan = isNaNF32(g.t_num) || isNaNF32(g.t_den) ||
+                               isNaNF32(g.uvw[0]) || isNaNF32(g.uvw[1]) ||
+                               isNaNF32(g.uvw[2]);
+            ASSERT_EQ(nan[l] != 0, g_nan) << "case " << i << " lane " << l;
+            nan_lanes += g_nan;
+            if (g_nan)
+                continue;
+            ASSERT_EQ(q.hit[l] != 0, g.hit) << "case " << i << " lane " << l;
+            ASSERT_EQ(rayflex::fp::toBits(q.t_num[l]), g.t_num) << "case " << i;
+            ASSERT_EQ(rayflex::fp::toBits(q.det[l]), g.t_den) << "case " << i;
+            ASSERT_EQ(rayflex::fp::toBits(q.u[l]), g.uvw[0]) << "case " << i;
+            ASSERT_EQ(rayflex::fp::toBits(q.v[l]), g.uvw[1]) << "case " << i;
+            ASSERT_EQ(rayflex::fp::toBits(q.w[l]), g.uvw[2]) << "case " << i;
+            hits += g.hit;
+        }
+    }
+    EXPECT_GT(hits, 0u) << "no lane hit";
+    EXPECT_GT(nan_lanes, 0u) << "no lane reached a NaN";
+}
+
 // ----- FP32 vs double-precision geometric reference -----
 
 TEST(GeometricSanity, RayBoxAgreesWithDoubleAwayFromBoundaries)

@@ -3,14 +3,17 @@
  * Tests of the pluggable RT-unit memory models (bvh/mem_model.hh):
  * the FixedLatencyMemory backend's bit-identity with the original
  * flat-latency timing, the LRU/eviction mechanics of the NodeCache and
- * the SharedL2, the NodeCache's degenerate geometries, the CacheStats
- * merge contract, and the
+ * the SharedL2, LruSets against a reference array of line records, the
+ * NodeCache's degenerate geometries, the CacheStats merge contract,
+ * and the
  * engine-level determinism sweep with the cached backend — mirroring
  * test_sim_engine at 1/2/8 workers — plus the scene-size sweep
  * acceptance property: the hit-rate falls monotonically as the BVH
  * outgrows the cache.
  */
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "bvh/mem_model.hh"
 #include "bvh/scene.hh"
@@ -39,6 +42,55 @@ bitIdentical(const HitRecord &a, const HitRecord &b)
                << ", " << b.triangle_id << "}";
     return ::testing::AssertionSuccess();
 }
+
+/** LruSets' replacement rule on an array of line records, one per way,
+ *  with `line % sets` by division: the reference the tag/age arrays
+ *  must match touch for touch. */
+class RefLruSets
+{
+  public:
+    RefLruSets(uint32_t sets, uint32_t ways)
+        : sets_(sets), ways_(ways), lines_(size_t(sets) * ways)
+    {
+    }
+
+    LruSets::Touch
+    touch(uint64_t line)
+    {
+        Line *set = lines_.data() + size_t(line % sets_) * ways_;
+        ++tick_;
+        Line *victim = set;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            Line &l = set[w];
+            if (l.valid && l.tag == line) {
+                l.last_used = tick_;
+                return LruSets::Touch::Hit;
+            }
+            // First invalid way, else the least recently used one;
+            // ties toward the lowest way.
+            if (!victim->valid)
+                continue;
+            if (!l.valid || l.last_used < victim->last_used)
+                victim = &l;
+        }
+        const LruSets::Touch done =
+            victim->valid ? LruSets::Touch::Evict : LruSets::Touch::Fill;
+        *victim = {line, tick_, true};
+        return done;
+    }
+
+  private:
+    struct Line
+    {
+        uint64_t tag = 0;
+        uint64_t last_used = 0;
+        bool valid = false;
+    };
+    uint32_t sets_;
+    uint32_t ways_;
+    std::vector<Line> lines_;
+    uint64_t tick_ = 0;
+};
 
 /** A mixed scene with both hits and misses well represented. */
 Bvh4
@@ -281,6 +333,62 @@ TEST(SharedL2, HitsMissesAndLruEviction)
     l2.reset();
     EXPECT_EQ(l2.totals(), L2Stats{});
     EXPECT_EQ(fill(2), 80u);
+}
+
+TEST(Divisor, MatchesDivisionAndModulo)
+{
+    // A power of two takes the shift and mask, any other divisor the
+    // plain operators; both must agree with / and % everywhere.
+    std::mt19937_64 rng(37);
+    const uint64_t divisors[] = {1,    2,    3,    48,
+                                 64,   128,  4096, 6000,
+                                 uint64_t(1) << 40};
+    for (uint64_t d : divisors) {
+        const Divisor div(d);
+        for (int i = 0; i < 2000; ++i) {
+            const uint64_t x = i % 2 ? rng() : rng() % 100000;
+            ASSERT_EQ(div.div(x), x / d) << x << " / " << d;
+            ASSERT_EQ(div.mod(x), x % d) << x << " % " << d;
+        }
+    }
+}
+
+TEST(LruSets, MatchesReferenceTouchForTouch)
+{
+    // Random touch sequences over power-of-two and other set counts
+    // and 1-8 ways. Every touch's kind (hit, fill or evict) must match
+    // the reference, which pins the victim order. Lines are drawn from
+    // a window a few times the capacity, so all three kinds are
+    // common, and every other run of 500 touches draws from a window
+    // above 2^40, so no tag encoding may drop high bits.
+    std::mt19937_64 rng(31);
+    for (uint32_t sets : {1u, 3u, 16u, 64u}) {
+        for (uint32_t ways = 1; ways <= 8; ++ways) {
+            LruSets got(sets, ways);
+            RefLruSets want(sets, ways);
+            const uint64_t window = uint64_t(sets) * ways * 3;
+            size_t kinds[3] = {};
+            for (int round = 0; round < 2; ++round) {
+                if (round) {
+                    got.reset(); // a reset must forget every line
+                    want = RefLruSets(sets, ways);
+                }
+                for (int i = 0; i < 4000; ++i) {
+                    const uint64_t base =
+                        i / 500 % 2 ? (uint64_t(1) << 40) + 7 : 0;
+                    const uint64_t line = base + rng() % window;
+                    const LruSets::Touch t = got.touch(line);
+                    ASSERT_EQ(t, want.touch(line))
+                        << "sets " << sets << " ways " << ways
+                        << " round " << round << " touch " << i
+                        << " line " << line;
+                    ++kinds[size_t(t)];
+                }
+            }
+            EXPECT_GT(kinds[size_t(LruSets::Touch::Hit)], 0u);
+            EXPECT_GT(kinds[size_t(LruSets::Touch::Evict)], 0u);
+        }
+    }
 }
 
 TEST(NodeCache, AccessSpanningLinesTouchesEachLine)

@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 
+#include "core/golden.hh"
 #include "core/quadsort.hh"
 
 using namespace rayflex::core;
@@ -142,6 +143,43 @@ TEST(QuadSort, HostCompareMatchesSoftfloatNetwork)
                 ASSERT_EQ(host[i].key, soft[i].key)
                     << "n=" << n << " iter=" << iter << " i=" << i;
             }
+        }
+    }
+}
+
+TEST(QuadSort, PackedSlotSortMatchesRecordNetwork)
+{
+    // golden::quadSortSlots sorts (key, slot) packed into one word; it
+    // must leave the records, key bits included, exactly where the
+    // record network with the host `>` leaves them. The keys are a
+    // slab test's: never NaN, with signed zeros, subnormals, runs of
+    // equal keys and +inf misses.
+    const std::array<float, 10> pool = {
+        0.0f, -0.0f, fromBits(0x00000001u), fromBits(0x80000001u),
+        fromBits(0x007fffffu), 1.0f, -1.0f, 3.5f,
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity()};
+    std::mt19937_64 rng(29);
+    for (int iter = 0; iter < 20000; ++iter) {
+        golden::Slab4 s;
+        const size_t span = iter % 2 ? pool.size() : 3;
+        const size_t base = rng() % (pool.size() - span + 1);
+        for (int b = 0; b < 4; ++b) {
+            s.near[b] = pool[base + rng() % span];
+            s.far[b] = std::numeric_limits<float>::infinity();
+            s.nan[b] = rng() % 5 == 0 ? -1 : 0; // a miss keyed +inf
+        }
+        const golden::M32x4 key = s.key();
+        std::array<SortRecord<uint8_t>, 4> ref;
+        for (int b = 0; b < 4; ++b)
+            ref[size_t(b)] = {F32(key[b]), uint8_t(b)};
+        sortNetwork(ref, 4, HostGreater{});
+        const auto got = golden::quadSortSlots(s);
+        for (size_t i = 0; i < 4; ++i) {
+            ASSERT_EQ(got[i].payload, ref[i].payload)
+                << "iter=" << iter << " i=" << i;
+            ASSERT_EQ(got[i].key, ref[i].key)
+                << "iter=" << iter << " i=" << i;
         }
     }
 }
